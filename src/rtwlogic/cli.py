@@ -1,7 +1,9 @@
 """Command line front end for the experiment suite.
 
 Exit codes: 0 when the experiment's own acceptance check passed, 1 when
-it ran but failed its check, 2 for invalid arguments.  Reports embed the
+it ran but failed its check, 2 for invalid arguments, 3 when the run
+stopped on an unexpected error (reported as one `error:` line on stderr,
+without a traceback).  Reports embed the
 master seed; rerunning any subcommand with the same flags writes
 byte-identical output.
 """
@@ -164,15 +166,19 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         report = _run(args)
+        text = report.render(args.format)
+        if args.out is None:
+            sys.stdout.write(text)
+        else:
+            with open(args.out, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    text = report.render(args.format)
-    if args.out is None:
-        sys.stdout.write(text)
-    else:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+    except Exception as exc:  # the CLI boundary: one line, never a traceback
+        message = " ".join(str(exc).split())
+        print(f"error: {type(exc).__name__}: {message}", file=sys.stderr)
+        return 3
     return 0 if report.passed else 1
 
 

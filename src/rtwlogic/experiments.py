@@ -11,7 +11,10 @@ The heavy Monte Carlo paths run on numpy engines that evaluate the same
 counter-derived waveform signs the exact Fraction pipeline produces; the
 unit tests pin the engines trial-for-trial to the exact reference
 implementations (trace synthesis plus the tick-scanning identifier), so
-the fast path and the slow path cannot drift apart silently.
+the fast path and the slow path cannot drift apart silently.  The
+identification engine works on switching instants, not ticks: one trial
+reads the 2N * M events of its window, O(N * M) time and memory, the
+paper's linear cost for fixed M.
 """
 
 from __future__ import annotations
@@ -56,14 +59,31 @@ def _hidden_tag(num_bits: int) -> int:
     return 2 * num_bits
 
 
+def _num_words(num_bits: int) -> int:
+    return -(-num_bits // 64)
+
+
 def trial_master_seed(seed: int, trial_index: int) -> int:
     """Per-trial master seed; trials are independent and order-free."""
     return rng.derive_seed(seed, trial_index)
 
 
+def _draw_bits(seed: int, tag: int, num_bits: int) -> int:
+    """Uniform num_bits-bit integer from ceil(N/64) derived 64-bit words.
+
+    Word 0 (the low 64 bits) is derive_seed(seed, tag); word w >= 1 is
+    derive_seed(seed, tag, w), whose nested tag cannot collide with a
+    single-tag draw at tag + 1.
+    """
+    value = rng.derive_seed(seed, tag)
+    for w in range(1, _num_words(num_bits)):
+        value |= rng.derive_seed(seed, tag, w) << (64 * w)
+    return value & ((1 << num_bits) - 1)
+
+
 def hidden_bits_for(trial_seed: int, num_bits: int) -> int:
     """Uniform hidden product string for one trial, as a bits integer."""
-    return rng.derive_seed(trial_seed, _hidden_tag(num_bits)) & ((1 << num_bits) - 1)
+    return _draw_bits(trial_seed, _hidden_tag(num_bits), num_bits)
 
 
 # ===========================================================================
@@ -200,8 +220,8 @@ def mismatch_rate_engine(num_bits: int, periods: int, seed: int) -> tuple[int, i
     differ in a period exactly when the parity of the streams in their
     symmetric difference is odd.
     """
-    w1 = rng.derive_seed(seed, _hidden_tag(num_bits)) & ((1 << num_bits) - 1)
-    w2 = rng.derive_seed(seed, _hidden_tag(num_bits) + 1) & ((1 << num_bits) - 1)
+    w1 = _draw_bits(seed, _hidden_tag(num_bits), num_bits)
+    w2 = _draw_bits(seed, _hidden_tag(num_bits) + 1, num_bits)
     if w2 == w1:
         w2 ^= 1
     diff_rows = []
@@ -242,6 +262,41 @@ class IdentificationTrialStats:
         return self.undecided_trials / self.trials
 
 
+def _hidden_bits_np(trial_seeds: np.ndarray, num_bits: int) -> np.ndarray:
+    """(trials, N) booleans, bit 1 first: hidden_bits_for over a seed vector."""
+    tag = _hidden_tag(num_bits)
+    words = np.stack(
+        [rng.derive_seed_np(trial_seeds, tag)]
+        + [rng.derive_seed_np(trial_seeds, tag, w) for w in range(1, _num_words(num_bits))],
+        axis=1,
+    )
+    pos = np.arange(num_bits - 1, -1, -1)  # integer bit position of bit 1..N
+    shift = (pos % 64).astype(np.uint64)
+    return ((words[:, pos // 64] >> shift) & np.uint64(1)).astype(bool)
+
+
+def _pack_bits(bits: np.ndarray) -> np.ndarray:
+    """One bits integer per row of (trials, N) booleans, bit 1 most significant.
+
+    uint64 up to 64 bits; above that, an object array of Python ints.
+    """
+    n = bits.shape[1]
+    if n <= 64:
+        shift = np.arange(n - 1, -1, -1, dtype=np.uint64)
+        return (bits.astype(np.uint64) << shift).sum(axis=1, dtype=np.uint64)
+    pad = -n % 8  # packbits fills the last byte's low bits with zeros
+    rows = np.packbits(bits, axis=1)
+    return np.array([int.from_bytes(r.tobytes(), "big") >> pad for r in rows], dtype=object)
+
+
+# bytes per batch of rng.sign_tensor's uint64 intermediates (8 per stream and
+# period of a trial); small enough for a batch to stay in cache
+_ENGINE_BATCH_BYTES = 1 << 20
+# decide-H value of an event when the observed waveform did not flip:
+# an L carrier's flip left unfollowed means H, an H carrier's means L
+_NO_FLIP_MEANS_H = np.array([True, False])
+
+
 def run_identification_trials(
     num_bits: int,
     max_periods: int,
@@ -250,30 +305,27 @@ def run_identification_trials(
     keep_per_trial: bool = False,
     batch_size: int | None = None,
 ) -> IdentificationTrialStats:
-    """Monte Carlo identification trials on the vectorized waveform engine.
+    """Monte Carlo identification trials on the event-level engine.
 
-    Each trial derives its own master seed and hidden string, synthesizes
-    the shifted unknown waveform's tick signs, and applies the switching-
-    instant decision rule to the observed waveform (not to the hidden
-    string).  Aggregates match the tick-scanning reference identifier
-    trial for trial; see the unit tests for the pinning.
+    Each trial derives its own master seed and hidden string and reads
+    only the 2N*M switching instants of its observation window, so a
+    trial costs O(N*M).  In shifted mode exactly one stream switches per
+    tick, so the observed waveform flips at instant (period k, slot j)
+    exactly when stream j is a factor and its period-k sign differs from
+    its period-(k-1) sign.  The decision rule is applied to those
+    observed flips, not to the hidden string.  Aggregates match the
+    tick-scanning reference identifier trial for trial; see the unit
+    tests for the pinning.
     """
     if num_bits < 1 or max_periods < 1 or trials < 1:
         raise ValueError("num_bits, max_periods and trials must be >= 1")
     n = num_bits
+    m = max_periods
     spp = 2 * n
-    num_periods = max_periods + 1
-    ticks = num_periods * spp
+    num_periods = m + 1
     if batch_size is None:
-        batch_size = int(max(16, min(8192, (1 << 25) // (spp * ticks))))
-    mask = np.uint64((1 << n) - 1)
-    slots = np.arange(spp)
-    t_arr = np.arange(ticks)
-    # shifted-mode period index per (slot, tick): switch at k*spp + slot
-    gather = np.maximum(t_arr[None, :] - slots[:, None], 0) // spp
-    j_grid = slots[:, None]
-    bit_shift = np.arange(n - 1, -1, -1, dtype=np.uint64)
-    k_arr = np.arange(1, max_periods + 1)
+        batch_size = max(1, min(8192, _ENGINE_BATCH_BYTES // (8 * spp * num_periods)))
+    l_slot = 2 * np.arange(n)
 
     undecided_trials = 0
     complete_trials = 0
@@ -289,66 +341,42 @@ def run_identification_trials(
         b = min(batch_size, trials - start)
         idx = np.arange(start, start + b, dtype=np.uint64)
         tseeds = rng.derive_seed_np(np.uint64(seed & rng.MASK64), idx)
-        ps = rng.sign_tensor(tseeds, spp, num_periods)  # (b, spp, P)
-        hidden = rng.derive_seed_np(tseeds, np.uint64(_hidden_tag(n))) & mask
-        bitvals = ((hidden[:, None] >> bit_shift[None, :]) & np.uint64(1)).astype(bool)
-        sel = np.empty((b, spp), dtype=bool)
-        sel[:, 0::2] = ~bitvals  # L carrier chosen when the bit is low
-        sel[:, 1::2] = bitvals   # H carrier chosen when the bit is high
-        stream_ticks = ps[:, j_grid, gather]  # (b, spp, ticks)
-        unknown = np.multiply.reduce(
-            np.where(sel[:, :, None], stream_ticks, np.int8(1)), axis=1
-        )  # (b, ticks): the observed waveform's sign sequence
-        u_flip = unknown[:, 1:] != unknown[:, :-1]  # column t-1 = flip into tick t
-        r_flip = ps[:, :, 1:] != ps[:, :, :-1]      # column k-1 = flip into period k
+        bitvals = _hidden_bits_np(tseeds, n)
+        ps = rng.sign_tensor(tseeds, spp, num_periods)  # (b, spp, M+1)
+        # bit i+1's streams in time order: L then H within every period
+        ps = ps.reshape(b, n, 2, num_periods).transpose(0, 1, 3, 2)
+        # switch[:, i, k-1, c]: carrier c (0 = L, 1 = H) of bit i+1 changes
+        # sign at its period-k switching instant
+        switch = ps[:, :, 1:] != ps[:, :, :-1]
+        sel = np.stack((~bitvals, bitvals), axis=2)  # the hidden string's factors
+        u_flip = switch & sel[:, :, None, :]  # the observed waveform flips
+        flags = switch.reshape(b, n, 2 * m)
+        vals = (u_flip ^ _NO_FLIP_MEANS_H).reshape(b, n, 2 * m)
+        first = np.argmax(flags, axis=2)[:, :, None]
+        has = np.take_along_axis(flags, first, axis=2)
+        chosen = np.take_along_axis(vals, first, axis=2)
+        contradictions += int((flags & (vals != chosen)).any(axis=2).sum())
+        first, has, chosen = first[:, :, 0], has[:, :, 0], chosen[:, :, 0]
+        dec_is_h = chosen & has
+        dec_tick = (first // 2 + 1) * spp + l_slot + first % 2
 
-        dec_mask = np.empty((b, n), dtype=bool)
-        dec_is_h = np.zeros((b, n), dtype=bool)
-        dec_tick = np.zeros((b, n), dtype=np.int64)
-        rows = np.arange(b)
-        for i in range(n):
-            j_l = 2 * i
-            flags = np.empty((b, max_periods, 2), dtype=bool)
-            flags[:, :, 0] = r_flip[:, j_l, :]
-            flags[:, :, 1] = r_flip[:, j_l + 1, :]
-            vals = np.empty((b, max_periods, 2), dtype=bool)  # True = decide H
-            # L carrier flipped: unknown follows iff L is the factor
-            vals[:, :, 0] = ~u_flip[:, k_arr * spp + j_l - 1]
-            # H carrier flipped: unknown follows iff H is the factor
-            vals[:, :, 1] = u_flip[:, k_arr * spp + j_l]
-            flags2 = flags.reshape(b, 2 * max_periods)
-            vals2 = vals.reshape(b, 2 * max_periods)
-            has = flags2.any(axis=1)
-            first = np.argmax(flags2, axis=1)
-            chosen = vals2[rows, first]
-            contradictions += int(
-                (flags2 & (vals2 != chosen[:, None])).any(axis=1).sum()
-            )
-            dec_mask[:, i] = has
-            dec_is_h[:, i] = chosen & has
-            dec_tick[:, i] = (first // 2 + 1) * spp + j_l + first % 2
-
-        complete = dec_mask.all(axis=1)
-        bit_ok = dec_is_h == bitvals
-        wrong_decided_bits += int((dec_mask & ~bit_ok).sum())
-        recovered = (dec_is_h.astype(np.uint64) << bit_shift[None, :]).sum(
-            axis=1, dtype=np.uint64
-        )
-        wrong_here = complete & (recovered != hidden)
-        wrong_complete += int(wrong_here.sum())
+        complete = has.all(axis=1)
+        bit_wrong = dec_is_h != bitvals
+        wrong_decided_bits += int((has & bit_wrong).sum())
+        wrong_complete += int((complete & bit_wrong.any(axis=1)).sum())
         complete_trials += int(complete.sum())
         undecided_trials += int(b - complete.sum())
         last_tick = dec_tick.max(axis=1)
-        t_obs = np.where(complete, last_tick - spp + 1, max_periods * spp)
-        p_used = np.where(complete, last_tick // spp, max_periods)
+        t_obs = np.where(complete, last_tick - spp + 1, m * spp)
+        p_used = np.where(complete, last_tick // spp, m)
         ticks_sum += int(t_obs.sum())
         periods_sum += int(p_used.sum())
         if keep_per_trial:
-            kept["hidden"].append(hidden.copy())
-            kept["complete"].append(complete.copy())
-            kept["recovered"].append(recovered.copy())
-            kept["ticks"].append(t_obs.copy())
-            kept["periods"].append(p_used.copy())
+            kept["hidden"].append(_pack_bits(bitvals))
+            kept["complete"].append(complete)
+            kept["recovered"].append(_pack_bits(dec_is_h))
+            kept["ticks"].append(t_obs)
+            kept["periods"].append(p_used)
 
     extras = {}
     if keep_per_trial:

@@ -72,19 +72,21 @@ def mix64_np(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def derive_seed_np(seeds: np.ndarray, tags: np.ndarray) -> np.ndarray:
-    """Vector mirror of derive_seed(seed, tag) (single tag, broadcasting)."""
+def derive_seed_np(seeds: np.ndarray, *tags: np.ndarray | int) -> np.ndarray:
+    """Vector mirror of derive_seed(seed, *tags), broadcasting seeds against tags."""
     with np.errstate(over="ignore"):
-        seeds = np.asarray(seeds, dtype=np.uint64)
-        tags = np.asarray(tags, dtype=np.uint64)
-        inner = mix64_np(seeds + _NP_GAMMA)
-        return mix64_np(inner + (tags + np.uint64(1)) * _NP_GAMMA)
+        x = mix64_np(np.asarray(seeds, dtype=np.uint64) + _NP_GAMMA)
+        for tag in tags:
+            tag = np.asarray(tag, dtype=np.uint64)
+            x = mix64_np(x + (tag + np.uint64(1)) * _NP_GAMMA)
+    return x
 
 
 def _signs_from_seeds(stream_seeds: np.ndarray, periods: np.ndarray) -> np.ndarray:
     with np.errstate(over="ignore"):
         z = mix64_np(stream_seeds + (periods + np.uint64(1)) * _NP_GAMMA)
-    return np.where(z >> np.uint64(63), np.int8(-1), np.int8(1))
+    top = (z >> np.uint64(63)).astype(np.int8)
+    return np.int8(1) - np.int8(2) * top  # top bit set -> -1, clear -> +1
 
 
 def sign_block(master_seed: int, stream_index: int, start_period: int, count: int) -> np.ndarray:
@@ -108,12 +110,8 @@ def sign_matrix(
 
 def sign_tensor(master_seeds: np.ndarray, num_streams: int, num_periods: int) -> np.ndarray:
     """(trials, num_streams, num_periods) sign tensor, one master seed per trial."""
-    with np.errstate(over="ignore"):
-        seeds = np.asarray(master_seeds, dtype=np.uint64)
-        streams = np.arange(num_streams, dtype=np.uint64)
-        inner = mix64_np(seeds + _NP_GAMMA)
-        stream_seeds = mix64_np(
-            inner[:, None] + (streams[None, :] + np.uint64(1)) * _NP_GAMMA
-        )
+    seeds = np.asarray(master_seeds, dtype=np.uint64)
+    streams = np.arange(num_streams, dtype=np.uint64)
+    stream_seeds = derive_seed_np(seeds[:, None], streams[None, :])
     periods = np.arange(num_periods, dtype=np.uint64)
     return _signs_from_seeds(stream_seeds[:, :, None], periods[None, None, :])

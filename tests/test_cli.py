@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from rtwlogic import experiments
 from rtwlogic.cli import main
 
 
@@ -133,3 +134,20 @@ def test_cap_violations_exit_two(capsys) -> None:
     assert "14" in err
     rc, _, err = _run(capsys, ["range", "--bits", "25", "--exhaustive"])
     assert rc == 2
+
+
+def test_identify_above_64_bits(capsys) -> None:
+    rc, out, err = _run(capsys, ["identify", "--bits", "100", "--trials", "20"])
+    assert rc == 0, err
+    assert "parameters,bits,100" in out.splitlines()
+
+
+def test_unexpected_error_exits_three(monkeypatch, capsys) -> None:
+    def boom(*args, **kwargs):
+        raise RuntimeError("engine fault\nsecond line")
+
+    monkeypatch.setattr(experiments, "identification_experiment", boom)
+    rc, out, err = _run(capsys, ["identify", "--bits", "4", "--trials", "10"])
+    assert rc == 3
+    assert out == ""
+    assert err == "error: RuntimeError: engine fault second line\n"

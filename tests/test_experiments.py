@@ -17,6 +17,7 @@ import pytest
 from rtwlogic import algebra as alg
 from rtwlogic import experiments as exp
 from rtwlogic import identify as idf
+from rtwlogic import rng
 from rtwlogic import rtw
 from rtwlogic import signal as sig
 
@@ -48,18 +49,49 @@ def test_mismatch_rate_near_half() -> None:
     assert abs(mismatches / periods - 0.5) <= 0.005
 
 
-def test_identification_engine_matches_exact_trials() -> None:
-    n, m, trials, seed = 4, 3, 40, 2
+def _assert_engine_matches_exact(n: int, m: int, trials: int, seed: int) -> None:
     stats = exp.run_identification_trials(n, m, trials, seed, keep_per_trial=True)
     assert stats.contradictions == 0
+    # every pinned case mixes fully decided and undecided trials
+    assert 0 < stats.complete_trials < trials
     for i in range(trials):
         hidden, res = exp.identification_trial_exact(seed, i, n, m)
         assert stats.hidden_bits[i] == hidden.bits
         assert bool(stats.complete[i]) == res.complete
         assert stats.ticks_observed[i] == res.ticks_observed
         assert stats.periods_used[i] == res.periods_used
+        recovered = int(stats.recovered_bits[i])
+        for r, value in res.decided.items():
+            assert (recovered >> (n - r)) & 1 == (value == "H")
         if res.complete:
             assert stats.recovered_bits[i] == res.product_string().bits
+
+
+def test_identification_engine_matches_exact_trials() -> None:
+    _assert_engine_matches_exact(4, 3, 40, 2)
+
+
+@pytest.mark.parametrize("n, m", [(65, 4), (128, 3), (200, 4)])
+def test_identification_engine_matches_exact_trials_above_64_bits(n: int, m: int) -> None:
+    _assert_engine_matches_exact(n, m, 6, 2)
+
+
+def test_hidden_strings_cover_every_bit_above_64() -> None:
+    # a single masked 64-bit word would leave bits 1..36 always L at N = 100
+    n, trials, seed = 100, 200, 5
+    stats = exp.run_identification_trials(n, 1, trials, seed, keep_per_trial=True, batch_size=7)
+    union = 0
+    for i, bits in enumerate(stats.hidden_bits):
+        assert bits == exp.hidden_bits_for(exp.trial_master_seed(seed, i), n)
+        union |= int(bits)
+    assert union == (1 << n) - 1
+
+
+def test_hidden_draw_keeps_first_word() -> None:
+    ts = exp.trial_master_seed(3, 0)
+    for n in (1, 8, 64, 65, 200):
+        low = rng.derive_seed(ts, 2 * n) & ((1 << min(n, 64)) - 1)
+        assert exp.hidden_bits_for(ts, n) & ((1 << 64) - 1) == low
 
 
 def test_identification_engine_batching_invariance() -> None:

@@ -98,3 +98,10 @@ def test_derive_seed_np_mirrors_scalar(seed: int) -> None:
     tags = np.arange(8, dtype=np.uint64)
     vec = rng.derive_seed_np(np.uint64(seed), tags)
     assert vec.tolist() == [rng.derive_seed(seed, t) for t in range(8)]
+
+
+@given(st.integers(min_value=0, max_value=2**64 - 1))
+def test_derive_seed_np_mirrors_nested_tags(seed: int) -> None:
+    words = np.arange(1, 5, dtype=np.uint64)
+    vec = rng.derive_seed_np(np.uint64(seed), 40, words)
+    assert vec.tolist() == [rng.derive_seed(seed, 40, w) for w in range(1, 5)]
