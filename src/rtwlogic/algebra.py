@@ -13,19 +13,26 @@ from multiplying with the H_r*L_r inverter waveform) are folded into the
 rational coefficients using lambda's exact value rather than tracked as a
 symbolic variable; lambda is therefore an explicit argument of the
 operations that need it, not a field of the algebraic types.
+
+`evaluator` is the package's one exact evaluator: symbolic values here,
+traces and readouts in `signal` and the experiments all read it on
+slot-ordered sign columns.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping
+from typing import Callable, Mapping, Sequence
 
-VALUE_H = "H"
-VALUE_L = "L"
+from .rtw import ROLE_A, ROLE_B, VALUE_H, VALUE_L, stream_index
 
 # expand() refuses above this many bits unless the caller raises the cap
 DEFAULT_EXPAND_CAP = 20
+
+# the value of an object as a function of one slot-ordered sign column
+Evaluator = Callable[[Sequence[int]], Fraction]
 
 
 def _check_lambda(lam: Fraction) -> Fraction:
@@ -245,14 +252,61 @@ def apply_not(
     raise TypeError(f"unsupported operand type {type(s).__name__}")
 
 
-def _get_sign(signs: Mapping[tuple[int, str], int], bit: int, role: str) -> int:
-    try:
-        s = signs[(bit, role)]
-    except KeyError:
-        raise ValueError(f"missing sign entry for (bit={bit}, role={role!r})") from None
-    if s not in (-1, 1):
-        raise ValueError(f"sign for (bit={bit}, role={role!r}) must be +1 or -1")
-    return s
+def evaluator(
+    s: ProductString | Superposition | FactoredSuperposition, lam: Fraction
+) -> Evaluator:
+    """The one exact evaluator: the value of s as a function of a sign column.
+
+    A column holds one sign per reference stream in slot order
+    (B_1, A_1, B_2, A_2, ...), the order `rtw.stream_index` defines; H_r
+    reads the role-A sign, L_r lambda times the role-B sign.  The returned
+    function does not check the column: callers pass 2N signs of +1 or -1.
+    """
+    lam = _check_lambda(lam)
+    if isinstance(s, ProductString):
+        return selection_evaluator([(r, s.value(r)) for r in range(1, s.num_bits + 1)], lam)
+    if isinstance(s, FactoredSuperposition):
+        # per bit: its A and B slots and c_H * A + c_L * lambda * B for each (A, B)
+        factors = [
+            (stream_index(r, ROLE_A), stream_index(r, ROLE_B),
+             {(a, b): ch * a + cl * lam * b for a in (-1, 1) for b in (-1, 1)})
+            for r, ch, cl in zip(range(1, s.num_bits + 1), s.c_h, s.c_l)
+        ]
+        return lambda column: math.prod(table[column[a], column[b]] for a, b, table in factors)
+    if isinstance(s, Superposition):
+        terms = [
+            (c, evaluator(ProductString(s.num_bits, bits), lam)) for bits, c in s.terms.items()
+        ]
+        return lambda column: sum((c * value(column) for c, value in terms), Fraction(0))
+    raise TypeError(f"unsupported operand type {type(s).__name__}")
+
+
+def selection_evaluator(picks: Sequence[tuple[int, str]], lam: Fraction) -> Evaluator:
+    """`evaluator` for a product of chosen logic values.
+
+    picks may cover any subset of bits and may repeat a bit; the value is
+    the integer sign product over the picked slots times lambda^#L.
+    """
+    lam = _check_lambda(lam)
+    slots = []
+    for bit, value in picks:
+        if value not in (VALUE_H, VALUE_L):
+            raise ValueError(f"pick value must be H or L, got {value!r}")
+        slots.append(stream_index(bit, ROLE_A if value == VALUE_H else ROLE_B))
+    scale = lam ** sum(1 for _, value in picks if value == VALUE_L)
+    return lambda column: scale if math.prod(column[i] for i in slots) > 0 else -scale
+
+
+def _sign_column(signs: Mapping[tuple[int, str], int], num_bits: int) -> list[int]:
+    """Slot-ordered column of a {(bit, role): sign} mapping; reads every entry."""
+    column = [0] * (2 * num_bits)
+    for bit in range(1, num_bits + 1):
+        for role in (ROLE_A, ROLE_B):
+            sign = signs.get((bit, role))
+            if sign not in (-1, 1):
+                raise ValueError(f"sign ({bit}, {role!r}) must be +1 or -1, got {sign}")
+            column[stream_index(bit, role)] = sign
+    return column
 
 
 def evaluate_product(
@@ -263,15 +317,9 @@ def evaluate_product(
     """Value of one product string under a concrete sign assignment.
 
     H_r evaluates to the role-A sign, L_r to lambda times the role-B sign.
+    Every bit's A and B entries must be present, read or not.
     """
-    lam = _check_lambda(lam)
-    acc = Fraction(1)
-    for r in range(1, w.num_bits + 1):
-        if w.value(r) == VALUE_H:
-            acc *= _get_sign(signs, r, "A")
-        else:
-            acc *= lam * _get_sign(signs, r, "B")
-    return acc
+    return evaluator(w, lam)(_sign_column(signs, w.num_bits))
 
 
 def evaluate_symbolic(
@@ -280,17 +328,4 @@ def evaluate_symbolic(
     lam: Fraction,
 ) -> Fraction:
     """Exact value of a superposition under one period's sign assignment."""
-    lam = _check_lambda(lam)
-    if isinstance(s, FactoredSuperposition):
-        acc = Fraction(1)
-        for r in range(1, s.num_bits + 1):
-            a = _get_sign(signs, r, "A")
-            b = _get_sign(signs, r, "B")
-            acc *= s.c_h[r - 1] * a + s.c_l[r - 1] * lam * b
-        return acc
-    if isinstance(s, Superposition):
-        total = Fraction(0)
-        for bits, coeff in s.terms.items():
-            total += coeff * evaluate_product(ProductString(s.num_bits, bits), signs, lam)
-        return total
-    raise TypeError(f"unsupported operand type {type(s).__name__}")
+    return evaluator(s, lam)(_sign_column(signs, s.num_bits))

@@ -34,8 +34,9 @@ from . import rng
 from .algebra import (
     ProductString,
     apply_not,
-    evaluate_symbolic,
+    evaluator,
     expand,
+    selection_evaluator,
     uniform_superposition,
 )
 from .identify import (
@@ -601,14 +602,10 @@ def amplitude_range_experiment(
     uni = uniform_superposition(num_bits)
     t_min = (1 - lam) ** num_bits
     t_max = (1 + lam) ** num_bits
-    values: list[Fraction] = []
     if exhaustive:
-        for combo in iter_product((-1, 1), repeat=2 * num_bits):
-            signs = {}
-            for i in range(num_bits):
-                signs[(i + 1, "B")] = combo[2 * i]
-                signs[(i + 1, "A")] = combo[2 * i + 1]
-            values.append(abs(evaluate_symbolic(uni, signs, lam)))
+        value = evaluator(uni, lam)
+        columns = iter_product((-1, 1), repeat=2 * num_bits)
+        values = [abs(value(column)) for column in columns]
     else:
         refs = build_reference_system(seed, num_bits, trials, lam)
         values = [abs(v) for v in superposition_readouts(refs, uni)]
@@ -688,6 +685,8 @@ def identification_experiment(
     """
     if (epsilon is None) == (max_periods is None):
         raise ValueError("provide exactly one of epsilon or max_periods")
+    if include_baseline and num_bits > BASELINE_BITS_CAP:
+        raise ValueError(f"baseline search is exponential; capped at {BASELINE_BITS_CAP} bits")
     if max_periods is None:
         max_periods = required_periods(num_bits, epsilon)
     bound = min(Fraction(1), error_bound(num_bits, max_periods))
@@ -725,10 +724,6 @@ def identification_experiment(
     }
     passed = rate_ok and sound
     if include_baseline:
-        if num_bits > BASELINE_BITS_CAP:
-            raise ValueError(
-                f"baseline search is exponential; capped at {BASELINE_BITS_CAP} bits"
-            )
         eps_for_budget = epsilon if epsilon is not None else error_bound(
             num_bits, max_periods
         )
@@ -764,11 +759,16 @@ def identification_benchmark(
     ticks, 2N * required_periods(N, epsilon) (the quantity the linear
     claim is about); mean observed ticks with early exit are reported
     alongside.  Baseline cost is mean tests times the per-test period
-    budget and is only run up to baseline_cap bits.  Timing columns are
-    optional because they would break byte-identical reruns.
+    budget and is only run up to baseline_cap bits, which may not exceed
+    BASELINE_BITS_CAP.  Timing columns are optional because they would
+    break byte-identical reruns.
     """
     if not bits_list:
         raise ValueError("need at least one bit count")
+    if baseline_cap > BASELINE_BITS_CAP:
+        raise ValueError(
+            f"baseline search is exponential; baseline_cap may not exceed {BASELINE_BITS_CAP}"
+        )
     if len(set(bits_list)) != len(bits_list):
         raise ValueError("bit counts must be distinct")
     eps = Fraction(epsilon)
@@ -903,14 +903,12 @@ def not_gate_demo(
 
     refs = build_reference_system(seed, num_bits, periods, lam)
     y_readouts = superposition_readouts(refs, uni)
-    agree = 0
-    for k in range(periods):
-        signs = refs.period_signs(k)
-        hl = lam * signs[(target_bit, "A")] * signs[(target_bit, "B")]
-        waveform = y_readouts[k] * hl
-        symbolic = evaluate_symbolic(notted, signs, lam)
-        if waveform == symbolic:
-            agree += 1
+    hl = selection_evaluator([(target_bit, "H"), (target_bit, "L")], lam)
+    symbolic = evaluator(notted, lam)
+    agree = sum(
+        y * hl(column) == symbolic(column)
+        for y, column in zip(y_readouts, refs.period_columns())
+    )
     waveform_ok = agree == periods
 
     passed = permutation_ok and factored_matches and waveform_ok

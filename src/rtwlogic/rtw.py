@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterator
 
 from . import rng
 
@@ -186,6 +187,15 @@ class ReferenceSystem:
         if value == VALUE_L:
             return self.lam * value_at(self.stream(bit, ROLE_B), tick, self.grid, shifted)
         raise ValueError(f"value must be {VALUE_H!r} or {VALUE_L!r}, got {value!r}")
+
+    def columns(self, shifted: bool) -> Iterator[tuple[int, ...]]:
+        """Slot-ordered sign column (B_1, A_1, ..., B_N, A_N) of each tick, in order."""
+        for tick in range(self.grid.num_ticks):
+            yield tuple(value_at(proc, tick, self.grid, shifted) for proc in self.streams)
+
+    def period_columns(self) -> Iterator[tuple[int, ...]]:
+        """Slot-ordered sign column of each clock period (the readout window's)."""
+        return zip(*(proc.signs for proc in self.streams))
 
     def period_signs(self, period: int) -> dict[tuple[int, str], int]:
         """{(bit, role): sign} for one clock period, for symbolic evaluation."""

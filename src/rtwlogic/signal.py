@@ -5,6 +5,9 @@ waveform.  Samples are rational: a product string's sample is the product
 of its chosen reference values (so its magnitude is lambda^(#L factors)),
 and a factored superposition's sample is the product over bits of
 (c_H * A_r(t) + c_L * lambda * B_r(t)), evaluated in O(N) per tick.
+Every trace and readout maps the one exact evaluator, `algebra.evaluator`,
+over slot-ordered sign columns: `ReferenceSystem.columns` per tick,
+`ReferenceSystem.period_columns` per period.
 
 Meaning is assigned at the end-of-period readout window (the last
 sub-clock slot), where shifted and unshifted traces of the same object
@@ -18,10 +21,12 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import IO, Iterable, Sequence
+from typing import IO, Sequence
 
-from .algebra import VALUE_H, VALUE_L, FactoredSuperposition, ProductString
-from .rtw import ROLE_A, ROLE_B, ClockGrid, ReferenceSystem, value_at
+from .algebra import (
+    Evaluator, FactoredSuperposition, ProductString, evaluator, selection_evaluator,
+)
+from .rtw import ClockGrid, ReferenceSystem
 
 
 @dataclass(frozen=True)
@@ -47,16 +52,14 @@ class SignalTrace:
 Selection = Sequence[tuple[int, str]]
 
 
-def _selection_of(w: ProductString) -> list[tuple[int, str]]:
-    return [(r, w.value(r)) for r in range(1, w.num_bits + 1)]
+def _check_width(refs: ReferenceSystem, s: ProductString | FactoredSuperposition) -> None:
+    if s.num_bits != refs.num_bits:
+        raise ValueError("bit-width mismatch")
 
 
-def _check_selection(refs: ReferenceSystem, picks: Selection) -> None:
-    for bit, value in picks:
-        if not 1 <= bit <= refs.num_bits:
-            raise ValueError(f"bit {bit} outside 1..{refs.num_bits}")
-        if value not in (VALUE_H, VALUE_L):
-            raise ValueError(f"pick value must be H or L, got {value!r}")
+def _trace(refs: ReferenceSystem, value: Evaluator, shifted: bool) -> SignalTrace:
+    samples = tuple(map(value, refs.columns(shifted)))
+    return SignalTrace(grid=refs.grid, shifted=shifted, samples=samples)
 
 
 def trace_selection(refs: ReferenceSystem, picks: Selection, shifted: bool = False) -> SignalTrace:
@@ -66,27 +69,16 @@ def trace_selection(refs: ReferenceSystem, picks: Selection, shifted: bool = Fal
     [(r, "H"), (r, "L")] is the inverter waveform H_r * L_r for bit r).
     The lambda scale of each L pick is folded into the samples.
     """
-    _check_selection(refs, picks)
-    grid = refs.grid
-    streams = [
-        refs.stream(bit, ROLE_A if value == VALUE_H else ROLE_B)
-        for bit, value in picks
-    ]
-    lam_power = refs.lam ** sum(1 for _, value in picks if value == VALUE_L)
-    samples = []
-    for tick in range(grid.num_ticks):
-        sign = 1
-        for proc in streams:
-            sign *= value_at(proc, tick, grid, shifted)
-        samples.append(lam_power * sign)
-    return SignalTrace(grid=grid, shifted=shifted, samples=tuple(samples))
+    for bit, _ in picks:
+        if not 1 <= bit <= refs.num_bits:
+            raise ValueError(f"bit {bit} outside 1..{refs.num_bits}")
+    return _trace(refs, selection_evaluator(picks, refs.lam), shifted)
 
 
 def trace_product(refs: ReferenceSystem, w: ProductString, shifted: bool = False) -> SignalTrace:
     """Trace of a full product string (one chosen value per bit)."""
-    if w.num_bits != refs.num_bits:
-        raise ValueError("bit-width mismatch")
-    return trace_selection(refs, _selection_of(w), shifted)
+    _check_width(refs, w)
+    return _trace(refs, evaluator(w, refs.lam), shifted)
 
 
 def trace_superposition(
@@ -95,23 +87,8 @@ def trace_superposition(
     shifted: bool = False,
 ) -> SignalTrace:
     """Trace of a factored superposition, O(num_bits) work per tick."""
-    if f.num_bits != refs.num_bits:
-        raise ValueError("bit-width mismatch")
-    grid = refs.grid
-    lam = refs.lam
-    pairs = [
-        (f.c_h[r - 1], f.c_l[r - 1] * lam, refs.stream(r, ROLE_A), refs.stream(r, ROLE_B))
-        for r in range(1, refs.num_bits + 1)
-    ]
-    samples = []
-    for tick in range(grid.num_ticks):
-        acc = Fraction(1)
-        for ch, cl_lam, proc_a, proc_b in pairs:
-            acc *= ch * value_at(proc_a, tick, grid, shifted) + cl_lam * value_at(
-                proc_b, tick, grid, shifted
-            )
-        samples.append(acc)
-    return SignalTrace(grid=grid, shifted=shifted, samples=tuple(samples))
+    _check_width(refs, f)
+    return _trace(refs, evaluator(f, refs.lam), shifted)
 
 
 def multiply_traces(a: SignalTrace, b: SignalTrace) -> SignalTrace:
@@ -140,38 +117,14 @@ def product_readouts(refs: ReferenceSystem, w: ProductString) -> tuple[Fraction,
     At the readout window every stream holds the current period's sign in
     both modes, so this equals readout(trace_product(...)) for either mode.
     """
-    if w.num_bits != refs.num_bits:
-        raise ValueError("bit-width mismatch")
-    streams = [
-        refs.stream(r, ROLE_A if w.value(r) == VALUE_H else ROLE_B)
-        for r in range(1, w.num_bits + 1)
-    ]
-    lam_power = refs.lam ** sum(1 for r in range(1, w.num_bits + 1) if w.value(r) == VALUE_L)
-    out = []
-    for k in range(refs.grid.num_periods):
-        sign = 1
-        for proc in streams:
-            sign *= proc.signs[k]
-        out.append(lam_power * sign)
-    return tuple(out)
+    _check_width(refs, w)
+    return tuple(map(evaluator(w, refs.lam), refs.period_columns()))
 
 
 def superposition_readouts(refs: ReferenceSystem, f: FactoredSuperposition) -> tuple[Fraction, ...]:
     """Per-period readout of a factored superposition, skipping mid-period ticks."""
-    if f.num_bits != refs.num_bits:
-        raise ValueError("bit-width mismatch")
-    lam = refs.lam
-    pairs = [
-        (f.c_h[r - 1], f.c_l[r - 1] * lam, refs.stream(r, ROLE_A), refs.stream(r, ROLE_B))
-        for r in range(1, refs.num_bits + 1)
-    ]
-    out = []
-    for k in range(refs.grid.num_periods):
-        acc = Fraction(1)
-        for ch, cl_lam, proc_a, proc_b in pairs:
-            acc *= ch * proc_a.signs[k] + cl_lam * proc_b.signs[k]
-        out.append(acc)
-    return tuple(out)
+    _check_width(refs, f)
+    return tuple(map(evaluator(f, refs.lam), refs.period_columns()))
 
 
 # ---------------------------------------------------------------------------

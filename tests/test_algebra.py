@@ -214,6 +214,62 @@ def test_evaluate_missing_sign_raises() -> None:
         alg.evaluate_product(w, {(1, "B"): 1}, Fraction(1, 2))
 
 
+def test_evaluate_reads_every_carrier() -> None:
+    # "LH" reads only (1, B) and (2, A), but the mapping is converted to a
+    # full sign column first, so an unread carrier must be present too
+    lam = Fraction(1, 2)
+    w = alg.ProductString.from_letters("LH")
+    read_only = {(1, "B"): -1, (2, "A"): -1}
+    with pytest.raises(ValueError, match="got None"):
+        alg.evaluate_product(w, read_only, lam)
+    with pytest.raises(ValueError, match="got None"):
+        alg.evaluate_symbolic(alg.expand(alg.uniform_superposition(2)), read_only, lam)
+    bad = {**read_only, (1, "A"): 1, (2, "B"): 0}
+    with pytest.raises(ValueError, match="got 0"):
+        alg.evaluate_product(w, bad, lam)
+
+
+def _literal_product(w: alg.ProductString, signs, lam: Fraction) -> Fraction:
+    # prod_r (A_r if H else lam * B_r), written out independently of algebra
+    acc = Fraction(1)
+    for r, letter in enumerate(w.letters(), start=1):
+        acc *= signs[(r, "A")] if letter == "H" else lam * signs[(r, "B")]
+    return acc
+
+
+def test_evaluation_matches_literal_oracle() -> None:
+    # every product string, the uniform superposition in both forms and a
+    # NOT-gated expansion, over all 2^(2N) sign assignments at N <= 3
+    for lam in (Fraction(1, 3), Fraction(1)):
+        for n in (1, 2, 3):
+            strings = [alg.ProductString(n, bits) for bits in range(2**n)]
+            u = alg.uniform_superposition(n)
+            gated = alg.apply_not(alg.expand(u), n, lam)
+            for picks in range(2 ** (2 * n)):
+                signs = _random_signs(n, picks)
+                values = {w: _literal_product(w, signs, lam) for w in strings}
+                for w in strings:
+                    assert alg.evaluate_product(w, signs, lam) == values[w]
+                uniform = sum(values.values())
+                assert alg.evaluate_symbolic(u, signs, lam) == uniform
+                assert alg.evaluate_symbolic(alg.expand(u), signs, lam) == uniform
+                assert alg.evaluate_symbolic(gated, signs, lam) == sum(
+                    c * values[w] for w, c in gated.items()
+                )
+
+
+def test_selection_evaluator_repeats_and_rejects() -> None:
+    lam = Fraction(1, 2)
+    column = (-1, 1, 1, -1)  # B_1, A_1, B_2, A_2
+    # H_1 * L_1 is the inverter waveform lam * A_1 * B_1
+    assert alg.selection_evaluator([(1, "H"), (1, "L")], lam)(column) == -lam
+    assert alg.selection_evaluator([], lam)(column) == 1
+    with pytest.raises(ValueError):
+        alg.selection_evaluator([(1, "X")], lam)
+    with pytest.raises(TypeError):
+        alg.evaluator("HL", lam)
+
+
 def test_uniform_extremes_frozen() -> None:
     lam = Fraction(1, 2)
     u = alg.uniform_superposition(3)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -134,6 +135,54 @@ def test_cap_violations_exit_two(capsys) -> None:
     assert "14" in err
     rc, _, err = _run(capsys, ["range", "--bits", "25", "--exhaustive"])
     assert rc == 2
+
+
+def test_bench_refuses_raised_baseline_cap(capsys) -> None:
+    rc, out, err = _run(capsys, ["bench", "--bits", "4", "--baseline-cap", "15"])
+    assert rc == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+# sha256 of each report at fixed flags, one line per subcommand and format;
+# a refactor that changes any report byte changes its digest
+GOLDEN_REPORTS = {
+    "zero-prob --bits 3 --trials 20000 --format csv":
+        "45fb34f1bbc8f7a5a894c51263839158f3b23b8b7e42bb66e09e770684dc25b0",
+    "zero-prob --bits 3 --trials 20000 --format json":
+        "ee6bcad75fb5f758162d411ab8205b0e629875121ad72ba4db5a689afa1840f1",
+    "range --bits 4 --lambda 1/2 --exhaustive --format csv":
+        "bbe78b5f236dcb96b1274241ab3483babeb4231d9b3a8513569933481ec23832",
+    "range --bits 4 --lambda 1/2 --exhaustive --format json":
+        "3ec1a50ffb6b52a937d540326bfd1c75ebaf03dd290b28870dba948875a5f47c",
+    "range --bits 8 --lambda 1/2 --trials 200 --format csv":
+        "4afcc1b0f8d6f85b5c119b42c16b5aacaf0c8b6603bd3ed8e530c27bdd20f596",
+    "range --bits 8 --lambda 1/2 --trials 200 --format json":
+        "6b51f78165592de8baedd381888a86271976f00f26e9bad0270ba20b3d517b70",
+    "resolution --bits 200 --lambda 1/2 --format csv":
+        "547065e26f49f1cab96f4c19d9c9c847b64ef051801ae2db708865d83031127e",
+    "resolution --bits 200 --lambda 1/2 --format json":
+        "5bf772cb01f95dbb29078dd241b996c17213f3211f8e6455e828b02ca7e737e3",
+    "identify --bits 8 --epsilon 1/1000 --trials 500 --format csv":
+        "dfe93f0f22eeb3605986e24ab0db47429c2921034a29f5bc146f975f2f2e2935",
+    "identify --bits 8 --epsilon 1/1000 --trials 500 --format json":
+        "e52226f927f734ef5ec76334ce74e130ea14a94f57ecf9c29a2b343b2d8aae77",
+    "bench --bits 4,6,8 --trials 50 --format csv":
+        "3e2ae84ca4b7dfb56c35e8851ce23c2e0c40fd573c5e24d1189cfc53d2288e5e",
+    "bench --bits 4,6,8 --trials 50 --format json":
+        "ef1c63bb9616443663b66c4fd4c51877d687db5e50a2dae282d70b900c1a752e",
+    "not-demo --bits 3 --lambda 1/2 --target 2 --periods 200 --format csv":
+        "7d27faba952e8e25e9089a0418d74c68aaedf7e4007de94bab570337da189e3e",
+    "not-demo --bits 3 --lambda 1/2 --target 2 --periods 200 --format json":
+        "0c62954ab6d81aa5c2a62f7674e640e00aaae1851b73fc71e94b5b743972baca",
+}
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN_REPORTS))
+def test_report_bytes_are_golden(tmp_path, capsys, command) -> None:
+    path = tmp_path / "report"
+    assert _run(capsys, command.split() + ["--out", str(path)])[0] == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_REPORTS[command]
 
 
 def test_identify_above_64_bits(capsys) -> None:

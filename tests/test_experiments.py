@@ -239,6 +239,20 @@ def test_benchmark_respects_baseline_cap() -> None:
     assert by_bits[16]["baseline_mean_tests"] is None
 
 
+def test_baseline_cap_refused_before_any_trial(monkeypatch) -> None:
+    # the cap guards the 2^N-row XOR table, so it is refused before any trial
+    def no_trials(*args, **kwargs):
+        raise AssertionError("a trial ran before the cap was checked")
+
+    monkeypatch.setattr(exp, "run_identification_trials", no_trials)
+    monkeypatch.setattr(exp, "run_baseline_trials", no_trials)
+    cap = exp.BASELINE_BITS_CAP
+    with pytest.raises(ValueError, match=str(cap)):
+        exp.identification_benchmark([4], epsilon="1/100", trials=10, baseline_cap=cap + 1)
+    with pytest.raises(ValueError, match=str(cap)):
+        exp.identification_experiment(cap + 1, 10, epsilon="1/100", include_baseline=True)
+
+
 def test_benchmark_timing_columns_are_opt_in() -> None:
     plain = exp.identification_benchmark([2], epsilon="1/100", trials=10, seed=3,
                                          include_baseline=False)

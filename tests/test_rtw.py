@@ -138,6 +138,30 @@ def test_period_signs_match_streams() -> None:
             assert table[(s.bit, s.role)] == s.signs[k]
 
 
+def test_columns_read_value_at() -> None:
+    # columns(shifted)[t][slot] is the slot's stream value at tick t
+    refs = rtw.build_reference_system(13, 3, 7)
+    g = refs.grid
+    for shifted in (False, True):
+        columns = list(refs.columns(shifted))
+        assert len(columns) == g.num_ticks
+        for t, column in enumerate(columns):
+            assert column == tuple(
+                rtw.value_at(s, t, g, shifted=shifted) for s in refs.streams
+            )
+
+
+def test_period_columns_match_period_signs() -> None:
+    refs = rtw.build_reference_system(17, 4, 9)
+    columns = list(refs.period_columns())
+    assert len(columns) == refs.grid.num_periods
+    for k, column in enumerate(columns):
+        table = refs.period_signs(k)
+        for bit in range(1, refs.num_bits + 1):
+            for role in (rtw.ROLE_A, rtw.ROLE_B):
+                assert column[rtw.stream_index(bit, role)] == table[(bit, role)]
+
+
 def test_logic_value_scaling() -> None:
     lam = Fraction(1, 3)
     refs = rtw.build_reference_system(2, 2, 6, lam=lam)
