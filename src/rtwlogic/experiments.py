@@ -14,7 +14,9 @@ implementations (trace synthesis plus the tick-scanning identifier), so
 the fast path and the slow path cannot drift apart silently.  The
 identification engine works on switching instants, not ticks: one trial
 reads the 2N * M events of its window, O(N * M) time and memory, the
-paper's linear cost for fixed M.
+paper's linear cost for fixed M.  The baseline engine keeps its scan
+exhaustive but packs each stream's period signs into uint64 words, so
+all 2^N candidates are compared as XORs of two half-tables.
 """
 
 from __future__ import annotations
@@ -54,6 +56,8 @@ DEFAULT_SEED = 1
 ZERO_PROB_BITS_CAP = 20
 EXHAUSTIVE_BITS_CAP = 6
 BASELINE_BITS_CAP = 14
+# bytes one identification trial may need: its smallest batch must fit in memory
+ENGINE_TRIAL_BYTES_CAP = 1 << 28
 
 # tag used to draw the hidden string of a trial; stream tags are 0..2N-1
 def _hidden_tag(num_bits: int) -> int:
@@ -290,12 +294,31 @@ def _pack_bits(bits: np.ndarray) -> np.ndarray:
     return np.array([int.from_bytes(r.tobytes(), "big") >> pad for r in rows], dtype=object)
 
 
-# bytes per batch of rng.sign_tensor's uint64 intermediates (8 per stream and
-# period of a trial); small enough for a batch to stay in cache
+# bytes per batch of an engine's largest intermediates (rng.sign_tensor's
+# uint64s, 8 per stream and period of a trial, or the baseline's match mask);
+# small enough for a batch to stay in cache
 _ENGINE_BATCH_BYTES = 1 << 20
 # decide-H value of an event when the observed waveform did not flip:
 # an L carrier's flip left unfollowed means H, an H carrier's means L
 _NO_FLIP_MEANS_H = np.array([True, False])
+
+
+def _batch_trials(bytes_per_trial: int) -> int:
+    """Trials per batch: _ENGINE_BATCH_BYTES worth, at least 1 and at most 8192."""
+    return max(1, min(8192, _ENGINE_BATCH_BYTES // bytes_per_trial))
+
+
+def _check_identification_memory(num_bits: int, max_periods: int) -> None:
+    """Refuse, before allocating, a trial larger than ENGINE_TRIAL_BYTES_CAP.
+
+    One trial holds about three (2N, M+1) uint64 arrays of signs and flags.
+    """
+    need = 3 * 8 * 2 * num_bits * (max_periods + 1)
+    if need > ENGINE_TRIAL_BYTES_CAP:
+        raise ValueError(
+            f"one identification trial at {num_bits} bits and {max_periods} periods "
+            f"needs about {need} bytes; capped at {ENGINE_TRIAL_BYTES_CAP}"
+        )
 
 
 def run_identification_trials(
@@ -320,12 +343,13 @@ def run_identification_trials(
     """
     if num_bits < 1 or max_periods < 1 or trials < 1:
         raise ValueError("num_bits, max_periods and trials must be >= 1")
+    _check_identification_memory(num_bits, max_periods)
     n = num_bits
     m = max_periods
     spp = 2 * n
     num_periods = m + 1
     if batch_size is None:
-        batch_size = max(1, min(8192, _ENGINE_BATCH_BYTES // (8 * spp * num_periods)))
+        batch_size = _batch_trials(8 * spp * num_periods)
     l_slot = 2 * np.arange(n)
 
     undecided_trials = 0
@@ -427,6 +451,30 @@ class BaselineTrialStats:
     tests: np.ndarray | None = None
 
 
+def _pack_periods(neg: np.ndarray) -> np.ndarray:
+    """(..., P) booleans as (..., ceil(P/64)) uint64 words; period k is bit k % 64."""
+    packed = np.packbits(neg, axis=-1, bitorder="little")
+    pad = -packed.shape[-1] % 8
+    if pad:
+        packed = np.pad(packed, [(0, 0)] * (packed.ndim - 1) + [(0, pad)])
+    return packed.view(np.uint64)
+
+
+def _xor_table(words: np.ndarray) -> np.ndarray:
+    """(b, 2^k, W) readout words of every string over k bits, in catalog order.
+
+    words is (b, 2k, W): the packed signs of each bit's L then H carrier.
+    """
+    b, _, w = words.shape
+    table = np.zeros((b, 1, w), dtype=np.uint64)
+    for i in range(0, words.shape[1], 2):
+        nxt = np.empty((b, 2 * table.shape[1], w), dtype=np.uint64)
+        nxt[:, 0::2] = table ^ words[:, None, i]      # append L for this bit
+        nxt[:, 1::2] = table ^ words[:, None, i + 1]  # append H for this bit
+        table = nxt
+    return table
+
+
 def run_baseline_trials(
     num_bits: int,
     periods_per_test: int,
@@ -434,36 +482,44 @@ def run_baseline_trials(
     seed: int,
     keep_per_trial: bool = False,
 ) -> BaselineTrialStats:
-    """Monte Carlo baseline searches at lambda = 1 on the XOR sign engine.
+    """Monte Carlo baseline searches at lambda = 1 on bit-packed XOR parities.
 
-    Readout values at lambda = 1 are products of signs, so candidate
-    verification reduces to comparing XOR parities.  The candidate table
-    is built in catalog order (all-L first); a trial's cost is the index
-    of the first candidate that survives its whole period budget, exactly
-    as the sequential reference search counts it.
+    Readout values at lambda = 1 are products of signs, so a string's
+    readouts over its P-period budget are the XOR of its carriers'
+    negative-sign bits, packed into W = ceil(P/64) uint64 words.  Batches
+    of trials are scanned at once.  Candidate c splits into its first
+    floor(N/2) bits (c_hi) and the rest (c_lo) and reads Hi[c_hi] ^ Lo[c_lo],
+    so two half-tables of at most 2^ceil(N/2) rows stand in for the 2^N-row
+    catalog; all 2^N candidates are compared, and the flattened match mask
+    is in catalog order (all-L first).  A trial's cost is the index of the
+    first candidate that survives its whole period budget, exactly as the
+    sequential reference search counts it.
     """
     if num_bits < 1 or periods_per_test < 1 or trials < 1:
         raise ValueError("num_bits, periods_per_test and trials must be >= 1")
     n = num_bits
+    spp = 2 * n
+    n_hi = n // 2
+    n_words = -(-periods_per_test // 64)
+    # per trial: the 2^N * W-byte match mask or sign_tensor's uint64 intermediates
+    batch_size = _batch_trials(max(n_words << n, 8 * spp * periods_per_test))
     tests = np.empty(trials, dtype=np.int64)
     false_matches = 0
-    for t in range(trials):
-        ts = trial_master_seed(seed, t)
-        hidden = hidden_bits_for(ts, n)
-        signs = rng.sign_matrix(ts, 2 * n, periods_per_test)
-        bits = (signs < 0).astype(np.uint8)
-        table = np.zeros((1, periods_per_test), dtype=np.uint8)
-        for i in range(n):
-            nxt = np.empty((table.shape[0] * 2, periods_per_test), dtype=np.uint8)
-            nxt[0::2] = table ^ bits[2 * i]      # append L for bit i+1
-            nxt[1::2] = table ^ bits[2 * i + 1]  # append H for bit i+1
-            table = nxt
-        unknown = table[hidden]
-        matches = ~(table != unknown[None, :]).any(axis=1)
-        first = int(np.argmax(matches))
-        tests[t] = first + 1
-        if first != hidden:
-            false_matches += 1
+    for start in range(0, trials, batch_size):
+        b = min(batch_size, trials - start)
+        idx = np.arange(start, start + b, dtype=np.uint64)
+        tseeds = rng.derive_seed_np(np.uint64(seed & rng.MASK64), idx)
+        hidden = _pack_bits(_hidden_bits_np(tseeds, n)).astype(np.intp)
+        words = _pack_periods(rng.sign_tensor(tseeds, spp, periods_per_test) < 0)
+        hi = _xor_table(words[:, : 2 * n_hi])
+        lo = _xor_table(words[:, 2 * n_hi :])
+        c_hi, c_lo = np.divmod(hidden, lo.shape[1])
+        unknown = hi[np.arange(b), c_hi] ^ lo[np.arange(b), c_lo]
+        match = (hi ^ unknown[:, None, :])[:, :, None, :] == lo[:, None, :, :]
+        match = match.all(axis=3) if n_words > 1 else match[..., 0]
+        first = np.argmax(match.reshape(b, -1), axis=1)
+        tests[start : start + b] = first + 1
+        false_matches += int((first != hidden).sum())
     return BaselineTrialStats(
         trials=trials,
         periods_per_test=periods_per_test,
@@ -772,6 +828,8 @@ def identification_benchmark(
     if len(set(bits_list)) != len(bits_list):
         raise ValueError("bit counts must be distinct")
     eps = Fraction(epsilon)
+    for n in bits_list:
+        _check_identification_memory(n, required_periods(n, eps))
     rows: list[dict[str, object]] = []
     budget_costs: list[tuple[int, int]] = []
     baseline_points: list[tuple[int, float]] = []

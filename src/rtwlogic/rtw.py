@@ -180,14 +180,6 @@ class ReferenceSystem:
     def stream_by_slot(self, slot: int) -> RtwProcess:
         return self.streams[slot]
 
-    def logic_value_at(self, bit: int, value: str, tick: int, shifted: bool) -> Fraction:
-        """H_r or L_r waveform value at a tick (L carries the lambda scale)."""
-        if value == VALUE_H:
-            return Fraction(value_at(self.stream(bit, ROLE_A), tick, self.grid, shifted))
-        if value == VALUE_L:
-            return self.lam * value_at(self.stream(bit, ROLE_B), tick, self.grid, shifted)
-        raise ValueError(f"value must be {VALUE_H!r} or {VALUE_L!r}, got {value!r}")
-
     def columns(self, shifted: bool) -> Iterator[tuple[int, ...]]:
         """Slot-ordered sign column (B_1, A_1, ..., B_N, A_N) of each tick, in order."""
         for tick in range(self.grid.num_ticks):

@@ -7,7 +7,7 @@ import json
 
 import pytest
 
-from rtwlogic import experiments
+from rtwlogic import experiments, rng
 from rtwlogic.cli import main
 
 
@@ -189,6 +189,20 @@ def test_identify_above_64_bits(capsys) -> None:
     rc, out, err = _run(capsys, ["identify", "--bits", "100", "--trials", "20"])
     assert rc == 0, err
     assert "parameters,bits,100" in out.splitlines()
+
+
+def test_identify_memory_cap_exits_two(monkeypatch, capsys) -> None:
+    def no_signs(*args, **kwargs):
+        raise AssertionError("signs were drawn before the memory check")
+
+    monkeypatch.setattr(rng, "sign_tensor", no_signs)
+    for argv in (["identify", "--bits", "1000000", "--trials", "1"],
+                 ["bench", "--bits", "4,1000000", "--trials", "1"]):
+        rc, out, err = _run(capsys, argv)
+        assert rc == 2, argv
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert "capped at" in err
 
 
 def test_unexpected_error_exits_three(monkeypatch, capsys) -> None:

@@ -112,6 +112,44 @@ def test_baseline_engine_matches_exact_trials() -> None:
         assert stats.tests[i] == tests
 
 
+@pytest.mark.parametrize("ppt", [1, 2, 63, 64, 65, 130])
+@pytest.mark.parametrize("n", [1, 2, 5, 8])
+def test_baseline_engine_matches_exact_trials_across_word_boundaries(n: int, ppt: int) -> None:
+    # P around 64 crosses the uint64 period-word boundary; odd N makes the
+    # two half-tables unequal, N = 1 leaves the high one a single row
+    trials, seed = 12, 6
+    stats = exp.run_baseline_trials(n, ppt, trials, seed, keep_per_trial=True)
+    false_matches = 0
+    for i in range(trials):
+        hidden, tests = exp.baseline_trial_exact(seed, i, n, idf.verification_error_bound(ppt))
+        assert stats.tests[i] == tests
+        false_matches += tests != hidden.bits + 1
+    assert stats.false_matches == false_matches
+    if ppt == 1:
+        # a one-period budget lets earlier candidates match first
+        assert false_matches > 0
+
+
+def test_baseline_engine_batching_invariance(monkeypatch) -> None:
+    n, ppt, trials, seed = 5, 70, 30, 8
+    whole = exp.run_baseline_trials(n, ppt, trials, seed, keep_per_trial=True)
+    # 8 * 2N * P = 5600 bytes per trial: batches of 2 trials
+    monkeypatch.setattr(exp, "_ENGINE_BATCH_BYTES", 12000)
+    batches = []
+    sign_tensor = rng.sign_tensor
+
+    def counted(seeds, *args):
+        batches.append(len(seeds))
+        return sign_tensor(seeds, *args)
+
+    monkeypatch.setattr(rng, "sign_tensor", counted)
+    split = exp.run_baseline_trials(n, ppt, trials, seed, keep_per_trial=True)
+    assert batches == [2] * 15
+    assert (split.tests == whole.tests).all()
+    assert split.false_matches == whole.false_matches
+    assert split.mean_tests == whole.mean_tests
+
+
 def test_baseline_mean_tests_near_half_catalog() -> None:
     # hidden strings are uniform over the catalog, so the mean scan position
     # is (2^N + 1)/2; sigma of the mean from the discrete uniform variance
@@ -240,7 +278,7 @@ def test_benchmark_respects_baseline_cap() -> None:
 
 
 def test_baseline_cap_refused_before_any_trial(monkeypatch) -> None:
-    # the cap guards the 2^N-row XOR table, so it is refused before any trial
+    # the cap guards the exponential 2^N-candidate scan, so it is refused before any trial
     def no_trials(*args, **kwargs):
         raise AssertionError("a trial ran before the cap was checked")
 
@@ -251,6 +289,29 @@ def test_baseline_cap_refused_before_any_trial(monkeypatch) -> None:
         exp.identification_benchmark([4], epsilon="1/100", trials=10, baseline_cap=cap + 1)
     with pytest.raises(ValueError, match=str(cap)):
         exp.identification_experiment(cap + 1, 10, epsilon="1/100", include_baseline=True)
+
+
+def test_identification_memory_refused_before_allocating(monkeypatch) -> None:
+    def no_signs(*args, **kwargs):
+        raise AssertionError("signs were drawn before the memory check")
+
+    monkeypatch.setattr(rng, "sign_tensor", no_signs)
+    n = 1_000_000
+    with pytest.raises(ValueError, match="capped at"):
+        exp.run_identification_trials(n, idf.required_periods(n, "1/1000"), 1, 1)
+    with pytest.raises(ValueError, match="capped at"):
+        exp.identification_experiment(n, 1, epsilon="1/1000")
+    # the small bit count comes first but must not run either
+    with pytest.raises(ValueError, match="capped at"):
+        exp.identification_benchmark([4, n], epsilon="1/1000", trials=1, include_baseline=False)
+
+
+def test_identification_memory_cap_boundary(monkeypatch) -> None:
+    # one trial at N = 4, M = 3 needs 3 * 8 * 2N * (M+1) = 768 bytes
+    monkeypatch.setattr(exp, "ENGINE_TRIAL_BYTES_CAP", 768)
+    assert exp.run_identification_trials(4, 3, 5, 1).trials == 5
+    with pytest.raises(ValueError, match="768"):
+        exp.run_identification_trials(4, 4, 5, 1)
 
 
 def test_benchmark_timing_columns_are_opt_in() -> None:

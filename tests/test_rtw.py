@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from rtwlogic import algebra as alg
 from rtwlogic import rtw
 
 
@@ -166,10 +167,11 @@ def test_logic_value_scaling() -> None:
     lam = Fraction(1, 3)
     refs = rtw.build_reference_system(2, 2, 6, lam=lam)
     g = refs.grid
+    columns = list(refs.columns(shifted=False))
     for t in (0, 5, 11, g.num_ticks - 1):
         for bit in (1, 2):
-            h = refs.logic_value_at(bit, rtw.VALUE_H, t, shifted=False)
-            l = refs.logic_value_at(bit, rtw.VALUE_L, t, shifted=False)
+            h = alg.selection_evaluator([(bit, rtw.VALUE_H)], lam)(columns[t])
+            l = alg.selection_evaluator([(bit, rtw.VALUE_L)], lam)(columns[t])
             assert h == rtw.value_at(refs.stream(bit, rtw.ROLE_A), t, g, shifted=False)
             assert l == lam * rtw.value_at(refs.stream(bit, rtw.ROLE_B), t, g, shifted=False)
 
