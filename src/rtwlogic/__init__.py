@@ -9,14 +9,7 @@ reproducible Monte Carlo experiments for every probability claim.
 """
 
 # rtw (numpy via rng) first: numpy imported inside algebra's import starts ~20 ms slower
-from .rtw import (
-    ClockGrid,
-    ReferenceSystem,
-    RtwProcess,
-    build_reference_system,
-    gen_rtw,
-    value_at,
-)
+from .rtw import ClockGrid, ReferenceSystem, build_reference_system
 from .algebra import (
     FactoredSuperposition,
     ProductString,
@@ -69,7 +62,6 @@ __all__ = [
     "IdentificationResult",
     "ProductString",
     "ReferenceSystem",
-    "RtwProcess",
     "SearchResult",
     "SignalTrace",
     "Superposition",
@@ -83,7 +75,6 @@ __all__ = [
     "evaluate_product",
     "evaluate_symbolic",
     "expand",
-    "gen_rtw",
     "identification_benchmark",
     "identification_experiment",
     "multiply_traces",
@@ -98,7 +89,6 @@ __all__ = [
     "trace_superposition",
     "tsinbl_identify",
     "uniform_superposition",
-    "value_at",
     "verification_error_bound",
     "verification_periods",
     "write_trace_csv",

@@ -56,7 +56,8 @@ DEFAULT_SEED = 1
 ZERO_PROB_BITS_CAP = 20
 EXHAUSTIVE_BITS_CAP = 6
 BASELINE_BITS_CAP = 14
-# bytes one identification trial may need: its smallest batch must fit in memory
+# bytes one identification trial, or one reference system's sign draw, may
+# need: the smallest unit of work must fit in memory
 ENGINE_TRIAL_BYTES_CAP = 1 << 28
 
 # tag used to draw the hidden string of a trial; stream tags are 0..2N-1
@@ -308,17 +309,38 @@ def _batch_trials(bytes_per_trial: int) -> int:
     return max(1, min(8192, _ENGINE_BATCH_BYTES // bytes_per_trial))
 
 
+def _check_memory(what: str, need: int) -> None:
+    """Refuse, before allocating, work that needs more than ENGINE_TRIAL_BYTES_CAP."""
+    if need > ENGINE_TRIAL_BYTES_CAP:
+        raise ValueError(f"{what} needs about {need} bytes; capped at {ENGINE_TRIAL_BYTES_CAP}")
+
+
 def _check_identification_memory(num_bits: int, max_periods: int) -> None:
     """Refuse, before allocating, a trial larger than ENGINE_TRIAL_BYTES_CAP.
 
     One trial holds about three (2N, M+1) uint64 arrays of signs and flags.
     """
-    need = 3 * 8 * 2 * num_bits * (max_periods + 1)
-    if need > ENGINE_TRIAL_BYTES_CAP:
-        raise ValueError(
-            f"one identification trial at {num_bits} bits and {max_periods} periods "
-            f"needs about {need} bytes; capped at {ENGINE_TRIAL_BYTES_CAP}"
-        )
+    _check_memory(
+        f"one identification trial at {num_bits} bits and {max_periods} periods",
+        3 * 8 * 2 * num_bits * (max_periods + 1),
+    )
+
+
+def _check_reference_memory(num_bits: int, num_periods: int) -> None:
+    """Refuse a reference system whose (2N, P) uint64 sign draw exceeds the cap."""
+    _check_memory(
+        f"a reference system of {num_bits} bits over {num_periods} periods",
+        8 * 2 * num_bits * num_periods,
+    )
+
+
+def _sound(stats: IdentificationTrialStats) -> bool:
+    """No fully decided trial wrong, no decided bit wrong, no contradiction."""
+    return (
+        stats.wrong_complete_trials == 0
+        and stats.wrong_decided_bits == 0
+        and stats.contradictions == 0
+    )
 
 
 def run_identification_trials(
@@ -663,6 +685,7 @@ def amplitude_range_experiment(
         columns = iter_product((-1, 1), repeat=2 * num_bits)
         values = [abs(value(column)) for column in columns]
     else:
+        _check_reference_memory(num_bits, trials)
         refs = build_reference_system(seed, num_bits, trials, lam)
         values = [abs(v) for v in superposition_readouts(refs, uni)]
     v_min = min(values)
@@ -750,11 +773,7 @@ def identification_experiment(
     p = float(bound)
     tol = three_sigma(p, trials) if p < 1 else 0.0
     rate_ok = stats.undecided_rate <= p + tol
-    sound = (
-        stats.wrong_complete_trials == 0
-        and stats.wrong_decided_bits == 0
-        and stats.contradictions == 0
-    )
+    sound = _sound(stats)
     parameters: dict[str, object] = {
         "bits": num_bits,
         "trials": trials,
@@ -843,9 +862,7 @@ def identification_benchmark(
         bound = float(min(Fraction(1), error_bound(n, m)))
         tol = three_sigma(bound, trials) if bound < 1 else 0.0
         rates_ok = rates_ok and stats.undecided_rate <= bound + tol
-        all_sound = all_sound and (
-            stats.wrong_complete_trials == 0 and stats.contradictions == 0
-        )
+        all_sound = all_sound and _sound(stats)
         row: dict[str, object] = {
             "bits": n,
             "tsinbl_periods": m,
@@ -945,6 +962,7 @@ def not_gate_demo(
         raise ValueError("num_bits must be >= 1")
     if not 1 <= target_bit <= num_bits:
         raise ValueError(f"target_bit must be in 1..{num_bits}")
+    _check_reference_memory(num_bits, periods)
     uni = uniform_superposition(num_bits)
     expanded = expand(uni)
     notted = apply_not(expanded, target_bit, lam)

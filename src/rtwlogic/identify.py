@@ -29,7 +29,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from .algebra import VALUE_H, VALUE_L, ProductString
-from .rtw import ROLE_A, ReferenceSystem
+from .rtw import ReferenceSystem
 from .signal import SignalTrace, product_readouts, readout
 
 DEFAULT_SEARCH_CAP = 20
@@ -193,28 +193,29 @@ def tsinbl_identify(
             f"{len(unknown.samples) // spp}"
         )
 
+    signs = refs.signs[:, : max_periods + 1].tolist()
     decided: dict[int, str] = {}
     prev_sign = _sign_of(unknown.samples[start - 1])
     last_decision_tick = start - 1
     ticks_seen = 0
     for tick in range(start, end):
         ticks_seen += 1
-        slot = tick % spp
-        stream = refs.stream_by_slot(slot)
+        slot = tick % spp  # the one stream switching now: bit slot // 2 + 1
         period = tick // spp  # switching instant of `period`'s sign for this stream
         cur_sign = _sign_of(unknown.samples[tick])
         unknown_flipped = cur_sign != prev_sign
         prev_sign = cur_sign
-        if stream.signs[period] == stream.signs[period - 1]:
+        if signs[slot][period] == signs[slot][period - 1]:
             continue  # reference kept its sign: no information on this bit
-        # the flipping reference carries H (role A) or L (role B); the
-        # unknown follows it iff that reference is one of its factors
-        carried = VALUE_H if stream.role == ROLE_A else VALUE_L
+        # the flipping reference carries H (odd slot, role A) or L (even
+        # slot, role B); the unknown follows it iff it is one of its factors
+        carried = VALUE_H if slot % 2 else VALUE_L
         inverse = VALUE_L if carried == VALUE_H else VALUE_H
         value = carried if unknown_flipped else inverse
-        seen = decided.get(stream.bit)
+        bit = slot // 2 + 1
+        seen = decided.get(bit)
         if seen is None:
-            decided[stream.bit] = value
+            decided[bit] = value
             last_decision_tick = tick
             if len(decided) == refs.num_bits:
                 ticks_seen = tick - start + 1
@@ -222,7 +223,7 @@ def tsinbl_identify(
         elif seen != value:
             # cannot happen on a noiseless product trace
             raise AssertionError(
-                f"contradictory decision for bit {stream.bit}: {seen} then {value}"
+                f"contradictory decision for bit {bit}: {seen} then {value}"
             )
     if len(decided) == refs.num_bits:
         periods_used = last_decision_tick // spp

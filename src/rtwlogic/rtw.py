@@ -15,6 +15,11 @@ instant a shifted stream holds its period-0 sign (warm-up; consumers that
 need clean staggering start reading at period 1).  In the last sub-clock
 slot of any period every stream has adopted that period's sign, which is
 what makes the end-of-period readout well defined in both modes.
+
+A reference system stores all its signs as one read-only (2N, periods)
+int8 matrix in slot order, drawn by a single `rng.sign_matrix` call;
+`ReferenceSystem.columns` is the one place that applies the switching
+schedule to it.
 """
 
 from __future__ import annotations
@@ -22,6 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
+
+import numpy as np
 
 from . import rng
 
@@ -91,111 +98,66 @@ class ClockGrid:
         return period * self.subclocks_per_period + self.subclocks_per_period - 1
 
 
-@dataclass(frozen=True)
-class RtwProcess:
-    """One telegraph stream: a fair fresh sign per clock period.
-
-    signs[k] is the stream's sign in period k, derived counter-style from
-    (master seed, stream index); shift_index is the sub-clock slot at
-    which the stream switches in shifted mode.
-    """
-
-    bit: int
-    role: str
-    shift_index: int
-    signs: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if self.role not in _ROLES:
-            raise ValueError(f"role must be one of {_ROLES}, got {self.role!r}")
-        if self.shift_index != stream_index(self.bit, self.role):
-            raise ValueError("shift_index inconsistent with (bit, role) slot")
-        if not self.signs:
-            raise ValueError("need at least one period of signs")
-        if any(s not in (-1, 1) for s in self.signs):
-            raise ValueError("signs must be +1 or -1")
-
-    @property
-    def num_periods(self) -> int:
-        return len(self.signs)
-
-
-def gen_rtw(master_seed: int, stream_id: tuple[int, str], num_periods: int) -> RtwProcess:
-    """Materialize one stream's signs for num_periods clock periods.
-
-    The signs are a pure function of (master_seed, stream_id); equal
-    arguments always reproduce the identical process.
-    """
-    bit, role = stream_id
-    if num_periods < 1:
-        raise ValueError("num_periods must be >= 1")
-    idx = stream_index(bit, role)
-    signs = rng.sign_block(master_seed, idx, 0, num_periods)
-    return RtwProcess(bit=bit, role=role, shift_index=idx, signs=tuple(int(s) for s in signs))
-
-
-def value_at(rtw: RtwProcess, tick: int, grid: ClockGrid, shifted: bool) -> int:
-    """Stream sign at an integer tick, in unshifted or shifted mode."""
-    grid.check_tick(tick)
-    spp = grid.subclocks_per_period
-    if not shifted:
-        return rtw.signs[tick // spp]
-    if tick < rtw.shift_index:
-        return rtw.signs[0]  # warm-up before the first switching instant
-    return rtw.signs[(tick - rtw.shift_index) // spp]
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReferenceSystem:
     """2N telegraph streams over a shared grid, plus the low-value scale lambda.
 
-    Streams are ordered by switching slot, so streams[s] is the stream
-    that owns sub-clock slot s.  H_r is the role-A stream's sign; L_r is
-    lambda times the role-B stream's sign.
+    signs[s, k] is the period-k sign of the stream that owns sub-clock
+    slot s (see stream_index): a read-only (2N, num_periods) int8 matrix.
+    H_r is the role-A stream's sign; L_r is lambda times the role-B
+    stream's sign.
     """
 
     grid: ClockGrid
     lam: Fraction
     master_seed: int
-    streams: tuple[RtwProcess, ...]
+    signs: np.ndarray
 
     def __post_init__(self) -> None:
         if not 0 < self.lam <= 1:
             raise ValueError("lambda must satisfy 0 < lambda <= 1")
-        if len(self.streams) != 2 * self.grid.num_bits:
-            raise ValueError("need exactly two streams per bit")
-        for slot, proc in enumerate(self.streams):
-            if proc.shift_index != slot:
-                raise ValueError("streams must be ordered by switching slot")
-            if proc.num_periods != self.grid.num_periods:
-                raise ValueError("stream length disagrees with grid")
+        signs = np.asarray(self.signs)
+        shape = (self.grid.subclocks_per_period, self.grid.num_periods)
+        if signs.shape != shape:
+            raise ValueError(f"signs must have shape {shape} (2N, periods), got {signs.shape}")
+        if not np.isin(signs, (-1, 1)).all():
+            raise ValueError("signs must be +1 or -1")
+        if signs.dtype != np.int8 or signs.flags.writeable:
+            signs = signs.astype(np.int8)  # a private copy nobody else can write
+            signs.flags.writeable = False
+            object.__setattr__(self, "signs", signs)
 
     @property
     def num_bits(self) -> int:
         return self.grid.num_bits
 
-    def stream(self, bit: int, role: str) -> RtwProcess:
-        return self.streams[stream_index(bit, role)]
-
-    def stream_by_slot(self, slot: int) -> RtwProcess:
-        return self.streams[slot]
-
     def columns(self, shifted: bool) -> Iterator[tuple[int, ...]]:
-        """Slot-ordered sign column (B_1, A_1, ..., B_N, A_N) of each tick, in order."""
-        for tick in range(self.grid.num_ticks):
-            yield tuple(value_at(proc, tick, self.grid, shifted) for proc in self.streams)
+        """Slot-ordered sign column (B_1, A_1, ..., B_N, A_N) of each tick, in order.
+
+        At sub-clock j of period k, slot s holds its period-k sign once it
+        has adopted it (at j = 0 unshifted, at j = s shifted) and its
+        period-(k-1) sign before; period 0 stands in for period -1 as
+        the warm-up.
+        """
+        spp = self.grid.subclocks_per_period
+        adopted = np.tri(spp, dtype=bool) if shifted else np.ones((spp, spp), dtype=bool)
+        prev = self.signs[:, 0]
+        for k in range(self.grid.num_periods):
+            cur = self.signs[:, k]
+            yield from map(tuple, np.where(adopted, cur, prev).tolist())
+            prev = cur
 
     def period_columns(self) -> Iterator[tuple[int, ...]]:
         """Slot-ordered sign column of each clock period (the readout window's)."""
-        return zip(*(proc.signs for proc in self.streams))
+        return map(tuple, self.signs.T.tolist())
 
     def period_signs(self, period: int) -> dict[tuple[int, str], int]:
         """{(bit, role): sign} for one clock period, for symbolic evaluation."""
         if not 0 <= period < self.grid.num_periods:
             raise ValueError("period out of range")
         return {
-            (proc.bit, proc.role): proc.signs[period]
-            for proc in self.streams
+            (slot // 2 + 1, ROLE_A if slot % 2 else ROLE_B): sign
+            for slot, sign in enumerate(self.signs[:, period].tolist())
         }
 
 
@@ -216,8 +178,6 @@ def build_reference_system(
     if num_bits < 1:
         raise ValueError("num_bits must be >= 1")
     grid = ClockGrid(num_bits=num_bits, num_periods=num_periods)
-    streams = []
-    for bit in range(1, num_bits + 1):
-        streams.append(gen_rtw(master_seed, (bit, ROLE_B), num_periods))
-        streams.append(gen_rtw(master_seed, (bit, ROLE_A), num_periods))
-    return ReferenceSystem(grid=grid, lam=lam, master_seed=master_seed, streams=tuple(streams))
+    signs = rng.sign_matrix(master_seed, grid.subclocks_per_period, num_periods)
+    signs.flags.writeable = False
+    return ReferenceSystem(grid=grid, lam=lam, master_seed=master_seed, signs=signs)

@@ -6,8 +6,9 @@ of its chosen reference values (so its magnitude is lambda^(#L factors)),
 and a factored superposition's sample is the product over bits of
 (c_H * A_r(t) + c_L * lambda * B_r(t)), evaluated in O(N) per tick.
 Every trace and readout maps the one exact evaluator, `algebra.evaluator`,
-over slot-ordered sign columns: `ReferenceSystem.columns` per tick,
-`ReferenceSystem.period_columns` per period.
+over slot-ordered sign columns read from the reference system's one sign
+matrix: `ReferenceSystem.columns` per tick (the one copy of the switching
+schedule), `ReferenceSystem.period_columns` per period.
 
 Meaning is assigned at the end-of-period readout window (the last
 sub-clock slot), where shifted and unshifted traces of the same object

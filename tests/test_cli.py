@@ -205,6 +205,20 @@ def test_identify_memory_cap_exits_two(monkeypatch, capsys) -> None:
         assert "capped at" in err
 
 
+def test_reference_memory_cap_exits_two(monkeypatch, capsys) -> None:
+    def no_signs(*args, **kwargs):
+        raise AssertionError("signs were drawn before the memory check")
+
+    monkeypatch.setattr(rng, "sign_matrix", no_signs)
+    for argv in (["range", "--bits", "100000", "--trials", "100000"],
+                 ["not-demo", "--bits", "1", "--periods", "100000000"]):
+        rc, out, err = _run(capsys, argv)
+        assert rc == 2, argv
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert "capped at" in err
+
+
 def test_unexpected_error_exits_three(monkeypatch, capsys) -> None:
     def boom(*args, **kwargs):
         raise RuntimeError("engine fault\nsecond line")

@@ -7,6 +7,7 @@ route breaks the agreement.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from fractions import Fraction
@@ -312,6 +313,45 @@ def test_identification_memory_cap_boundary(monkeypatch) -> None:
     assert exp.run_identification_trials(4, 3, 5, 1).trials == 5
     with pytest.raises(ValueError, match="768"):
         exp.run_identification_trials(4, 4, 5, 1)
+
+
+def test_reference_memory_refused_before_allocating(monkeypatch) -> None:
+    def no_signs(*args, **kwargs):
+        raise AssertionError("signs were drawn before the memory check")
+
+    monkeypatch.setattr(rng, "sign_matrix", no_signs)
+    with pytest.raises(ValueError, match="capped at"):
+        exp.amplitude_range_experiment(100_000, "1/2", trials=100_000)
+    with pytest.raises(ValueError, match="capped at"):
+        exp.not_gate_demo(1, "1/2", 1, periods=100_000_000)
+
+
+def test_reference_memory_cap_boundary(monkeypatch) -> None:
+    # a reference system of N = 7 bits over P periods draws 8 * 2N * P bytes
+    monkeypatch.setattr(exp, "ENGINE_TRIAL_BYTES_CAP", 8 * 14 * 5)
+    assert exp.amplitude_range_experiment(7, "1/2", trials=5).observed["samples"] == 5
+    with pytest.raises(ValueError, match=str(8 * 14 * 6)):
+        exp.amplitude_range_experiment(7, "1/2", trials=6)
+    monkeypatch.setattr(exp, "ENGINE_TRIAL_BYTES_CAP", 8 * 2 * 5)
+    assert exp.not_gate_demo(1, "1/2", 1, periods=5).passed
+    with pytest.raises(ValueError, match="capped at"):
+        exp.not_gate_demo(1, "1/2", 1, periods=6)
+
+
+def test_benchmark_soundness_counts_wrong_decided_bits(monkeypatch) -> None:
+    # a decided bit that is wrong breaks soundness in both reports, even when
+    # no complete trial is wrong and no contradiction was seen
+    real = exp.run_identification_trials
+
+    def one_wrong_bit(*args, **kwargs):
+        return dataclasses.replace(real(*args, **kwargs), wrong_decided_bits=1)
+
+    kwargs = dict(epsilon="1/100", trials=50, seed=3, include_baseline=False)
+    assert exp.identification_benchmark([4], **kwargs).passed
+    assert exp.identification_experiment(4, 50, seed=3, epsilon="1/100").passed
+    monkeypatch.setattr(exp, "run_identification_trials", one_wrong_bit)
+    assert not exp.identification_benchmark([4], **kwargs).passed
+    assert not exp.identification_experiment(4, 50, seed=3, epsilon="1/100").passed
 
 
 def test_benchmark_timing_columns_are_opt_in() -> None:

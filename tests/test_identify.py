@@ -101,11 +101,12 @@ def test_identify_recovers_known_string() -> None:
 def test_identify_single_bit_decision_rule() -> None:
     # find a seed whose L1 reference flips in period 1, then check both
     # hidden values by hand: the unknown flips with it only when L1 is a factor
+    l1 = rtw.stream_index(1, rtw.ROLE_B)
     seed = next(
         s
         for s in range(1000)
-        if rtw.build_reference_system(s, 1, 4).stream(1, rtw.ROLE_B).signs[1]
-        != rtw.build_reference_system(s, 1, 4).stream(1, rtw.ROLE_B).signs[0]
+        if rtw.build_reference_system(s, 1, 4).signs[l1, 1]
+        != rtw.build_reference_system(s, 1, 4).signs[l1, 0]
     )
     for bits, letter in ((0, "L"), (1, "H")):
         unknown, refs, w = _hidden_trace(seed, 1, 4, bits)
@@ -120,8 +121,8 @@ def test_identify_reports_undecided_bit() -> None:
     def quiet(s: int, m: int) -> bool:
         refs = rtw.build_reference_system(s, 2, m + 2)
         return all(
-            refs.stream(1, role).signs[k] == refs.stream(1, role).signs[0]
-            for role in (rtw.ROLE_A, rtw.ROLE_B)
+            refs.signs[slot, k] == refs.signs[slot, 0]
+            for slot in (rtw.stream_index(1, rtw.ROLE_A), rtw.stream_index(1, rtw.ROLE_B))
             for k in range(1, m + 1)
         )
 

@@ -31,14 +31,12 @@ def test_trace_selection_supports_repeats() -> None:
     refs = _refs()
     tr = sig.trace_selection(refs, [(2, "H"), (2, "L")], shifted=True)
     g = refs.grid
-    a = refs.stream(2, rtw.ROLE_A)
-    b = refs.stream(2, rtw.ROLE_B)
+    a = rtw.stream_index(2, rtw.ROLE_A)
+    b = rtw.stream_index(2, rtw.ROLE_B)
+    columns = list(refs.columns(shifted=True))
+    assert len(columns) == g.num_ticks
     for t in range(g.num_ticks):
-        expect = (
-            refs.lam
-            * rtw.value_at(a, t, g, shifted=True)
-            * rtw.value_at(b, t, g, shifted=True)
-        )
+        expect = refs.lam * columns[t][a] * columns[t][b]
         assert tr.samples[t] == expect
 
 
@@ -119,7 +117,7 @@ def test_shifted_product_changes_only_at_factor_slots() -> None:
     own_slots = set()
     for bit in range(1, 5):
         role = rtw.ROLE_A if w.value(bit) == "H" else rtw.ROLE_B
-        own_slots.add(refs.stream(bit, role).shift_index)
+        own_slots.add(rtw.stream_index(bit, role))
     tr = sig.trace_product(refs, w, shifted=True)
     spp = refs.grid.subclocks_per_period
     for t in range(1, refs.grid.num_ticks):
