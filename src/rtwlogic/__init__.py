@@ -15,7 +15,6 @@ from .algebra import (
     ProductString,
     Superposition,
     apply_not,
-    evaluate_product,
     evaluate_symbolic,
     expand,
     uniform_superposition,
@@ -72,7 +71,6 @@ __all__ = [
     "baseline_verify",
     "build_reference_system",
     "error_bound",
-    "evaluate_product",
     "evaluate_symbolic",
     "expand",
     "identification_benchmark",

@@ -309,23 +309,14 @@ def _sign_column(signs: Mapping[tuple[int, str], int], num_bits: int) -> list[in
     return column
 
 
-def evaluate_product(
-    w: ProductString,
+def evaluate_symbolic(
+    s: ProductString | Superposition | FactoredSuperposition,
     signs: Mapping[tuple[int, str], int],
     lam: Fraction,
 ) -> Fraction:
-    """Value of one product string under a concrete sign assignment.
+    """Exact value of s under one period's {(bit, role): sign} assignment.
 
     H_r evaluates to the role-A sign, L_r to lambda times the role-B sign.
     Every bit's A and B entries must be present, read or not.
     """
-    return evaluator(w, lam)(_sign_column(signs, w.num_bits))
-
-
-def evaluate_symbolic(
-    s: Superposition | FactoredSuperposition,
-    signs: Mapping[tuple[int, str], int],
-    lam: Fraction,
-) -> Fraction:
-    """Exact value of a superposition under one period's sign assignment."""
     return evaluator(s, lam)(_sign_column(signs, s.num_bits))

@@ -16,7 +16,10 @@ identification engine works on switching instants, not ticks: one trial
 reads the 2N * M events of its window, O(N * M) time and memory, the
 paper's linear cost for fixed M.  The baseline engine keeps its scan
 exhaustive but packs each stream's period signs into uint64 words, so
-all 2^N candidates are compared as XORs of two half-tables.
+all 2^N candidates are compared as XORs of two half-tables.  A period's
+|readout| of the uniform superposition depends only on how many bits' two
+carriers agree, so `zero-prob` and Monte Carlo `range` both read one
+histogram of that count, drawn in bounded chunks, with no per-period Fraction.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iter_product
+from typing import Iterator
 
 import numpy as np
 
@@ -200,22 +204,36 @@ def fit_slope(xs: list[float], ys: list[float]) -> tuple[float, float]:
 # vectorized Monte Carlo engines
 # ===========================================================================
 
-_SIGN_CHUNK = 1 << 18
+# bytes per batch of an engine's largest intermediates (the uint64s behind
+# rng.sign_matrix and rng.sign_tensor, 8 per stream and period, or the
+# baseline's match mask); small enough for a batch to stay in cache
+_ENGINE_BATCH_BYTES = 1 << 20
 
 
-def zero_prob_engine(num_bits: int, trials: int, seed: int) -> int:
-    """Number of periods with non-zero uniform-superposition readout at lambda=1.
+def _batch_trials(bytes_per_trial: int) -> int:
+    """Trials per batch: _ENGINE_BATCH_BYTES worth, at least 1 and at most 8192."""
+    return max(1, min(8192, _ENGINE_BATCH_BYTES // bytes_per_trial))
 
-    Each trial is one clock period of a single reference system; at
-    lambda = 1 the readout is the product over bits of (A_r + B_r), which
-    is non-zero exactly when every bit's two streams agree.
+
+def _sign_chunks(seed: int, num_streams: int, periods: int) -> Iterator[np.ndarray]:
+    """rng.sign_matrix over periods 0..periods-1, one _batch_trials chunk at a time."""
+    chunk = _batch_trials(8 * num_streams)
+    for start in range(0, periods, chunk):
+        yield rng.sign_matrix(seed, num_streams, min(chunk, periods - start), start_period=start)
+
+
+def zero_prob_engine(num_bits: int, trials: int, seed: int) -> np.ndarray:
+    """count[a]: periods in which exactly a bits' two carriers agree (int64, N+1).
+
+    Each trial is one clock period of a single reference system.  The
+    uniform superposition's factor A_r + lambda * B_r has magnitude 1 +
+    lambda when bit r's carriers agree and 1 - lambda when not, so |readout|
+    is (1+lambda)^a * (1-lambda)^(N-a), non-zero at lambda = 1 iff a = N.
     """
-    count = 0
-    for start in range(0, trials, _SIGN_CHUNK):
-        n_chunk = min(_SIGN_CHUNK, trials - start)
-        signs = rng.sign_matrix(seed, 2 * num_bits, n_chunk, start_period=start)
-        agree = signs[0::2] == signs[1::2]  # B row vs A row, per bit
-        count += int(agree.all(axis=0).sum())
+    count = np.zeros(num_bits + 1, dtype=np.int64)
+    for signs in _sign_chunks(seed, 2 * num_bits, trials):
+        agree = (signs[0::2] == signs[1::2]).sum(axis=0)  # B row vs A row, per bit
+        count += np.bincount(agree, minlength=num_bits + 1)
     return count
 
 
@@ -236,12 +254,8 @@ def mismatch_rate_engine(num_bits: int, periods: int, seed: int) -> tuple[int, i
         if ((w1 >> pos) ^ (w2 >> pos)) & 1:
             diff_rows.extend((2 * i, 2 * i + 1))  # both carriers of a differing bit
     mismatches = 0
-    for start in range(0, periods, _SIGN_CHUNK):
-        n_chunk = min(_SIGN_CHUNK, periods - start)
-        signs = rng.sign_matrix(seed, 2 * num_bits, n_chunk, start_period=start)
-        bits = (signs[diff_rows] < 0).astype(np.uint8)
-        parity = np.bitwise_xor.reduce(bits, axis=0)
-        mismatches += int(parity.sum())
+    for signs in _sign_chunks(seed, 2 * num_bits, periods):
+        mismatches += int(np.logical_xor.reduce(signs[diff_rows] < 0, axis=0).sum())
     return mismatches, w1, w2
 
 
@@ -295,18 +309,9 @@ def _pack_bits(bits: np.ndarray) -> np.ndarray:
     return np.array([int.from_bytes(r.tobytes(), "big") >> pad for r in rows], dtype=object)
 
 
-# bytes per batch of an engine's largest intermediates (rng.sign_tensor's
-# uint64s, 8 per stream and period of a trial, or the baseline's match mask);
-# small enough for a batch to stay in cache
-_ENGINE_BATCH_BYTES = 1 << 20
 # decide-H value of an event when the observed waveform did not flip:
 # an L carrier's flip left unfollowed means H, an H carrier's means L
 _NO_FLIP_MEANS_H = np.array([True, False])
-
-
-def _batch_trials(bytes_per_trial: int) -> int:
-    """Trials per batch: _ENGINE_BATCH_BYTES worth, at least 1 and at most 8192."""
-    return max(1, min(8192, _ENGINE_BATCH_BYTES // bytes_per_trial))
 
 
 def _check_memory(what: str, need: int) -> None:
@@ -622,7 +627,7 @@ def zero_probability_experiment(
         raise ValueError(f"num_bits must be in 1..{ZERO_PROB_BITS_CAP}")
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    count = zero_prob_engine(num_bits, trials, seed)
+    count = int(zero_prob_engine(num_bits, trials, seed)[num_bits])
     estimate = count / trials
     probability = Fraction(1, 2**num_bits)
     p = float(probability)
@@ -663,7 +668,9 @@ def amplitude_range_experiment(
 
     Exhaustive mode (num_bits <= 6) walks all 2^(2N) sign assignments and
     must attain (1-lambda)^N and (1+lambda)^N exactly, with nothing
-    outside; Monte Carlo mode samples periods and must stay inside.
+    outside; Monte Carlo mode samples periods and must stay inside.  |readout|
+    grows with the agreement count a, so Monte Carlo mode evaluates it
+    exactly at the smallest and largest a of the zero_prob_engine histogram.
     """
     lam = Fraction(lam)
     if not 0 < lam <= 1:
@@ -677,17 +684,19 @@ def amplitude_range_experiment(
             f"exhaustive mode enumerates 2^(2N) assignments; capped at "
             f"{EXHAUSTIVE_BITS_CAP} bits"
         )
-    uni = uniform_superposition(num_bits)
+    if not exhaustive:
+        if trials < 1:
+            raise ValueError("trials must be >= 1")
+        _check_reference_memory(num_bits, 1)
     t_min = (1 - lam) ** num_bits
     t_max = (1 + lam) ** num_bits
     if exhaustive:
-        value = evaluator(uni, lam)
+        value = evaluator(uniform_superposition(num_bits), lam)
         columns = iter_product((-1, 1), repeat=2 * num_bits)
         values = [abs(value(column)) for column in columns]
     else:
-        _check_reference_memory(num_bits, trials)
-        refs = build_reference_system(seed, num_bits, trials, lam)
-        values = [abs(v) for v in superposition_readouts(refs, uni)]
+        seen = np.flatnonzero(zero_prob_engine(num_bits, trials, seed)).tolist()
+        values = [(1 + lam) ** a * (1 - lam) ** (num_bits - a) for a in (seen[0], seen[-1])]
     v_min = min(values)
     v_max = max(values)
     within = all(t_min <= v <= t_max for v in values)
@@ -710,7 +719,7 @@ def amplitude_range_experiment(
             "min_attained": v_min == t_min,
             "max_attained": v_max == t_max,
             "all_within_bounds": within,
-            "samples": len(values),
+            "samples": len(values) if exhaustive else trials,
         },
         theoretical={"min_abs": t_min, "max_abs": t_max},
         passed=passed,
@@ -953,9 +962,11 @@ def not_gate_demo(
     """Inversion of one bit by multiplying with its H*L reference product.
 
     Checks the symbolic coefficient permutation (H terms to L unchanged,
-    L terms to H scaled by lambda^2) and that the waveform route (the
-    uniform superposition's trace multiplied pointwise by the H_r * L_r
-    trace) agrees with the symbolic result exactly at every readout.
+    L terms to H scaled by lambda^2), that the factored result expands to
+    it, and that the waveform route (the uniform superposition's trace
+    multiplied pointwise by the H_r * L_r trace) agrees with the factored
+    result exactly at every readout, O(N) per period; the 2^N-term
+    expansion is paid once per run.
     """
     lam = Fraction(lam)
     if num_bits < 1:
@@ -980,7 +991,7 @@ def not_gate_demo(
     refs = build_reference_system(seed, num_bits, periods, lam)
     y_readouts = superposition_readouts(refs, uni)
     hl = selection_evaluator([(target_bit, "H"), (target_bit, "L")], lam)
-    symbolic = evaluator(notted, lam)
+    symbolic = evaluator(notted_factored, lam)
     agree = sum(
         y * hl(column) == symbolic(column)
         for y, column in zip(y_readouts, refs.period_columns())

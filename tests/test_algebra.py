@@ -205,13 +205,13 @@ def test_evaluate_product_frozen() -> None:
     signs = {(1, "A"): 1, (1, "B"): -1, (2, "A"): -1, (2, "B"): 1}
     w = alg.ProductString.from_letters("LH")
     # L1 = lam*(-1), H2 = -1
-    assert alg.evaluate_product(w, signs, lam) == Fraction(1, 2)
+    assert alg.evaluate_symbolic(w, signs, lam) == Fraction(1, 2)
 
 
 def test_evaluate_missing_sign_raises() -> None:
     w = alg.ProductString.from_letters("LH")
     with pytest.raises(ValueError):
-        alg.evaluate_product(w, {(1, "B"): 1}, Fraction(1, 2))
+        alg.evaluate_symbolic(w, {(1, "B"): 1}, Fraction(1, 2))
 
 
 def test_evaluate_reads_every_carrier() -> None:
@@ -221,12 +221,12 @@ def test_evaluate_reads_every_carrier() -> None:
     w = alg.ProductString.from_letters("LH")
     read_only = {(1, "B"): -1, (2, "A"): -1}
     with pytest.raises(ValueError, match="got None"):
-        alg.evaluate_product(w, read_only, lam)
+        alg.evaluate_symbolic(w, read_only, lam)
     with pytest.raises(ValueError, match="got None"):
         alg.evaluate_symbolic(alg.expand(alg.uniform_superposition(2)), read_only, lam)
     bad = {**read_only, (1, "A"): 1, (2, "B"): 0}
     with pytest.raises(ValueError, match="got 0"):
-        alg.evaluate_product(w, bad, lam)
+        alg.evaluate_symbolic(w, bad, lam)
 
 
 def _literal_product(w: alg.ProductString, signs, lam: Fraction) -> Fraction:
@@ -249,7 +249,7 @@ def test_evaluation_matches_literal_oracle() -> None:
                 signs = _random_signs(n, picks)
                 values = {w: _literal_product(w, signs, lam) for w in strings}
                 for w in strings:
-                    assert alg.evaluate_product(w, signs, lam) == values[w]
+                    assert alg.evaluate_symbolic(w, signs, lam) == values[w]
                 uniform = sum(values.values())
                 assert alg.evaluate_symbolic(u, signs, lam) == uniform
                 assert alg.evaluate_symbolic(alg.expand(u), signs, lam) == uniform
@@ -337,7 +337,7 @@ def test_distinct_products_are_orthogonal() -> None:
     assignments = [_random_signs(n, p) for p in range(2 ** (2 * n))]
     for wi, wj in itertools.combinations(strings, 2):
         total = sum(
-            alg.evaluate_product(wi, s, lam) * alg.evaluate_product(wj, s, lam)
+            alg.evaluate_symbolic(wi, s, lam) * alg.evaluate_symbolic(wj, s, lam)
             for s in assignments
         )
         assert total == 0

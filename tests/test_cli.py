@@ -120,6 +120,7 @@ def test_bad_arguments_exit_two(capsys) -> None:
         ["zero-prob", "--bits", "3", "--trials", "x"],
         ["range", "--bits", "3", "--lambda", "2"],
         ["range", "--bits", "3", "--lambda", "0"],
+        ["range", "--bits", "8", "--trials", "0"],            # no period to sample
         ["identify", "--bits", "4", "--epsilon", "1"],
         ["bench", "--bits", "4,banana"],
         ["frobnicate"],
@@ -210,7 +211,7 @@ def test_reference_memory_cap_exits_two(monkeypatch, capsys) -> None:
         raise AssertionError("signs were drawn before the memory check")
 
     monkeypatch.setattr(rng, "sign_matrix", no_signs)
-    for argv in (["range", "--bits", "100000", "--trials", "100000"],
+    for argv in (["range", "--bits", "16777217", "--trials", "1"],
                  ["not-demo", "--bits", "1", "--periods", "100000000"]):
         rc, out, err = _run(capsys, argv)
         assert rc == 2, argv

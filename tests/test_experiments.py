@@ -25,12 +25,52 @@ from rtwlogic import signal as sig
 # ----------------------------------------------------------------- engines
 
 
+def _abs_uniform_readout(n: int, lam: Fraction, agreeing: int) -> Fraction:
+    # each bit's factor A_r + lam * B_r has magnitude 1 + lam when its
+    # carriers agree and 1 - lam when they do not
+    return (1 + lam) ** agreeing * (1 - lam) ** (n - agreeing)
+
+
 def test_zero_prob_engine_matches_exact_readouts() -> None:
-    n, periods, seed = 3, 400, 11
-    refs = rtw.build_reference_system(seed, n, periods, lam=1)
-    outs = sig.superposition_readouts(refs, alg.uniform_superposition(n))
-    exact_nonzero = sum(1 for v in outs if v != 0)
-    assert exp.zero_prob_engine(n, periods, seed) == exact_nonzero
+    # the histogram over the first k + 1 periods minus the one over the
+    # first k is period k's agreement count, pinned period for period
+    # against the exact readouts' |Y|
+    periods = 24
+    for n in (1, 2, 3, 5):
+        for lam in (Fraction(1, 3), Fraction(1, 2), Fraction(1)):
+            for seed in (0, 11, -5, 2**70 + 3):
+                refs = rtw.build_reference_system(seed, n, periods, lam)
+                outs = sig.superposition_readouts(refs, alg.uniform_superposition(n))
+                prefix = [exp.zero_prob_engine(n, k, seed) for k in range(periods + 1)]
+                count = prefix[-1]
+                assert count.dtype == np.int64 and count.shape == (n + 1,)
+                assert count.sum() == periods
+                for k, y in enumerate(outs):
+                    (a,) = np.flatnonzero(prefix[k + 1] - prefix[k])
+                    assert abs(y) == _abs_uniform_readout(n, lam, int(a))
+                if lam == 1:
+                    assert count[n] == sum(1 for y in outs if y != 0)
+
+
+def test_sign_chunk_engines_batching_invariance(monkeypatch) -> None:
+    n, periods, seed = 3, 100, 4
+    whole_count = exp.zero_prob_engine(n, periods, seed)
+    whole_mismatch = exp.mismatch_rate_engine(n, periods, seed)
+    # 8 * 2N = 48 bytes per period: chunks of 7 periods, the last one of 2
+    monkeypatch.setattr(exp, "_ENGINE_BATCH_BYTES", 48 * 7 + 5)
+    chunks = []
+    sign_matrix = rng.sign_matrix
+
+    def counted(*args, **kwargs):
+        signs = sign_matrix(*args, **kwargs)
+        chunks.append(signs.shape[1])
+        return signs
+
+    monkeypatch.setattr(rng, "sign_matrix", counted)
+    assert (exp.zero_prob_engine(n, periods, seed) == whole_count).all()
+    assert chunks == [7] * 14 + [2]
+    assert exp.mismatch_rate_engine(n, periods, seed) == whole_mismatch
+    assert chunks == 2 * ([7] * 14 + [2])
 
 
 def test_mismatch_engine_matches_exact_readouts() -> None:
@@ -224,6 +264,25 @@ def test_amplitude_range_monte_carlo_stays_inside() -> None:
     assert lo <= r.observed["min_abs"] <= r.observed["max_abs"] <= hi
 
 
+def test_amplitude_range_monte_carlo_matches_exact_readouts() -> None:
+    for n in (1, 2, 3, 5):
+        for lam in (Fraction(1, 3), Fraction(1, 2), Fraction(1)):
+            for trials, seed in ((1, 0), (40, 9), (200, -3)):
+                r = exp.amplitude_range_experiment(n, lam, exhaustive=False,
+                                                   trials=trials, seed=seed)
+                refs = rtw.build_reference_system(seed, n, trials, lam)
+                values = [abs(y) for y in
+                          sig.superposition_readouts(refs, alg.uniform_superposition(n))]
+                lo, hi = (1 - lam) ** n, (1 + lam) ** n
+                assert r.observed["min_abs"] == min(values)
+                assert r.observed["max_abs"] == max(values)
+                assert r.observed["all_within_bounds"] == all(lo <= v <= hi for v in values)
+                assert r.observed["min_attained"] == (min(values) == lo)
+                assert r.observed["max_attained"] == (max(values) == hi)
+                assert r.observed["samples"] == trials
+                assert r.passed
+
+
 def test_identification_experiment_period_budget() -> None:
     r = exp.identification_experiment(4, trials=20_000, seed=1, max_periods=3)
     assert r.passed
@@ -320,18 +379,22 @@ def test_reference_memory_refused_before_allocating(monkeypatch) -> None:
         raise AssertionError("signs were drawn before the memory check")
 
     monkeypatch.setattr(rng, "sign_matrix", no_signs)
+    # range draws one period at a time: 8 * 2N bytes, just over 2^28 here
     with pytest.raises(ValueError, match="capped at"):
-        exp.amplitude_range_experiment(100_000, "1/2", trials=100_000)
+        exp.amplitude_range_experiment(16_777_217, "1/2", trials=1)
     with pytest.raises(ValueError, match="capped at"):
         exp.not_gate_demo(1, "1/2", 1, periods=100_000_000)
 
 
 def test_reference_memory_cap_boundary(monkeypatch) -> None:
-    # a reference system of N = 7 bits over P periods draws 8 * 2N * P bytes
-    monkeypatch.setattr(exp, "ENGINE_TRIAL_BYTES_CAP", 8 * 14 * 5)
+    # range draws one period of N bits at a time, 8 * 2N bytes, whatever the
+    # trial count; not-demo's reference system of N bits over P periods
+    # draws 8 * 2N * P bytes
+    monkeypatch.setattr(exp, "ENGINE_TRIAL_BYTES_CAP", 8 * 14)
     assert exp.amplitude_range_experiment(7, "1/2", trials=5).observed["samples"] == 5
-    with pytest.raises(ValueError, match=str(8 * 14 * 6)):
-        exp.amplitude_range_experiment(7, "1/2", trials=6)
+    assert exp.amplitude_range_experiment(7, "1/2", trials=500).observed["samples"] == 500
+    with pytest.raises(ValueError, match=str(8 * 16)):
+        exp.amplitude_range_experiment(8, "1/2", trials=1)
     monkeypatch.setattr(exp, "ENGINE_TRIAL_BYTES_CAP", 8 * 2 * 5)
     assert exp.not_gate_demo(1, "1/2", 1, periods=5).passed
     with pytest.raises(ValueError, match="capped at"):
@@ -361,6 +424,25 @@ def test_benchmark_timing_columns_are_opt_in() -> None:
                                          include_baseline=False, include_timing=True)
     assert not any("ms_per" in k for k in plain.rows[0])
     assert any("ms_per" in k for k in timed.rows[0])
+
+
+def test_not_gate_expanded_route_matches_waveform() -> None:
+    # the demo compares readouts with the factored NOT result; the expanded
+    # result, 2^N terms, must agree with both at every period
+    periods = 12
+    for n in (1, 2, 5, 8):
+        for lam in (Fraction(1, 3), Fraction(1, 2), Fraction(1)):
+            for target in sorted({1, (n + 1) // 2, n}):
+                refs = rtw.build_reference_system(n + target, n, periods, lam)
+                uni = alg.uniform_superposition(n)
+                expanded = alg.evaluator(alg.apply_not(alg.expand(uni), target, lam), lam)
+                factored = alg.evaluator(alg.apply_not(uni, target, lam), lam)
+                hl = alg.selection_evaluator([(target, "H"), (target, "L")], lam)
+                y = sig.superposition_readouts(refs, uni)
+                for v, column in zip(y, refs.period_columns()):
+                    assert v * hl(column) == expanded(column) == factored(column)
+                r = exp.not_gate_demo(n, lam, target, periods=periods, seed=n + target)
+                assert r.passed and r.observed["readouts_agreeing"] == periods
 
 
 def test_not_gate_demo_passes_both_lambdas() -> None:

@@ -78,7 +78,7 @@ def test_readout_matches_symbolic_oracle() -> None:
         tr_u = sig.trace_superposition(refs, u, shifted=shifted)
         for k, (vw, vu) in enumerate(zip(sig.readout(tr_w), sig.readout(tr_u))):
             signs = refs.period_signs(k)
-            assert vw == alg.evaluate_product(w, signs, refs.lam)
+            assert vw == alg.evaluate_symbolic(w, signs, refs.lam)
             assert vu == alg.evaluate_symbolic(u, signs, refs.lam)
 
 
@@ -153,7 +153,7 @@ def test_product_readout_oracle_property(seed: int, n: int, index: int) -> None:
     w = alg.ProductString.from_index((index - 1) % 2**n + 1, num_bits=n)
     outs = sig.product_readouts(refs, w)
     for k, v in enumerate(outs):
-        assert v == alg.evaluate_product(w, refs.period_signs(k), refs.lam)
+        assert v == alg.evaluate_symbolic(w, refs.period_signs(k), refs.lam)
 
 
 def test_write_trace_csv_fraction_style() -> None:
