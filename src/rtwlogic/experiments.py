@@ -14,12 +14,14 @@ implementations (trace synthesis plus the tick-scanning identifier), so
 the fast path and the slow path cannot drift apart silently.  The
 identification engine works on switching instants, not ticks: one trial
 reads the 2N * M events of its window, O(N * M) time and memory, the
-paper's linear cost for fixed M.  The baseline engine keeps its scan
-exhaustive but packs each stream's period signs into uint64 words, so
-all 2^N candidates are compared as XORs of two half-tables.  A period's
-|readout| of the uniform superposition depends only on how many bits' two
-carriers agree, so `zero-prob` and Monte Carlo `range` both read one
-histogram of that count, drawn in bounded chunks, with no per-period Fraction.
+paper's linear cost for fixed M.  Both engines read each stream's period
+signs packed into uint64 words (rng.sign_words): identification decides
+each bit at the lowest set bit of its carriers' switch words, and the
+baseline keeps its scan exhaustive, comparing all 2^N candidates as XORs
+of two half-tables.  A period's |readout| of the uniform superposition
+depends only on how many bits' two carriers agree, so `zero-prob` and
+Monte Carlo `range` both read one histogram of that count, drawn in
+bounded chunks, with no per-period Fraction.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ import csv
 import io
 import json
 import math
+import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -204,9 +207,10 @@ def fit_slope(xs: list[float], ys: list[float]) -> tuple[float, float]:
 # vectorized Monte Carlo engines
 # ===========================================================================
 
-# bytes per batch of an engine's largest intermediates (the uint64s behind
-# rng.sign_matrix and rng.sign_tensor, 8 per stream and period, or the
-# baseline's match mask); small enough for a batch to stay in cache
+# bytes per batch of an engine's largest intermediates, budgeted as 8 per
+# stream and period (the uint64s behind rng.sign_matrix; rng.sign_words
+# needs less) or the baseline's match mask; small enough for a batch to
+# stay in cache
 _ENGINE_BATCH_BYTES = 1 << 20
 
 
@@ -285,9 +289,10 @@ class IdentificationTrialStats:
 def _hidden_bits_np(trial_seeds: np.ndarray, num_bits: int) -> np.ndarray:
     """(trials, N) booleans, bit 1 first: hidden_bits_for over a seed vector."""
     tag = _hidden_tag(num_bits)
-    words = np.stack(
-        [rng.derive_seed_np(trial_seeds, tag)]
-        + [rng.derive_seed_np(trial_seeds, tag, w) for w in range(1, _num_words(num_bits))],
+    upper = np.arange(1, _num_words(num_bits), dtype=np.uint64)
+    words = np.concatenate(
+        (rng.derive_seed_np(trial_seeds, tag)[:, None],
+         rng.derive_seed_np(trial_seeds[:, None], tag, upper[None, :])),
         axis=1,
     )
     pos = np.arange(num_bits - 1, -1, -1)  # integer bit position of bit 1..N
@@ -309,9 +314,10 @@ def _pack_bits(bits: np.ndarray) -> np.ndarray:
     return np.array([int.from_bytes(r.tobytes(), "big") >> pad for r in rows], dtype=object)
 
 
-# decide-H value of an event when the observed waveform did not flip:
-# an L carrier's flip left unfollowed means H, an H carrier's means L
-_NO_FLIP_MEANS_H = np.array([True, False])
+_ZERO = np.uint64(0)
+_ONE = np.uint64(1)
+_TOP = np.uint64(63)
+_ALL_ONES = np.uint64(rng.MASK64)
 
 
 def _check_memory(what: str, need: int) -> None:
@@ -323,7 +329,9 @@ def _check_memory(what: str, need: int) -> None:
 def _check_identification_memory(num_bits: int, max_periods: int) -> None:
     """Refuse, before allocating, a trial larger than ENGINE_TRIAL_BYTES_CAP.
 
-    One trial holds about three (2N, M+1) uint64 arrays of signs and flags.
+    One trial is counted as three (2N, M+1) uint64 arrays, the footprint
+    of an unpacked engine; the packed engine holds (2N, ceil((M+1)/64))
+    sign words and a few (N,) arrays, so the count bounds it from above.
     """
     _check_memory(
         f"one identification trial at {num_bits} bits and {max_periods} periods",
@@ -337,6 +345,27 @@ def _check_reference_memory(num_bits: int, num_periods: int) -> None:
         f"a reference system of {num_bits} bits over {num_periods} periods",
         8 * 2 * num_bits * num_periods,
     )
+
+
+def _check_renderable(num_bits: int, lam: Fraction) -> None:
+    """Refuse, before drawing, a range report whose bound (1+lambda)^N cannot print.
+
+    Every value the report holds has a numerator and denominator no larger
+    than (1+lambda)^N's, and str() refuses ints with more decimal digits
+    than sys.get_int_max_str_digits() (0: no limit; absent before 3.10.7).
+    """
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        return
+    top = 1 + lam
+    for base in (top.numerator, top.denominator):
+        # the float test settles all but bases within a digit of the limit,
+        # which are small enough to raise exactly
+        if num_bits * math.log10(base) >= limit + 1 or base**num_bits >= 10**limit:
+            raise ValueError(
+                f"range at {num_bits} bits would print (1+lambda)^{num_bits} with more "
+                f"than {limit} digits, Python's limit for int to str conversion"
+            )
 
 
 def _sound(stats: IdentificationTrialStats) -> bool:
@@ -363,10 +392,15 @@ def run_identification_trials(
     trial costs O(N*M).  In shifted mode exactly one stream switches per
     tick, so the observed waveform flips at instant (period k, slot j)
     exactly when stream j is a factor and its period-k sign differs from
-    its period-(k-1) sign.  The decision rule is applied to those
-    observed flips, not to the hidden string.  Aggregates match the
-    tick-scanning reference identifier trial for trial; see the unit
-    tests for the pinning.
+    its period-(k-1) sign.  Signs come packed from rng.sign_words, and a
+    batch is processed one 64-period word at a time on (trials, N)
+    arrays: bit j of a stream's switch word marks its period-(j+1)
+    instant, and each bit is decided at the lowest set bit of its two
+    carriers' words, L before H within a period.  The decision rule is
+    applied to the observed flips, not to the hidden string, and every
+    event of the window is checked against the decided value.
+    Aggregates match the tick-scanning reference identifier trial for
+    trial; see the unit tests for the pinning.
     """
     if num_bits < 1 or max_periods < 1 or trials < 1:
         raise ValueError("num_bits, max_periods and trials must be >= 1")
@@ -394,23 +428,38 @@ def run_identification_trials(
         idx = np.arange(start, start + b, dtype=np.uint64)
         tseeds = rng.derive_seed_np(np.uint64(seed & rng.MASK64), idx)
         bitvals = _hidden_bits_np(tseeds, n)
-        ps = rng.sign_tensor(tseeds, spp, num_periods)  # (b, spp, M+1)
-        # bit i+1's streams in time order: L then H within every period
-        ps = ps.reshape(b, n, 2, num_periods).transpose(0, 1, 3, 2)
-        # switch[:, i, k-1, c]: carrier c (0 = L, 1 = H) of bit i+1 changes
-        # sign at its period-k switching instant
-        switch = ps[:, :, 1:] != ps[:, :, :-1]
-        sel = np.stack((~bitvals, bitvals), axis=2)  # the hidden string's factors
-        u_flip = switch & sel[:, :, None, :]  # the observed waveform flips
-        flags = switch.reshape(b, n, 2 * m)
-        vals = (u_flip ^ _NO_FLIP_MEANS_H).reshape(b, n, 2 * m)
-        first = np.argmax(flags, axis=2)[:, :, None]
-        has = np.take_along_axis(flags, first, axis=2)
-        chosen = np.take_along_axis(vals, first, axis=2)
-        contradictions += int((flags & (vals != chosen)).any(axis=2).sum())
-        first, has, chosen = first[:, :, 0], has[:, :, 0], chosen[:, :, 0]
+        h_factor = np.where(bitvals, _ALL_ONES, _ZERO)  # H carrier is the factor
+        words = rng.sign_words(tseeds, spp, num_periods)  # (b, spp, ceil((M+1)/64))
+        has = np.zeros((b, n), dtype=bool)
+        chosen = np.zeros((b, n), dtype=bool)
+        dec_tick = np.zeros((b, n), dtype=np.int64)
+        contradicted = np.zeros((b, n), dtype=bool)
+        for w in range(_num_words(m)):
+            t = words[:, :, w]
+            t_next = words[:, :, w + 1] if w + 1 < words.shape[2] else _ZERO
+            # bit j: the stream changes sign at its period-(64w + j + 1)
+            # switching instant, one of the M in the window; even slots
+            # are L carriers, odd slots H
+            in_window = np.uint64((1 << min(64, m - 64 * w)) - 1)
+            switch = (t ^ ((t >> _ONE) | (t_next << _TOP))) & in_window
+            s_l, s_h = switch[:, 0::2], switch[:, 1::2]
+            u_l, u_h = s_l & ~h_factor, s_h & h_factor  # the observed waveform flips
+            # an L switch the waveform does not follow means H, an H switch
+            # it follows means H; within a period the L event comes first
+            says_h = (s_l ^ u_l) | (u_h & ~s_l)
+            events = s_l | s_h
+            new = ~has & (events != 0)
+            low = events & (~events + _ONE)  # the first event, isolated
+            j = np.frexp(low.astype(np.float64))[1] - 1 + 64 * w
+            is_h = (s_l & low) == 0
+            chosen = np.where(new, (says_h & low) != 0, chosen)
+            dec_tick = np.where(new, (j + 1) * spp + l_slot + is_h, dec_tick)
+            has |= new
+            # every event of the window is checked against the decided value
+            against = np.where(chosen, (s_l & u_l) | (s_h ^ u_h), (s_l ^ u_l) | u_h)
+            contradicted |= against != 0
+        contradictions += int(contradicted.sum())
         dec_is_h = chosen & has
-        dec_tick = (first // 2 + 1) * spp + l_slot + first % 2
 
         complete = has.all(axis=1)
         bit_wrong = dec_is_h != bitvals
@@ -478,15 +527,6 @@ class BaselineTrialStats:
     tests: np.ndarray | None = None
 
 
-def _pack_periods(neg: np.ndarray) -> np.ndarray:
-    """(..., P) booleans as (..., ceil(P/64)) uint64 words; period k is bit k % 64."""
-    packed = np.packbits(neg, axis=-1, bitorder="little")
-    pad = -packed.shape[-1] % 8
-    if pad:
-        packed = np.pad(packed, [(0, 0)] * (packed.ndim - 1) + [(0, pad)])
-    return packed.view(np.uint64)
-
-
 def _xor_table(words: np.ndarray) -> np.ndarray:
     """(b, 2^k, W) readout words of every string over k bits, in catalog order.
 
@@ -513,14 +553,15 @@ def run_baseline_trials(
 
     Readout values at lambda = 1 are products of signs, so a string's
     readouts over its P-period budget are the XOR of its carriers'
-    negative-sign bits, packed into W = ceil(P/64) uint64 words.  Batches
-    of trials are scanned at once.  Candidate c splits into its first
-    floor(N/2) bits (c_hi) and the rest (c_lo) and reads Hi[c_hi] ^ Lo[c_lo],
-    so two half-tables of at most 2^ceil(N/2) rows stand in for the 2^N-row
-    catalog; all 2^N candidates are compared, and the flattened match mask
-    is in catalog order (all-L first).  A trial's cost is the index of the
-    first candidate that survives its whole period budget, exactly as the
-    sequential reference search counts it.
+    negative-sign bits, packed by rng.sign_words into W = ceil(P/64)
+    uint64 words.  Batches of trials are scanned at once.  Candidate c
+    splits into its first floor(N/2) bits (c_hi) and the rest (c_lo) and
+    reads Hi[c_hi] ^ Lo[c_lo], so two half-tables of at most 2^ceil(N/2)
+    rows stand in for the 2^N-row catalog; all 2^N candidates are
+    compared, and the flattened match mask is in catalog order (all-L
+    first).  A trial's cost is the index of the first candidate that
+    survives its whole period budget, exactly as the sequential reference
+    search counts it.
     """
     if num_bits < 1 or periods_per_test < 1 or trials < 1:
         raise ValueError("num_bits, periods_per_test and trials must be >= 1")
@@ -528,7 +569,7 @@ def run_baseline_trials(
     spp = 2 * n
     n_hi = n // 2
     n_words = -(-periods_per_test // 64)
-    # per trial: the 2^N * W-byte match mask or sign_tensor's uint64 intermediates
+    # per trial: the 2^N * W-byte match mask or 8 bytes per stream and period
     batch_size = _batch_trials(max(n_words << n, 8 * spp * periods_per_test))
     tests = np.empty(trials, dtype=np.int64)
     false_matches = 0
@@ -537,7 +578,7 @@ def run_baseline_trials(
         idx = np.arange(start, start + b, dtype=np.uint64)
         tseeds = rng.derive_seed_np(np.uint64(seed & rng.MASK64), idx)
         hidden = _pack_bits(_hidden_bits_np(tseeds, n)).astype(np.intp)
-        words = _pack_periods(rng.sign_tensor(tseeds, spp, periods_per_test) < 0)
+        words = rng.sign_words(tseeds, spp, periods_per_test)
         hi = _xor_table(words[:, : 2 * n_hi])
         lo = _xor_table(words[:, 2 * n_hi :])
         c_hi, c_lo = np.divmod(hidden, lo.shape[1])
@@ -688,6 +729,7 @@ def amplitude_range_experiment(
         if trials < 1:
             raise ValueError("trials must be >= 1")
         _check_reference_memory(num_bits, 1)
+    _check_renderable(num_bits, lam)
     t_min = (1 - lam) ** num_bits
     t_max = (1 + lam) ** num_bits
     if exhaustive:

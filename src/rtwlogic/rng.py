@@ -4,7 +4,9 @@ Every +-1 sign is a pure function of (master seed, stream index, period
 index), so any period of any stream can be evaluated in O(1) without
 generating history, and independent Monte Carlo trials can derive their
 own seeds without sharing state.  The scalar path and the numpy block
-path use the same integer mixing and agree bit for bit.
+path use the same integer mixing and agree bit for bit.  The Monte Carlo
+engines read `sign_words`, the same signs packed one bit per period into
+uint64 words.
 
 The mixer is the SplitMix64 finalizer (public-domain constants).  A
 stream's period sequence is exactly a SplitMix64 output stream whose
@@ -115,3 +117,45 @@ def sign_tensor(master_seeds: np.ndarray, num_streams: int, num_periods: int) ->
     stream_seeds = derive_seed_np(seeds[:, None], streams[None, :])
     periods = np.arange(num_periods, dtype=np.uint64)
     return _signs_from_seeds(stream_seeds[:, :, None], periods[None, None, :])
+
+
+# uint64 elements per sign_words block: (periods, trials, streams) blocks
+# of this size, and the temporaries of their mix, stay in cache
+_WORDS_CHUNK = 2**14
+
+
+def sign_words(master_seeds: np.ndarray, num_streams: int, num_periods: int) -> np.ndarray:
+    """sign_tensor(...) < 0 packed as (trials, num_streams, ceil(P/64)) uint64 words.
+
+    Bit k % 64 of word k // 64 is set when period k's sign is -1.  Periods
+    are drawn a few at a time on (periods, trials, streams) blocks of at
+    most _WORDS_CHUNK elements and OR-reduced over the period axis.  The
+    result is a transposed view of a (words, trials, streams) buffer, so
+    each word's (trials, streams) plane is contiguous.
+    """
+    seeds = np.asarray(master_seeds, dtype=np.uint64)
+    streams = np.arange(num_streams, dtype=np.uint64)
+    stream_seeds = derive_seed_np(seeds[:, None], streams[None, :]).ravel()
+    size = stream_seeds.size
+    n_words = -(-num_periods // 64)
+    out = np.zeros((n_words, size), dtype=np.uint64)
+    cols = max(1, min(size, _WORDS_CHUNK))
+    rows = max(1, min(64, _WORDS_CHUNK // cols))
+    top = np.uint64(63)
+    with np.errstate(over="ignore"):
+        for lo in range(0, size, cols):
+            block_seeds = stream_seeds[lo : lo + cols]
+            for w in range(n_words):
+                for k0 in range(64 * w, min(64 * w + 64, num_periods), rows):
+                    k = np.arange(k0, min(k0 + rows, 64 * w + 64, num_periods), dtype=np.uint64)
+                    x = block_seeds + ((k + np.uint64(1)) * _NP_GAMMA)[:, None]
+                    x ^= x >> np.uint64(30)
+                    x *= _NP_MIX1
+                    x ^= x >> np.uint64(27)
+                    x *= _NP_MIX2
+                    # mix64's last step, x ^= x >> 31, leaves the top bit
+                    # unchanged, so it is skipped
+                    x >>= top
+                    x <<= (k % np.uint64(64))[:, None]
+                    out[w, lo : lo + cols] |= np.bitwise_or.reduce(x, axis=0)
+    return out.reshape(n_words, len(seeds), num_streams).transpose(1, 2, 0)

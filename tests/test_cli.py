@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 
 import pytest
 
@@ -197,6 +198,7 @@ def test_identify_memory_cap_exits_two(monkeypatch, capsys) -> None:
         raise AssertionError("signs were drawn before the memory check")
 
     monkeypatch.setattr(rng, "sign_tensor", no_signs)
+    monkeypatch.setattr(rng, "sign_words", no_signs)
     for argv in (["identify", "--bits", "1000000", "--trials", "1"],
                  ["bench", "--bits", "4,1000000", "--trials", "1"]):
         rc, out, err = _run(capsys, argv)
@@ -218,6 +220,42 @@ def test_reference_memory_cap_exits_two(monkeypatch, capsys) -> None:
         assert out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
         assert "capped at" in err
+
+
+@pytest.fixture
+def int_str_digits():
+    """Pin Python's int to str digit limit at 4300, its default; restore it after."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this Python has no int to str digit limit")
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield sys.set_int_max_str_digits
+    sys.set_int_max_str_digits(old)
+
+
+def test_range_unprintable_bound_exits_two(monkeypatch, capsys, int_str_digits) -> None:
+    def no_signs(*args, **kwargs):
+        raise AssertionError("signs were drawn before the digit check")
+
+    monkeypatch.setattr(rng, "sign_matrix", no_signs)
+    # at lambda = 1/2 the bound (3/2)^N has a 4301-digit numerator at N = 9013
+    for bits in ("9013", "10000"):
+        rc, out, err = _run(capsys, ["range", "--bits", bits, "--trials", "2"])
+        assert rc == 2, bits
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert f"{bits} bits" in err and "4300 digits" in err
+
+
+def test_range_largest_printable_bound_runs(capsys, int_str_digits) -> None:
+    # 3^9012 has 4300 digits, the most the limit lets str() print
+    rc, out, err = _run(capsys, ["range", "--bits", "9012", "--trials", "2"])
+    assert rc == 0, err
+    assert "parameters,bits,9012" in out.splitlines()
+    # a limit of 0 lifts the check
+    int_str_digits(0)
+    rc, out, err = _run(capsys, ["range", "--bits", "9013", "--trials", "2"])
+    assert rc == 0, err
 
 
 def test_unexpected_error_exits_three(monkeypatch, capsys) -> None:

@@ -90,13 +90,9 @@ def test_mismatch_rate_near_half() -> None:
     assert abs(mismatches / periods - 0.5) <= 0.005
 
 
-def _assert_engine_matches_exact(n: int, m: int, trials: int, seed: int) -> None:
-    stats = exp.run_identification_trials(n, m, trials, seed, keep_per_trial=True)
-    assert stats.contradictions == 0
-    # every pinned case mixes fully decided and undecided trials
-    assert 0 < stats.complete_trials < trials
-    for i in range(trials):
-        hidden, res = exp.identification_trial_exact(seed, i, n, m)
+def _assert_trials_match(stats: exp.IdentificationTrialStats, n: int, exact_trial) -> None:
+    for i in range(stats.trials):
+        hidden, res = exact_trial(i)
         assert stats.hidden_bits[i] == hidden.bits
         assert bool(stats.complete[i]) == res.complete
         assert stats.ticks_observed[i] == res.ticks_observed
@@ -108,6 +104,23 @@ def _assert_engine_matches_exact(n: int, m: int, trials: int, seed: int) -> None
             assert stats.recovered_bits[i] == res.product_string().bits
 
 
+def _assert_engine_matches_exact(n: int, m: int, trials: int, seed: int) -> None:
+    stats = exp.run_identification_trials(n, m, trials, seed, keep_per_trial=True)
+    assert stats.contradictions == 0
+    # every pinned case mixes fully decided and undecided trials
+    assert 0 < stats.complete_trials < trials
+    _assert_trials_match(stats, n, lambda i: exp.identification_trial_exact(seed, i, n, m))
+
+
+def _assert_engine_matches_exact_long_window(n: int, m: int, trials: int, seed: int) -> None:
+    # a window of 63 or more periods leaves a bit undecided with probability
+    # about 4^-63, so every trial completes
+    stats = exp.run_identification_trials(n, m, trials, seed, keep_per_trial=True)
+    assert stats.contradictions == 0
+    assert stats.complete_trials == trials
+    _assert_trials_match(stats, n, lambda i: exp.identification_trial_exact(seed, i, n, m))
+
+
 def test_identification_engine_matches_exact_trials() -> None:
     _assert_engine_matches_exact(4, 3, 40, 2)
 
@@ -115,6 +128,50 @@ def test_identification_engine_matches_exact_trials() -> None:
 @pytest.mark.parametrize("n, m", [(65, 4), (128, 3), (200, 4)])
 def test_identification_engine_matches_exact_trials_above_64_bits(n: int, m: int) -> None:
     _assert_engine_matches_exact(n, m, 6, 2)
+
+
+@pytest.mark.parametrize("m", [63, 64, 65, 130])
+@pytest.mark.parametrize("n", [1, 3])
+def test_identification_engine_matches_exact_trials_across_word_boundaries(n: int, m: int) -> None:
+    # M + 1 periods around 64 cross the uint64 period-word boundary
+    _assert_engine_matches_exact_long_window(n, m, 8, 3)
+
+
+def _hold_carriers(signs: np.ndarray, seeds, n: int) -> np.ndarray:
+    """Signs in which one bit per trial keeps both carriers' period-0 sign
+    through period 60..139, chosen from the trial seed, so that bit is
+    decided past the first period word or never."""
+    signs = signs.copy()
+    for t, ts in enumerate(int(s) for s in seeds):
+        bit, hold = (ts >> 8) % n, 60 + ts % 80
+        signs[t, 2 * bit : 2 * bit + 2, : hold + 1] = signs[t, 2 * bit : 2 * bit + 2, :1]
+    return signs
+
+
+def test_identification_engine_matches_exact_trials_decided_late(monkeypatch) -> None:
+    n, m, trials, seed = 3, 130, 40, 5
+
+    def held_words(seeds, num_streams, num_periods):
+        signs = _hold_carriers(rng.sign_tensor(seeds, num_streams, num_periods), seeds, n)
+        neg = signs < 0
+        words = np.zeros((len(seeds), num_streams, -(-num_periods // 64)), dtype=np.uint64)
+        for k in range(num_periods):
+            words[:, :, k // 64] |= neg[:, :, k].astype(np.uint64) << np.uint64(k % 64)
+        return words
+
+    def exact_trial(i):
+        ts = exp.trial_master_seed(seed, i)
+        hidden = alg.ProductString(n, exp.hidden_bits_for(ts, n))
+        signs = _hold_carriers(rng.sign_matrix(ts, 2 * n, m + 1)[None], [ts], n)[0]
+        refs = rtw.ReferenceSystem(rtw.ClockGrid(n, m + 1), Fraction(1), ts, signs)
+        return hidden, idf.tsinbl_identify(sig.trace_product(refs, hidden, shifted=True), refs, m)
+
+    monkeypatch.setattr(rng, "sign_words", held_words)
+    stats = exp.run_identification_trials(n, m, trials, seed, keep_per_trial=True)
+    assert 0 < stats.complete_trials < trials
+    # some trial is decided in the second or third word of switching periods
+    assert (stats.periods_used[stats.complete] > 64).any()
+    _assert_trials_match(stats, n, exact_trial)
 
 
 def test_hidden_strings_cover_every_bit_above_64() -> None:
@@ -135,13 +192,21 @@ def test_hidden_draw_keeps_first_word() -> None:
         assert exp.hidden_bits_for(ts, n) & ((1 << 64) - 1) == low
 
 
-def test_identification_engine_batching_invariance() -> None:
-    a = exp.run_identification_trials(5, 4, 64, 9, keep_per_trial=True, batch_size=7)
-    b = exp.run_identification_trials(5, 4, 64, 9, keep_per_trial=True, batch_size=64)
+def _assert_identification_batching_invariance(m: int) -> None:
+    a = exp.run_identification_trials(5, m, 64, 9, keep_per_trial=True, batch_size=7)
+    b = exp.run_identification_trials(5, m, 64, 9, keep_per_trial=True, batch_size=64)
     assert (a.hidden_bits == b.hidden_bits).all()
     assert (a.ticks_observed == b.ticks_observed).all()
     assert a.undecided_trials == b.undecided_trials
     assert a.mean_ticks_observed == b.mean_ticks_observed
+
+
+def test_identification_engine_batching_invariance() -> None:
+    _assert_identification_batching_invariance(4)
+
+
+def test_identification_engine_batching_invariance_across_word_boundaries() -> None:
+    _assert_identification_batching_invariance(130)
 
 
 def test_baseline_engine_matches_exact_trials() -> None:
@@ -177,13 +242,13 @@ def test_baseline_engine_batching_invariance(monkeypatch) -> None:
     # 8 * 2N * P = 5600 bytes per trial: batches of 2 trials
     monkeypatch.setattr(exp, "_ENGINE_BATCH_BYTES", 12000)
     batches = []
-    sign_tensor = rng.sign_tensor
+    sign_words = rng.sign_words
 
     def counted(seeds, *args):
         batches.append(len(seeds))
-        return sign_tensor(seeds, *args)
+        return sign_words(seeds, *args)
 
-    monkeypatch.setattr(rng, "sign_tensor", counted)
+    monkeypatch.setattr(rng, "sign_words", counted)
     split = exp.run_baseline_trials(n, ppt, trials, seed, keep_per_trial=True)
     assert batches == [2] * 15
     assert (split.tests == whole.tests).all()
@@ -356,6 +421,7 @@ def test_identification_memory_refused_before_allocating(monkeypatch) -> None:
         raise AssertionError("signs were drawn before the memory check")
 
     monkeypatch.setattr(rng, "sign_tensor", no_signs)
+    monkeypatch.setattr(rng, "sign_words", no_signs)
     n = 1_000_000
     with pytest.raises(ValueError, match="capped at"):
         exp.run_identification_trials(n, idf.required_periods(n, "1/1000"), 1, 1)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -53,6 +54,48 @@ def test_sign_matrix_and_tensor_match_block() -> None:
     tensor = rng.sign_tensor(trial_seeds, 6, 40)
     for i in range(5):
         assert (tensor[i] == rng.sign_matrix(int(trial_seeds[i]), 6, 40)).all()
+
+
+def _pack(neg: np.ndarray) -> np.ndarray:
+    """(trials, streams, P) booleans as uint64 words, one period at a time."""
+    trials, streams, periods = neg.shape
+    words = np.zeros((trials, streams, -(-periods // 64)), dtype=np.uint64)
+    for k in range(periods):
+        words[:, :, k // 64] |= neg[:, :, k].astype(np.uint64) << np.uint64(k % 64)
+    return words
+
+
+def _trial_seeds(count: int) -> np.ndarray:
+    return np.array([rng.derive_seed(77, i) for i in range(count)], dtype=np.uint64)
+
+
+@pytest.mark.parametrize("periods", [1, 2, 63, 64, 65, 130])
+def test_sign_words_pack_tensor_and_scalar_signs(periods: int) -> None:
+    for trials in (1, 4):
+        seeds = _trial_seeds(trials)
+        for streams in (1, 3, 6):
+            words = rng.sign_words(seeds, streams, periods)
+            assert words.dtype == np.uint64
+            assert words.shape == (trials, streams, -(-periods // 64))
+            # bits past the last period stay clear
+            assert (words == _pack(rng.sign_tensor(seeds, streams, periods) < 0)).all()
+            for t in range(trials):
+                for j in range(streams):
+                    for k in range(periods):
+                        bit = int(words[t, j, k // 64]) >> (k % 64) & 1
+                        assert bit == (rng.sign_at(int(seeds[t]), j, k) < 0)
+
+
+def test_sign_words_chunking_invariance(monkeypatch) -> None:
+    seeds = _trial_seeds(5)
+    whole = rng.sign_words(seeds, 3, 130)
+    # 15 trial-streams: blocks of 7, 7 and 1 of them, one period each
+    monkeypatch.setattr(rng, "_WORDS_CHUNK", 7)
+    assert (rng.sign_words(seeds, 3, 130) == whole).all()
+    # blocks of 3 periods leave a ragged block at the end of each word
+    # and a 2-period block in the third word
+    monkeypatch.setattr(rng, "_WORDS_CHUNK", 47)
+    assert (rng.sign_words(seeds, 3, 130) == whole).all()
 
 
 def test_signs_are_plus_minus_one() -> None:
