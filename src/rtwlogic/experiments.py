@@ -14,11 +14,15 @@ implementations (trace synthesis plus the tick-scanning identifier), so
 the fast path and the slow path cannot drift apart silently.  The
 identification engine works on switching instants, not ticks: one trial
 reads the 2N * M events of its window, O(N * M) time and memory, the
-paper's linear cost for fixed M.  Both engines read each stream's period
-signs packed into uint64 words (rng.sign_words): identification decides
-each bit at the lowest set bit of its carriers' switch words, and the
-baseline keeps its scan exhaustive, comparing all 2^N candidates as XORs
-of two half-tables.  A period's |readout| of the uniform superposition
+paper's linear cost for fixed M.  The two engines read the same signs
+packed along different axes, each along the one its decision runs on.
+Identification compares many noise-bits within one period, so it reads
+rng.sign_planes, one uint64 per period and carrier role holding 64
+noise-bits laid out as the hidden-string integer, and decides every bit
+with a few word operations per period.  The baseline XORs whole readout
+sequences of single streams, so it reads rng.sign_words, one bit per
+period, and keeps its scan exhaustive, comparing all 2^N candidates as
+XORs of two half-tables.  A period's |readout| of the uniform superposition
 depends only on how many bits' two carriers agree, so `zero-prob` and
 Monte Carlo `range` both read one histogram of that count, drawn in
 bounded chunks, with no per-period Fraction.
@@ -57,7 +61,7 @@ from .identify import (
     verification_periods,
 )
 from .rtw import build_reference_system
-from .signal import superposition_readouts, trace_product
+from .signal import trace_product
 
 DEFAULT_SEED = 1
 ZERO_PROB_BITS_CAP = 20
@@ -207,10 +211,10 @@ def fit_slope(xs: list[float], ys: list[float]) -> tuple[float, float]:
 # vectorized Monte Carlo engines
 # ===========================================================================
 
-# bytes per batch of an engine's largest intermediates, budgeted as 8 per
-# stream and period (the uint64s behind rng.sign_matrix; rng.sign_words
-# needs less) or the baseline's match mask; small enough for a batch to
-# stay in cache
+# bytes per batch of an engine's largest intermediates: 8 per stream and
+# period for rng.sign_matrix and the baseline's rng.sign_words draw, the
+# baseline's match mask, or the identification engine's own
+# _identification_trial_bytes; small enough for a batch to stay in cache
 _ENGINE_BATCH_BYTES = 1 << 20
 
 
@@ -286,38 +290,49 @@ class IdentificationTrialStats:
         return self.undecided_trials / self.trials
 
 
-def _hidden_bits_np(trial_seeds: np.ndarray, num_bits: int) -> np.ndarray:
-    """(trials, N) booleans, bit 1 first: hidden_bits_for over a seed vector."""
-    tag = _hidden_tag(num_bits)
-    upper = np.arange(1, _num_words(num_bits), dtype=np.uint64)
-    words = np.concatenate(
-        (rng.derive_seed_np(trial_seeds, tag)[:, None],
-         rng.derive_seed_np(trial_seeds[:, None], tag, upper[None, :])),
-        axis=1,
-    )
-    pos = np.arange(num_bits - 1, -1, -1)  # integer bit position of bit 1..N
-    shift = (pos % 64).astype(np.uint64)
-    return ((words[:, pos // 64] >> shift) & np.uint64(1)).astype(bool)
+def _bits_mask(num_bits: int) -> np.ndarray:
+    """(ceil(N/64),) uint64 words with bit positions 0..N-1 set."""
+    mask = np.full(_num_words(num_bits), rng.MASK64, dtype=np.uint64)
+    mask[-1] = np.uint64((1 << (num_bits - 64 * (len(mask) - 1))) - 1)
+    return mask
 
 
-def _pack_bits(bits: np.ndarray) -> np.ndarray:
-    """One bits integer per row of (trials, N) booleans, bit 1 most significant.
+def _hidden_words(trial_seeds: np.ndarray, num_bits: int) -> np.ndarray:
+    """hidden_bits_for over a seed vector as (trials, ceil(N/64)) uint64 words.
 
-    uint64 up to 64 bits; above that, an object array of Python ints.
+    Word w holds bit positions 64w..64w+63 of the bits integer, so bit 1 is
+    the most significant; the top word is masked to N bits.
     """
-    n = bits.shape[1]
-    if n <= 64:
-        shift = np.arange(n - 1, -1, -1, dtype=np.uint64)
-        return (bits.astype(np.uint64) << shift).sum(axis=1, dtype=np.uint64)
-    pad = -n % 8  # packbits fills the last byte's low bits with zeros
-    rows = np.packbits(bits, axis=1)
-    return np.array([int.from_bytes(r.tobytes(), "big") >> pad for r in rows], dtype=object)
+    tag = _hidden_tag(num_bits)
+    words = rng.derive_seed_np(trial_seeds, tag)[:, None]
+    if num_bits > 64:
+        upper = np.arange(1, _num_words(num_bits), dtype=np.uint64)
+        words = np.concatenate((words, rng.derive_seed_np(trial_seeds[:, None], tag, upper)), axis=1)
+    words &= _bits_mask(num_bits)
+    return words
 
 
-_ZERO = np.uint64(0)
+def _words_to_ints(words: np.ndarray) -> np.ndarray:
+    """One bits integer per row of (trials, W) uint64 words, word 0 lowest.
+
+    uint64 for one word; above that, an object array of Python ints.
+    """
+    if words.shape[1] == 1:
+        return words[:, 0].copy()
+    little = words.astype(np.dtype("<u8"), copy=False)
+    return np.array([int.from_bytes(row.tobytes(), "little") for row in little], dtype=object)
+
+
+# set bits of every byte value (np.bitwise_count needs numpy >= 2.0)
+_BYTE_POPCOUNT = np.array([bin(v).count("1") for v in range(256)], dtype=np.int64)
+
+
+def _popcount(words: np.ndarray) -> int:
+    """Set bits over a uint64 array."""
+    return int(_BYTE_POPCOUNT[np.ascontiguousarray(words).view(np.uint8)].sum())
+
+
 _ONE = np.uint64(1)
-_TOP = np.uint64(63)
-_ALL_ONES = np.uint64(rng.MASK64)
 
 
 def _check_memory(what: str, need: int) -> None:
@@ -326,16 +341,27 @@ def _check_memory(what: str, need: int) -> None:
         raise ValueError(f"{what} needs about {need} bytes; capped at {ENGINE_TRIAL_BYTES_CAP}")
 
 
+def _identification_trial_bytes(num_bits: int, max_periods: int) -> int:
+    """Bytes one trial of the plane engine holds at once, for batch sizing.
+
+    The (M+1, 2, W) sign planes, their (M, 2, W) switches and about six
+    (M, W) decision words, W = ceil(N/64): ten uint64 per word and period.
+    """
+    return 8 * 10 * _num_words(num_bits) * (max_periods + 1)
+
+
 def _check_identification_memory(num_bits: int, max_periods: int) -> None:
     """Refuse, before allocating, a trial larger than ENGINE_TRIAL_BYTES_CAP.
 
     One trial is counted as three (2N, M+1) uint64 arrays, the footprint
-    of an unpacked engine; the packed engine holds (2N, ceil((M+1)/64))
-    sign words and a few (N,) arrays, so the count bounds it from above.
+    of an unpacked engine.  That bounds the plane engine's own bytes from
+    N = 2 on; at N = 1 its 80 bytes per period exceed the 48 counted, so
+    the larger of the two is checked.
     """
     _check_memory(
         f"one identification trial at {num_bits} bits and {max_periods} periods",
-        3 * 8 * 2 * num_bits * (max_periods + 1),
+        max(3 * 8 * 2 * num_bits * (max_periods + 1),
+            _identification_trial_bytes(num_bits, max_periods)),
     )
 
 
@@ -385,22 +411,25 @@ def run_identification_trials(
     keep_per_trial: bool = False,
     batch_size: int | None = None,
 ) -> IdentificationTrialStats:
-    """Monte Carlo identification trials on the event-level engine.
+    """Monte Carlo identification trials on the bit-plane engine.
 
     Each trial derives its own master seed and hidden string and reads
     only the 2N*M switching instants of its observation window, so a
     trial costs O(N*M).  In shifted mode exactly one stream switches per
     tick, so the observed waveform flips at instant (period k, slot j)
     exactly when stream j is a factor and its period-k sign differs from
-    its period-(k-1) sign.  Signs come packed from rng.sign_words, and a
-    batch is processed one 64-period word at a time on (trials, N)
-    arrays: bit j of a stream's switch word marks its period-(j+1)
-    instant, and each bit is decided at the lowest set bit of its two
-    carriers' words, L before H within a period.  The decision rule is
-    applied to the observed flips, not to the hidden string, and every
-    event of the window is checked against the decided value.
-    Aggregates match the tick-scanning reference identifier trial for
-    trial; see the unit tests for the pinning.
+    its period-(k-1) sign.  Signs come from rng.sign_planes as carrier
+    planes: one uint64 per period and role holds 64 noise-bits, laid out
+    as the hidden-string integer is, so the hidden words, the decided
+    value and the recovered string are words of one shape.  A period's
+    switch words are its planes XOR the previous period's; a prefix-OR
+    over the periods marks each bit's first event, where it is decided,
+    L before H within a period.  The decision rule is applied to the
+    observed flips, not to the hidden string, and every event of the
+    window is checked against the decided value.  The last decision is
+    the highest noise-bit, the lowest set plane bit, of the last period
+    with a new decision.  Aggregates match the tick-scanning reference
+    identifier trial for trial; see the unit tests for the pinning.
     """
     if num_bits < 1 or max_periods < 1 or trials < 1:
         raise ValueError("num_bits, max_periods and trials must be >= 1")
@@ -408,10 +437,9 @@ def run_identification_trials(
     n = num_bits
     m = max_periods
     spp = 2 * n
-    num_periods = m + 1
     if batch_size is None:
-        batch_size = _batch_trials(8 * spp * num_periods)
-    l_slot = 2 * np.arange(n)
+        batch_size = _batch_trials(_identification_trial_bytes(n, m))
+    full = _bits_mask(n)
 
     undecided_trials = 0
     complete_trials = 0
@@ -427,55 +455,52 @@ def run_identification_trials(
         b = min(batch_size, trials - start)
         idx = np.arange(start, start + b, dtype=np.uint64)
         tseeds = rng.derive_seed_np(np.uint64(seed & rng.MASK64), idx)
-        bitvals = _hidden_bits_np(tseeds, n)
-        h_factor = np.where(bitvals, _ALL_ONES, _ZERO)  # H carrier is the factor
-        words = rng.sign_words(tseeds, spp, num_periods)  # (b, spp, ceil((M+1)/64))
-        has = np.zeros((b, n), dtype=bool)
-        chosen = np.zeros((b, n), dtype=bool)
-        dec_tick = np.zeros((b, n), dtype=np.int64)
-        contradicted = np.zeros((b, n), dtype=bool)
-        for w in range(_num_words(m)):
-            t = words[:, :, w]
-            t_next = words[:, :, w + 1] if w + 1 < words.shape[2] else _ZERO
-            # bit j: the stream changes sign at its period-(64w + j + 1)
-            # switching instant, one of the M in the window; even slots
-            # are L carriers, odd slots H
-            in_window = np.uint64((1 << min(64, m - 64 * w)) - 1)
-            switch = (t ^ ((t >> _ONE) | (t_next << _TOP))) & in_window
-            s_l, s_h = switch[:, 0::2], switch[:, 1::2]
-            u_l, u_h = s_l & ~h_factor, s_h & h_factor  # the observed waveform flips
-            # an L switch the waveform does not follow means H, an H switch
-            # it follows means H; within a period the L event comes first
-            says_h = (s_l ^ u_l) | (u_h & ~s_l)
-            events = s_l | s_h
-            new = ~has & (events != 0)
-            low = events & (~events + _ONE)  # the first event, isolated
-            j = np.frexp(low.astype(np.float64))[1] - 1 + 64 * w
-            is_h = (s_l & low) == 0
-            chosen = np.where(new, (says_h & low) != 0, chosen)
-            dec_tick = np.where(new, (j + 1) * spp + l_slot + is_h, dec_tick)
-            has |= new
-            # every event of the window is checked against the decided value
-            against = np.where(chosen, (s_l & u_l) | (s_h ^ u_h), (s_l ^ u_l) | u_h)
-            contradicted |= against != 0
-        contradictions += int(contradicted.sum())
-        dec_is_h = chosen & has
+        hidden = _hidden_words(tseeds, n)  # (b, W): set where the H carrier is the factor
+        planes = rng.sign_planes(tseeds, n, m + 1)  # (M+1, b, 2, W)
+        # switch[k]: the carriers that change sign at their period-(k+1)
+        # switching instant, one of the M in the window
+        switch = planes[1:] ^ planes[:-1]
+        del planes
+        s_l, s_h = switch[:, :, 0], switch[:, :, 1]
+        u_l, u_h = s_l & ~hidden, s_h & hidden  # the observed waveform flips
+        # an L switch the waveform does not follow means H, an H switch it
+        # follows means H; within a period the L event comes first
+        says_h = (s_l ^ u_l) | (u_h & ~s_l)
+        events = s_l | s_h
+        seen = np.bitwise_or.accumulate(events, axis=0)
+        new = events
+        new[1:] &= ~seen[:-1]  # each bit's first event
+        chosen = np.bitwise_or.reduce(new & says_h, axis=0)
+        decided = seen[-1]
+        # every event of the window is checked against the decided value
+        against = (chosen & ((s_l & u_l) | (s_h ^ u_h))) | (~chosen & ((s_l ^ u_l) | u_h))
+        contradictions += _popcount(np.bitwise_or.reduce(against, axis=0))
 
-        complete = has.all(axis=1)
-        bit_wrong = dec_is_h != bitvals
-        wrong_decided_bits += int((has & bit_wrong).sum())
-        wrong_complete += int((complete & bit_wrong.any(axis=1)).sum())
+        complete = (decided == full).all(axis=1)
+        wrong = chosen ^ hidden
+        wrong_decided_bits += _popcount(wrong & decided)
+        wrong_complete += int((complete & (wrong != 0).any(axis=1)).sum())
         complete_trials += int(complete.sum())
         undecided_trials += int(b - complete.sum())
-        last_tick = dec_tick.max(axis=1)
-        t_obs = np.where(complete, last_tick - spp + 1, m * spp)
-        p_used = np.where(complete, last_tick // spp, m)
+        # the last period with a new decision, and in it the highest
+        # noise-bit decided: the lowest set plane bit
+        last = (seen != decided).any(axis=2).sum(axis=0)
+        rows = np.arange(b)
+        last_new = new[last, rows]
+        w = np.argmax(last_new != 0, axis=1)
+        low = last_new[rows, w]
+        low &= ~low + _ONE
+        pos = 64 * w + np.frexp(low.astype(np.float64))[1] - 1
+        is_h = (s_l[last, rows, w] & low) == 0
+        # the decision tick is (last+1)*2N + slot 2(r-1) + is_h, r = N - pos
+        t_obs = np.where(complete, last * spp + 2 * (n - pos - 1) + is_h + 1, m * spp)
+        p_used = np.where(complete, last + 1, m)
         ticks_sum += int(t_obs.sum())
         periods_sum += int(p_used.sum())
         if keep_per_trial:
-            kept["hidden"].append(_pack_bits(bitvals))
+            kept["hidden"].append(_words_to_ints(hidden))
             kept["complete"].append(complete)
-            kept["recovered"].append(_pack_bits(dec_is_h))
+            kept["recovered"].append(_words_to_ints(chosen & decided))
             kept["ticks"].append(t_obs)
             kept["periods"].append(p_used)
 
@@ -577,7 +602,7 @@ def run_baseline_trials(
         b = min(batch_size, trials - start)
         idx = np.arange(start, start + b, dtype=np.uint64)
         tseeds = rng.derive_seed_np(np.uint64(seed & rng.MASK64), idx)
-        hidden = _pack_bits(_hidden_bits_np(tseeds, n)).astype(np.intp)
+        hidden = _hidden_words(tseeds, n)[:, 0].astype(np.intp)  # one word up to N = 64
         words = rng.sign_words(tseeds, spp, periods_per_test)
         hi = _xor_table(words[:, : 2 * n_hi])
         lo = _xor_table(words[:, 2 * n_hi :])
@@ -1031,12 +1056,12 @@ def not_gate_demo(
             permutation_ok = False
 
     refs = build_reference_system(seed, num_bits, periods, lam)
-    y_readouts = superposition_readouts(refs, uni)
+    readout = evaluator(uni, lam)
     hl = selection_evaluator([(target_bit, "H"), (target_bit, "L")], lam)
     symbolic = evaluator(notted_factored, lam)
+    # one pass over the periods: nothing per period outlives its column
     agree = sum(
-        y * hl(column) == symbolic(column)
-        for y, column in zip(y_readouts, refs.period_columns())
+        readout(column) * hl(column) == symbolic(column) for column in refs.period_columns()
     )
     waveform_ok = agree == periods
 

@@ -5,8 +5,12 @@ index), so any period of any stream can be evaluated in O(1) without
 generating history, and independent Monte Carlo trials can derive their
 own seeds without sharing state.  The scalar path and the numpy block
 path use the same integer mixing and agree bit for bit.  The Monte Carlo
-engines read `sign_words`, the same signs packed one bit per period into
-uint64 words.
+engines read the same signs packed into uint64 words along the axis
+their decision runs on: the baseline search XORs whole period sequences
+of single streams and reads `sign_words` (one bit per period), while
+identification compares all noise-bits within a period and reads
+`sign_planes` (one bit per noise-bit, per period and carrier role).
+The numpy draws mix in place on chunks that stay in cache.
 
 The mixer is the SplitMix64 finalizer (public-domain constants).  A
 stream's period sequence is exactly a SplitMix64 output stream whose
@@ -61,16 +65,19 @@ _NP_GAMMA = np.uint64(_GAMMA)
 _NP_MIX1 = np.uint64(_MIX1)
 _NP_MIX2 = np.uint64(_MIX2)
 
+# uint64 elements per buffer of the chunked draws (sign_matrix, sign_planes):
+# a buffer and the scratch of its mix stay in cache
+_CHUNK = 2**15
+
 
 def mix64_np(x: np.ndarray) -> np.ndarray:
+    x = np.asarray(x).astype(np.uint64, copy=True)
+    tmp = np.empty_like(x)
     # uint64 wraparound is the intended modular arithmetic here
     with np.errstate(over="ignore"):
-        x = np.asarray(x).astype(np.uint64, copy=True)
-        x ^= x >> np.uint64(30)
-        x *= _NP_MIX1
-        x ^= x >> np.uint64(27)
-        x *= _NP_MIX2
-        x ^= x >> np.uint64(31)
+        _mix_top(x, tmp)
+        np.right_shift(x, np.uint64(31), out=tmp)
+        x ^= tmp
     return x
 
 
@@ -84,11 +91,29 @@ def derive_seed_np(seeds: np.ndarray, *tags: np.ndarray | int) -> np.ndarray:
     return x
 
 
+def _mix_top(x: np.ndarray, tmp: np.ndarray) -> None:
+    """mix64 in place on a uint64 buffer, up to the step that fixes the top bit.
+
+    mix64's last step, x ^= x >> 31, leaves the top bit unchanged, so it is
+    skipped: the sign is already in x's top bit.  tmp is scratch of x's shape.
+    """
+    np.right_shift(x, np.uint64(30), out=tmp)
+    x ^= tmp
+    x *= _NP_MIX1
+    np.right_shift(x, np.uint64(27), out=tmp)
+    x ^= tmp
+    x *= _NP_MIX2
+
+
 def _signs_from_seeds(stream_seeds: np.ndarray, periods: np.ndarray) -> np.ndarray:
+    # uint64 wraparound is the intended modular arithmetic here
     with np.errstate(over="ignore"):
-        z = mix64_np(stream_seeds + (periods + np.uint64(1)) * _NP_GAMMA)
-    top = (z >> np.uint64(63)).astype(np.int8)
-    return np.int8(1) - np.int8(2) * top  # top bit set -> -1, clear -> +1
+        x = stream_seeds + (periods + np.uint64(1)) * _NP_GAMMA
+        _mix_top(x, np.empty_like(x))
+    signs = (x.view(np.int64) < 0).view(np.int8)  # top bit set -> 1 -> -1
+    signs *= np.int8(-2)
+    signs += np.int8(1)
+    return signs
 
 
 def sign_block(master_seed: int, stream_index: int, start_period: int, count: int) -> np.ndarray:
@@ -103,11 +128,22 @@ def sign_block(master_seed: int, stream_index: int, start_period: int, count: in
 def sign_matrix(
     master_seed: int, num_streams: int, num_periods: int, start_period: int = 0
 ) -> np.ndarray:
-    """(num_streams, num_periods) int8 sign matrix for one master seed."""
+    """(num_streams, num_periods) int8 sign matrix for one master seed.
+
+    Drawn a few periods at a time on half a _CHUNK of signs (one period
+    when num_streams is larger), so the uint64 intermediates stay under
+    1 MiB however many periods are drawn, and a long matrix needs little
+    more than its int8 result.
+    """
     streams = np.arange(num_streams, dtype=np.uint64)
-    seeds = derive_seed_np(np.uint64(master_seed & _MASK64), streams)
-    periods = np.arange(start_period, start_period + num_periods, dtype=np.uint64)
-    return _signs_from_seeds(seeds[:, None], periods[None, :])
+    seeds = derive_seed_np(np.uint64(master_seed & _MASK64), streams)[:, None]
+    out = np.empty((num_streams, num_periods), dtype=np.int8)
+    step = max(1, _CHUNK // max(2, 2 * num_streams))
+    for k0 in range(0, num_periods, step):
+        k1 = min(k0 + step, num_periods)
+        periods = np.arange(start_period + k0, start_period + k1, dtype=np.uint64)
+        out[:, k0:k1] = _signs_from_seeds(seeds, periods[None, :])
+    return out
 
 
 def sign_tensor(master_seeds: np.ndarray, num_streams: int, num_periods: int) -> np.ndarray:
@@ -149,13 +185,63 @@ def sign_words(master_seeds: np.ndarray, num_streams: int, num_periods: int) -> 
                 for k0 in range(64 * w, min(64 * w + 64, num_periods), rows):
                     k = np.arange(k0, min(k0 + rows, 64 * w + 64, num_periods), dtype=np.uint64)
                     x = block_seeds + ((k + np.uint64(1)) * _NP_GAMMA)[:, None]
-                    x ^= x >> np.uint64(30)
-                    x *= _NP_MIX1
-                    x ^= x >> np.uint64(27)
-                    x *= _NP_MIX2
-                    # mix64's last step, x ^= x >> 31, leaves the top bit
-                    # unchanged, so it is skipped
+                    _mix_top(x, np.empty_like(x))
                     x >>= top
                     x <<= (k % np.uint64(64))[:, None]
                     out[w, lo : lo + cols] |= np.bitwise_or.reduce(x, axis=0)
     return out.reshape(n_words, len(seeds), num_streams).transpose(1, 2, 0)
+
+
+def sign_planes(master_seeds: np.ndarray, num_bits: int, num_periods: int) -> np.ndarray:
+    """sign_tensor(seeds, 2N, P) < 0 as (P, trials, 2, ceil(N/64)) uint64 carrier planes.
+
+    Plane 0 holds the L carriers (role B, even slots), plane 1 the H
+    carriers (role A, odd slots).  Bit j of word w is set when the carrier
+    of noise-bit r = N - (64w + j) has sign -1 in that period, so a plane
+    word lays out its bits as the hidden-string integer does: word 0 holds
+    bit positions 0-63 and bit 1 is the most significant; padding bits
+    past bit 1 stay clear.  Signs are drawn on (periods, trials, 2,
+    positions) chunks of at most _CHUNK uint64 elements, split along the
+    positions in whole plane words when one trial's 2N * P block is
+    larger, and along the periods only when 64 positions over all P
+    periods still are.
+    """
+    seeds = np.asarray(master_seeds, dtype=np.uint64)
+    n, trials = num_bits, len(seeds)
+    n_words = -(-n // 64)
+    # position p carries noise-bit r = N - p: its L carrier is stream
+    # 2(N - p - 1), its H carrier the next one
+    pos = np.arange(n, dtype=np.uint64)
+    streams = np.uint64(2) * (np.uint64(n - 1) - pos) + np.arange(2, dtype=np.uint64)[:, None]
+    stream_seeds = derive_seed_np(seeds[:, None, None], streams[None])  # (trials, 2, N)
+    gamma_k = (np.arange(num_periods, dtype=np.uint64) + np.uint64(1)) * _NP_GAMMA
+    cols = min(n, max(64, _CHUNK // (2 * num_periods) // 64 * 64))
+    rows = min(num_periods, max(1, _CHUNK // (2 * cols)))
+    per = max(1, _CHUNK // (2 * cols * rows))  # trials per chunk
+    x_buf = np.empty(rows * per * 2 * cols, dtype=np.uint64)
+    tmp_buf = np.empty_like(x_buf)
+    bits_buf = np.empty(rows * per * 2 * -(-cols // 8) * 8, dtype=bool)
+    # bytes of the plane words; whole bytes past bit 1 are never written
+    out = np.zeros((num_periods, trials, 2, 8 * n_words), dtype=np.uint8)
+    with np.errstate(over="ignore"):
+        for p0 in range(0, n, cols):
+            pc = min(cols, n - p0)
+            nbytes = -(-pc // 8)
+            for t0 in range(0, trials, per):
+                tn = min(per, trials - t0)
+                for k0 in range(0, num_periods, rows):
+                    kn = min(rows, num_periods - k0)
+                    size = kn * tn * 2 * pc
+                    x = x_buf[:size].reshape(kn, tn, 2, pc)
+                    np.add(stream_seeds[None, t0 : t0 + tn, :, p0 : p0 + pc],
+                           gamma_k[k0 : k0 + kn, None, None, None], out=x)
+                    _mix_top(x, tmp_buf[:size].reshape(x.shape))
+                    bits = bits_buf[: kn * tn * 2 * 8 * nbytes].reshape(kn, tn, 2, 8 * nbytes)
+                    np.less(x.view(np.int64), 0, out=bits[..., :pc])
+                    # rows of whole bytes: packing the flat buffer packs each
+                    # row; the bits of its last byte past bit 1 are cleared below
+                    packed = np.packbits(bits, bitorder="little").reshape(kn, tn, 2, nbytes)
+                    out[k0 : k0 + kn, t0 : t0 + tn, :, p0 // 8 : p0 // 8 + nbytes] = packed
+    planes = out.view(np.dtype("<u8"))
+    planes[..., -1] &= np.uint64((1 << (n - 64 * (n_words - 1))) - 1)
+    return planes

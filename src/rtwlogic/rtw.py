@@ -39,6 +39,9 @@ _ROLES = (ROLE_A, ROLE_B)
 VALUE_H = "H"
 VALUE_L = "L"
 
+# signs per batch of period_columns' list conversion
+_COLUMNS_CHUNK = 2**10
+
 
 def stream_index(bit: int, role: str) -> int:
     """Canonical stream numbering, equal to the stream's switching slot.
@@ -120,7 +123,7 @@ class ReferenceSystem:
         shape = (self.grid.subclocks_per_period, self.grid.num_periods)
         if signs.shape != shape:
             raise ValueError(f"signs must have shape {shape} (2N, periods), got {signs.shape}")
-        if not np.isin(signs, (-1, 1)).all():
+        if not ((signs == 1) | (signs == -1)).all():
             raise ValueError("signs must be +1 or -1")
         if signs.dtype != np.int8 or signs.flags.writeable:
             signs = signs.astype(np.int8)  # a private copy nobody else can write
@@ -148,8 +151,14 @@ class ReferenceSystem:
             prev = cur
 
     def period_columns(self) -> Iterator[tuple[int, ...]]:
-        """Slot-ordered sign column of each clock period (the readout window's)."""
-        return map(tuple, self.signs.T.tolist())
+        """Slot-ordered sign column of each clock period (the readout window's).
+
+        Columns are converted to Python ints _COLUMNS_CHUNK signs at a time,
+        so a long system never holds all its periods as lists at once.
+        """
+        step = max(1, _COLUMNS_CHUNK // self.grid.subclocks_per_period)
+        for k0 in range(0, self.grid.num_periods, step):
+            yield from map(tuple, self.signs[:, k0 : k0 + step].T.tolist())
 
     def period_signs(self, period: int) -> dict[tuple[int, str], int]:
         """{(bit, role): sign} for one clock period, for symbolic evaluation."""

@@ -199,6 +199,7 @@ def test_identify_memory_cap_exits_two(monkeypatch, capsys) -> None:
 
     monkeypatch.setattr(rng, "sign_tensor", no_signs)
     monkeypatch.setattr(rng, "sign_words", no_signs)
+    monkeypatch.setattr(rng, "sign_planes", no_signs)
     for argv in (["identify", "--bits", "1000000", "--trials", "1"],
                  ["bench", "--bits", "4,1000000", "--trials", "1"]):
         rc, out, err = _run(capsys, argv)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -148,16 +149,35 @@ def _hold_carriers(signs: np.ndarray, seeds, n: int) -> np.ndarray:
     return signs
 
 
+def test_identification_engine_matches_exact_trials_decided_past_first_plane_word() -> None:
+    # at N = 130 the last decision of a trial, its highest noise-bit decided
+    # in its last period, often lies in plane word 1 or 2 (positions 64..129)
+    n, m, trials, seed = 130, 6, 12, 4
+    stats = exp.run_identification_trials(n, m, trials, seed, keep_per_trial=True)
+    _assert_trials_match(stats, n, lambda i: exp.identification_trial_exact(seed, i, n, m))
+    # ticks observed end at slot 2(r-1) + is_h of the last decided bit r
+    last_bits = (stats.ticks_observed[stats.complete] - 1) % (2 * n) // 2 + 1
+    assert (n - last_bits >= 64).any()
+
+
+def _planes(neg: np.ndarray) -> np.ndarray:
+    """(trials, 2N, P) negative-sign booleans as (P, trials, 2, W) carrier planes."""
+    trials, spp, periods = neg.shape
+    n = spp // 2
+    planes = np.zeros((periods, trials, 2, -(-n // 64)), dtype=np.uint64)
+    for s in range(spp):
+        pos = n - 1 - s // 2  # the plane position of noise-bit s // 2 + 1
+        bit = neg[:, s, :].T.astype(np.uint64) << np.uint64(pos % 64)
+        planes[:, :, s % 2, pos // 64] |= bit
+    return planes
+
+
 def test_identification_engine_matches_exact_trials_decided_late(monkeypatch) -> None:
     n, m, trials, seed = 3, 130, 40, 5
 
-    def held_words(seeds, num_streams, num_periods):
-        signs = _hold_carriers(rng.sign_tensor(seeds, num_streams, num_periods), seeds, n)
-        neg = signs < 0
-        words = np.zeros((len(seeds), num_streams, -(-num_periods // 64)), dtype=np.uint64)
-        for k in range(num_periods):
-            words[:, :, k // 64] |= neg[:, :, k].astype(np.uint64) << np.uint64(k % 64)
-        return words
+    def held_planes(seeds, num_bits, num_periods):
+        signs = _hold_carriers(rng.sign_tensor(seeds, 2 * num_bits, num_periods), seeds, n)
+        return _planes(signs < 0)
 
     def exact_trial(i):
         ts = exp.trial_master_seed(seed, i)
@@ -166,10 +186,11 @@ def test_identification_engine_matches_exact_trials_decided_late(monkeypatch) ->
         refs = rtw.ReferenceSystem(rtw.ClockGrid(n, m + 1), Fraction(1), ts, signs)
         return hidden, idf.tsinbl_identify(sig.trace_product(refs, hidden, shifted=True), refs, m)
 
-    monkeypatch.setattr(rng, "sign_words", held_words)
+    monkeypatch.setattr(rng, "sign_planes", held_planes)
     stats = exp.run_identification_trials(n, m, trials, seed, keep_per_trial=True)
     assert 0 < stats.complete_trials < trials
-    # some trial is decided in the second or third word of switching periods
+    # some trial is decided past period 64, once its held carriers are
+    # released
     assert (stats.periods_used[stats.complete] > 64).any()
     _assert_trials_match(stats, n, exact_trial)
 
@@ -192,10 +213,11 @@ def test_hidden_draw_keeps_first_word() -> None:
         assert exp.hidden_bits_for(ts, n) & ((1 << 64) - 1) == low
 
 
-def _assert_identification_batching_invariance(m: int) -> None:
-    a = exp.run_identification_trials(5, m, 64, 9, keep_per_trial=True, batch_size=7)
-    b = exp.run_identification_trials(5, m, 64, 9, keep_per_trial=True, batch_size=64)
+def _assert_identification_batching_invariance(m: int, n: int = 5) -> None:
+    a = exp.run_identification_trials(n, m, 64, 9, keep_per_trial=True, batch_size=7)
+    b = exp.run_identification_trials(n, m, 64, 9, keep_per_trial=True, batch_size=64)
     assert (a.hidden_bits == b.hidden_bits).all()
+    assert (a.recovered_bits == b.recovered_bits).all()
     assert (a.ticks_observed == b.ticks_observed).all()
     assert a.undecided_trials == b.undecided_trials
     assert a.mean_ticks_observed == b.mean_ticks_observed
@@ -207,6 +229,11 @@ def test_identification_engine_batching_invariance() -> None:
 
 def test_identification_engine_batching_invariance_across_word_boundaries() -> None:
     _assert_identification_batching_invariance(130)
+
+
+def test_identification_engine_batching_invariance_across_plane_words() -> None:
+    # 65 bits fill one plane word and one bit of a second
+    _assert_identification_batching_invariance(4, n=65)
 
 
 def test_baseline_engine_matches_exact_trials() -> None:
@@ -422,6 +449,7 @@ def test_identification_memory_refused_before_allocating(monkeypatch) -> None:
 
     monkeypatch.setattr(rng, "sign_tensor", no_signs)
     monkeypatch.setattr(rng, "sign_words", no_signs)
+    monkeypatch.setattr(rng, "sign_planes", no_signs)
     n = 1_000_000
     with pytest.raises(ValueError, match="capped at"):
         exp.run_identification_trials(n, idf.required_periods(n, "1/1000"), 1, 1)
@@ -438,6 +466,15 @@ def test_identification_memory_cap_boundary(monkeypatch) -> None:
     assert exp.run_identification_trials(4, 3, 5, 1).trials == 5
     with pytest.raises(ValueError, match="768"):
         exp.run_identification_trials(4, 4, 5, 1)
+
+
+def test_identification_memory_cap_counts_plane_bytes_at_one_bit(monkeypatch) -> None:
+    # at N = 1 the plane engine holds 8 * 10 * (M+1) bytes per trial, more
+    # than the 3 * 8 * 2N * (M+1) counted for larger N
+    monkeypatch.setattr(exp, "ENGINE_TRIAL_BYTES_CAP", 8 * 10 * 4)
+    assert exp.run_identification_trials(1, 3, 5, 1).trials == 5
+    with pytest.raises(ValueError, match=str(8 * 10 * 5)):
+        exp.run_identification_trials(1, 4, 5, 1)
 
 
 def test_reference_memory_refused_before_allocating(monkeypatch) -> None:
@@ -509,6 +546,22 @@ def test_not_gate_expanded_route_matches_waveform() -> None:
                     assert v * hl(column) == expanded(column) == factored(column)
                 r = exp.not_gate_demo(n, lam, target, periods=periods, seed=n + target)
                 assert r.passed and r.observed["readouts_agreeing"] == periods
+
+
+def test_not_gate_demo_stays_inside_its_memory_check() -> None:
+    # the reference memory check counts 8 * 2N * P bytes for the (2N, P)
+    # sign draw; a run that reads one period column at a time peaks below
+    # twice that
+    n, periods = 1, 20_000
+    exp.not_gate_demo(n, "1/2", 1, periods=100)  # imports and caches first
+    tracemalloc.start()
+    try:
+        r = exp.not_gate_demo(n, "1/2", 1, periods=periods)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert r.passed and r.observed["readouts_agreeing"] == periods
+    assert peak < 2 * 8 * 2 * n * periods
 
 
 def test_not_gate_demo_passes_both_lambdas() -> None:

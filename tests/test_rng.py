@@ -98,6 +98,59 @@ def test_sign_words_chunking_invariance(monkeypatch) -> None:
     assert (rng.sign_words(seeds, 3, 130) == whole).all()
 
 
+def _planes(neg: np.ndarray) -> np.ndarray:
+    """(trials, 2N, P) booleans as (P, trials, 2, W) carrier planes, one bit at a time."""
+    trials, spp, periods = neg.shape
+    n = spp // 2
+    planes = np.zeros((periods, trials, 2, -(-n // 64)), dtype=np.uint64)
+    for s in range(spp):
+        pos = n - 1 - s // 2  # noise-bit r = s // 2 + 1 sits at position N - r
+        planes[:, :, s % 2, pos // 64] |= neg[:, s, :].T.astype(np.uint64) << np.uint64(pos % 64)
+    return planes
+
+
+@pytest.mark.parametrize("periods", [1, 9, 64, 65, 130])
+@pytest.mark.parametrize("bits", [1, 3, 63, 64, 65, 130])
+def test_sign_planes_match_tensor_and_scalar_signs(bits: int, periods: int) -> None:
+    for trials in (1, 4):
+        seeds = _trial_seeds(trials)
+        planes = rng.sign_planes(seeds, bits, periods)
+        assert planes.dtype == np.uint64
+        assert planes.shape == (periods, trials, 2, -(-bits // 64))
+        # padding bits past bit 1 stay clear
+        assert (planes == _planes(rng.sign_tensor(seeds, 2 * bits, periods) < 0)).all()
+        # the first, middle and last noise-bit of the last trial, scalar path
+        t = trials - 1
+        for r in sorted({1, (bits + 1) // 2, bits}):
+            pos = bits - r
+            for role in (0, 1):
+                for k in range(periods):
+                    bit = int(planes[k, t, role, pos // 64]) >> (pos % 64) & 1
+                    assert bit == (rng.sign_at(int(seeds[t]), 2 * (r - 1) + role, k) < 0)
+
+
+def test_sign_planes_chunking_invariance(monkeypatch) -> None:
+    seeds = _trial_seeds(5)
+    cases = [(3, 9), (3, 130), (130, 3), (130, 130)]
+    whole = [rng.sign_planes(seeds, bits, periods) for bits, periods in cases]
+    # 7: one period of one trial per chunk, 64 positions at a time above 64
+    # bits; 109: two trials of 3 bits over 9 periods, then one; 389: 130
+    # bits over 3 periods split into words of 64, 64 and 2 positions, and
+    # 3 bits over 130 periods into 64, 64 and 2 periods
+    for chunk in (7, 109, 389):
+        monkeypatch.setattr(rng, "_CHUNK", chunk)
+        for (bits, periods), expect in zip(cases, whole):
+            assert (rng.sign_planes(seeds, bits, periods) == expect).all()
+
+
+def test_sign_matrix_chunking_invariance(monkeypatch) -> None:
+    whole = rng.sign_matrix(11, 6, 130, start_period=7)
+    # 6 streams: chunks of 1, 2 and 32 periods, the last one ragged
+    for chunk in (7, 25, 389):
+        monkeypatch.setattr(rng, "_CHUNK", chunk)
+        assert (rng.sign_matrix(11, 6, 130, start_period=7) == whole).all()
+
+
 def test_signs_are_plus_minus_one() -> None:
     block = rng.sign_block(3, 0, 0, 1000)
     assert set(np.unique(block)) <= {-1, 1}
