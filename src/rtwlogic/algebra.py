@@ -28,7 +28,7 @@ from typing import Callable, Mapping, Sequence
 
 from .rtw import ROLE_A, ROLE_B, VALUE_H, VALUE_L, stream_index
 
-# expand() refuses above this many bits unless the caller raises the cap
+# expand() refuses above this many bits
 DEFAULT_EXPAND_CAP = 20
 
 # the value of an object as a function of one slot-ordered sign column
@@ -189,17 +189,17 @@ def uniform_superposition(num_bits: int) -> FactoredSuperposition:
     return FactoredSuperposition(num_bits=num_bits, c_h=ones, c_l=ones)
 
 
-def expand(f: FactoredSuperposition, max_bits: int = DEFAULT_EXPAND_CAP) -> Superposition:
+def expand(f: FactoredSuperposition) -> Superposition:
     """Multiply a factored form out to explicit product-string terms.
 
-    Refuses above max_bits (default 20) because the expansion has up to
+    Refuses above DEFAULT_EXPAND_CAP bits because the expansion has up to
     2^N terms.  Zero-coefficient branches are pruned as they appear, so
     annihilated bits do not double the term count.
     """
-    if f.num_bits > max_bits:
+    if f.num_bits > DEFAULT_EXPAND_CAP:
         raise ValueError(
-            f"expansion of {f.num_bits} bits exceeds the cap of {max_bits} "
-            f"(2^{f.num_bits} terms); raise max_bits explicitly to override"
+            f"expansion of {f.num_bits} bits exceeds the cap of {DEFAULT_EXPAND_CAP} "
+            f"(2^{f.num_bits} terms)"
         )
     terms: dict[int, Fraction] = {0: Fraction(1)}
     for r in range(f.num_bits):

@@ -73,6 +73,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bits", type=int, required=True)
     p.add_argument("--trials", type=int, default=100000)
     p.add_argument("--seed", type=int, default=experiments.DEFAULT_SEED)
+    p.set_defaults(run=lambda a: experiments.zero_probability_experiment(
+        a.bits, a.trials, a.seed))
 
     p = sub.add_parser(
         "range", parents=[common],
@@ -84,6 +86,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="enumerate all sign assignments (bits <= 6)")
     p.add_argument("--trials", type=int, default=10000)
     p.add_argument("--seed", type=int, default=experiments.DEFAULT_SEED)
+    p.set_defaults(run=lambda a: experiments.amplitude_range_experiment(
+        a.bits, a.lam, exhaustive=True if a.exhaustive else None,
+        trials=a.trials, seed=a.seed))
 
     p = sub.add_parser(
         "resolution", parents=[common],
@@ -91,6 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--bits", type=int, required=True)
     p.add_argument("--lambda", dest="lam", type=_lambda, default=Fraction(1, 2))
+    p.set_defaults(run=lambda a: experiments.resolution_experiment(a.bits, a.lam))
 
     p = sub.add_parser(
         "identify", parents=[common],
@@ -102,6 +108,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=experiments.DEFAULT_SEED)
     p.add_argument("--baseline", action="store_true",
                    help="also run the exhaustive baseline search (bits <= 14)")
+    p.set_defaults(run=lambda a: experiments.identification_experiment(
+        a.bits, a.trials, a.seed, epsilon=a.epsilon, include_baseline=a.baseline))
 
     p = sub.add_parser(
         "bench", parents=[common],
@@ -117,6 +125,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="largest bit count the baseline is run at")
     p.add_argument("--timing", action="store_true",
                    help="include wall-clock columns (breaks byte-identical reruns)")
+    p.set_defaults(run=lambda a: experiments.identification_benchmark(
+        a.bits, a.epsilon, a.trials, a.seed, include_baseline=not a.no_baseline,
+        baseline_cap=a.baseline_cap, include_timing=a.timing))
 
     p = sub.add_parser(
         "not-demo", parents=[common],
@@ -127,45 +138,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", type=int, default=1, help="bit to invert (1-based)")
     p.add_argument("--periods", type=int, default=1000)
     p.add_argument("--seed", type=int, default=experiments.DEFAULT_SEED)
+    p.set_defaults(run=lambda a: experiments.not_gate_demo(
+        a.bits, a.lam, a.target, periods=a.periods, seed=a.seed))
 
     return parser
-
-
-def _run(args: argparse.Namespace) -> experiments.ExperimentReport:
-    if args.command == "zero-prob":
-        return experiments.zero_probability_experiment(args.bits, args.trials, args.seed)
-    if args.command == "range":
-        return experiments.amplitude_range_experiment(
-            args.bits, args.lam,
-            exhaustive=True if args.exhaustive else None,
-            trials=args.trials, seed=args.seed,
-        )
-    if args.command == "resolution":
-        return experiments.resolution_experiment(args.bits, args.lam)
-    if args.command == "identify":
-        return experiments.identification_experiment(
-            args.bits, args.trials, args.seed,
-            epsilon=args.epsilon, include_baseline=args.baseline,
-        )
-    if args.command == "bench":
-        return experiments.identification_benchmark(
-            args.bits, args.epsilon, args.trials, args.seed,
-            include_baseline=not args.no_baseline,
-            baseline_cap=args.baseline_cap,
-            include_timing=args.timing,
-        )
-    if args.command == "not-demo":
-        return experiments.not_gate_demo(
-            args.bits, args.lam, args.target, periods=args.periods, seed=args.seed,
-        )
-    raise AssertionError(f"unhandled command {args.command!r}")
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        report = _run(args)
+        report = args.run(args)
         text = report.render(args.format)
         if args.out is None:
             sys.stdout.write(text)

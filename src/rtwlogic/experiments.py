@@ -45,6 +45,7 @@ import numpy as np
 
 from . import rng
 from .algebra import (
+    DEFAULT_EXPAND_CAP,
     ProductString,
     apply_not,
     evaluator,
@@ -53,10 +54,9 @@ from .algebra import (
     uniform_superposition,
 )
 from .identify import (
+    ErrorBudget,
     IdentificationResult,
     baseline_search,
-    error_bound,
-    required_periods,
     tsinbl_identify,
     verification_periods,
 )
@@ -394,22 +394,12 @@ def _check_renderable(num_bits: int, lam: Fraction) -> None:
             )
 
 
-def _sound(stats: IdentificationTrialStats) -> bool:
-    """No fully decided trial wrong, no decided bit wrong, no contradiction."""
-    return (
-        stats.wrong_complete_trials == 0
-        and stats.wrong_decided_bits == 0
-        and stats.contradictions == 0
-    )
-
-
 def run_identification_trials(
     num_bits: int,
     max_periods: int,
     trials: int,
     seed: int,
     keep_per_trial: bool = False,
-    batch_size: int | None = None,
 ) -> IdentificationTrialStats:
     """Monte Carlo identification trials on the bit-plane engine.
 
@@ -430,6 +420,8 @@ def run_identification_trials(
     the highest noise-bit, the lowest set plane bit, of the last period
     with a new decision.  Aggregates match the tick-scanning reference
     identifier trial for trial; see the unit tests for the pinning.
+    Batches hold _batch_trials(_identification_trial_bytes(N, M)) trials;
+    results do not depend on the batch size.
     """
     if num_bits < 1 or max_periods < 1 or trials < 1:
         raise ValueError("num_bits, max_periods and trials must be >= 1")
@@ -437,8 +429,7 @@ def run_identification_trials(
     n = num_bits
     m = max_periods
     spp = 2 * n
-    if batch_size is None:
-        batch_size = _batch_trials(_identification_trial_bytes(n, m))
+    batch_size = _batch_trials(_identification_trial_bytes(n, m))
     full = _bits_mask(n)
 
     undecided_trials = 0
@@ -823,6 +814,27 @@ def resolution_experiment(num_bits: int, lam: Fraction | str) -> ExperimentRepor
     )
 
 
+def _identification_verdict(
+    budget: ErrorBudget, trials: int, seed: int
+) -> tuple[IdentificationTrialStats, float, bool, bool]:
+    """Run and judge a budget's trials: (stats, three sigma, rate ok, sound).
+
+    The rate check: the undecided rate is at most the clamped union bound
+    plus three binomial sigmas, 0 when the bound is 1.  The soundness
+    check: no fully decided trial wrong, no decided bit wrong, no
+    contradiction.
+    """
+    stats = run_identification_trials(budget.num_bits, budget.max_periods, trials, seed)
+    p = float(budget.clamped_epsilon)
+    tol = three_sigma(p, trials) if p < 1 else 0.0
+    sound = (
+        stats.wrong_complete_trials == 0
+        and stats.wrong_decided_bits == 0
+        and stats.contradictions == 0
+    )
+    return stats, tol, stats.undecided_rate <= p + tol, sound
+
+
 def identification_experiment(
     num_bits: int,
     trials: int,
@@ -843,19 +855,16 @@ def identification_experiment(
     if include_baseline and num_bits > BASELINE_BITS_CAP:
         raise ValueError(f"baseline search is exponential; capped at {BASELINE_BITS_CAP} bits")
     if max_periods is None:
-        max_periods = required_periods(num_bits, epsilon)
-    bound = min(Fraction(1), error_bound(num_bits, max_periods))
-    stats = run_identification_trials(num_bits, max_periods, trials, seed)
-    p = float(bound)
-    tol = three_sigma(p, trials) if p < 1 else 0.0
-    rate_ok = stats.undecided_rate <= p + tol
-    sound = _sound(stats)
+        budget = ErrorBudget.from_epsilon(num_bits, epsilon)
+    else:
+        budget = ErrorBudget.from_periods(num_bits, max_periods)
+    stats, tol, rate_ok, sound = _identification_verdict(budget, trials, seed)
     parameters: dict[str, object] = {
         "bits": num_bits,
         "trials": trials,
         "seed": seed,
         "epsilon": Fraction(epsilon) if epsilon is not None else None,
-        "max_periods": max_periods,
+        "max_periods": budget.max_periods,
     }
     observed: dict[str, object] = {
         "undecided_rate": stats.undecided_rate,
@@ -868,16 +877,14 @@ def identification_experiment(
         "mean_periods_used": stats.mean_periods_used,
     }
     theoretical: dict[str, object] = {
-        "undecided_bound": bound,
-        "undecided_bound_float": p,
+        "undecided_bound": budget.clamped_epsilon,
+        "undecided_bound_float": float(budget.clamped_epsilon),
         "three_sigma": tol,
-        "budget_ticks": 2 * num_bits * max_periods,
+        "budget_ticks": budget.ticks,
     }
     passed = rate_ok and sound
     if include_baseline:
-        eps_for_budget = epsilon if epsilon is not None else error_bound(
-            num_bits, max_periods
-        )
+        eps_for_budget = epsilon if epsilon is not None else budget.epsilon
         ppt = verification_periods(min(Fraction(1, 2), Fraction(eps_for_budget)))
         bstats = run_baseline_trials(
             num_bits, ppt, trials, rng.derive_seed(seed, 1)
@@ -923,33 +930,30 @@ def identification_benchmark(
     if len(set(bits_list)) != len(bits_list):
         raise ValueError("bit counts must be distinct")
     eps = Fraction(epsilon)
-    for n in bits_list:
-        _check_identification_memory(n, required_periods(n, eps))
+    budgets = [ErrorBudget.from_epsilon(n, eps) for n in bits_list]
+    for budget in budgets:
+        _check_identification_memory(budget.num_bits, budget.max_periods)
     rows: list[dict[str, object]] = []
-    budget_costs: list[tuple[int, int]] = []
     baseline_points: list[tuple[int, float]] = []
-    all_sound = True
-    rates_ok = True
-    for n in bits_list:
-        m = required_periods(n, eps)
+    passed = True  # each bit count's rate and soundness checks, then the fits
+    for budget in budgets:
+        n = budget.num_bits
         t0 = time.perf_counter()
-        stats = run_identification_trials(n, m, trials, rng.derive_seed(seed, 2 * n))
+        stats, _, rate_ok, sound = _identification_verdict(
+            budget, trials, rng.derive_seed(seed, 2 * n)
+        )
         dt = time.perf_counter() - t0
-        bound = float(min(Fraction(1), error_bound(n, m)))
-        tol = three_sigma(bound, trials) if bound < 1 else 0.0
-        rates_ok = rates_ok and stats.undecided_rate <= bound + tol
-        all_sound = all_sound and _sound(stats)
+        passed = passed and rate_ok and sound
         row: dict[str, object] = {
             "bits": n,
-            "tsinbl_periods": m,
-            "tsinbl_budget_ticks": 2 * n * m,
+            "tsinbl_periods": budget.max_periods,
+            "tsinbl_budget_ticks": budget.ticks,
             "tsinbl_mean_ticks_observed": stats.mean_ticks_observed,
             "tsinbl_undecided_rate": stats.undecided_rate,
             "tsinbl_wrong_trials": stats.wrong_complete_trials,
         }
         if include_timing:
             row["tsinbl_ms_per_trial"] = 1000.0 * dt / trials
-        budget_costs.append((n, 2 * n * m))
         if include_baseline and n <= baseline_cap:
             ppt = verification_periods(eps)
             t0 = time.perf_counter()
@@ -973,7 +977,7 @@ def identification_benchmark(
 
     observed: dict[str, object] = {}
     theoretical: dict[str, object] = {}
-    passed = all_sound and rates_ok
+    budget_costs = [(budget.num_bits, budget.ticks) for budget in budgets]
     per_bit = [cost / n for n, cost in budget_costs]
     observed["tsinbl_cost_per_bit_mean"] = sum(per_bit) / len(per_bit)
     if len(budget_costs) >= 2:
@@ -1019,6 +1023,10 @@ def identification_benchmark(
     )
 
 
+# not_gate_demo's tracemalloc peak per expansion term, N = 15..17, CPython 3.11
+_EXPANSION_TERM_BYTES = 452
+
+
 def not_gate_demo(
     num_bits: int,
     lam: Fraction | str,
@@ -1033,7 +1041,7 @@ def not_gate_demo(
     it, and that the waveform route (the uniform superposition's trace
     multiplied pointwise by the H_r * L_r trace) agrees with the factored
     result exactly at every readout, O(N) per period; the 2^N-term
-    expansion is paid once per run.
+    expansion is paid once per run.  Every refusal comes before it.
     """
     lam = Fraction(lam)
     if num_bits < 1:
@@ -1041,6 +1049,9 @@ def not_gate_demo(
     if not 1 <= target_bit <= num_bits:
         raise ValueError(f"target_bit must be in 1..{num_bits}")
     _check_reference_memory(num_bits, periods)
+    refs = build_reference_system(seed, num_bits, periods, lam)
+    if num_bits <= DEFAULT_EXPAND_CAP:  # above it expand() refuses on its own
+        _check_memory(f"the expansion of {num_bits} bits", _EXPANSION_TERM_BYTES << num_bits)
     uni = uniform_superposition(num_bits)
     expanded = expand(uni)
     notted = apply_not(expanded, target_bit, lam)
@@ -1055,7 +1066,6 @@ def not_gate_demo(
         if notted.coeff(image) != expect:
             permutation_ok = False
 
-    refs = build_reference_system(seed, num_bits, periods, lam)
     readout = evaluator(uni, lam)
     hl = selection_evaluator([(target_bit, "H"), (target_bit, "L")], lam)
     symbolic = evaluator(notted_factored, lam)

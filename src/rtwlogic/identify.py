@@ -294,20 +294,20 @@ def baseline_search(
     unknown: SignalTrace,
     refs: ReferenceSystem,
     epsilon: Fraction | float | str,
-    max_bits: int = DEFAULT_SEARCH_CAP,
 ) -> SearchResult:
     """Scan all 2^N candidates in catalog order until one never mismatches.
 
     Each candidate gets a period budget of ceil(log2(1/epsilon)), the
     single-candidate false-match budget.  Expected tests on noiseless
     input are (2^N + 1)/2 for a uniformly random unknown; the scan is the
-    exponential-cost route the time-shifted identifier replaces.
+    exponential-cost route the time-shifted identifier replaces, and it
+    refuses above DEFAULT_SEARCH_CAP bits.
     """
     n = refs.num_bits
-    if n > max_bits:
+    if n > DEFAULT_SEARCH_CAP:
         raise ValueError(
-            f"baseline search over {n} bits exceeds the cap of {max_bits} "
-            f"(2^{n} candidates); raise max_bits explicitly to override"
+            f"baseline search over {n} bits exceeds the cap of {DEFAULT_SEARCH_CAP} "
+            f"(2^{n} candidates)"
         )
     eps = Fraction(epsilon)
     if not 0 < eps < 1:

@@ -113,7 +113,6 @@ def test_expand_cap_refusal() -> None:
     with pytest.raises(ValueError) as err:
         alg.expand(f)
     assert "20" in str(err.value)
-    alg.expand(alg.uniform_superposition(5), max_bits=5)
 
 
 def test_superposition_drops_zero_terms() -> None:

@@ -195,10 +195,11 @@ def test_identification_engine_matches_exact_trials_decided_late(monkeypatch) ->
     _assert_trials_match(stats, n, exact_trial)
 
 
-def test_hidden_strings_cover_every_bit_above_64() -> None:
+def test_hidden_strings_cover_every_bit_above_64(monkeypatch) -> None:
     # a single masked 64-bit word would leave bits 1..36 always L at N = 100
     n, trials, seed = 100, 200, 5
-    stats = exp.run_identification_trials(n, 1, trials, seed, keep_per_trial=True, batch_size=7)
+    monkeypatch.setattr(exp, "_ENGINE_BATCH_BYTES", 7 * exp._identification_trial_bytes(n, 1))
+    stats = exp.run_identification_trials(n, 1, trials, seed, keep_per_trial=True)
     union = 0
     for i, bits in enumerate(stats.hidden_bits):
         assert bits == exp.hidden_bits_for(exp.trial_master_seed(seed, i), n)
@@ -213,9 +214,21 @@ def test_hidden_draw_keeps_first_word() -> None:
         assert exp.hidden_bits_for(ts, n) & ((1 << 64) - 1) == low
 
 
-def _assert_identification_batching_invariance(m: int, n: int = 5) -> None:
-    a = exp.run_identification_trials(n, m, 64, 9, keep_per_trial=True, batch_size=7)
-    b = exp.run_identification_trials(n, m, 64, 9, keep_per_trial=True, batch_size=64)
+def _assert_identification_batching_invariance(monkeypatch, m: int, n: int = 5) -> None:
+    batches = []
+    sign_planes = rng.sign_planes
+
+    def counted(seeds, *args):
+        batches.append(len(seeds))
+        return sign_planes(seeds, *args)
+
+    monkeypatch.setattr(rng, "sign_planes", counted)
+    runs = []
+    for size in (7, 64):
+        monkeypatch.setattr(exp, "_ENGINE_BATCH_BYTES", size * exp._identification_trial_bytes(n, m))
+        runs.append(exp.run_identification_trials(n, m, 64, 9, keep_per_trial=True))
+    assert batches == [7] * 9 + [1] + [64]
+    a, b = runs
     assert (a.hidden_bits == b.hidden_bits).all()
     assert (a.recovered_bits == b.recovered_bits).all()
     assert (a.ticks_observed == b.ticks_observed).all()
@@ -223,17 +236,17 @@ def _assert_identification_batching_invariance(m: int, n: int = 5) -> None:
     assert a.mean_ticks_observed == b.mean_ticks_observed
 
 
-def test_identification_engine_batching_invariance() -> None:
-    _assert_identification_batching_invariance(4)
+def test_identification_engine_batching_invariance(monkeypatch) -> None:
+    _assert_identification_batching_invariance(monkeypatch, 4)
 
 
-def test_identification_engine_batching_invariance_across_word_boundaries() -> None:
-    _assert_identification_batching_invariance(130)
+def test_identification_engine_batching_invariance_across_word_boundaries(monkeypatch) -> None:
+    _assert_identification_batching_invariance(monkeypatch, 130)
 
 
-def test_identification_engine_batching_invariance_across_plane_words() -> None:
+def test_identification_engine_batching_invariance_across_plane_words(monkeypatch) -> None:
     # 65 bits fill one plane word and one bit of a second
-    _assert_identification_batching_invariance(4, n=65)
+    _assert_identification_batching_invariance(monkeypatch, 4, n=65)
 
 
 def test_baseline_engine_matches_exact_trials() -> None:
@@ -499,9 +512,50 @@ def test_reference_memory_cap_boundary(monkeypatch) -> None:
     with pytest.raises(ValueError, match=str(8 * 16)):
         exp.amplitude_range_experiment(8, "1/2", trials=1)
     monkeypatch.setattr(exp, "ENGINE_TRIAL_BYTES_CAP", 8 * 2 * 5)
+    # not-demo's expansion check, larger than this cap, has its own boundary test
+    monkeypatch.setattr(exp, "_EXPANSION_TERM_BYTES", 0)
     assert exp.not_gate_demo(1, "1/2", 1, periods=5).passed
     with pytest.raises(ValueError, match="capped at"):
         exp.not_gate_demo(1, "1/2", 1, periods=6)
+
+
+def test_not_gate_demo_refuses_before_expanding(monkeypatch) -> None:
+    # above DEFAULT_EXPAND_CAP, expand refuses before it allocates
+    with pytest.raises(ValueError, match="cap of 20"):
+        exp.not_gate_demo(21, "1/2", 2, periods=1)
+
+    def no_expansion(*args, **kwargs):
+        raise AssertionError("expanded before refusing")
+
+    monkeypatch.setattr(exp, "expand", no_expansion)
+    with pytest.raises(ValueError, match="num_periods"):
+        exp.not_gate_demo(18, "1/2", 1, periods=0)
+    with pytest.raises(ValueError, match="lambda"):
+        exp.not_gate_demo(18, "0", 1)
+    # 2^20 terms at _EXPANSION_TERM_BYTES each exceed ENGINE_TRIAL_BYTES_CAP
+    with pytest.raises(ValueError, match="capped at"):
+        exp.not_gate_demo(20, "1/2", 2, periods=1)
+
+
+def test_not_gate_demo_expansion_cap_boundary(monkeypatch) -> None:
+    monkeypatch.setattr(exp, "ENGINE_TRIAL_BYTES_CAP", exp._EXPANSION_TERM_BYTES << 3)
+    assert exp.not_gate_demo(3, "1/2", 2, periods=5).passed
+    with pytest.raises(ValueError, match=str(exp._EXPANSION_TERM_BYTES << 4)):
+        exp.not_gate_demo(4, "1/2", 2, periods=5)
+
+
+def test_identify_and_bench_reach_one_verdict() -> None:
+    # bench runs bit count N on seed derive_seed(seed, 2N); identify on that
+    # seed must report the same run and the same verdict
+    for n, eps, trials, seed in ((2, "1/10", 40, 1), (5, "1/1000", 300, 7),
+                                 (8, "1/1000", 200, 3), (70, "1/100", 30, 11)):
+        one = exp.identification_experiment(n, trials, rng.derive_seed(seed, 2 * n), epsilon=eps)
+        bench = exp.identification_benchmark([n], eps, trials, seed, include_baseline=False)
+        (row,) = bench.rows
+        assert row["tsinbl_undecided_rate"] == one.observed["undecided_rate"]
+        assert row["tsinbl_mean_ticks_observed"] == one.observed["mean_ticks_observed"]
+        assert row["tsinbl_budget_ticks"] == one.theoretical["budget_ticks"]
+        assert bench.passed == one.passed
 
 
 def test_benchmark_soundness_counts_wrong_decided_bits(monkeypatch) -> None:

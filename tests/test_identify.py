@@ -243,6 +243,7 @@ def test_baseline_search_finds_each_candidate() -> None:
 
 
 def test_baseline_search_cap() -> None:
-    unknown, refs, w = _hidden_trace(2, 3, 40, 1, shifted=False)
-    with pytest.raises(ValueError):
-        idf.baseline_search(unknown, refs, epsilon="1/100", max_bits=2)
+    n = idf.DEFAULT_SEARCH_CAP + 1
+    unknown, refs, w = _hidden_trace(2, n, 1, 1, shifted=False)
+    with pytest.raises(ValueError, match=f"cap of {idf.DEFAULT_SEARCH_CAP}"):
+        idf.baseline_search(unknown, refs, epsilon="1/100")

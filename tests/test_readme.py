@@ -1,11 +1,26 @@
-"""The README's library quick start runs as written."""
+"""The README's library quick start and command lines run as written."""
 
 from __future__ import annotations
 
 import re
+import shlex
 from pathlib import Path
 
+import pytest
+
+from rtwlogic import cli
+
 README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _command_lines() -> list[str]:
+    section = README.read_text(encoding="utf-8").split("## Command line", 1)[1]
+    block = re.search(r"```sh\n(.*?)```", section, re.DOTALL)
+    assert block is not None, "no sh block under 'Command line'"
+    lines = [" ".join(shlex.split(line, comments=True))
+             for line in block.group(1).splitlines() if line.startswith("rtwlogic ")]
+    assert lines, "no rtwlogic lines under 'Command line'"
+    return lines
 
 
 def test_library_quick_start_runs(capsys) -> None:
@@ -18,3 +33,8 @@ def test_library_quick_start_runs(capsys) -> None:
     assert len(lines) == 2
     assert lines[0].endswith("ticks") and "periods," in lines[0]
     assert lines[1].startswith("(Fraction(")
+
+
+@pytest.mark.parametrize("line", _command_lines())
+def test_command_line_block_runs(capsys, line: str) -> None:
+    assert cli.main(line.split()[1:]) == 0, capsys.readouterr().err
