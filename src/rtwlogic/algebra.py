@@ -16,11 +16,16 @@ operations that need it, not a field of the algebraic types.
 
 `evaluator` is the package's one exact evaluator: symbolic values here,
 traces and readouts in `signal` and the experiments all read it on
-slot-ordered sign columns.
+slot-ordered sign columns.  It computes on integers: each evaluator
+scales its coefficients (and lambda's powers) to integers over one
+common denominator when it is built, multiplies or sums integers per
+column, and returns the value as a shared `Fraction`, one object per
+distinct value, so the gcd normalisation runs once per value.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -252,6 +257,24 @@ def apply_not(
     raise TypeError(f"unsupported operand type {type(s).__name__}")
 
 
+# _shared keeps the most recently used values of this many (num, den) keys
+_SHARED_VALUES = 1024
+
+
+@functools.lru_cache(maxsize=_SHARED_VALUES)
+def _shared(num: int, den: int) -> Fraction:
+    """The one `Fraction(num, den)` every evaluator returns for this key.
+
+    Equal values from one evaluator share a single object across calls,
+    traces and runs, and the gcd normalisation runs once per distinct
+    value.  The cache holds at most _SHARED_VALUES = 1024 entries, each
+    about 330 bytes while num and den fit in 64 bits (CPython 3.11), so
+    about 340 KB in the worst case; larger integers add about twice
+    their own size per entry (the key and the reduced value).
+    """
+    return Fraction(num, den)
+
+
 def evaluator(
     s: ProductString | Superposition | FactoredSuperposition, lam: Fraction
 ) -> Evaluator:
@@ -261,51 +284,79 @@ def evaluator(
     (B_1, A_1, B_2, A_2, ...), the order `rtw.stream_index` defines; H_r
     reads the role-A sign, L_r lambda times the role-B sign.  The returned
     function does not check the column: callers pass 2N signs of +1 or -1.
+
+    Evaluation runs on integers over one common denominator fixed when
+    the evaluator is built, and each value is returned as the shared
+    `Fraction` of `_shared`, so equal values are one object.
     """
     lam = _check_lambda(lam)
     if isinstance(s, ProductString):
         return selection_evaluator([(r, s.value(r)) for r in range(1, s.num_bits + 1)], lam)
+    p, q = lam.numerator, lam.denominator
     if isinstance(s, FactoredSuperposition):
-        # per bit: its A and B slots and c_H * A + c_L * lambda * B for each (A, B)
-        factors = [
-            (stream_index(r, ROLE_A), stream_index(r, ROLE_B),
-             {(a, b): ch * a + cl * lam * b for a in (-1, 1) for b in (-1, 1)})
-            for r, ch, cl in zip(range(1, s.num_bits + 1), s.c_h, s.c_l)
-        ]
-        return lambda column: math.prod(table[column[a], column[b]] for a, b, table in factors)
+        # per bit: over d = lcm of the denominators of c_H and c_L * lambda,
+        # the integer h * A + l * B for each (A, B)
+        tables = []
+        den = 1
+        for ch, cl in zip(s.c_h, s.c_l):
+            hd, ld = ch.denominator, cl.denominator * q
+            d = math.lcm(hd, ld)
+            h, l = ch.numerator * (d // hd), cl.numerator * p * (d // ld)
+            tables.append({(1, 1): h + l, (1, -1): h - l, (-1, 1): l - h, (-1, -1): -h - l})
+            den *= d
+        # column[1::2] holds A_1, A_2, ... and column[::2] B_1, B_2, ...
+        return lambda column: _shared(
+            math.prod(map(dict.__getitem__, tables, zip(column[1::2], column[::2]))), den
+        )
     if isinstance(s, Superposition):
-        terms = [
-            (c, evaluator(ProductString(s.num_bits, bits), lam)) for bits, c in s.terms.items()
-        ]
-        return lambda column: sum((c * value(column) for c, value in terms), Fraction(0))
+        # per term: its picked slots and c * lambda^#L as num / den
+        terms = []
+        for bits, c in s.terms.items():
+            n_l = s.num_bits - bits.bit_count()
+            w = ProductString(s.num_bits, bits)
+            slots = _slots([(r, w.value(r)) for r in range(1, s.num_bits + 1)])
+            terms.append((slots, c.numerator * p**n_l, c.denominator * q**n_l))
+        den = math.lcm(*(d for _, _, d in terms))
+        weights = [(slots, num * (den // d)) for slots, num, d in terms]
+        return lambda column: _shared(
+            sum(w * math.prod(map(column.__getitem__, slots)) for slots, w in weights), den
+        )
     raise TypeError(f"unsupported operand type {type(s).__name__}")
+
+
+def _slots(picks: Sequence[tuple[int, str]]) -> list[int]:
+    """Stream slot read by each (bit, H or L) pick."""
+    slots = []
+    for bit, value in picks:
+        if value not in (VALUE_H, VALUE_L):
+            raise ValueError(f"pick value must be H or L, got {value!r}")
+        slots.append(stream_index(bit, ROLE_A if value == VALUE_H else ROLE_B))
+    return slots
 
 
 def selection_evaluator(picks: Sequence[tuple[int, str]], lam: Fraction) -> Evaluator:
     """`evaluator` for a product of chosen logic values.
 
     picks may cover any subset of bits and may repeat a bit; the value is
-    the integer sign product over the picked slots times lambda^#L.
+    the integer sign product over the picked slots times lambda^#L, one of
+    two prebuilt shared values.
     """
     lam = _check_lambda(lam)
-    slots = []
-    for bit, value in picks:
-        if value not in (VALUE_H, VALUE_L):
-            raise ValueError(f"pick value must be H or L, got {value!r}")
-        slots.append(stream_index(bit, ROLE_A if value == VALUE_H else ROLE_B))
+    slots = _slots(picks)
     scale = lam ** sum(1 for _, value in picks if value == VALUE_L)
-    return lambda column: scale if math.prod(column[i] for i in slots) > 0 else -scale
+    pos = _shared(scale.numerator, scale.denominator)
+    neg = _shared(-scale.numerator, scale.denominator)
+    return lambda column: pos if math.prod(map(column.__getitem__, slots)) > 0 else neg
 
 
 def _sign_column(signs: Mapping[tuple[int, str], int], num_bits: int) -> list[int]:
     """Slot-ordered column of a {(bit, role): sign} mapping; reads every entry."""
-    column = [0] * (2 * num_bits)
-    for bit in range(1, num_bits + 1):
-        for role in (ROLE_A, ROLE_B):
-            sign = signs.get((bit, role))
-            if sign not in (-1, 1):
-                raise ValueError(f"sign ({bit}, {role!r}) must be +1 or -1, got {sign}")
-            column[stream_index(bit, role)] = sign
+    # B before A within each bit: the order of rtw.stream_index
+    column = [signs.get((bit, role)) for bit in range(1, num_bits + 1) for role in (ROLE_B, ROLE_A)]
+    for slot, sign in enumerate(column):
+        if sign not in (-1, 1):
+            role = ROLE_A if slot % 2 else ROLE_B
+            raise ValueError(f"sign ({slot // 2 + 1}, {role!r}) must be +1 or -1, got {sign}")
     return column
 
 

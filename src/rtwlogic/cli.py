@@ -146,7 +146,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse has printed usage or help to its stream
+        return exc.code
     try:
         report = args.run(args)
         text = report.render(args.format)

@@ -26,13 +26,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from typing import Iterator, Mapping
 
 from .algebra import VALUE_H, VALUE_L, ProductString
 from .rtw import ReferenceSystem
 from .signal import SignalTrace, product_readouts, readout
 
 DEFAULT_SEARCH_CAP = 20
+
+# the undecided set of every complete identification
+_NO_BITS: frozenset[int] = frozenset()
 
 
 # ---------------------------------------------------------------------------
@@ -118,7 +121,48 @@ class ErrorBudget:
 # time-shifted identification
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+class _Decisions(Mapping[int, str]):
+    """Read-only {bit: "H" or "L"} over the decided bits, in ascending bit order.
+
+    Two N-bit masks in `ProductString` order (bit 1 most significant)
+    stand in for a dict: `known` marks the decided bits and `high` those
+    decided H.  An N = 16 result then keeps about 120 bytes here instead
+    of a 16-entry dict's 630.
+    """
+
+    __slots__ = ("_num_bits", "_known", "_high")
+
+    def __init__(self, num_bits: int, decided: Mapping[int, str]) -> None:
+        known = high = 0
+        for bit, value in decided.items():
+            mask = 1 << (num_bits - bit)
+            known |= mask
+            if value == VALUE_H:
+                high |= mask
+        self._num_bits = num_bits
+        self._known = known
+        self._high = high
+
+    def __getitem__(self, bit: int) -> str:
+        if not (isinstance(bit, int) and 1 <= bit <= self._num_bits):
+            raise KeyError(bit)
+        mask = 1 << (self._num_bits - bit)
+        if not self._known & mask:
+            raise KeyError(bit)
+        return VALUE_H if self._high & mask else VALUE_L
+
+    def __iter__(self) -> Iterator[int]:
+        n, known = self._num_bits, self._known
+        return (r for r in range(1, n + 1) if known >> (n - r) & 1)
+
+    def __len__(self) -> int:
+        return self._known.bit_count()
+
+    def __repr__(self) -> str:
+        return repr(dict(self))
+
+
+@dataclass(frozen=True, slots=True)
 class IdentificationResult:
     """Outcome of one identification run; decided/undecided partition 1..N."""
 
@@ -158,11 +202,7 @@ class IdentificationResult:
 
 
 def _sign_of(value: Fraction) -> int:
-    if value > 0:
-        return 1
-    if value < 0:
-        return -1
-    return 0
+    return (value.numerator > 0) - (value.numerator < 0)
 
 
 def tsinbl_identify(
@@ -230,10 +270,10 @@ def tsinbl_identify(
     else:
         periods_used = max_periods
         ticks_seen = end - start
-    undecided = frozenset(range(1, refs.num_bits + 1)) - set(decided)
+    undecided = frozenset(range(1, refs.num_bits + 1)) - set(decided) or _NO_BITS
     return IdentificationResult(
         num_bits=refs.num_bits,
-        decided=dict(decided),
+        decided=_Decisions(refs.num_bits, decided),
         undecided=undecided,
         periods_used=periods_used,
         ticks_observed=ticks_seen,

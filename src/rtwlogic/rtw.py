@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from typing import Iterator
 
 import numpy as np
@@ -140,14 +141,19 @@ class ReferenceSystem:
         At sub-clock j of period k, slot s holds its period-k sign once it
         has adopted it (at j = 0 unshifted, at j = s shifted) and its
         period-(k-1) sign before; period 0 stands in for period -1 as
-        the warm-up.
+        the warm-up.  Unshifted, a period's 2N columns are one tuple.
         """
         spp = self.grid.subclocks_per_period
-        adopted = np.tri(spp, dtype=bool) if shifted else np.ones((spp, spp), dtype=bool)
-        prev = self.signs[:, 0]
+        prev = self.signs[:, 0].tolist()
         for k in range(self.grid.num_periods):
-            cur = self.signs[:, k]
-            yield from map(tuple, np.where(adopted, cur, prev).tolist())
+            cur = self.signs[:, k].tolist()
+            if shifted:
+                column = list(prev)
+                for j in range(spp):
+                    column[j] = cur[j]
+                    yield tuple(column)
+            else:
+                yield from repeat(tuple(cur), spp)
             prev = cur
 
     def period_columns(self) -> Iterator[tuple[int, ...]]:

@@ -8,7 +8,10 @@ and a factored superposition's sample is the product over bits of
 Every trace and readout maps the one exact evaluator, `algebra.evaluator`,
 over slot-ordered sign columns read from the reference system's one sign
 matrix: `ReferenceSystem.columns` per tick (the one copy of the switching
-schedule), `ReferenceSystem.period_columns` per period.
+schedule), `ReferenceSystem.period_columns` per period.  The evaluator
+computes on integers and returns shared values, and a trace evaluates
+once per run of equal consecutive columns (a whole period unshifted,
+about half the ticks shifted), so its samples are a few shared objects.
 
 Meaning is assigned at the end-of-period readout window (the last
 sub-clock slot), where shifted and unshifted traces of the same object
@@ -59,8 +62,14 @@ def _check_width(refs: ReferenceSystem, s: ProductString | FactoredSuperposition
 
 
 def _trace(refs: ReferenceSystem, value: Evaluator, shifted: bool) -> SignalTrace:
-    samples = tuple(map(value, refs.columns(shifted)))
-    return SignalTrace(grid=refs.grid, shifted=shifted, samples=samples)
+    """Evaluate once per run of equal consecutive columns and repeat the value."""
+    samples: list[Fraction] = []
+    last = None
+    for column in refs.columns(shifted):
+        if column != last:
+            last, sample = column, value(column)
+        samples.append(sample)
+    return SignalTrace(grid=refs.grid, shifted=shifted, samples=tuple(samples))
 
 
 def trace_selection(refs: ReferenceSystem, picks: Selection, shifted: bool = False) -> SignalTrace:

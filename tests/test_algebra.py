@@ -257,6 +257,53 @@ def test_evaluation_matches_literal_oracle() -> None:
                 )
 
 
+def test_factored_evaluator_matches_literal_oracle() -> None:
+    # arbitrary (c_H, c_L) pairs, zero and negative included, against the
+    # literal sum over product strings of prod_r coefficient times the
+    # literal product, over every column at N <= 3
+    coeffs = (Fraction(0), Fraction(1), Fraction(-1), Fraction(3, 4), Fraction(-5, 3))
+    for lam in (Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), Fraction(1)):
+        for n in (1, 2, 3):
+            strings = [alg.ProductString(n, bits) for bits in range(2**n)]
+            for pick in range(2 * n, 2 * n + 9):
+                c_h = tuple(coeffs[(pick + 2 * r) % 5] for r in range(n))
+                c_l = tuple(coeffs[(pick * 3 + r) % 5] for r in range(n))
+                f = alg.FactoredSuperposition(n, c_h, c_l)
+                value = alg.evaluator(f, lam)
+                for picks in range(2 ** (2 * n)):
+                    signs = _random_signs(n, picks)
+                    expect = sum(
+                        (_literal_product(w, signs, lam) * _string_coeff(w, c_h, c_l)
+                         for w in strings),
+                        Fraction(0),
+                    )
+                    v = value(alg._sign_column(signs, n))
+                    assert type(v) is Fraction
+                    assert v == expect
+
+
+def _string_coeff(w: alg.ProductString, c_h, c_l) -> Fraction:
+    acc = Fraction(1)
+    for r, letter in enumerate(w.letters()):
+        acc *= c_h[r] if letter == "H" else c_l[r]
+    return acc
+
+
+def test_equal_values_are_one_shared_object() -> None:
+    lam = Fraction(1, 2)
+    u = alg.uniform_superposition(4)
+    column = (1, -1) * 4
+    assert alg.evaluator(u, lam)(column) is alg.evaluator(u, lam)(list(column))
+    e = alg.expand(u)
+    assert alg.evaluator(e, lam)(column) is alg.evaluator(e, lam)(column)
+    picks = [(1, "H"), (2, "L")]
+    values = {alg.selection_evaluator(picks, lam)(c) for c in ((1, 1, 1, 1), (1, 1, -1, 1))}
+    assert values == {lam, -lam}
+    again = alg.selection_evaluator(picks, lam)
+    assert {id(again((1, 1, 1, 1))), id(again((1, 1, -1, 1)))} == set(map(id, values))
+    assert type(alg.evaluator(alg.Superposition(4), lam)(column)) is Fraction
+
+
 def test_selection_evaluator_repeats_and_rejects() -> None:
     lam = Fraction(1, 2)
     column = (-1, 1, 1, -1)  # B_1, A_1, B_2, A_2

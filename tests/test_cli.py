@@ -106,14 +106,6 @@ def test_failed_check_exits_one(capsys) -> None:
     assert "result,passed,false" in out.splitlines()
 
 
-def _exit_code(argv: list[str]) -> int:
-    # flag parse errors raise SystemExit(2); domain validation returns 2
-    try:
-        return main(argv)
-    except SystemExit as err:
-        return err.code
-
-
 def test_bad_arguments_exit_two(capsys) -> None:
     for argv in (
         ["zero-prob"],                                        # missing --bits
@@ -126,8 +118,27 @@ def test_bad_arguments_exit_two(capsys) -> None:
         ["bench", "--bits", "4,banana"],
         ["frobnicate"],
     ):
-        assert _exit_code(argv) == 2, argv
+        assert main(argv) == 2, argv
         capsys.readouterr()
+
+
+def test_parse_errors_return_two_with_usage(capsys) -> None:
+    # argparse's own refusals return 2 instead of raising SystemExit
+    for argv, message in (
+        (["not-demo", "--bits", "2", "--lambda", "0"], "lambda must satisfy 0 < lambda <= 1"),
+        (["identify", "--bits", "x"], "invalid int value: 'x'"),
+    ):
+        rc, out, err = _run(capsys, argv)
+        assert rc == 2, argv
+        assert out == ""
+        assert err.startswith(f"usage: rtwlogic {argv[0]}")
+        assert message in err
+
+
+def test_help_returns_zero(capsys) -> None:
+    rc, out, _ = _run(capsys, ["range", "--help"])
+    assert rc == 0
+    assert out.startswith("usage: rtwlogic range")
 
 
 def test_cap_violations_exit_two(capsys) -> None:

@@ -98,6 +98,25 @@ def test_identify_recovers_known_string() -> None:
                     assert letter == w.value(bit)
 
 
+def test_identification_result_is_compact() -> None:
+    # slotted result; decided reads as a {bit: letter} mapping in bit order
+    for seed in range(6):
+        unknown, refs, w = _hidden_trace(seed, 5, 4, 0b10110)
+        res = idf.tsinbl_identify(unknown, refs, max_periods=3)
+        assert not hasattr(res, "__dict__")
+        expect = {r: w.value(r) for r in range(1, 6) if r not in res.undecided}
+        assert res.decided == expect and dict(res.decided) == expect
+        assert list(res.decided) == sorted(expect)
+        assert len(res.decided) == len(expect)
+        assert repr(res.decided) == repr(dict(sorted(expect.items())))
+        for bad in (0, 6, "1", *res.undecided):
+            assert bad not in res.decided
+            with pytest.raises(KeyError):
+                res.decided[bad]
+        if res.complete:
+            assert res.undecided is idf.tsinbl_identify(unknown, refs, 3).undecided
+
+
 def test_identify_single_bit_decision_rule() -> None:
     # find a seed whose L1 reference flips in period 1, then check both
     # hidden values by hand: the unknown flips with it only when L1 is a factor

@@ -92,6 +92,26 @@ def test_fast_readout_paths_match_traces() -> None:
     )
 
 
+def test_trace_values_are_shared_objects() -> None:
+    # every sample is one of the 2(N+1) values +-(1+lam)^a (1-lam)^(N-a),
+    # held as that many objects however long the trace
+    n, lam = 16, Fraction(1, 2)
+    refs = rtw.build_reference_system(2024, n, 8, lam=lam)
+    u = alg.uniform_superposition(n)
+    value = alg.evaluator(u, lam)
+    for shifted in (False, True):
+        tr = sig.trace_superposition(refs, u, shifted=shifted)
+        assert len({id(v) for v in tr.samples}) <= 2 * (n + 1)
+        assert tr.samples == tuple(map(value, refs.columns(shifted)))
+        w = alg.ProductString(n, 0x5A5A)
+        product = sig.trace_product(refs, w, shifted=shifted)
+        assert len({id(v) for v in product.samples}) <= 2
+        assert product.samples == tuple(map(alg.evaluator(w, lam), refs.columns(shifted)))
+    readouts = sig.readout(sig.trace_superposition(refs, u))
+    for k, v in enumerate(readouts):
+        assert v is alg.evaluate_symbolic(u, refs.period_signs(k), lam)
+
+
 def test_trace_multiplicativity_over_disjoint_picks() -> None:
     refs = _refs(seed=9, n=4, periods=5)
     for shifted in (False, True):
