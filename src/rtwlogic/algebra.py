@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
-from .rtw import ROLE_A, ROLE_B, VALUE_H, VALUE_L, stream_index
+from .rtw import ROLE_A, ROLE_B, VALUE_H, VALUE_L, check_lambda, stream_index
 
 # expand() refuses above this many bits
 DEFAULT_EXPAND_CAP = 20
@@ -40,11 +40,14 @@ DEFAULT_EXPAND_CAP = 20
 Evaluator = Callable[[Sequence[int]], Fraction]
 
 
-def _check_lambda(lam: Fraction) -> Fraction:
-    lam = Fraction(lam)
-    if not 0 < lam <= 1:
-        raise ValueError("lambda must satisfy 0 < lambda <= 1")
-    return lam
+def ceil_log2(x: Fraction | int) -> int:
+    """Smallest m >= 0 with 2^m >= x, exactly, for any x > 0.
+
+    num/den lies in (2^(a-b-1), 2^(a-b+1)) for a, b their bit lengths.
+    """
+    num, den = x.numerator, x.denominator
+    m = max(0, num.bit_length() - den.bit_length())
+    return m + ((den << m) < num)
 
 
 @dataclass(frozen=True, order=True)
@@ -142,10 +145,6 @@ class Superposition:
             return NotImplemented
         return self.num_bits == other.num_bits and dict(self.terms) == dict(other.terms)
 
-    def scaled(self, factor: Fraction) -> "Superposition":
-        factor = Fraction(factor)
-        return Superposition(self.num_bits, {b: c * factor for b, c in self.terms.items()})
-
     def to_json_dict(self) -> dict:
         return {
             "bits": self.num_bits,
@@ -184,8 +183,11 @@ class FactoredSuperposition:
             raise ValueError("num_bits must be >= 1")
         if len(self.c_h) != self.num_bits or len(self.c_l) != self.num_bits:
             raise ValueError("need one (c_H, c_L) pair per bit")
-        object.__setattr__(self, "c_h", tuple(Fraction(c) for c in self.c_h))
-        object.__setattr__(self, "c_l", tuple(Fraction(c) for c in self.c_l))
+        # Fractions are kept as given: uniform_superposition's 2N are one object
+        for name in ("c_h", "c_l"):
+            coeffs = getattr(self, name)
+            coeffs = tuple(c if isinstance(c, Fraction) else Fraction(c) for c in coeffs)
+            object.__setattr__(self, name, coeffs)
 
 
 def uniform_superposition(num_bits: int) -> FactoredSuperposition:
@@ -233,7 +235,7 @@ def apply_not(
     not renormalized; applying twice scales everything by lambda^2, so at
     lambda = 1 the gate is a pure involution.
     """
-    lam = _check_lambda(lam)
+    lam = check_lambda(lam)
     lam2 = lam * lam
     if isinstance(s, FactoredSuperposition):
         if not 1 <= target_bit <= s.num_bits:
@@ -289,7 +291,7 @@ def evaluator(
     the evaluator is built, and each value is returned as the shared
     `Fraction` of `_shared`, so equal values are one object.
     """
-    lam = _check_lambda(lam)
+    lam = check_lambda(lam)
     if isinstance(s, ProductString):
         return selection_evaluator([(r, s.value(r)) for r in range(1, s.num_bits + 1)], lam)
     p, q = lam.numerator, lam.denominator
@@ -341,7 +343,7 @@ def selection_evaluator(picks: Sequence[tuple[int, str]], lam: Fraction) -> Eval
     the integer sign product over the picked slots times lambda^#L, one of
     two prebuilt shared values.
     """
-    lam = _check_lambda(lam)
+    lam = check_lambda(lam)
     slots = _slots(picks)
     scale = lam ** sum(1 for _, value in picks if value == VALUE_L)
     pos = _shared(scale.numerator, scale.denominator)

@@ -15,6 +15,8 @@ import sys
 from fractions import Fraction
 
 from . import experiments
+from .identify import check_epsilon
+from .rtw import check_lambda
 
 
 def _fraction(text: str) -> Fraction:
@@ -24,18 +26,18 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}")
 
 
-def _lambda(text: str) -> Fraction:
-    value = _fraction(text)
-    if not 0 < value <= 1:
-        raise argparse.ArgumentTypeError("lambda must satisfy 0 < lambda <= 1")
-    return value
+def _checked(check):
+    """An argparse type: a rational number that `check` accepts, or its refusal."""
+    def parse(text: str) -> Fraction:
+        try:
+            return check(_fraction(text))
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc))
+    return parse
 
 
-def _epsilon(text: str) -> Fraction:
-    value = _fraction(text)
-    if not 0 < value < 1:
-        raise argparse.ArgumentTypeError("epsilon must satisfy 0 < epsilon < 1")
-    return value
+_lambda = _checked(check_lambda)
+_epsilon = _checked(check_epsilon)
 
 
 def _bits_list(text: str) -> list[int]:

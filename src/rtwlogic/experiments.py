@@ -48,6 +48,7 @@ from .algebra import (
     DEFAULT_EXPAND_CAP,
     ProductString,
     apply_not,
+    ceil_log2,
     evaluator,
     expand,
     selection_evaluator,
@@ -60,7 +61,7 @@ from .identify import (
     tsinbl_identify,
     verification_periods,
 )
-from .rtw import build_reference_system
+from .rtw import build_reference_system, check_lambda
 from .signal import trace_product
 
 DEFAULT_SEED = 1
@@ -83,6 +84,13 @@ def _num_words(num_bits: int) -> int:
 def trial_master_seed(seed: int, trial_index: int) -> int:
     """Per-trial master seed; trials are independent and order-free."""
     return rng.derive_seed(seed, trial_index)
+
+
+def _trial_batches(seed: int, trials: int, batch_size: int) -> Iterator[tuple[int, np.ndarray]]:
+    """(first trial, trial_master_seed of each trial) per batch of batch_size trials."""
+    for start in range(0, trials, batch_size):
+        idx = np.arange(start, min(start + batch_size, trials), dtype=np.uint64)
+        yield start, rng.derive_seed_np(np.uint64(seed & rng.MASK64), idx)
 
 
 def _draw_bits(seed: int, tag: int, num_bits: int) -> int:
@@ -414,12 +422,15 @@ def run_identification_trials(
     value and the recovered string are words of one shape.  A period's
     switch words are its planes XOR the previous period's; a prefix-OR
     over the periods marks each bit's first event, where it is decided,
-    L before H within a period.  The decision rule is applied to the
-    observed flips, not to the hidden string, and every event of the
-    window is checked against the decided value.  The last decision is
-    the highest noise-bit, the lowest set plane bit, of the last period
-    with a new decision.  Aggregates match the tick-scanning reference
-    identifier trial for trial; see the unit tests for the pinning.
+    L before H within a period.  The last decision is the highest
+    noise-bit, the lowest set plane bit, of the last period with a new
+    decision.  The observed flips are derived from the hidden string, so
+    the decided value is hidden & decided for any sign words, and the
+    three soundness counts (wrong complete trials, wrong decided bits,
+    contradicting events) are zero unless the lines that compute them
+    break; they cannot catch a flaw in the decision rule.  The evidence
+    for the rule is that aggregates match the tick-scanning reference
+    identifier, tsinbl_identify, trial for trial (see the unit tests).
     Batches hold _batch_trials(_identification_trial_bytes(N, M)) trials;
     results do not depend on the batch size.
     """
@@ -440,12 +451,10 @@ def run_identification_trials(
     ticks_sum = 0
     periods_sum = 0
     kept: dict[str, list[np.ndarray]] = {k: [] for k in
-        ("hidden", "complete", "recovered", "ticks", "periods")}
+        ("hidden_bits", "complete", "recovered_bits", "ticks_observed", "periods_used")}
 
-    for start in range(0, trials, batch_size):
-        b = min(batch_size, trials - start)
-        idx = np.arange(start, start + b, dtype=np.uint64)
-        tseeds = rng.derive_seed_np(np.uint64(seed & rng.MASK64), idx)
+    for _, tseeds in _trial_batches(seed, trials, batch_size):
+        b = len(tseeds)
         hidden = _hidden_words(tseeds, n)  # (b, W): set where the H carrier is the factor
         planes = rng.sign_planes(tseeds, n, m + 1)  # (M+1, b, 2, W)
         # switch[k]: the carriers that change sign at their period-(k+1)
@@ -489,21 +498,13 @@ def run_identification_trials(
         ticks_sum += int(t_obs.sum())
         periods_sum += int(p_used.sum())
         if keep_per_trial:
-            kept["hidden"].append(_words_to_ints(hidden))
+            kept["hidden_bits"].append(_words_to_ints(hidden))
             kept["complete"].append(complete)
-            kept["recovered"].append(_words_to_ints(chosen & decided))
-            kept["ticks"].append(t_obs)
-            kept["periods"].append(p_used)
+            kept["recovered_bits"].append(_words_to_ints(chosen & decided))
+            kept["ticks_observed"].append(t_obs)
+            kept["periods_used"].append(p_used)
 
-    extras = {}
-    if keep_per_trial:
-        extras = dict(
-            hidden_bits=np.concatenate(kept["hidden"]),
-            complete=np.concatenate(kept["complete"]),
-            recovered_bits=np.concatenate(kept["recovered"]),
-            ticks_observed=np.concatenate(kept["ticks"]),
-            periods_used=np.concatenate(kept["periods"]),
-        )
+    extras = {k: np.concatenate(v) for k, v in kept.items()} if keep_per_trial else {}
     return IdentificationTrialStats(
         trials=trials,
         undecided_trials=undecided_trials,
@@ -586,13 +587,13 @@ def run_baseline_trials(
     n_hi = n // 2
     n_words = -(-periods_per_test // 64)
     # per trial: the 2^N * W-byte match mask or 8 bytes per stream and period
-    batch_size = _batch_trials(max(n_words << n, 8 * spp * periods_per_test))
+    trial_bytes = max(n_words << n, 8 * spp * periods_per_test)
+    _check_memory(f"one baseline trial at {n} bits and {periods_per_test} periods", trial_bytes)
+    batch_size = _batch_trials(trial_bytes)
     tests = np.empty(trials, dtype=np.int64)
     false_matches = 0
-    for start in range(0, trials, batch_size):
-        b = min(batch_size, trials - start)
-        idx = np.arange(start, start + b, dtype=np.uint64)
-        tseeds = rng.derive_seed_np(np.uint64(seed & rng.MASK64), idx)
+    for start, tseeds in _trial_batches(seed, trials, batch_size):
+        b = len(tseeds)
         hidden = _hidden_words(tseeds, n)[:, 0].astype(np.intp)  # one word up to N = 64
         words = rng.sign_words(tseeds, spp, periods_per_test)
         hi = _xor_table(words[:, : 2 * n_hi])
@@ -613,6 +614,14 @@ def run_baseline_trials(
     )
 
 
+def _baseline_periods(epsilon: Fraction | float | str) -> int:
+    """Per-candidate baseline budget ceil(log2(1/epsilon)), epsilon clamped to 1/2.
+
+    The clamp gives one period to a union bound of 1 or more (a fixed M).
+    """
+    return verification_periods(min(Fraction(1, 2), Fraction(epsilon)))
+
+
 def baseline_trial_exact(
     seed: int, trial_index: int, num_bits: int, epsilon: Fraction | float | str
 ) -> tuple[ProductString, int]:
@@ -630,15 +639,12 @@ def baseline_trial_exact(
 # resolution bits (exact integer arithmetic)
 # ===========================================================================
 
-def _ceil_log2(x: Fraction) -> int:
-    """Smallest m >= 0 with 2^m >= x, for x >= 1, exactly."""
-    num, den = x.numerator, x.denominator
-    m = max(0, num.bit_length() - den.bit_length() - 1)
-    while (den << m) < num:
-        m += 1
-    while m > 0 and (den << (m - 1)) >= num:
-        m -= 1
-    return m
+def _range_ratio(lam: Fraction | str) -> Fraction:
+    """(1+lambda)/(1-lambda), the readout range per noise-bit; it diverges at lambda = 1."""
+    lam = Fraction(lam)
+    if not 0 < lam < 1:
+        raise ValueError("lambda must satisfy 0 < lambda < 1")
+    return (1 + lam) / (1 - lam)
 
 
 def resolution_bits(num_bits: int, lam: Fraction | str) -> int:
@@ -646,25 +652,19 @@ def resolution_bits(num_bits: int, lam: Fraction | str) -> int:
 
     ceil(N * log2((1+lambda)/(1-lambda))), computed exactly: the smallest
     M with 2^M covering the readout dynamic range ((1+lambda)/(1-lambda))^N.
-    Requires 0 < lambda < 1; at lambda = 1 the low end of the range is
-    zero and the bit count diverges.
+    Requires 0 < lambda < 1 (see _range_ratio).
     """
     if num_bits < 1:
         raise ValueError("num_bits must be >= 1")
-    lam = Fraction(lam)
-    if not 0 < lam < 1:
-        raise ValueError("lambda must satisfy 0 < lambda < 1")
-    ratio = (1 + lam) / (1 - lam)
-    return _ceil_log2(ratio**num_bits)
+    return ceil_log2(_range_ratio(lam) ** num_bits)
 
 
 def dynamic_range_below_double(num_bits: int, lam: Fraction | str) -> bool:
-    """Exact check that the un-rounded bit count N*log2(ratio) is < 2N."""
-    lam = Fraction(lam)
-    if not 0 < lam < 1:
-        raise ValueError("lambda must satisfy 0 < lambda < 1")
-    ratio = (1 + lam) / (1 - lam)
-    return ratio**num_bits < Fraction(4) ** num_bits
+    """Exact check that the un-rounded bit count N*log2(ratio) is < 2N.
+
+    That holds iff ratio < 4, i.e. lambda < 3/5, whatever N is.
+    """
+    return _range_ratio(lam) < 4
 
 
 # ===========================================================================
@@ -729,9 +729,7 @@ def amplitude_range_experiment(
     grows with the agreement count a, so Monte Carlo mode evaluates it
     exactly at the smallest and largest a of the zero_prob_engine histogram.
     """
-    lam = Fraction(lam)
-    if not 0 < lam <= 1:
-        raise ValueError("lambda must satisfy 0 < lambda <= 1")
+    lam = check_lambda(lam)
     if num_bits < 1:
         raise ValueError("num_bits must be >= 1")
     if exhaustive is None:
@@ -789,7 +787,7 @@ def resolution_experiment(num_bits: int, lam: Fraction | str) -> ExperimentRepor
     lam = Fraction(lam)
     bits = resolution_bits(num_bits, lam)
     below = dynamic_range_below_double(num_bits, lam)
-    ratio = (1 + lam) / (1 - lam)
+    ratio = _range_ratio(lam)
     notes = []
     if lam != Fraction(1, 2):
         notes.append(
@@ -884,8 +882,7 @@ def identification_experiment(
     }
     passed = rate_ok and sound
     if include_baseline:
-        eps_for_budget = epsilon if epsilon is not None else budget.epsilon
-        ppt = verification_periods(min(Fraction(1, 2), Fraction(eps_for_budget)))
+        ppt = _baseline_periods(epsilon if epsilon is not None else budget.epsilon)
         bstats = run_baseline_trials(
             num_bits, ppt, trials, rng.derive_seed(seed, 1)
         )
@@ -955,7 +952,7 @@ def identification_benchmark(
         if include_timing:
             row["tsinbl_ms_per_trial"] = 1000.0 * dt / trials
         if include_baseline and n <= baseline_cap:
-            ppt = verification_periods(eps)
+            ppt = _baseline_periods(eps)
             t0 = time.perf_counter()
             bstats = run_baseline_trials(
                 n, ppt, trials, rng.derive_seed(seed, 2 * n + 1)

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Mapping
 
-from .algebra import VALUE_H, VALUE_L, ProductString
+from .algebra import VALUE_H, VALUE_L, ProductString, ceil_log2
 from .rtw import ReferenceSystem
 from .signal import SignalTrace, product_readouts, readout
 
@@ -55,19 +55,22 @@ def error_bound(num_bits: int, max_periods: int) -> Fraction:
     return Fraction(num_bits) * Fraction(1, 4) ** max_periods
 
 
-def required_periods(num_bits: int, epsilon: Fraction | float | str) -> int:
-    """Smallest M with N * 0.25^M <= epsilon (exact arithmetic)."""
-    if num_bits < 1:
-        raise ValueError("num_bits must be >= 1")
+def check_epsilon(epsilon: Fraction | float | str) -> Fraction:
+    """epsilon as an exact Fraction; refuses values outside 0 < epsilon < 1."""
     eps = Fraction(epsilon)
     if not 0 < eps < 1:
         raise ValueError("epsilon must satisfy 0 < epsilon < 1")
-    m = 0
-    bound = Fraction(num_bits)
-    while bound > eps:
-        m += 1
-        bound /= 4
-    return m
+    return eps
+
+
+def required_periods(num_bits: int, epsilon: Fraction | float | str) -> int:
+    """Smallest M with N * 0.25^M <= epsilon (exact arithmetic).
+
+    4^M >= N/epsilon holds iff 2M >= ceil(log2(N/epsilon)).
+    """
+    if num_bits < 1:
+        raise ValueError("num_bits must be >= 1")
+    return (ceil_log2(num_bits / check_epsilon(epsilon)) + 1) // 2
 
 
 def verification_error_bound(max_periods: int) -> Fraction:
@@ -79,15 +82,7 @@ def verification_error_bound(max_periods: int) -> Fraction:
 
 def verification_periods(epsilon: Fraction | float | str) -> int:
     """Smallest M with 0.5^M <= epsilon (single-candidate verification)."""
-    eps = Fraction(epsilon)
-    if not 0 < eps < 1:
-        raise ValueError("epsilon must satisfy 0 < epsilon < 1")
-    m = 0
-    bound = Fraction(1)
-    while bound > eps:
-        m += 1
-        bound /= 2
-    return m
+    return ceil_log2(1 / check_epsilon(epsilon))
 
 
 @dataclass(frozen=True)
@@ -349,10 +344,7 @@ def baseline_search(
             f"baseline search over {n} bits exceeds the cap of {DEFAULT_SEARCH_CAP} "
             f"(2^{n} candidates)"
         )
-    eps = Fraction(epsilon)
-    if not 0 < eps < 1:
-        raise ValueError("epsilon must satisfy 0 < epsilon < 1")
-    budget = verification_periods(eps)
+    budget = verification_periods(epsilon)
     tests = 0
     for bits in range(1 << n):
         candidate = ProductString(n, bits)

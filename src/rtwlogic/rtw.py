@@ -44,6 +44,14 @@ VALUE_L = "L"
 _COLUMNS_CHUNK = 2**10
 
 
+def check_lambda(lam: Fraction | int | str) -> Fraction:
+    """lambda as an exact Fraction; refuses values outside 0 < lambda <= 1."""
+    lam = Fraction(lam)
+    if not 0 < lam <= 1:
+        raise ValueError("lambda must satisfy 0 < lambda <= 1")
+    return lam
+
+
 def stream_index(bit: int, role: str) -> int:
     """Canonical stream numbering, equal to the stream's switching slot.
 
@@ -118,8 +126,7 @@ class ReferenceSystem:
     signs: np.ndarray
 
     def __post_init__(self) -> None:
-        if not 0 < self.lam <= 1:
-            raise ValueError("lambda must satisfy 0 < lambda <= 1")
+        object.__setattr__(self, "lam", check_lambda(self.lam))
         signs = np.asarray(self.signs)
         shape = (self.grid.subclocks_per_period, self.grid.num_periods)
         if signs.shape != shape:
@@ -187,9 +194,7 @@ def build_reference_system(
     lam is stored exactly; pass a Fraction or a "p/q" string.  lam = 1
     reproduces the legacy equal-amplitude representation.
     """
-    lam = Fraction(lam)
-    if not 0 < lam <= 1:
-        raise ValueError("lambda must satisfy 0 < lambda <= 1")
+    lam = check_lambda(lam)
     if num_bits < 1:
         raise ValueError("num_bits must be >= 1")
     grid = ClockGrid(num_bits=num_bits, num_periods=num_periods)

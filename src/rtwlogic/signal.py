@@ -45,10 +45,6 @@ class SignalTrace:
         if len(self.samples) != self.grid.num_ticks:
             raise ValueError("sample count disagrees with grid")
 
-    def sample(self, tick: int) -> Fraction:
-        self.grid.check_tick(tick)
-        return self.samples[tick]
-
     def __len__(self) -> int:
         return len(self.samples)
 
@@ -121,20 +117,20 @@ def readout(trace: SignalTrace) -> tuple[Fraction, ...]:
 # readout-only fast paths (exact; skip intermediate ticks)
 # ---------------------------------------------------------------------------
 
-def product_readouts(refs: ReferenceSystem, w: ProductString) -> tuple[Fraction, ...]:
-    """Per-period readout of a product string without building the trace.
+def _readouts(refs: ReferenceSystem, s: ProductString | FactoredSuperposition) -> tuple:
+    """readout() of either mode's trace: at the readout window both hold the period's signs."""
+    _check_width(refs, s)
+    return tuple(map(evaluator(s, refs.lam), refs.period_columns()))
 
-    At the readout window every stream holds the current period's sign in
-    both modes, so this equals readout(trace_product(...)) for either mode.
-    """
-    _check_width(refs, w)
-    return tuple(map(evaluator(w, refs.lam), refs.period_columns()))
+
+def product_readouts(refs: ReferenceSystem, w: ProductString) -> tuple[Fraction, ...]:
+    """Per-period readout of a product string without building the trace."""
+    return _readouts(refs, w)
 
 
 def superposition_readouts(refs: ReferenceSystem, f: FactoredSuperposition) -> tuple[Fraction, ...]:
-    """Per-period readout of a factored superposition, skipping mid-period ticks."""
-    _check_width(refs, f)
-    return tuple(map(evaluator(f, refs.lam), refs.period_columns()))
+    """Per-period readout of a factored superposition without building the trace."""
+    return _readouts(refs, f)
 
 
 # ---------------------------------------------------------------------------

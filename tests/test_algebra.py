@@ -108,6 +108,31 @@ def test_expand_prunes_zero_branches() -> None:
     assert all(w.value(1) == "L" for w, _ in e.items())
 
 
+def test_factored_superposition_keeps_fraction_coefficients() -> None:
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    f = alg.FactoredSuperposition(2, c_h=(half, 1), c_l=("1/4", third))
+    assert f.c_h[0] is half and f.c_l[1] is third
+    assert f.c_h[1] == 1 and type(f.c_h[1]) is Fraction
+    assert f.c_l[0] == Fraction(1, 4) and type(f.c_l[0]) is Fraction
+    uni = alg.uniform_superposition(16)
+    assert len({id(c) for c in uni.c_h + uni.c_l}) == 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(x=st.fractions(min_value=Fraction(1, 10**6), max_value=10**40, max_denominator=10**30))
+def test_ceil_log2_is_the_smallest_covering_power(x: Fraction) -> None:
+    m = alg.ceil_log2(x)
+    assert m >= 0 and 2**m >= x
+    assert m == 0 or 2 ** (m - 1) < x
+
+
+def test_ceil_log2_at_powers_of_two() -> None:
+    for k in range(200):
+        assert alg.ceil_log2(2**k) == k
+        assert alg.ceil_log2(Fraction(2**k + 1, 1)) == k + 1
+        assert alg.ceil_log2(Fraction(2**k, 3**k)) == 0
+
+
 def test_expand_cap_refusal() -> None:
     f = alg.uniform_superposition(21)
     with pytest.raises(ValueError) as err:

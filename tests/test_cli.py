@@ -126,6 +126,8 @@ def test_parse_errors_return_two_with_usage(capsys) -> None:
     # argparse's own refusals return 2 instead of raising SystemExit
     for argv, message in (
         (["not-demo", "--bits", "2", "--lambda", "0"], "lambda must satisfy 0 < lambda <= 1"),
+        (["bench", "--epsilon", "1"], "epsilon must satisfy 0 < epsilon < 1"),
+        (["range", "--bits", "2", "--lambda", "1/0"], "not a rational number: '1/0'"),
         (["identify", "--bits", "x"], "invalid int value: 'x'"),
     ):
         rc, out, err = _run(capsys, argv)

@@ -296,6 +296,49 @@ def test_baseline_engine_batching_invariance(monkeypatch) -> None:
     assert split.mean_tests == whole.mean_tests
 
 
+def test_baseline_memory_refused_before_drawing(monkeypatch) -> None:
+    def no_signs(*args, **kwargs):
+        raise AssertionError("signs were drawn before the memory check")
+
+    # N = 30: a 2^30-byte match mask for one trial, refused unpatched
+    monkeypatch.setattr(rng, "sign_words", no_signs)
+    with pytest.raises(ValueError, match="capped at"):
+        exp.run_baseline_trials(30, 20, 1, 1)
+
+
+def test_baseline_memory_cap_boundary(monkeypatch) -> None:
+    # one trial needs max(2^N * ceil(P/64), 8 * 2N * P) bytes
+    sign_words = rng.sign_words
+    drawn = []
+
+    def counted(*args):
+        drawn.append(args)
+        return sign_words(*args)
+
+    monkeypatch.setattr(rng, "sign_words", counted)
+    # the stream term: 8 * 8 * 20 = 1280 bytes at N = 4, P = 20
+    monkeypatch.setattr(exp, "ENGINE_TRIAL_BYTES_CAP", 1280)
+    assert exp.run_baseline_trials(4, 20, 3, 1).trials == 3
+    with pytest.raises(ValueError, match="1344"):
+        exp.run_baseline_trials(4, 21, 3, 1)
+    # the match-mask term: 2^10 bytes at N = 10, P = 1
+    monkeypatch.setattr(exp, "ENGINE_TRIAL_BYTES_CAP", 1024)
+    assert exp.run_baseline_trials(10, 1, 3, 1).trials == 3
+    with pytest.raises(ValueError, match="2048"):
+        exp.run_baseline_trials(11, 1, 3, 1)
+    assert len(drawn) == 2
+
+
+def test_baseline_budget_is_one_rule() -> None:
+    # identify --baseline clamps its bound to 1/2; bench passes epsilon < 1
+    for eps in ("1/2", "2/3", "99/100", "1/1000", Fraction(1, 2**40)):
+        assert exp._baseline_periods(eps) == idf.verification_periods(eps)
+    for bound in (Fraction(1), Fraction(3), Fraction(1, 2)):
+        assert exp._baseline_periods(bound) == 1
+    r = exp.identification_experiment(4, 20, max_periods=1, include_baseline=True)
+    assert r.theoretical["baseline_periods_per_test"] == 1
+
+
 def test_baseline_mean_tests_near_half_catalog() -> None:
     # hidden strings are uniform over the catalog, so the mean scan position
     # is (2^N + 1)/2; sigma of the mean from the discrete uniform variance
@@ -333,6 +376,18 @@ def test_dynamic_range_below_double() -> None:
     assert all(exp.dynamic_range_below_double(n, "1/2") for n in (1, 2, 10, 500))
     # ratio 4 at lam = 3/5 matches the double-rail range instead of beating it
     assert not exp.dynamic_range_below_double(5, "3/5")
+
+
+def test_dynamic_range_below_double_computes_no_power(monkeypatch) -> None:
+    # the ceiling depends on lambda alone (ratio < 4 iff lambda < 3/5), so
+    # no N-th power is built, however large N is
+    def no_power(*args):
+        raise AssertionError("computed a power")
+
+    monkeypatch.setattr(Fraction, "__pow__", no_power)
+    assert exp.dynamic_range_below_double(10**12, "1/2")
+    assert exp.dynamic_range_below_double(10**12, Fraction(3, 5) - Fraction(1, 10**9))
+    assert not exp.dynamic_range_below_double(10**12, "3/5")
 
 
 def test_resolution_experiment_reports() -> None:

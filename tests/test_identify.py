@@ -48,6 +48,23 @@ def test_required_periods_minimality(num_bits: int, eps: Fraction) -> None:
         assert idf.error_bound(num_bits, m - 1) > eps
 
 
+def test_one_epsilon_rule() -> None:
+    # every entry point refuses through identify.check_epsilon, with its message
+    unknown, refs, _ = _hidden_trace(8, 2, 4, 0b01, shifted=False)
+    entry_points = (
+        idf.check_epsilon,
+        lambda eps: idf.required_periods(4, eps),
+        idf.verification_periods,
+        lambda eps: idf.ErrorBudget.from_epsilon(4, eps),
+        lambda eps: idf.baseline_search(unknown, refs, eps),
+    )
+    for eps in (0, 1, "3/2", Fraction(-1, 3)):
+        for call in entry_points:
+            with pytest.raises(ValueError, match="epsilon must satisfy 0 < epsilon < 1"):
+                call(eps)
+    assert idf.check_epsilon("1/1000") == Fraction(1, 1000)
+
+
 def test_verification_periods_exact_inversion() -> None:
     assert idf.verification_error_bound(83) == Fraction(1, 2**83)
     assert idf.verification_periods(Fraction(1, 2**83)) == 83

@@ -10,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from rtwlogic import algebra as alg
+from rtwlogic import experiments as exp
 from rtwlogic import rng, rtw
 
 
@@ -68,6 +69,26 @@ def test_build_validation() -> None:
     with pytest.raises(ValueError):
         rtw.build_reference_system(1, 3, 4, lam=Fraction(3, 2))
     rtw.build_reference_system(1, 3, 4, lam=1)
+
+
+def test_one_lambda_rule() -> None:
+    # every entry point refuses through rtw.check_lambda, with its message
+    grid = rtw.ClockGrid(1, 1)
+    signs = np.ones((2, 1), dtype=np.int8)
+    entry_points = (
+        rtw.check_lambda,
+        lambda lam: rtw.build_reference_system(1, 1, 1, lam),
+        lambda lam: rtw.ReferenceSystem(grid, lam, 1, signs),
+        lambda lam: alg.evaluator(alg.uniform_superposition(1), lam),
+        lambda lam: alg.apply_not(alg.uniform_superposition(1), 1, lam),
+        lambda lam: exp.amplitude_range_experiment(2, lam),
+    )
+    for lam in (0, Fraction(3, 2), "-1/2"):
+        for call in entry_points:
+            with pytest.raises(ValueError, match="lambda must satisfy 0 < lambda <= 1"):
+                call(lam)
+    assert rtw.check_lambda("1/2") == Fraction(1, 2)
+    assert rtw.ReferenceSystem(grid, "1/2", 1, signs).lam == Fraction(1, 2)
 
 
 def test_gen_rtw_deterministic_binary() -> None:
