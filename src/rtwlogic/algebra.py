@@ -102,6 +102,10 @@ class ProductString:
     def letters(self) -> str:
         return "".join(self.value(r) for r in range(1, self.num_bits + 1))
 
+    def picks(self) -> list[tuple[int, str]]:
+        """[(1, value(1)), ..., (N, value(N))]: the string as a selection."""
+        return [(r, self.value(r)) for r in range(1, self.num_bits + 1)]
+
     def __str__(self) -> str:
         return self.letters()
 
@@ -293,18 +297,23 @@ def evaluator(
     """
     lam = check_lambda(lam)
     if isinstance(s, ProductString):
-        return selection_evaluator([(r, s.value(r)) for r in range(1, s.num_bits + 1)], lam)
+        return selection_evaluator(s.picks(), lam)
     p, q = lam.numerator, lam.denominator
     if isinstance(s, FactoredSuperposition):
         # per bit: over d = lcm of the denominators of c_H and c_L * lambda,
-        # the integer h * A + l * B for each (A, B)
+        # the integer h * A + l * B for each (A, B); a run of bits holding
+        # the same (c_H, c_L) objects shares one table
         tables = []
         den = 1
+        pair = None
         for ch, cl in zip(s.c_h, s.c_l):
-            hd, ld = ch.denominator, cl.denominator * q
-            d = math.lcm(hd, ld)
-            h, l = ch.numerator * (d // hd), cl.numerator * p * (d // ld)
-            tables.append({(1, 1): h + l, (1, -1): h - l, (-1, 1): l - h, (-1, -1): -h - l})
+            if pair is None or ch is not pair[0] or cl is not pair[1]:
+                pair = ch, cl
+                hd, ld = ch.denominator, cl.denominator * q
+                d = math.lcm(hd, ld)
+                h, l = ch.numerator * (d // hd), cl.numerator * p * (d // ld)
+                table = {(1, 1): h + l, (1, -1): h - l, (-1, 1): l - h, (-1, -1): -h - l}
+            tables.append(table)
             den *= d
         # column[1::2] holds A_1, A_2, ... and column[::2] B_1, B_2, ...
         return lambda column: _shared(
@@ -315,8 +324,7 @@ def evaluator(
         terms = []
         for bits, c in s.terms.items():
             n_l = s.num_bits - bits.bit_count()
-            w = ProductString(s.num_bits, bits)
-            slots = _slots([(r, w.value(r)) for r in range(1, s.num_bits + 1)])
+            slots = _slots(ProductString(s.num_bits, bits).picks())
             terms.append((slots, c.numerator * p**n_l, c.denominator * q**n_l))
         den = math.lcm(*(d for _, _, d in terms))
         weights = [(slots, num * (den // d)) for slots, num, d in terms]
@@ -336,19 +344,31 @@ def _slots(picks: Sequence[tuple[int, str]]) -> list[int]:
     return slots
 
 
-def selection_evaluator(picks: Sequence[tuple[int, str]], lam: Fraction) -> Evaluator:
-    """`evaluator` for a product of chosen logic values.
+def selection_parity(
+    picks: Sequence[tuple[int, str]], lam: Fraction
+) -> tuple[tuple[int, ...], tuple[Fraction, Fraction]]:
+    """The odd-parity slot mask and the two values of a product of chosen logic values.
 
-    picks may cover any subset of bits and may repeat a bit; the value is
-    the integer sign product over the picked slots times lambda^#L, one of
-    two prebuilt shared values.
+    picks may cover any subset of bits and may repeat a bit.  A slot
+    picked twice contributes sign^2 = 1, so the value reads only the slots
+    picked an odd number of times (returned in ascending order): it is
+    values[0] = lambda^#L, counting every L pick, when an even number of
+    those slots hold -1, and values[1] = -lambda^#L when an odd number do.
+    Both values are shared.
     """
     lam = check_lambda(lam)
-    slots = _slots(picks)
+    odd: set[int] = set()
+    for slot in _slots(picks):
+        odd ^= {slot}
     scale = lam ** sum(1 for _, value in picks if value == VALUE_L)
-    pos = _shared(scale.numerator, scale.denominator)
-    neg = _shared(-scale.numerator, scale.denominator)
-    return lambda column: pos if math.prod(map(column.__getitem__, slots)) > 0 else neg
+    num, den = scale.numerator, scale.denominator
+    return tuple(sorted(odd)), (_shared(num, den), _shared(-num, den))
+
+
+def selection_evaluator(picks: Sequence[tuple[int, str]], lam: Fraction) -> Evaluator:
+    """`evaluator` for a product of chosen logic values: `selection_parity`'s rule."""
+    slots, values = selection_parity(picks, lam)
+    return lambda column: values[math.prod(map(column.__getitem__, slots)) < 0]
 
 
 def _sign_column(signs: Mapping[tuple[int, str], int], num_bits: int) -> list[int]:

@@ -11,6 +11,7 @@ byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from fractions import Fraction
 
@@ -117,7 +118,9 @@ def build_parser() -> argparse.ArgumentParser:
         "bench", parents=[common],
         help="cost scaling of identification across bit counts",
     )
-    p.add_argument("--bits", type=_bits_list, default=[4, 6, 8, 10, 12])
+    # a string default goes through `type` on every parse, so each run gets
+    # a fresh list and the cached parser holds no mutable default
+    p.add_argument("--bits", type=_bits_list, default="4,6,8,10,12")
     p.add_argument("--epsilon", type=_epsilon, default=Fraction(1, 1000000))
     p.add_argument("--trials", type=int, default=200)
     p.add_argument("--seed", type=int, default=experiments.DEFAULT_SEED)
@@ -146,10 +149,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built on the first call to main, then reused by every call in the process
+_parser = functools.cache(build_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:  # argparse has printed usage or help to its stream
         return exc.code
     try:

@@ -18,8 +18,11 @@ what makes the end-of-period readout well defined in both modes.
 
 A reference system stores all its signs as one read-only (2N, periods)
 int8 matrix in slot order, drawn by a single `rng.sign_matrix` call;
-`ReferenceSystem.columns` is the one place that applies the switching
-schedule to it.
+`ReferenceSystem.column_runs` and `ReferenceSystem.parity_trace` are the
+places that apply the switching schedule to it: the first as runs of
+equal sign columns (`columns` expands them tick by tick), the second as
+the parity of -1 signs over a set of slots at every tick, computed in
+numpy without building a column.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -148,20 +151,53 @@ class ReferenceSystem:
         At sub-clock j of period k, slot s holds its period-k sign once it
         has adopted it (at j = 0 unshifted, at j = s shifted) and its
         period-(k-1) sign before; period 0 stands in for period -1 as
-        the warm-up.  Unshifted, a period's 2N columns are one tuple.
+        the warm-up.  Each run of `column_runs` is one tuple.
+        """
+        for column, run in self.column_runs(shifted):
+            yield from repeat(column, run)
+
+    def column_runs(self, shifted: bool) -> Iterator[tuple[tuple[int, ...], int]]:
+        """(column, number of ticks) for consecutive runs of the ticks' columns.
+
+        The schedule of `columns`: unshifted, each period is one run of 2N
+        ticks; shifted, a run ends at each tick whose switching slot adopts
+        a sign other than the one it held, so a tuple is built only there.
         """
         spp = self.grid.subclocks_per_period
-        prev = self.signs[:, 0].tolist()
-        for k in range(self.grid.num_periods):
-            cur = self.signs[:, k].tolist()
-            if shifted:
-                column = list(prev)
-                for j in range(spp):
-                    column[j] = cur[j]
-                    yield tuple(column)
-            else:
-                yield from repeat(tuple(cur), spp)
-            prev = cur
+        if not shifted:
+            for column in self.period_columns():
+                yield column, spp
+            return
+        column = self.signs[:, 0].tolist()
+        run = 0
+        for period in self.period_columns():
+            for slot, sign in enumerate(period):
+                if sign != column[slot]:
+                    yield tuple(column), run
+                    column[slot], run = sign, 0
+                run += 1
+        yield tuple(column), run
+
+    def parity_trace(self, slots: Sequence[int], shifted: bool) -> np.ndarray:
+        """Parity (0 or 1) of the -1 signs over `slots` at each tick, in tick order.
+
+        The schedule of `columns`, in O(len(slots) * periods + ticks):
+        unshifted, one parity per period repeated over its 2N ticks;
+        shifted, tick k * 2N + j switches only slot j (to its period-k
+        sign), so the parity is the period-0 parity XOR-accumulated over
+        the sign changes of the listed slots.  `slots` must not repeat.
+        """
+        slots = list(slots)
+        neg = self.signs[slots] < 0  # (len(slots), periods)
+        spp = self.grid.subclocks_per_period
+        if not shifted:
+            return np.repeat(np.count_nonzero(neg, axis=0) & 1, spp)
+        flips = np.zeros((self.grid.num_periods, spp), dtype=np.uint8)
+        flips[1:, slots] = (neg[:, 1:] != neg[:, :-1]).T
+        # period 0 switches nothing, so its first tick can carry the
+        # period-0 parity that the accumulation starts from
+        flips[0, 0] = np.count_nonzero(neg[:, 0]) & 1
+        return np.bitwise_xor.accumulate(flips.ravel())
 
     def period_columns(self) -> Iterator[tuple[int, ...]]:
         """Slot-ordered sign column of each clock period (the readout window's).

@@ -5,13 +5,20 @@ waveform.  Samples are rational: a product string's sample is the product
 of its chosen reference values (so its magnitude is lambda^(#L factors)),
 and a factored superposition's sample is the product over bits of
 (c_H * A_r(t) + c_L * lambda * B_r(t)), evaluated in O(N) per tick.
-Every trace and readout maps the one exact evaluator, `algebra.evaluator`,
-over slot-ordered sign columns read from the reference system's one sign
-matrix: `ReferenceSystem.columns` per tick (the one copy of the switching
-schedule), `ReferenceSystem.period_columns` per period.  The evaluator
-computes on integers and returns shared values, and a trace evaluates
-once per run of equal consecutive columns (a whole period unshifted,
-about half the ticks shifted), so its samples are a few shared objects.
+Every value comes from the one exact evaluator, `algebra.evaluator`, and
+its rules.
+
+Product and selection traces cost O(N·M) over M periods, with numpy
+doing the per-tick work.  They index `algebra.selection_parity`'s two
+shared values (±lambda^#L) by `ReferenceSystem.parity_trace`, the parity
+of -1 signs over the selection's odd-parity slots at each tick, which is
+read from the sign matrix without building a column: once per period
+unshifted, and shifted, where exactly one slot switches per tick, as the
+period-0 parity XOR-accumulated over the masked slots' switches.
+Superposition traces map the evaluator over `ReferenceSystem.column_runs`,
+once per run of equal consecutive columns (once per period unshifted,
+about half the ticks shifted, O(N) each), and readouts map it over
+`ReferenceSystem.period_columns`.  Samples are a few shared objects.
 
 Meaning is assigned at the end-of-period readout window (the last
 sub-clock slot), where shifted and unshifted traces of the same object
@@ -28,7 +35,7 @@ from fractions import Fraction
 from typing import IO, Sequence
 
 from .algebra import (
-    Evaluator, FactoredSuperposition, ProductString, evaluator, selection_evaluator,
+    Evaluator, FactoredSuperposition, ProductString, evaluator, selection_parity,
 )
 from .rtw import ClockGrid, ReferenceSystem
 
@@ -60,11 +67,8 @@ def _check_width(refs: ReferenceSystem, s: ProductString | FactoredSuperposition
 def _trace(refs: ReferenceSystem, value: Evaluator, shifted: bool) -> SignalTrace:
     """Evaluate once per run of equal consecutive columns and repeat the value."""
     samples: list[Fraction] = []
-    last = None
-    for column in refs.columns(shifted):
-        if column != last:
-            last, sample = column, value(column)
-        samples.append(sample)
+    for column, run in refs.column_runs(shifted):
+        samples += [value(column)] * run
     return SignalTrace(grid=refs.grid, shifted=shifted, samples=tuple(samples))
 
 
@@ -78,13 +82,16 @@ def trace_selection(refs: ReferenceSystem, picks: Selection, shifted: bool = Fal
     for bit, _ in picks:
         if not 1 <= bit <= refs.num_bits:
             raise ValueError(f"bit {bit} outside 1..{refs.num_bits}")
-    return _trace(refs, selection_evaluator(picks, refs.lam), shifted)
+    slots, values = selection_parity(picks, refs.lam)
+    parity = refs.parity_trace(slots, shifted)
+    samples = tuple(map(values.__getitem__, parity.tolist()))
+    return SignalTrace(grid=refs.grid, shifted=shifted, samples=samples)
 
 
 def trace_product(refs: ReferenceSystem, w: ProductString, shifted: bool = False) -> SignalTrace:
     """Trace of a full product string (one chosen value per bit)."""
     _check_width(refs, w)
-    return _trace(refs, evaluator(w, refs.lam), shifted)
+    return trace_selection(refs, w.picks(), shifted)
 
 
 def trace_superposition(

@@ -307,6 +307,20 @@ def test_factored_evaluator_matches_literal_oracle() -> None:
                     assert v == expect
 
 
+def test_factored_evaluator_with_shared_and_distinct_coefficient_objects() -> None:
+    # runs of bits holding the same (c_H, c_L) objects share one table; equal
+    # but distinct objects, and a pair sharing only one object, do not
+    half, ones = Fraction(1, 2), Fraction(1)
+    c_h = (half, half, Fraction(1, 2), half, ones, ones, half)
+    c_l = (ones, ones, ones, Fraction(1), ones, half, ones)
+    f = alg.FactoredSuperposition(7, c_h, c_l)
+    for lam in (Fraction(1, 3), Fraction(1)):
+        value, expanded = alg.evaluator(f, lam), alg.evaluator(alg.expand(f), lam)
+        for picks in range(0, 2**14, 37):
+            column = alg._sign_column(_random_signs(7, picks), 7)
+            assert value(column) == expanded(column)
+
+
 def _string_coeff(w: alg.ProductString, c_h, c_l) -> Fraction:
     acc = Fraction(1)
     for r, letter in enumerate(w.letters()):
@@ -335,6 +349,12 @@ def test_selection_evaluator_repeats_and_rejects() -> None:
     # H_1 * L_1 is the inverter waveform lam * A_1 * B_1
     assert alg.selection_evaluator([(1, "H"), (1, "L")], lam)(column) == -lam
     assert alg.selection_evaluator([], lam)(column) == 1
+    # a slot picked twice contributes sign^2 = 1, and each L pick a lambda
+    assert alg.selection_evaluator([(1, "L"), (1, "L")], lam)(column) == lam**2
+    assert alg.selection_evaluator([(2, "H")] * 3, lam)(column) == -1
+    assert alg.selection_parity([(2, "H"), (1, "L"), (2, "H"), (2, "L")], lam) == (
+        (0, 2), (lam**2, -(lam**2))
+    )
     with pytest.raises(ValueError):
         alg.selection_evaluator([(1, "X")], lam)
     with pytest.raises(TypeError):

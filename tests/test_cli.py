@@ -137,6 +137,33 @@ def test_parse_errors_return_two_with_usage(capsys) -> None:
         assert message in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["bench", "--trials", "20"],  # the default --bits
+    ["bench", "--bits", "4,6", "--trials", "20", "--no-baseline"],
+    ["range", "--bits", "4", "--lambda", "1/3", "--exhaustive", "--format", "json"],
+    ["not-demo", "--bits", "2", "--periods", "50"],
+])
+def test_repeated_in_process_calls_write_identical_bytes(tmp_path, capsys, argv) -> None:
+    # main reuses one parser per process, so nothing a run does to the parsed
+    # arguments may leak into the next run's defaults
+    p1, p2 = tmp_path / "a", tmp_path / "b"
+    assert _run(capsys, argv + ["--out", str(p1)])[0] == 0
+    assert _run(capsys, argv + ["--out", str(p2)])[0] == 0
+    assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_parse_error_after_a_run_returns_two_with_the_same_usage(capsys) -> None:
+    bad = ["range", "--bits", "2", "--lambda", "0"]
+    rc, _, first = _run(capsys, bad)
+    assert rc == 2
+    assert _run(capsys, ["range", "--bits", "2", "--lambda", "1/2"])[0] == 0
+    rc, out, again = _run(capsys, bad)
+    assert rc == 2
+    assert out == ""
+    assert again == first
+    assert again.startswith("usage: rtwlogic range")
+
+
 def test_help_returns_zero(capsys) -> None:
     rc, out, _ = _run(capsys, ["range", "--help"])
     assert rc == 0

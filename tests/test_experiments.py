@@ -131,6 +131,11 @@ def test_identification_engine_matches_exact_trials_above_64_bits(n: int, m: int
     _assert_engine_matches_exact(n, m, 6, 2)
 
 
+def test_identification_engine_matches_exact_trials_at_1024_bits() -> None:
+    # at M = 6 about 22% of trials leave a bit undecided: 1 - (1 - 4^-6)^1024
+    _assert_engine_matches_exact(1024, 6, 128, 5)
+
+
 @pytest.mark.parametrize("m", [63, 64, 65, 130])
 @pytest.mark.parametrize("n", [1, 3])
 def test_identification_engine_matches_exact_trials_across_word_boundaries(n: int, m: int) -> None:

@@ -176,6 +176,104 @@ def test_product_readout_oracle_property(seed: int, n: int, index: int) -> None:
         assert v == alg.evaluate_symbolic(w, refs.period_signs(k), refs.lam)
 
 
+_LAMBDAS = st.sampled_from([Fraction(1), Fraction(1, 2)])
+
+
+def _assert_trace_maps_columns(trace: sig.SignalTrace, refs, value) -> None:
+    # every tick's sample is the evaluator at that tick's column
+    assert trace.samples == tuple(map(value, refs.columns(trace.shifted)))
+
+
+def _literal_selection(refs, picks, shifted: bool) -> tuple[Fraction, ...]:
+    """Each tick's product of the picked values, one factor per pick."""
+    samples = []
+    for column in refs.columns(shifted):
+        v = Fraction(1)
+        for bit, value in picks:
+            role = rtw.ROLE_A if value == "H" else rtw.ROLE_B
+            v *= column[rtw.stream_index(bit, role)] * (refs.lam if value == "L" else 1)
+        samples.append(v)
+    return tuple(samples)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32),
+    n=st.integers(min_value=1, max_value=8),
+    periods=st.integers(min_value=1, max_value=6),
+    lam=_LAMBDAS,
+    data=st.data(),
+)
+def test_product_trace_equals_evaluator_over_columns(seed, n, periods, lam, data) -> None:
+    refs = rtw.build_reference_system(seed, n, periods, lam=lam)
+    w = alg.ProductString(n, data.draw(st.integers(min_value=0, max_value=2**n - 1)))
+    for shifted in (False, True):
+        trace = sig.trace_product(refs, w, shifted)
+        _assert_trace_maps_columns(trace, refs, alg.evaluator(w, lam))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32),
+    n=st.integers(min_value=1, max_value=8),
+    periods=st.integers(min_value=1, max_value=6),
+    lam=_LAMBDAS,
+    data=st.data(),
+)
+def test_selection_trace_equals_evaluator_over_columns(seed, n, periods, lam, data) -> None:
+    # any subset of bits, empty included, with repeated bits and repeated picks
+    pick = st.tuples(st.integers(min_value=1, max_value=n), st.sampled_from("HL"))
+    picks = data.draw(st.lists(pick, max_size=3 * n))
+    refs = rtw.build_reference_system(seed, n, periods, lam=lam)
+    value = alg.selection_evaluator(picks, lam)
+    for shifted in (False, True):
+        trace = sig.trace_selection(refs, picks, shifted)
+        _assert_trace_maps_columns(trace, refs, value)
+        assert trace.samples == _literal_selection(refs, picks, shifted)
+
+
+@pytest.mark.parametrize("picks", [
+    [],
+    [(2, "H"), (2, "L")],              # the inverter waveform H_r * L_r
+    [(3, "L"), (3, "L")],              # one pick twice: lam^2 * B^2
+    [(1, "H"), (1, "H"), (1, "H")],    # three times: A^3 = A
+    [(4, "H"), (1, "L"), (4, "H"), (2, "L"), (1, "L")],
+    [(r, "H") for r in range(1, 5)] + [(r, "L") for r in range(1, 5)],
+])
+@pytest.mark.parametrize("lam", [Fraction(1), Fraction(1, 2)])
+def test_selection_trace_repeats_and_empty_picks(picks, lam) -> None:
+    refs = rtw.build_reference_system(41, 4, 9, lam=lam)
+    value = alg.selection_evaluator(picks, lam)
+    for shifted in (False, True):
+        trace = sig.trace_selection(refs, picks, shifted)
+        _assert_trace_maps_columns(trace, refs, value)
+        assert trace.samples == _literal_selection(refs, picks, shifted)
+        assert len({id(v) for v in trace.samples}) <= 2
+
+
+def test_product_and_selection_traces_never_build_columns(monkeypatch) -> None:
+    # the traces read the sign matrix: no per-tick column is built
+    refs = _refs(seed=8, n=5, periods=7)
+    w, picks = alg.ProductString(5, 0b10110), [(2, "H"), (2, "L"), (5, "L")]
+    product, selection = alg.evaluator(w, refs.lam), alg.selection_evaluator(picks, refs.lam)
+    expect = {
+        shifted: (
+            tuple(map(product, refs.columns(shifted))),
+            tuple(map(selection, refs.columns(shifted))),
+        )
+        for shifted in (False, True)
+    }
+
+    def refuse(self, shifted):
+        raise AssertionError("columns were built")
+
+    monkeypatch.setattr(rtw.ReferenceSystem, "columns", refuse)
+    monkeypatch.setattr(rtw.ReferenceSystem, "column_runs", refuse)
+    for shifted in (False, True):
+        traces = sig.trace_product(refs, w, shifted), sig.trace_selection(refs, picks, shifted)
+        assert tuple(t.samples for t in traces) == expect[shifted]
+
+
 def test_write_trace_csv_fraction_style() -> None:
     refs = _refs(seed=5, n=2, periods=2)
     tr = sig.trace_product(refs, alg.ProductString.from_letters("LL"))
