@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
-from .rtw import ROLE_A, ROLE_B, VALUE_H, VALUE_L, check_lambda, stream_index
+from .rtw import ROLE_A, ROLE_B, VALUE_H, VALUE_L, check_lambda, slot_keys, stream_index
 
 # expand() refuses above this many bits
 DEFAULT_EXPAND_CAP = 20
@@ -372,13 +372,17 @@ def selection_evaluator(picks: Sequence[tuple[int, str]], lam: Fraction) -> Eval
 
 
 def _sign_column(signs: Mapping[tuple[int, str], int], num_bits: int) -> list[int]:
-    """Slot-ordered column of a {(bit, role): sign} mapping; reads every entry."""
-    # B before A within each bit: the order of rtw.stream_index
-    column = [signs.get((bit, role)) for bit in range(1, num_bits + 1) for role in (ROLE_B, ROLE_A)]
-    for slot, sign in enumerate(column):
-        if sign not in (-1, 1):
-            role = ROLE_A if slot % 2 else ROLE_B
-            raise ValueError(f"sign ({slot // 2 + 1}, {role!r}) must be +1 or -1, got {sign}")
+    """Slot-ordered column of a {(bit, role): sign} mapping; reads every entry.
+
+    The entries are read in `rtw.slot_keys` order and checked for +1 or -1
+    by counting; only a failed count walks them, to name the first bad one.
+    """
+    keys = slot_keys(num_bits)
+    column = list(map(signs.get, keys))
+    if column.count(1) + column.count(-1) != len(column):
+        for key, sign in zip(keys, column):
+            if sign not in (-1, 1):
+                raise ValueError(f"sign ({key[0]}, {key[1]!r}) must be +1 or -1, got {sign}")
     return column
 
 

@@ -2,11 +2,14 @@
 
 Two routes with very different costs:
 
-* Time-shifted identification reads the unknown's shifted trace tick by
-  tick.  Exactly one reference stream owns each sub-clock slot, so when
-  that reference flips sign at its switching instant, the unknown either
-  flips with it (the reference is a factor) or stays put (the complement
-  is the factor); either way noise-bit r is decided on the spot.  Each
+* Time-shifted identification reads the unknown's shifted trace at the
+  switching instants.  Exactly one reference stream owns each sub-clock
+  slot, so when that reference flips sign at its switching instant, the
+  unknown either flips with it (the reference is a factor) or stays put
+  (the complement is the factor); either way noise-bit r is decided on
+  the spot.  A tick whose reference keeps its sign tells nothing, so the
+  scanner visits only the ticks where the reference flips, found with
+  one numpy compare over the window, in tick order.  Each
   bit survives a whole period undecided only if neither of its two
   references flipped, probability 1/4, giving the union error bound
   N * 0.25^M after M observed periods and an O(N) tick budget.
@@ -27,6 +30,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Mapping
+
+import numpy as np
 
 from .algebra import VALUE_H, VALUE_L, ProductString, ceil_log2
 from .rtw import ReferenceSystem
@@ -52,15 +57,21 @@ def error_bound(num_bits: int, max_periods: int) -> Fraction:
         raise ValueError("num_bits must be >= 1")
     if max_periods < 0:
         raise ValueError("max_periods must be >= 0")
-    return Fraction(num_bits) * Fraction(1, 4) ** max_periods
+    return Fraction(num_bits, 1 << 2 * max_periods)
 
 
 def check_epsilon(epsilon: Fraction | float | str) -> Fraction:
-    """epsilon as an exact Fraction; refuses values outside 0 < epsilon < 1."""
-    eps = Fraction(epsilon)
-    if not 0 < eps < 1:
+    """epsilon as an exact Fraction; refuses values outside 0 < epsilon < 1.
+
+    A Fraction passes through as is; anything else, a Fraction subclass
+    included, is converted.  A Fraction's denominator is positive, so
+    the bounds are integer comparisons of its numerator.
+    """
+    if type(epsilon) is not Fraction:
+        epsilon = Fraction(epsilon)
+    if not 0 < epsilon.numerator < epsilon.denominator:
         raise ValueError("epsilon must satisfy 0 < epsilon < 1")
-    return eps
+    return epsilon
 
 
 def required_periods(num_bits: int, epsilon: Fraction | float | str) -> int:
@@ -70,7 +81,8 @@ def required_periods(num_bits: int, epsilon: Fraction | float | str) -> int:
     """
     if num_bits < 1:
         raise ValueError("num_bits must be >= 1")
-    return (ceil_log2(num_bits / check_epsilon(epsilon)) + 1) // 2
+    eps = check_epsilon(epsilon)
+    return (ceil_log2(Fraction(num_bits * eps.denominator, eps.numerator)) + 1) // 2
 
 
 def verification_error_bound(max_periods: int) -> Fraction:
@@ -168,10 +180,10 @@ class IdentificationResult:
     ticks_observed: int
 
     def __post_init__(self) -> None:
-        all_bits = set(range(1, self.num_bits + 1))
-        if set(self.decided) | set(self.undecided) != all_bits:
+        decided, undecided = set(self.decided), set(self.undecided)
+        if decided | undecided != set(range(1, self.num_bits + 1)):
             raise ValueError("decided and undecided must partition 1..N")
-        if set(self.decided) & set(self.undecided):
+        if decided & undecided:
             raise ValueError("decided and undecided overlap")
 
     @property
@@ -196,10 +208,6 @@ class IdentificationResult:
         }
 
 
-def _sign_of(value: Fraction) -> int:
-    return (value.numerator > 0) - (value.numerator < 0)
-
-
 def tsinbl_identify(
     unknown: SignalTrace,
     refs: ReferenceSystem,
@@ -210,8 +218,14 @@ def tsinbl_identify(
     Observation starts at period 1 (period 0 is stagger warm-up) and runs
     for at most max_periods periods, stopping early once every bit is
     decided.  The trace must be a shifted product trace over refs and
-    must cover max_periods + 1 periods.  Bits that never got a deciding
-    reference flip are reported in `undecided`, not raised.
+    must cover max_periods + 1 periods, as must refs.  Bits that never
+    got a deciding reference flip are reported in `undecided`, not raised.
+
+    The meaning is the tick-by-tick scan's, but only the ticks where the
+    switching reference changes sign are visited: there the unknown's
+    sign at the tick is compared with its sign at the tick before.
+    `ticks_observed` still counts every tick from the start of period 1
+    to the last decision (or the whole window).
     """
     if max_periods < 1:
         raise ValueError("max_periods must be >= 1")
@@ -227,32 +241,36 @@ def tsinbl_identify(
             f"trace too short: need {max_periods + 1} periods, got "
             f"{len(unknown.samples) // spp}"
         )
+    if refs.grid.num_periods < max_periods + 1:
+        raise ValueError(
+            f"reference system too short: need {max_periods + 1} periods, got "
+            f"{refs.grid.num_periods}"
+        )
 
-    signs = refs.signs[:, : max_periods + 1].tolist()
+    # tick k * spp + slot switches only slot's stream, to its period-k sign:
+    # the ticks where that changes the sign, in tick order
+    window = refs.signs[:, : max_periods + 1]
+    flips = np.flatnonzero((window[:, 1:] != window[:, :-1]).T) + start
+    samples = unknown.samples
+    num_bits = refs.num_bits
     decided: dict[int, str] = {}
-    prev_sign = _sign_of(unknown.samples[start - 1])
     last_decision_tick = start - 1
-    ticks_seen = 0
-    for tick in range(start, end):
-        ticks_seen += 1
-        slot = tick % spp  # the one stream switching now: bit slot // 2 + 1
-        period = tick // spp  # switching instant of `period`'s sign for this stream
-        cur_sign = _sign_of(unknown.samples[tick])
-        unknown_flipped = cur_sign != prev_sign
-        prev_sign = cur_sign
-        if signs[slot][period] == signs[slot][period - 1]:
-            continue  # reference kept its sign: no information on this bit
+    ticks_seen = end - start
+    for tick in flips.tolist():
         # the flipping reference carries H (odd slot, role A) or L (even
-        # slot, role B); the unknown follows it iff it is one of its factors
-        carried = VALUE_H if slot % 2 else VALUE_L
-        inverse = VALUE_L if carried == VALUE_H else VALUE_H
-        value = carried if unknown_flipped else inverse
-        bit = slot // 2 + 1
+        # slot, role B); the unknown follows it iff it is one of its factors,
+        # so the bit is H iff the unknown flips with an odd slot or keeps
+        # its sign against an even one
+        before, after = samples[tick - 1].numerator, samples[tick].numerator
+        unknown_flipped = (before > 0) - (before < 0) != (after > 0) - (after < 0)
+        slot = tick % spp
+        value = VALUE_H if (slot & 1) == unknown_flipped else VALUE_L
+        bit = (slot >> 1) + 1
         seen = decided.get(bit)
         if seen is None:
             decided[bit] = value
             last_decision_tick = tick
-            if len(decided) == refs.num_bits:
+            if len(decided) == num_bits:
                 ticks_seen = tick - start + 1
                 break
         elif seen != value:
@@ -260,15 +278,11 @@ def tsinbl_identify(
             raise AssertionError(
                 f"contradictory decision for bit {bit}: {seen} then {value}"
             )
-    if len(decided) == refs.num_bits:
-        periods_used = last_decision_tick // spp
-    else:
-        periods_used = max_periods
-        ticks_seen = end - start
-    undecided = frozenset(range(1, refs.num_bits + 1)) - set(decided) or _NO_BITS
+    periods_used = last_decision_tick // spp if len(decided) == num_bits else max_periods
+    undecided = frozenset(range(1, num_bits + 1)) - set(decided) or _NO_BITS
     return IdentificationResult(
-        num_bits=refs.num_bits,
-        decided=_Decisions(refs.num_bits, decided),
+        num_bits=num_bits,
+        decided=_Decisions(num_bits, decided),
         undecided=undecided,
         periods_used=periods_used,
         ticks_observed=ticks_seen,

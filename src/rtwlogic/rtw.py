@@ -23,10 +23,16 @@ places that apply the switching schedule to it: the first as runs of
 equal sign columns (`columns` expands them tick by tick), the second as
 the parity of -1 signs over a set of slots at every tick, computed in
 numpy without building a column.
+
+`slot_keys` is the one owner of slot order for the {(bit, role): sign}
+mapping API: one cached tuple of (bit, role) keys per bit count, in slot
+order, which `ReferenceSystem.period_signs` zips with a sign column and
+`algebra.evaluate_symbolic` reads a mapping back into a column by.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
@@ -48,9 +54,15 @@ _COLUMNS_CHUNK = 2**10
 
 
 def check_lambda(lam: Fraction | int | str) -> Fraction:
-    """lambda as an exact Fraction; refuses values outside 0 < lambda <= 1."""
-    lam = Fraction(lam)
-    if not 0 < lam <= 1:
+    """lambda as an exact Fraction; refuses values outside 0 < lambda <= 1.
+
+    A Fraction passes through as is; anything else, a Fraction subclass
+    included, is converted.  A Fraction's denominator is positive, so
+    the bounds are integer comparisons of its numerator.
+    """
+    if type(lam) is not Fraction:
+        lam = Fraction(lam)
+    if not 0 < lam.numerator <= lam.denominator:
         raise ValueError("lambda must satisfy 0 < lambda <= 1")
     return lam
 
@@ -66,6 +78,24 @@ def stream_index(bit: int, role: str) -> int:
     if role not in _ROLES:
         raise ValueError(f"role must be one of {_ROLES}, got {role!r}")
     return 2 * (bit - 1) + (1 if role == ROLE_A else 0)
+
+
+# slot_keys keeps the tables of this many bit counts
+_SLOT_KEY_TABLES = 16
+
+
+@functools.lru_cache(maxsize=_SLOT_KEY_TABLES)
+def slot_keys(num_bits: int) -> tuple[tuple[int, str], ...]:
+    """(bit, role) of each sub-clock slot, in slot order: ((1, B), (1, A), (2, B), ...).
+
+    The one owner of slot order for the {(bit, role): sign} mapping API:
+    keys[stream_index(bit, role)] == (bit, role).  One immutable table per
+    bit count is shared by every caller; at most _SLOT_KEY_TABLES = 16 are
+    kept, each about 2N * 64 bytes plus the ints of bits above 256.
+    """
+    if num_bits < 1:
+        raise ValueError("num_bits must be >= 1")
+    return tuple((bit, role) for bit in range(1, num_bits + 1) for role in (ROLE_B, ROLE_A))
 
 
 @dataclass(frozen=True)
@@ -210,13 +240,10 @@ class ReferenceSystem:
             yield from map(tuple, self.signs[:, k0 : k0 + step].T.tolist())
 
     def period_signs(self, period: int) -> dict[tuple[int, str], int]:
-        """{(bit, role): sign} for one clock period, for symbolic evaluation."""
+        """{(bit, role): sign} for one clock period, keys in `slot_keys` order."""
         if not 0 <= period < self.grid.num_periods:
             raise ValueError("period out of range")
-        return {
-            (slot // 2 + 1, ROLE_A if slot % 2 else ROLE_B): sign
-            for slot, sign in enumerate(self.signs[:, period].tolist())
-        }
+        return dict(zip(slot_keys(self.num_bits), self.signs[:, period].tolist()))
 
 
 def build_reference_system(

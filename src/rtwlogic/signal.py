@@ -34,6 +34,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import IO, Sequence
 
+import numpy as np
+
 from .algebra import (
     Evaluator, FactoredSuperposition, ProductString, evaluator, selection_parity,
 )
@@ -84,7 +86,7 @@ def trace_selection(refs: ReferenceSystem, picks: Selection, shifted: bool = Fal
             raise ValueError(f"bit {bit} outside 1..{refs.num_bits}")
     slots, values = selection_parity(picks, refs.lam)
     parity = refs.parity_trace(slots, shifted)
-    samples = tuple(map(values.__getitem__, parity.tolist()))
+    samples = tuple(np.array(values, dtype=object)[parity].tolist())
     return SignalTrace(grid=refs.grid, shifted=shifted, samples=samples)
 
 

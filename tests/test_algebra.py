@@ -251,6 +251,17 @@ def test_evaluate_reads_every_carrier() -> None:
     bad = {**read_only, (1, "A"): 1, (2, "B"): 0}
     with pytest.raises(ValueError, match="got 0"):
         alg.evaluate_symbolic(w, bad, lam)
+    for sign in (2, "1"):
+        bad = {**read_only, (1, "A"): 1, (2, "B"): sign}
+        with pytest.raises(ValueError, match=rf"^sign \(2, 'B'\) must be \+1 or -1, got {sign}$"):
+            alg.evaluate_symbolic(w, bad, lam)
+    # True and 1.0 equal 1, so they pass the check and read as 1
+    good = {(1, "A"): 1, (1, "B"): 1, (2, "A"): -1, (2, "B"): 1}
+    for s in (w, alg.uniform_superposition(2)):
+        expect = alg.evaluate_symbolic(s, good, lam)
+        for key in ((1, "A"), (1, "B"), (2, "B")):
+            for one in (True, 1.0):
+                assert alg.evaluate_symbolic(s, {**good, key: one}, lam) == expect
 
 
 def _literal_product(w: alg.ProductString, signs, lam: Fraction) -> Fraction:

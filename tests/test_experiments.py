@@ -355,6 +355,56 @@ def test_baseline_mean_tests_near_half_catalog() -> None:
     assert abs(stats.mean_tests - expect) <= 3 * sigma
 
 
+# ------------------------------------------------------------- exact laws
+
+# an exact-law check fails only when the observed figure lies in a tail
+# this improbable, on either side
+_LAW_TAIL = 1e-9
+
+
+def _binomial_tails(k: int, n: int, p: float) -> tuple[float, float]:
+    """(P(X <= k), P(X >= k)) for X ~ Binomial(n, p), each term from log space."""
+    log_p, log_q, head = math.log(p), math.log1p(-p), math.lgamma(n + 1)
+    pmf = [
+        math.exp(head - math.lgamma(i + 1) - math.lgamma(n - i + 1) + i * log_p + (n - i) * log_q)
+        for i in range(n + 1)
+    ]
+    return math.fsum(pmf[: k + 1]), math.fsum(pmf[k:])
+
+
+# (16, 3) expects about 4455 undecided trials, so the count's lower tail
+# also catches an engine that under-counts; at the other two an engine
+# that reports none still passes
+@pytest.mark.parametrize("n, m", [(8, 7), (64, 8), (16, 3)])
+def test_identification_engine_follows_exact_laws(n: int, m: int) -> None:
+    # every carrier draws a fresh fair sign each period, so a bit is still
+    # undecided after k periods with probability 4^-k, independently of
+    # the other bits
+    trials, seed = 20000, 2024
+    stats = exp.run_identification_trials(n, m, trials, seed)
+    undecided = 1 - (1 - Fraction(1, 4**m)) ** n
+    below, above = _binomial_tails(stats.undecided_trials, trials, float(undecided))
+    assert below > _LAW_TAIL and above > _LAW_TAIL
+    # periods_used exceeds k < M iff some bit is undecided after k periods;
+    # it lies in [1, M], so Hoeffding's bound over a range of M - 1 puts
+    # each side's tail at _LAW_TAIL at this distance from the mean
+    mean = sum(1 - (1 - Fraction(1, 4**k)) ** n for k in range(m))
+    distance = (m - 1) * math.sqrt(math.log(1 / _LAW_TAIL) / (2 * trials))
+    assert abs(stats.mean_periods_used - float(mean)) < distance
+
+
+@pytest.mark.parametrize("n", [3, 8])
+def test_zero_prob_engine_follows_binomial_bins(n: int) -> None:
+    # a bit's two carriers agree with probability 1/2, independently, so
+    # each bin count[a] is Binomial(P, C(N, a) / 2^N)
+    periods, seed = 20000, 2024
+    count = exp.zero_prob_engine(n, periods, seed)
+    assert count.sum() == periods
+    for a, observed in enumerate(count.tolist()):
+        below, above = _binomial_tails(observed, periods, math.comb(n, a) / 2**n)
+        assert below > _LAW_TAIL and above > _LAW_TAIL
+
+
 # ------------------------------------------------------------- resolution
 
 

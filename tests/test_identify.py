@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -58,10 +59,33 @@ def test_one_epsilon_rule() -> None:
         lambda eps: idf.ErrorBudget.from_epsilon(4, eps),
         lambda eps: idf.baseline_search(unknown, refs, eps),
     )
-    for eps in (0, 1, "3/2", Fraction(-1, 3)):
+
+    class Sub(Fraction):
+        pass
+
+    tiny = Fraction(1, 10**30)
+    big = 10**40
+    # the bounds, values just inside and outside them, floats, bools,
+    # strings, a Fraction subclass and large ints
+    accept = (
+        tiny, 1 - tiny, Fraction(big, big + 1), Fraction(1, big), 0.5, 5e-324,
+        0.9999999999999999, "1/1000", " 0.999 ", "1e-30", Sub(1, 2),
+    )
+    refuse = (
+        0, 1, "3/2", Fraction(-1, 3), -tiny, 1 + tiny, Fraction(big + 1, big), 0.0, -0.0,
+        1.0, -0.5, True, False, "0", "1", "1.0000001", Sub(1), Sub(0), Sub(3, 2),
+        big, -big,
+    )
+    for eps in accept:
+        got = idf.check_epsilon(eps)
+        assert type(got) is Fraction and got == Fraction(eps) and 0 < got < 1
+    for eps in refuse:
+        assert not 0 < Fraction(eps) < 1
         for call in entry_points:
             with pytest.raises(ValueError, match="epsilon must satisfy 0 < epsilon < 1"):
                 call(eps)
+    eps = Fraction(1, 1000)
+    assert idf.check_epsilon(eps) is eps
     assert idf.check_epsilon("1/1000") == Fraction(1, 1000)
 
 
@@ -207,6 +231,9 @@ def test_identify_input_validation() -> None:
     tr = sig.trace_product(other, alg.ProductString(4, 1), shifted=True)
     with pytest.raises(ValueError):
         idf.tsinbl_identify(tr, refs, max_periods=3)
+    long, _, _ = _hidden_trace(4, 3, 6, 2)
+    with pytest.raises(ValueError, match="reference system too short: need 5 periods, got 3"):
+        idf.tsinbl_identify(long, refs2, max_periods=4)
 
 
 def test_identification_result_json() -> None:
@@ -228,6 +255,113 @@ def test_exact_trial_helper_agrees_with_direct_path() -> None:
         assert hidden == w
         direct = idf.tsinbl_identify(unknown, refs, max_periods=5)
         assert res == direct
+
+
+def _sign_of(value: Fraction) -> int:
+    return (value.numerator > 0) - (value.numerator < 0)
+
+
+def _per_tick_identify(unknown: sig.SignalTrace, refs: rtw.ReferenceSystem, max_periods: int):
+    """The reference scan: every tick of the window in order, written out literally."""
+    spp = refs.grid.subclocks_per_period
+    start = spp  # first tick of period 1
+    end = start + max_periods * spp
+    signs = refs.signs[:, : max_periods + 1].tolist()
+    decided: dict[int, str] = {}
+    prev_sign = _sign_of(unknown.samples[start - 1])
+    last_decision_tick = start - 1
+    ticks_seen = 0
+    for tick in range(start, end):
+        ticks_seen += 1
+        slot = tick % spp  # the one stream switching now: bit slot // 2 + 1
+        period = tick // spp  # switching instant of `period`'s sign for this stream
+        cur_sign = _sign_of(unknown.samples[tick])
+        unknown_flipped = cur_sign != prev_sign
+        prev_sign = cur_sign
+        if signs[slot][period] == signs[slot][period - 1]:
+            continue  # reference kept its sign: no information on this bit
+        # the flipping reference carries H (odd slot, role A) or L (even
+        # slot, role B); the unknown follows it iff it is one of its factors
+        carried = rtw.VALUE_H if slot % 2 else rtw.VALUE_L
+        inverse = rtw.VALUE_L if carried == rtw.VALUE_H else rtw.VALUE_H
+        value = carried if unknown_flipped else inverse
+        bit = slot // 2 + 1
+        seen = decided.get(bit)
+        if seen is None:
+            decided[bit] = value
+            last_decision_tick = tick
+            if len(decided) == refs.num_bits:
+                ticks_seen = tick - start + 1
+                break
+        elif seen != value:
+            # cannot happen on a noiseless product trace
+            raise AssertionError(
+                f"contradictory decision for bit {bit}: {seen} then {value}"
+            )
+    if len(decided) == refs.num_bits:
+        periods_used = last_decision_tick // spp
+    else:
+        periods_used = max_periods
+        ticks_seen = end - start
+    undecided = frozenset(range(1, refs.num_bits + 1)) - set(decided)
+    return decided, undecided, periods_used, ticks_seen
+
+
+def _assert_scans_agree(unknown: sig.SignalTrace, refs: rtw.ReferenceSystem, m: int) -> None:
+    # the same result fields, or the same AssertionError message
+    try:
+        expect = _per_tick_identify(unknown, refs, m)
+    except AssertionError as err:
+        with pytest.raises(AssertionError) as raised:
+            idf.tsinbl_identify(unknown, refs, m)
+        assert str(raised.value) == str(err)
+        return
+    res = idf.tsinbl_identify(unknown, refs, m)
+    assert res.num_bits == refs.num_bits
+    assert (dict(res.decided), res.undecided, res.periods_used, res.ticks_observed) == expect
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**64),
+    num_bits=st.integers(min_value=1, max_value=8),
+    m=st.integers(min_value=1, max_value=6),
+    lam=st.sampled_from((Fraction(1), Fraction(1, 2))),
+    data=st.data(),
+)
+def test_identify_scans_only_reference_flips(seed, num_bits, m, lam, data) -> None:
+    # the scanner visits the flip ticks only; it must read as the tick-by-tick scan
+    refs = rtw.build_reference_system(seed, num_bits, m + 1, lam=lam)
+    bits = data.draw(st.integers(min_value=0, max_value=2**num_bits - 1))
+    unknown = sig.trace_product(refs, alg.ProductString(num_bits, bits), shifted=True)
+    _assert_scans_agree(unknown, refs, m)
+    if m > 1:
+        _assert_scans_agree(unknown, refs, m - 1)  # a window shorter than the trace
+
+
+def test_identify_scan_on_contradicting_and_zero_traces() -> None:
+    # a hand-made trace that contradicts itself: L_1 (slot 0) flips at
+    # ticks 4 and 8, and the unknown follows the first flip only; bit 2's
+    # streams never flip, so the scan does not stop before tick 8
+    grid = rtw.ClockGrid(2, 4)
+    signs = np.ones((4, 4), dtype=np.int8)
+    signs[0] = [1, -1, 1, 1]
+    refs = rtw.ReferenceSystem(grid, Fraction(1), 0, signs)
+    samples = [Fraction(1)] * 4 + [Fraction(-1)] * 12
+    unknown = sig.SignalTrace(grid, True, tuple(samples))
+    with pytest.raises(AssertionError, match="^contradictory decision for bit 1: L then H$"):
+        _per_tick_identify(unknown, refs, 3)
+    _assert_scans_agree(unknown, refs, 3)
+    # at lambda = 1 a uniform superposition is zero whenever a bit's two
+    # carriers disagree, so its trace flips to and from zero
+    zeros = 0
+    for seed in range(40):
+        refs = rtw.build_reference_system(seed, 3, 5, lam=1)
+        unknown = sig.trace_superposition(refs, alg.uniform_superposition(3), shifted=True)
+        zeros += unknown.samples.count(0)
+        for m in (1, 4):
+            _assert_scans_agree(unknown, refs, m)
+    assert zeros > 0
 
 
 # --------------------------------------------------------------- baseline

@@ -83,10 +83,33 @@ def test_one_lambda_rule() -> None:
         lambda lam: alg.apply_not(alg.uniform_superposition(1), 1, lam),
         lambda lam: exp.amplitude_range_experiment(2, lam),
     )
-    for lam in (0, Fraction(3, 2), "-1/2"):
+
+    class Sub(Fraction):
+        pass
+
+    tiny = Fraction(1, 10**30)
+    big = 10**40
+    # the bounds, values just inside and outside them, floats, bools,
+    # strings, a Fraction subclass and large ints
+    accept = (
+        1, tiny, 1 - tiny, Fraction(big, big + 1), 0.5, 1.0, 5e-324, True,
+        "1/2", "1", " 0.999 ", Sub(1, 2), Sub(1),
+    )
+    refuse = (
+        0, Fraction(3, 2), "-1/2", -tiny, 1 + tiny, Fraction(big + 1, big), 0.0, -0.0,
+        -0.5, 1.0000000000000002, False, "0", "3/2", "1.0000001", Sub(3, 2), Sub(0),
+        big, -big,
+    )
+    for lam in accept:
+        got = rtw.check_lambda(lam)
+        assert type(got) is Fraction and got == Fraction(lam) and 0 < got <= 1
+    for lam in refuse:
+        assert not 0 < Fraction(lam) <= 1
         for call in entry_points:
             with pytest.raises(ValueError, match="lambda must satisfy 0 < lambda <= 1"):
                 call(lam)
+    half = Fraction(1, 2)
+    assert rtw.check_lambda(half) is half
     assert rtw.check_lambda("1/2") == Fraction(1, 2)
     assert rtw.ReferenceSystem(grid, "1/2", 1, signs).lam == Fraction(1, 2)
 
@@ -174,6 +197,22 @@ def test_period_signs_match_streams() -> None:
         for bit in range(1, 4):
             for role in (rtw.ROLE_A, rtw.ROLE_B):
                 assert table[(bit, role)] == refs.signs[rtw.stream_index(bit, role), k]
+        # a plain dict with the keys in slot order, as this dictcomp builds it
+        literal = {
+            (slot // 2 + 1, rtw.ROLE_A if slot % 2 else rtw.ROLE_B): sign
+            for slot, sign in enumerate(refs.signs[:, k].tolist())
+        }
+        assert type(table) is dict
+        assert list(table.items()) == list(literal.items())
+    # the key table owns slot order: one shared tuple per bit count
+    for n in (1, 3, 70):
+        keys = rtw.slot_keys(n)
+        assert keys is rtw.slot_keys(n)
+        assert [rtw.stream_index(*key) for key in keys] == list(range(2 * n))
+    with pytest.raises(ValueError):
+        rtw.slot_keys(0)
+    with pytest.raises(ValueError):
+        refs.period_signs(10)
 
 
 def _value_at(signs: np.ndarray, slot: int, tick: int, spp: int, shifted: bool) -> int:
