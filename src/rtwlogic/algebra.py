@@ -371,18 +371,33 @@ def selection_evaluator(picks: Sequence[tuple[int, str]], lam: Fraction) -> Eval
     return lambda column: values[math.prod(map(column.__getitem__, slots)) < 0]
 
 
-def _sign_column(signs: Mapping[tuple[int, str], int], num_bits: int) -> list[int]:
-    """Slot-ordered column of a {(bit, role): sign} mapping; reads every entry.
+# every accepted sign by value, so True and 1.0 read as the int 1
+_UNIT_SIGNS = {1: 1, -1: -1}
 
-    The entries are read in `rtw.slot_keys` order and checked for +1 or -1
-    by counting; only a failed count walks them, to name the first bad one.
+
+def _unit_sign(sign: object) -> int | None:
+    """The int +1 or -1 equal to sign, or None; an unhashable entry is no sign."""
+    try:
+        return _UNIT_SIGNS.get(sign)
+    except TypeError:
+        return None
+
+
+def _sign_column(signs: Mapping[tuple[int, str], int], num_bits: int) -> list[int]:
+    """Slot-ordered int column of a {(bit, role): sign} mapping; reads every entry.
+
+    The entries are read in `rtw.slot_keys` order and mapped to the int +1
+    or -1 they equal; None there marks a missing, bad or unhashable entry.
     """
     keys = slot_keys(num_bits)
-    column = list(map(signs.get, keys))
-    if column.count(1) + column.count(-1) != len(column):
-        for key, sign in zip(keys, column):
-            if sign not in (-1, 1):
-                raise ValueError(f"sign ({key[0]}, {key[1]!r}) must be +1 or -1, got {sign}")
+    entries = list(map(signs.get, keys))
+    try:
+        column = list(map(_UNIT_SIGNS.get, entries))
+    except TypeError:  # an unhashable entry
+        column = list(map(_unit_sign, entries))
+    if None in column:
+        key, sign = next((k, e) for k, e, c in zip(keys, entries, column) if c is None)
+        raise ValueError(f"sign ({key[0]}, {key[1]!r}) must be +1 or -1, got {sign}")
     return column
 
 

@@ -8,11 +8,12 @@ Two routes with very different costs:
   unknown either flips with it (the reference is a factor) or stays put
   (the complement is the factor); either way noise-bit r is decided on
   the spot.  A tick whose reference keeps its sign tells nothing, so the
-  scanner visits only the ticks where the reference flips, found with
-  one numpy compare over the window, in tick order.  Each
-  bit survives a whole period undecided only if neither of its two
-  references flipped, probability 1/4, giving the union error bound
-  N * 0.25^M after M observed periods and an O(N) tick budget.
+  scanner visits only the ticks where the reference flips, in tick
+  order: `rtw.ReferenceSystem.switch_ticks`, the one statement of the
+  shifted schedule.  Each bit survives a whole period undecided only if
+  neither of its two references flipped, probability 1/4, giving the
+  union error bound N * 0.25^M after M observed periods and an O(N)
+  tick budget.  A result stores its decisions as two N-bit masks.
 
 * The baseline verifies candidate strings one at a time against
   unshifted per-period readouts.  Two distinct strings disagree in any
@@ -26,12 +27,8 @@ single switching instant; only the sign can).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Mapping
-
-import numpy as np
 
 from .algebra import VALUE_H, VALUE_L, ProductString, ceil_log2
 from .rtw import ReferenceSystem
@@ -128,80 +125,55 @@ class ErrorBudget:
 # time-shifted identification
 # ---------------------------------------------------------------------------
 
-class _Decisions(Mapping[int, str]):
-    """Read-only {bit: "H" or "L"} over the decided bits, in ascending bit order.
-
-    Two N-bit masks in `ProductString` order (bit 1 most significant)
-    stand in for a dict: `known` marks the decided bits and `high` those
-    decided H.  An N = 16 result then keeps about 120 bytes here instead
-    of a 16-entry dict's 630.
-    """
-
-    __slots__ = ("_num_bits", "_known", "_high")
-
-    def __init__(self, num_bits: int, decided: Mapping[int, str]) -> None:
-        known = high = 0
-        for bit, value in decided.items():
-            mask = 1 << (num_bits - bit)
-            known |= mask
-            if value == VALUE_H:
-                high |= mask
-        self._num_bits = num_bits
-        self._known = known
-        self._high = high
-
-    def __getitem__(self, bit: int) -> str:
-        if not (isinstance(bit, int) and 1 <= bit <= self._num_bits):
-            raise KeyError(bit)
-        mask = 1 << (self._num_bits - bit)
-        if not self._known & mask:
-            raise KeyError(bit)
-        return VALUE_H if self._high & mask else VALUE_L
-
-    def __iter__(self) -> Iterator[int]:
-        n, known = self._num_bits, self._known
-        return (r for r in range(1, n + 1) if known >> (n - r) & 1)
-
-    def __len__(self) -> int:
-        return self._known.bit_count()
-
-    def __repr__(self) -> str:
-        return repr(dict(self))
-
-
 @dataclass(frozen=True, slots=True)
 class IdentificationResult:
-    """Outcome of one identification run; decided/undecided partition 1..N."""
+    """Outcome of one identification run, as two N-bit masks in `ProductString` order.
+
+    Bit r is mask bit N - r (bit 1 most significant): `known` marks the
+    decided bits and `high` those decided H, so `high` is a subset of
+    `known` and, once every bit is decided, the identified string.
+    """
 
     num_bits: int
-    decided: Mapping[int, str]
-    undecided: frozenset[int]
+    known: int
+    high: int
     periods_used: int
     ticks_observed: int
 
     def __post_init__(self) -> None:
-        decided, undecided = set(self.decided), set(self.undecided)
-        if decided | undecided != set(range(1, self.num_bits + 1)):
-            raise ValueError("decided and undecided must partition 1..N")
-        if decided & undecided:
-            raise ValueError("decided and undecided overlap")
+        if not 0 <= self.known < 1 << self.num_bits:
+            raise ValueError("known must be a mask of num_bits bits")
+        if self.high & ~self.known:
+            raise ValueError("high must be a subset of known")
+
+    @property
+    def decided(self) -> dict[int, str]:
+        """{bit: "H" or "L"} over the decided bits, in ascending bit order."""
+        n, known, high = self.num_bits, self.known, self.high
+        bits = [r for r in range(1, n + 1) if known >> (n - r) & 1]
+        return {r: VALUE_H if high >> (n - r) & 1 else VALUE_L for r in bits}
+
+    @property
+    def undecided(self) -> frozenset[int]:
+        """The bits no reference flip decided; the shared empty set when complete."""
+        if self.complete:
+            return _NO_BITS
+        n, known = self.num_bits, self.known
+        return frozenset(r for r in range(1, n + 1) if not known >> (n - r) & 1)
 
     @property
     def complete(self) -> bool:
-        return not self.undecided
+        return self.known == (1 << self.num_bits) - 1
 
     def product_string(self) -> ProductString:
         """The identified string; only meaningful when every bit decided."""
-        if self.undecided:
+        if not self.complete:
             raise ValueError(f"bits {sorted(self.undecided)} undecided")
-        bits = 0
-        for r in range(1, self.num_bits + 1):
-            bits = (bits << 1) | (1 if self.decided[r] == VALUE_H else 0)
-        return ProductString(self.num_bits, bits)
+        return ProductString(self.num_bits, self.high)
 
     def to_json_dict(self) -> dict:
         return {
-            "decided": {str(r): self.decided[r] for r in sorted(self.decided)},
+            "decided": {str(r): value for r, value in self.decided.items()},
             "undecided": sorted(self.undecided),
             "periods_used": self.periods_used,
             "ticks": self.ticks_observed,
@@ -247,16 +219,13 @@ def tsinbl_identify(
             f"{refs.grid.num_periods}"
         )
 
-    # tick k * spp + slot switches only slot's stream, to its period-k sign:
-    # the ticks where that changes the sign, in tick order
-    window = refs.signs[:, : max_periods + 1]
-    flips = np.flatnonzero((window[:, 1:] != window[:, :-1]).T) + start
     samples = unknown.samples
     num_bits = refs.num_bits
-    decided: dict[int, str] = {}
+    every_bit = (1 << num_bits) - 1
+    known = high = 0
     last_decision_tick = start - 1
     ticks_seen = end - start
-    for tick in flips.tolist():
+    for tick in refs.switch_ticks(max_periods + 1).tolist():
         # the flipping reference carries H (odd slot, role A) or L (even
         # slot, role B); the unknown follows it iff it is one of its factors,
         # so the bit is H iff the unknown flips with an odd slot or keeps
@@ -264,29 +233,24 @@ def tsinbl_identify(
         before, after = samples[tick - 1].numerator, samples[tick].numerator
         unknown_flipped = (before > 0) - (before < 0) != (after > 0) - (after < 0)
         slot = tick % spp
-        value = VALUE_H if (slot & 1) == unknown_flipped else VALUE_L
-        bit = (slot >> 1) + 1
-        seen = decided.get(bit)
-        if seen is None:
-            decided[bit] = value
+        is_high = (slot & 1) == unknown_flipped
+        mask = 1 << (num_bits - 1 - (slot >> 1))  # bit (slot >> 1) + 1
+        if not known & mask:
+            known |= mask
+            if is_high:
+                high |= mask
             last_decision_tick = tick
-            if len(decided) == num_bits:
+            if known == every_bit:
                 ticks_seen = tick - start + 1
                 break
-        elif seen != value:
+        elif bool(high & mask) != is_high:
             # cannot happen on a noiseless product trace
+            seen, value = (VALUE_L, VALUE_H) if is_high else (VALUE_H, VALUE_L)
             raise AssertionError(
-                f"contradictory decision for bit {bit}: {seen} then {value}"
+                f"contradictory decision for bit {(slot >> 1) + 1}: {seen} then {value}"
             )
-    periods_used = last_decision_tick // spp if len(decided) == num_bits else max_periods
-    undecided = frozenset(range(1, num_bits + 1)) - set(decided) or _NO_BITS
-    return IdentificationResult(
-        num_bits=num_bits,
-        decided=_Decisions(num_bits, decided),
-        undecided=undecided,
-        periods_used=periods_used,
-        ticks_observed=ticks_seen,
-    )
+    periods_used = last_decision_tick // spp if known == every_bit else max_periods
+    return IdentificationResult(num_bits, known, high, periods_used, ticks_seen)
 
 
 # ---------------------------------------------------------------------------

@@ -17,12 +17,12 @@ slot of any period every stream has adopted that period's sign, which is
 what makes the end-of-period readout well defined in both modes.
 
 A reference system stores all its signs as one read-only (2N, periods)
-int8 matrix in slot order, drawn by a single `rng.sign_matrix` call;
-`ReferenceSystem.column_runs` and `ReferenceSystem.parity_trace` are the
-places that apply the switching schedule to it: the first as runs of
-equal sign columns (`columns` expands them tick by tick), the second as
-the parity of -1 signs over a set of slots at every tick, computed in
-numpy without building a column.
+int8 matrix in slot order, drawn by a single `rng.sign_matrix` call.
+`ReferenceSystem.switch_ticks` is the one statement of the shifted
+schedule, the ticks where the switching slot takes a new sign, for
+`column_runs` (runs of equal sign columns, which `columns` expands),
+`parity_trace` (the parity of -1 signs over a set of slots at every
+tick, in numpy) and `identify.tsinbl_identify` (its flip-tick scan).
 
 `slot_keys` is the one owner of slot order for the {(bit, role): sign}
 mapping API: one cached tuple of (bit, role) keys per bit count, in slot
@@ -190,8 +190,8 @@ class ReferenceSystem:
         """(column, number of ticks) for consecutive runs of the ticks' columns.
 
         The schedule of `columns`: unshifted, each period is one run of 2N
-        ticks; shifted, a run ends at each tick whose switching slot adopts
-        a sign other than the one it held, so a tuple is built only there.
+        ticks; shifted, a run ends at each of `switch_ticks`, where the
+        switching slot's sign is negated, so a tuple is built only there.
         """
         spp = self.grid.subclocks_per_period
         if not shifted:
@@ -199,35 +199,51 @@ class ReferenceSystem:
                 yield column, spp
             return
         column = self.signs[:, 0].tolist()
-        run = 0
-        for period in self.period_columns():
-            for slot, sign in enumerate(period):
-                if sign != column[slot]:
-                    yield tuple(column), run
-                    column[slot], run = sign, 0
-                run += 1
-        yield tuple(column), run
+        start = 0
+        for tick in self.switch_ticks(self.grid.num_periods).tolist():
+            yield tuple(column), tick - start
+            slot = tick % spp
+            column[slot] = -column[slot]
+            start = tick
+        yield tuple(column), self.grid.num_ticks - start
+
+    def switch_ticks(self, num_periods: int) -> np.ndarray:
+        """Shifted-mode ticks, in order, where the switching slot changes sign.
+
+        The one statement of the shifted schedule: tick k * 2N + s switches
+        only slot s, to its period-k sign, so the slot takes a sign other
+        than the one it held iff signs[s, k] != signs[s, k - 1]; period 0
+        switches nothing.  Covers the first num_periods periods.
+        """
+        if not 0 <= num_periods <= self.grid.num_periods:
+            raise ValueError(f"num_periods {num_periods} outside [0, {self.grid.num_periods}]")
+        window = self.signs[:, :num_periods]
+        changed = (window[:, 1:] != window[:, :-1]).T  # (period - 1, slot)
+        ticks = changed.ravel().nonzero()[0]
+        ticks += self.grid.subclocks_per_period
+        return ticks
 
     def parity_trace(self, slots: Sequence[int], shifted: bool) -> np.ndarray:
         """Parity (0 or 1) of the -1 signs over `slots` at each tick, in tick order.
 
-        The schedule of `columns`, in O(len(slots) * periods + ticks):
+        The schedule of `columns`, in O(N * periods):
         unshifted, one parity per period repeated over its 2N ticks;
-        shifted, tick k * 2N + j switches only slot j (to its period-k
-        sign), so the parity is the period-0 parity XOR-accumulated over
-        the sign changes of the listed slots.  `slots` must not repeat.
+        shifted, the period-0 parity XOR-accumulated over the listed
+        slots' `switch_ticks`.  `slots` must not repeat.
         """
         slots = list(slots)
-        neg = self.signs[slots] < 0  # (len(slots), periods)
         spp = self.grid.subclocks_per_period
         if not shifted:
-            return np.repeat(np.count_nonzero(neg, axis=0) & 1, spp)
-        flips = np.zeros((self.grid.num_periods, spp), dtype=np.uint8)
-        flips[1:, slots] = (neg[:, 1:] != neg[:, :-1]).T
+            return np.repeat(np.count_nonzero(self.signs[slots] < 0, axis=0) & 1, spp)
+        picked = np.zeros(spp, dtype=bool)
+        picked[slots] = True
+        ticks = self.switch_ticks(self.grid.num_periods)
+        flips = np.zeros(self.grid.num_ticks, dtype=np.uint8)
+        flips[ticks[picked[ticks % spp]]] = 1
         # period 0 switches nothing, so its first tick can carry the
         # period-0 parity that the accumulation starts from
-        flips[0, 0] = np.count_nonzero(neg[:, 0]) & 1
-        return np.bitwise_xor.accumulate(flips.ravel())
+        flips[0] = np.count_nonzero(self.signs[slots, 0] < 0) & 1
+        return np.bitwise_xor.accumulate(flips)
 
     def period_columns(self) -> Iterator[tuple[int, ...]]:
         """Slot-ordered sign column of each clock period (the readout window's).

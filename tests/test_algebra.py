@@ -10,6 +10,7 @@ coefficient.
 from __future__ import annotations
 
 import itertools
+import re
 from fractions import Fraction
 
 import pytest
@@ -262,6 +263,23 @@ def test_evaluate_reads_every_carrier() -> None:
         for key in ((1, "A"), (1, "B"), (2, "B")):
             for one in (True, 1.0):
                 assert alg.evaluate_symbolic(s, {**good, key: one}, lam) == expect
+    # the expanded form sums the signs themselves: True and 1.0 give the
+    # integer result as a Fraction whether or not an integer call ran first
+    expanded = alg.expand(alg.uniform_superposition(2))
+    for one in (True, 1.0):
+        for key in ((1, "A"), (1, "B"), (2, "B")):
+            alg._shared.cache_clear()
+            fresh = alg.evaluate_symbolic(expanded, {**good, key: one}, lam)
+            expect = alg.evaluate_symbolic(expanded, good, lam)
+            again = alg.evaluate_symbolic(expanded, {**good, key: one}, lam)
+            assert expect == Fraction(-3, 4)
+            for value in (fresh, again):
+                assert type(value) is Fraction and value == expect
+    # an unhashable entry is no sign either
+    for bad in ([1], ([1],)):
+        message = f"sign (2, 'B') must be +1 or -1, got {bad}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            alg.evaluate_symbolic(expanded, {**good, (1, "A"): True, (2, "B"): bad}, lam)
 
 
 def _literal_product(w: alg.ProductString, signs, lam: Fraction) -> Fraction:

@@ -156,6 +156,19 @@ def test_identification_result_is_compact() -> None:
                 res.decided[bad]
         if res.complete:
             assert res.undecided is idf.tsinbl_identify(unknown, refs, 3).undecided
+        # decided and undecided partition 1..N
+        assert set(res.decided) | res.undecided == set(range(1, 6))
+        assert not set(res.decided) & res.undecided
+    # two masks in ProductString order: known bits, and those decided H
+    res = idf.IdentificationResult(4, 0b1011, 0b0010, 2, 9)
+    assert res.decided == {1: "L", 3: "H", 4: "L"}
+    assert res.undecided == {2} and not res.complete
+    full = idf.IdentificationResult(4, 0b1111, 0b0110, 2, 9)
+    assert full.complete and full.undecided is idf._NO_BITS
+    assert full.product_string() == alg.ProductString.from_letters("LHHL")
+    for known, high in ((16, 0), (-1, 0), (0b0011, 0b0100), (0b0011, -1)):
+        with pytest.raises(ValueError):
+            idf.IdentificationResult(4, known, high, 2, 9)
 
 
 def test_identify_single_bit_decision_rule() -> None:

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rtwlogic import algebra as alg
@@ -242,6 +242,33 @@ def test_columns_read_value_at() -> None:
                 assert column == tuple(
                     _value_at(refs.signs, s, t, spp, shifted) for s in range(spp)
                 )
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**64),
+    num_bits=st.integers(min_value=1, max_value=8),
+    num_periods=st.integers(min_value=1, max_value=6),
+    data=st.data(),
+)
+def test_switch_ticks_follow_the_literal_schedule(seed, num_bits, num_periods, data) -> None:
+    # tick k*2N + s for every k >= 1 whose sign in slot s differs from
+    # period k-1's, in tick order; a one-period system switches nothing
+    refs = rtw.build_reference_system(seed, num_bits, num_periods)
+    spp = refs.grid.subclocks_per_period
+    signs = refs.signs.tolist()
+    for m in (num_periods, data.draw(st.integers(min_value=0, max_value=num_periods))):
+        expect = [
+            k * spp + s
+            for k in range(1, m)
+            for s in range(spp)
+            if signs[s][k] != signs[s][k - 1]
+        ]
+        assert refs.switch_ticks(m).tolist() == expect
+    assert rtw.build_reference_system(seed, num_bits, 1).switch_ticks(1).size == 0
+    for bad in (-1, num_periods + 1):
+        with pytest.raises(ValueError):
+            refs.switch_ticks(bad)
 
 
 def test_signs_are_one_read_only_sign_matrix() -> None:
