@@ -519,19 +519,19 @@ def run_identification_trials(
 
 
 def identification_trial_exact(
-    seed: int, trial_index: int, num_bits: int, max_periods: int, lam: Fraction | str = 1
+    seed: int, trial_index: int, num_bits: int, max_periods: int
 ) -> tuple[ProductString, IdentificationResult]:
     """One trial on the exact path: trace synthesis plus the tick scanner.
 
     Uses the same per-trial seed and hidden-string derivation as the
-    vectorized engine, so results are comparable trial for trial.  A
-    trial costs O(N·M): the shifted product trace is one numpy pass over
-    the sign matrix and the scanner reads one sample per tick, about
-    9-13 ms at N = 1024, M = 6 (2-vCPU Xeon, Python 3.11).
+    vectorized engine, which has no lambda (here 1), so results are
+    comparable trial for trial.  A trial costs O(N·M): the shifted product
+    trace is one numpy pass over the sign matrix and the scanner reads one
+    sample per tick, about 9-13 ms at N = 1024, M = 6 (2-vCPU Xeon, Python 3.11).
     """
     ts = trial_master_seed(seed, trial_index)
     hidden = ProductString(num_bits, hidden_bits_for(ts, num_bits))
-    refs = build_reference_system(ts, num_bits, max_periods + 1, lam)
+    refs = build_reference_system(ts, num_bits, max_periods + 1, 1)
     trace = trace_product(refs, hidden, shifted=True)
     return hidden, tsinbl_identify(trace, refs, max_periods)
 
@@ -662,7 +662,7 @@ def resolution_bits(num_bits: int, lam: Fraction | str) -> int:
     return ceil_log2(_range_ratio(lam) ** num_bits)
 
 
-def dynamic_range_below_double(num_bits: int, lam: Fraction | str) -> bool:
+def dynamic_range_below_double(lam: Fraction | str) -> bool:
     """Exact check that the un-rounded bit count N*log2(ratio) is < 2N.
 
     That holds iff ratio < 4, i.e. lambda < 3/5, whatever N is.
@@ -789,7 +789,7 @@ def resolution_experiment(num_bits: int, lam: Fraction | str) -> ExperimentRepor
     """Resolution bit count for the scaled representation, with range check."""
     lam = Fraction(lam)
     bits = resolution_bits(num_bits, lam)
-    below = dynamic_range_below_double(num_bits, lam)
+    below = dynamic_range_below_double(lam)
     ratio = _range_ratio(lam)
     notes = []
     if lam != Fraction(1, 2):

@@ -36,9 +36,6 @@ from .signal import SignalTrace, product_readouts, readout
 
 DEFAULT_SEARCH_CAP = 20
 
-# the undecided set of every complete identification
-_NO_BITS: frozenset[int] = frozenset()
-
 
 # ---------------------------------------------------------------------------
 # error budgets
@@ -155,9 +152,7 @@ class IdentificationResult:
 
     @property
     def undecided(self) -> frozenset[int]:
-        """The bits no reference flip decided; the shared empty set when complete."""
-        if self.complete:
-            return _NO_BITS
+        """The bits no reference flip decided."""
         n, known = self.num_bits, self.known
         return frozenset(r for r in range(1, n + 1) if not known >> (n - r) & 1)
 

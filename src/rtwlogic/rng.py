@@ -3,14 +3,16 @@
 Every +-1 sign is a pure function of (master seed, stream index, period
 index), so any period of any stream can be evaluated in O(1) without
 generating history, and independent Monte Carlo trials can derive their
-own seeds without sharing state.  The scalar path and the numpy block
-path use the same integer mixing and agree bit for bit.  The Monte Carlo
-engines read the same signs packed into uint64 words along the axis
-their decision runs on: the baseline search XORs whole period sequences
-of single streams and reads `sign_words` (one bit per period), while
-identification compares all noise-bits within a period and reads
-`sign_planes` (one bit per noise-bit, per period and carrier role).
-The numpy draws mix in place on chunks that stay in cache.
+own seeds without sharing state.  The scalar path and the numpy draws
+use the same integer mixing and agree bit for bit; `sign_block` and
+`sign_tensor`, kept because perfbench's tracer wraps them, are views of
+`sign_matrix`.  The Monte Carlo engines read the same signs packed into
+uint64 words along the axis their decision runs on: the baseline search
+XORs whole period sequences of single streams and reads `sign_words`
+(one bit per period), while identification compares all noise-bits
+within a period and reads `sign_planes` (one bit per noise-bit, per
+period and carrier role).  The numpy draws mix in place on chunks that
+stay in cache.
 
 The mixer is the SplitMix64 finalizer (public-domain constants).  A
 stream's period sequence is exactly a SplitMix64 output stream whose
@@ -105,24 +107,11 @@ def _mix_top(x: np.ndarray, tmp: np.ndarray) -> None:
     x *= _NP_MIX2
 
 
-def _signs_from_seeds(stream_seeds: np.ndarray, periods: np.ndarray) -> np.ndarray:
-    # uint64 wraparound is the intended modular arithmetic here
-    with np.errstate(over="ignore"):
-        x = stream_seeds + (periods + np.uint64(1)) * _NP_GAMMA
-        _mix_top(x, np.empty_like(x))
-    signs = (x.view(np.int64) < 0).view(np.int8)  # top bit set -> 1 -> -1
-    signs *= np.int8(-2)
-    signs += np.int8(1)
-    return signs
-
-
 def sign_block(master_seed: int, stream_index: int, start_period: int, count: int) -> np.ndarray:
-    """Signs of one stream over [start_period, start_period+count) as int8."""
+    """Signs of one stream over [start_period, start_period+count): a sign_matrix row."""
     if count < 0:
         raise ValueError("count must be non-negative")
-    seed = np.uint64(derive_seed(master_seed, stream_index))
-    periods = np.arange(start_period, start_period + count, dtype=np.uint64)
-    return _signs_from_seeds(seed, periods)
+    return sign_matrix(master_seed, stream_index + 1, count, start_period)[stream_index]
 
 
 def sign_matrix(
@@ -139,20 +128,26 @@ def sign_matrix(
     seeds = derive_seed_np(np.uint64(master_seed & _MASK64), streams)[:, None]
     out = np.empty((num_streams, num_periods), dtype=np.int8)
     step = max(1, _CHUNK // max(2, 2 * num_streams))
-    for k0 in range(0, num_periods, step):
-        k1 = min(k0 + step, num_periods)
-        periods = np.arange(start_period + k0, start_period + k1, dtype=np.uint64)
-        out[:, k0:k1] = _signs_from_seeds(seeds, periods[None, :])
+    # uint64 wraparound is the intended modular arithmetic here
+    with np.errstate(over="ignore"):
+        for k0 in range(0, num_periods, step):
+            k1 = min(k0 + step, num_periods)
+            periods = np.arange(start_period + k0, start_period + k1, dtype=np.uint64)
+            x = seeds + (periods + np.uint64(1)) * _NP_GAMMA
+            _mix_top(x, np.empty_like(x))
+            np.less(x.view(np.int64), 0, out=out[:, k0:k1].view(np.bool_))
+    out *= np.int8(-2)  # top bit set -> 1 -> -1
+    out += np.int8(1)
     return out
 
 
 def sign_tensor(master_seeds: np.ndarray, num_streams: int, num_periods: int) -> np.ndarray:
-    """(trials, num_streams, num_periods) sign tensor, one master seed per trial."""
-    seeds = np.asarray(master_seeds, dtype=np.uint64)
-    streams = np.arange(num_streams, dtype=np.uint64)
-    stream_seeds = derive_seed_np(seeds[:, None], streams[None, :])
-    periods = np.arange(num_periods, dtype=np.uint64)
-    return _signs_from_seeds(stream_seeds[:, :, None], periods[None, None, :])
+    """(trials, num_streams, num_periods) int8 signs: one sign_matrix per master seed."""
+    seeds = np.asarray(master_seeds, dtype=np.uint64).tolist()
+    out = np.empty((len(seeds), num_streams, num_periods), dtype=np.int8)
+    for t, seed in enumerate(seeds):
+        out[t] = sign_matrix(seed, num_streams, num_periods)
+    return out
 
 
 # uint64 elements per sign_words block: (periods, trials, streams) blocks

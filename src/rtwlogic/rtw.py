@@ -274,8 +274,6 @@ def build_reference_system(
     reproduces the legacy equal-amplitude representation.
     """
     lam = check_lambda(lam)
-    if num_bits < 1:
-        raise ValueError("num_bits must be >= 1")
     grid = ClockGrid(num_bits=num_bits, num_periods=num_periods)
     signs = rng.sign_matrix(master_seed, grid.subclocks_per_period, num_periods)
     signs.flags.writeable = False

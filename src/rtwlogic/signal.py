@@ -150,27 +150,15 @@ def _format_amplitude(value: Fraction, style: str) -> str:
     if style == "fraction":
         return str(value)
     if style == "decimal":
-        # exact decimal expansion when the denominator is 2^a * 5^b,
-        # otherwise fall back to the exact p/q form
-        den = value.denominator
-        for p in (2, 5):
+        # exact decimal expansion with a + b digits when the denominator
+        # is 2^a * 5^b (each factor 2 or 5 of den turns into a 10 by
+        # scaling num by 5 or 2), otherwise fall back to the exact p/q form
+        num, den, scale = value.numerator, value.denominator, 0
+        for p, q in ((2, 5), (5, 2)):
             while den % p == 0:
-                den //= p
+                den, num, scale = den // p, num * q, scale + 1
         if den != 1:
             return str(value)
-        if value.denominator == 1:
-            return str(value.numerator)
-        scale = 0
-        num = value.numerator
-        den = value.denominator
-        while den % 2 == 0:
-            den //= 2
-            num *= 5
-            scale += 1
-        while den % 5 == 0:
-            den //= 5
-            num *= 2
-            scale += 1
         text = str(abs(num)).rjust(scale + 1, "0")
         sign = "-" if num < 0 else ""
         return f"{sign}{text[:-scale]}.{text[-scale:]}" if scale else f"{sign}{text}"

@@ -93,7 +93,7 @@ def test_3_resolution_bits() -> None:
                 assert bits == 2 * n, (n, bits)
             else:
                 assert bits < 2 * n, (n, bits)
-            assert exp.dynamic_range_below_double(n, "1/2")
+            assert exp.dynamic_range_below_double("1/2")
         return ("resolution_bits(200, 1/2) == 317; ceiling < 2N for N in "
                 "3..1000 and == 2N only at N in {1, 2}; 3^N < 4^N exact throughout")
 

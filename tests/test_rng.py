@@ -56,6 +56,26 @@ def test_sign_matrix_and_tensor_match_block() -> None:
         assert (tensor[i] == rng.sign_matrix(int(trial_seeds[i]), 6, 40)).all()
 
 
+def test_sign_block_and_tensor_match_scalar_path_across_chunks(monkeypatch) -> None:
+    # both are views of sign_matrix; with a small _CHUNK the draw crosses
+    # chunk boundaries (4 streams: 3 periods a chunk, 18: one), and every
+    # sign is still sign_at's
+    monkeypatch.setattr(rng, "_CHUNK", 25)
+    seed = 2**63 + 11
+    for stream in (0, 3, 17):
+        block = rng.sign_block(seed, stream, 5, 40)
+        assert block.dtype == np.int8
+        assert block.tolist() == [rng.sign_at(seed, stream, 5 + k) for k in range(40)]
+    assert rng.sign_block(seed, 2, 7, 0).shape == (0,)
+    with pytest.raises(ValueError):
+        rng.sign_block(seed, 0, 0, -1)
+    trial_seeds = [rng.derive_seed(seed, i) for i in range(3)]
+    tensor = rng.sign_tensor(np.array(trial_seeds, dtype=np.uint64), 4, 10)
+    assert tensor.shape == (3, 4, 10) and tensor.dtype == np.int8
+    expect = [[[rng.sign_at(t, j, k) for k in range(10)] for j in range(4)] for t in trial_seeds]
+    assert tensor.tolist() == expect
+
+
 def _pack(neg: np.ndarray) -> np.ndarray:
     """(trials, streams, P) booleans as uint64 words, one period at a time."""
     trials, streams, periods = neg.shape

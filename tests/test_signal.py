@@ -297,3 +297,55 @@ def test_write_trace_csv_decimal_style() -> None:
     assert all(line.endswith("0.0625") or line.endswith("-0.0625") for line in body)
     with pytest.raises(ValueError):
         sig.write_trace_csv(tr, io.StringIO(), style="engineering")
+
+
+def _two_pass_format(value: Fraction, style: str) -> str:
+    """The earlier two-pass decimal formatter, kept verbatim as an oracle."""
+    if style == "fraction":
+        return str(value)
+    den = value.denominator
+    for p in (2, 5):
+        while den % p == 0:
+            den //= p
+    if den != 1:
+        return str(value)
+    if value.denominator == 1:
+        return str(value.numerator)
+    scale = 0
+    num = value.numerator
+    den = value.denominator
+    while den % 2 == 0:
+        den //= 2
+        num *= 5
+        scale += 1
+    while den % 5 == 0:
+        den //= 5
+        num *= 2
+        scale += 1
+    text = str(abs(num)).rjust(scale + 1, "0")
+    sign = "-" if num < 0 else ""
+    return f"{sign}{text[:-scale]}.{text[-scale:]}" if scale else f"{sign}{text}"
+
+
+def test_amplitude_formats_match_two_pass_oracle() -> None:
+    # 2^a * 5^b denominators print a + b digits (3/10 as 0.30); any other
+    # prime factor falls back to p/q
+    dens = [2**a * 5**b for a in range(7) for b in range(7)]
+    dens += [2**20, 5**9, 3, 6, 7, 12, 30, 2**10 * 3, 5**3 * 11, 10**12 + 1]
+    nums = (0, 1, -1, 3, -3, 7, -7, 10, 12345, -(10**30) - 1)
+    values = [Fraction(p, q) for q in dens for p in nums]
+    values += [Fraction(3, 10), Fraction(7, 80), Fraction(1, 2**20), Fraction(1, 5**9)]
+    values += values[: len(values) % 2]  # whole periods of a one-bit grid
+    assert sig._format_amplitude(Fraction(3, 10), "decimal") == "0.30"
+    grid = rtw.ClockGrid(num_bits=1, num_periods=len(values) // 2)
+    tr = sig.SignalTrace(grid=grid, shifted=False, samples=tuple(values))
+    for style in ("fraction", "decimal"):
+        for value in values:
+            assert sig._format_amplitude(value, style) == _two_pass_format(value, style), value
+        buf = io.StringIO()
+        sig.write_trace_csv(tr, buf, style=style)
+        expect = ["tick,period,scp,amplitude"] + [
+            f"{t},{grid.period_of(t)},{grid.scp_of(t)},{_two_pass_format(v, style)}"
+            for t, v in enumerate(values)
+        ]
+        assert buf.getvalue().splitlines() == expect

@@ -4,7 +4,8 @@ The tracer names only functions the package still has.  Its tuple is
 read with `ast`, not by importing the tracer, so a removed name fails
 here, at tier 1, rather than only in the traced benchmark run.
 
-No package module imports a name it never uses.
+No package module imports a name it never uses, and no package function
+or lambda takes a parameter it never reads.
 """
 
 from __future__ import annotations
@@ -76,3 +77,58 @@ def test_no_module_imports_an_unused_name() -> None:
             if name not in used
         ]
     assert not unused, "\n".join(unused)
+
+
+def _unread_parameters(tree: ast.Module) -> list[tuple[str, str, int]]:
+    """(function, parameter, line) for each parameter its function never reads.
+
+    A read is a load of the name anywhere in the body, nested functions
+    and lambdas included; `self` and `cls` are exempt.
+    """
+    unread = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        a = node.args
+        params = [*a.posonlyargs, *a.args, *a.kwonlyargs, *filter(None, (a.vararg, a.kwarg))]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {
+            sub.id
+            for stmt in body
+            for sub in ast.walk(stmt)
+            if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)
+        }
+        name = getattr(node, "name", "lambda")
+        unread += [
+            (name, p.arg, node.lineno)
+            for p in params
+            if p.arg not in read and p.arg not in ("self", "cls")
+        ]
+    return unread
+
+
+def test_no_function_has_an_unread_parameter() -> None:
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert modules
+    unread = [
+        f"{path.name}:{line} {func} never reads its parameter {param}"
+        for path in modules
+        for func, param, line in _unread_parameters(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert not unread, "\n".join(unread)
+
+
+def test_unread_parameter_check_sees_functions_and_lambdas() -> None:
+    tree = ast.parse(
+        "def f(a, b, *args, c, **kw):\n"
+        "    g = lambda x, y: x + c\n"
+        "    def h(z):\n"
+        "        return a\n"
+        "    return g(kw, h)\n"
+        "class K:\n"
+        "    def m(self, v):\n"
+        "        return None\n"
+    )
+    assert sorted(_unread_parameters(tree)) == [
+        ("f", "args", 1), ("f", "b", 1), ("h", "z", 3), ("lambda", "y", 2), ("m", "v", 7)
+    ]
