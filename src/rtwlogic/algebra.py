@@ -14,13 +14,12 @@ rational coefficients using lambda's exact value rather than tracked as a
 symbolic variable; lambda is therefore an explicit argument of the
 operations that need it, not a field of the algebraic types.
 
-`evaluator` is the package's one exact evaluator: symbolic values here,
-traces and readouts in `signal` and the experiments all read it on
-slot-ordered sign columns.  It computes on integers: each evaluator
-scales its coefficients (and lambda's powers) to integers over one
-common denominator when it is built, multiplies or sums integers per
-column, and returns the value as a shared `Fraction`, one object per
-distinct value, so the gcd normalisation runs once per value.
+`evaluator` is the package's one exact evaluator on sign columns; traces
+read two laws with the same values instead, `selection_parity` and
+`agreement_law`.  It computes on integers: each evaluator scales its
+coefficients (and lambda's powers) to integers over one common
+denominator when it is built, multiplies or sums integers per column,
+and returns a shared `Fraction`, one object per distinct value.
 """
 
 from __future__ import annotations
@@ -369,6 +368,44 @@ def selection_evaluator(picks: Sequence[tuple[int, str]], lam: Fraction) -> Eval
     """`evaluator` for a product of chosen logic values: `selection_parity`'s rule."""
     slots, values = selection_parity(picks, lam)
     return lambda column: values[math.prod(map(column.__getitem__, slots)) < 0]
+
+
+def agreement_law(
+    f: FactoredSuperposition, lam: Fraction
+) -> tuple[list[int], Callable[[Sequence[int]], Fraction]]:
+    """Each bit's group, and f's value as a function of its agreement state.
+
+    Bit r's factor h * A_r + l * B_r (h = c_H, l = lambda * c_L) is
+    A_r * (h + l) if its two carriers agree, else A_r * (h - l).  Bits
+    holding one (c_H, c_L) pair, by identity, form a group; at state =
+    (parity of the A = -1 signs, a_0, ..., a_(G-1)), a_g of group g's n_g
+    bits agreeing, f is (-1)^parity * prod_g (h_g + l_g)^(a_g) (h_g - l_g)^(n_g - a_g),
+    the shared `Fraction` `evaluator` returns.
+    """
+    lam = check_lambda(lam)
+    p, q = lam.numerator, lam.denominator
+    index: dict[tuple[int, int], int] = {}
+    groups, factors, pair = [], [], None
+    for ch, cl in zip(f.c_h, f.c_l):
+        if pair is None or ch is not pair[0] or cl is not pair[1]:  # a run's first bit
+            pair = ch, cl
+            g = index.setdefault((id(ch), id(cl)), len(factors))
+            if g == len(factors):  # [h + l, h - l, n_g, d], d as in evaluator
+                hd, ld = ch.denominator, cl.denominator * q
+                d = math.lcm(hd, ld)
+                h, l = ch.numerator * (d // hd), cl.numerator * p * (d // ld)
+                factors.append([h + l, h - l, 0, d])
+        factors[g][2] += 1
+        groups.append(g)
+    den = math.prod(d**n for _, _, n, d in factors)
+
+    def value(state: Sequence[int]) -> Fraction:
+        num = -1 if state[0] else 1
+        for (s, t, n, _), a in zip(factors, state[1:]):
+            num *= s**a * t ** (n - a)
+        return _shared(num, den)
+
+    return groups, value
 
 
 # every accepted sign by value, so True and 1.0 read as the int 1

@@ -47,6 +47,7 @@ from . import rng
 from .algebra import (
     DEFAULT_EXPAND_CAP,
     ProductString,
+    agreement_law,
     apply_not,
     ceil_log2,
     evaluator,
@@ -68,6 +69,9 @@ DEFAULT_SEED = 1
 ZERO_PROB_BITS_CAP = 20
 EXHAUSTIVE_BITS_CAP = 6
 BASELINE_BITS_CAP = 14
+# resolution_bits builds ((1+lambda)/(1-lambda))^N exactly: under 0.1 s at
+# this N for lambda = 1/2, 999/1000 or 1/1000
+RESOLUTION_BITS_CAP = 10**5
 # bytes one identification trial, or one reference system's sign draw, may
 # need: the smallest unit of work must fit in memory
 ENGINE_TRIAL_BYTES_CAP = 1 << 28
@@ -241,10 +245,9 @@ def _sign_chunks(seed: int, num_streams: int, periods: int) -> Iterator[np.ndarr
 def zero_prob_engine(num_bits: int, trials: int, seed: int) -> np.ndarray:
     """count[a]: periods in which exactly a bits' two carriers agree (int64, N+1).
 
-    Each trial is one clock period of a single reference system.  The
-    uniform superposition's factor A_r + lambda * B_r has magnitude 1 +
-    lambda when bit r's carriers agree and 1 - lambda when not, so |readout|
-    is (1+lambda)^a * (1-lambda)^(N-a), non-zero at lambda = 1 iff a = N.
+    Each trial is one clock period of a single reference system.  By
+    `algebra.agreement_law`, a is all the uniform superposition's |readout|
+    depends on, and at lambda = 1 the readout is non-zero iff a = N.
     """
     count = np.zeros(num_bits + 1, dtype=np.int64)
     for signs in _sign_chunks(seed, 2 * num_bits, trials):
@@ -655,10 +658,10 @@ def resolution_bits(num_bits: int, lam: Fraction | str) -> int:
 
     ceil(N * log2((1+lambda)/(1-lambda))), computed exactly: the smallest
     M with 2^M covering the readout dynamic range ((1+lambda)/(1-lambda))^N.
-    Requires 0 < lambda < 1 (see _range_ratio).
+    Requires 0 < lambda < 1 (see _range_ratio) and N <= RESOLUTION_BITS_CAP.
     """
-    if num_bits < 1:
-        raise ValueError("num_bits must be >= 1")
+    if not 1 <= num_bits <= RESOLUTION_BITS_CAP:
+        raise ValueError(f"num_bits must be in 1..{RESOLUTION_BITS_CAP}")
     return ceil_log2(_range_ratio(lam) ** num_bits)
 
 
@@ -726,11 +729,12 @@ def amplitude_range_experiment(
 ) -> ExperimentReport:
     """Scan |readout| of the uniform superposition against its exact bounds.
 
-    Exhaustive mode (num_bits <= 6) walks all 2^(2N) sign assignments and
-    must attain (1-lambda)^N and (1+lambda)^N exactly, with nothing
-    outside; Monte Carlo mode samples periods and must stay inside.  |readout|
-    grows with the agreement count a, so Monte Carlo mode evaluates it
-    exactly at the smallest and largest a of the zero_prob_engine histogram.
+    Exhaustive mode (num_bits <= 6) walks all 2^(2N) sign assignments
+    through `algebra.evaluator` and must attain (1-lambda)^N and
+    (1+lambda)^N exactly, with nothing outside; Monte Carlo mode samples
+    periods and must stay inside.  |readout| grows with the agreement count
+    a, so Monte Carlo mode reads `algebra.agreement_law` exactly at the
+    smallest and largest a of the zero_prob_engine histogram.
     """
     lam = check_lambda(lam)
     if num_bits < 1:
@@ -755,7 +759,9 @@ def amplitude_range_experiment(
         values = [abs(value(column)) for column in columns]
     else:
         seen = np.flatnonzero(zero_prob_engine(num_bits, trials, seed)).tolist()
-        values = [(1 + lam) ** a * (1 - lam) ** (num_bits - a) for a in (seen[0], seen[-1])]
+        _, law = agreement_law(uniform_superposition(num_bits), lam)
+        # at A-parity 0 the law gives |readout|: every factor is non-negative
+        values = [law((0, a)) for a in (seen[0], seen[-1])]
     v_min = min(values)
     v_max = max(values)
     within = all(t_min <= v <= t_max for v in values)

@@ -20,9 +20,8 @@ A reference system stores all its signs as one read-only (2N, periods)
 int8 matrix in slot order, drawn by a single `rng.sign_matrix` call.
 `ReferenceSystem.switch_ticks` is the one statement of the shifted
 schedule, the ticks where the switching slot takes a new sign, for
-`column_runs` (runs of equal sign columns, which `columns` expands),
-`parity_trace` (the parity of -1 signs over a set of slots at every
-tick, in numpy) and `identify.tsinbl_identify` (its flip-tick scan).
+`parity_trace` and `agreement_runs` (the states products and factored
+superpositions are valued by, in numpy) and `identify.tsinbl_identify`.
 
 `slot_keys` is the one owner of slot order for the {(bit, role): sign}
 mapping API: one cached tuple of (bit, role) keys per bit count, in slot
@@ -35,7 +34,6 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -175,38 +173,6 @@ class ReferenceSystem:
     def num_bits(self) -> int:
         return self.grid.num_bits
 
-    def columns(self, shifted: bool) -> Iterator[tuple[int, ...]]:
-        """Slot-ordered sign column (B_1, A_1, ..., B_N, A_N) of each tick, in order.
-
-        At sub-clock j of period k, slot s holds its period-k sign once it
-        has adopted it (at j = 0 unshifted, at j = s shifted) and its
-        period-(k-1) sign before; period 0 stands in for period -1 as
-        the warm-up.  Each run of `column_runs` is one tuple.
-        """
-        for column, run in self.column_runs(shifted):
-            yield from repeat(column, run)
-
-    def column_runs(self, shifted: bool) -> Iterator[tuple[tuple[int, ...], int]]:
-        """(column, number of ticks) for consecutive runs of the ticks' columns.
-
-        The schedule of `columns`: unshifted, each period is one run of 2N
-        ticks; shifted, a run ends at each of `switch_ticks`, where the
-        switching slot's sign is negated, so a tuple is built only there.
-        """
-        spp = self.grid.subclocks_per_period
-        if not shifted:
-            for column in self.period_columns():
-                yield column, spp
-            return
-        column = self.signs[:, 0].tolist()
-        start = 0
-        for tick in self.switch_ticks(self.grid.num_periods).tolist():
-            yield tuple(column), tick - start
-            slot = tick % spp
-            column[slot] = -column[slot]
-            start = tick
-        yield tuple(column), self.grid.num_ticks - start
-
     def switch_ticks(self, num_periods: int) -> np.ndarray:
         """Shifted-mode ticks, in order, where the switching slot changes sign.
 
@@ -226,10 +192,9 @@ class ReferenceSystem:
     def parity_trace(self, slots: Sequence[int], shifted: bool) -> np.ndarray:
         """Parity (0 or 1) of the -1 signs over `slots` at each tick, in tick order.
 
-        The schedule of `columns`, in O(N * periods):
-        unshifted, one parity per period repeated over its 2N ticks;
-        shifted, the period-0 parity XOR-accumulated over the listed
-        slots' `switch_ticks`.  `slots` must not repeat.
+        In O(N * periods): unshifted, one parity per period repeated over
+        its 2N ticks; shifted, the period-0 parity XOR-accumulated over the
+        listed slots' `switch_ticks`.  `slots` must not repeat.
         """
         slots = list(slots)
         spp = self.grid.subclocks_per_period
@@ -244,6 +209,44 @@ class ReferenceSystem:
         # period-0 parity that the accumulation starts from
         flips[0] = np.count_nonzero(self.signs[slots, 0] < 0) & 1
         return np.bitwise_xor.accumulate(flips)
+
+    def agreement_runs(
+        self, groups: Sequence[int], shifted: bool
+    ) -> Iterator[tuple[int, tuple[int, ...]]]:
+        """Each run's first tick and state: (A-parity, agreeing bits per group).
+
+        The A-parity is that of the -1 A signs; bit r is in group
+        groups[r - 1] and agrees when its two slots hold one sign.  A run is
+        a period unshifted.  Shifted, runs start at tick 0 and at each of
+        `switch_ticks`, where slot s's bit toggles its agreement and, for an
+        A slot, the A-parity; only the current state is held.
+        """
+        spp, periods = self.grid.subclocks_per_period, self.grid.num_periods
+        # slot rows are counted into state entries: an A row where it holds
+        # -1, into entry 0; a B row where its bit agrees, into 1 + its group
+        counted = self.signs < 0
+        counted[0::2] = counted[0::2] == counted[1::2]
+        entry = np.zeros(spp, dtype=np.intp)
+        entry[0::2] = np.add(groups, 1)
+        bins = entry[:, None] * periods + np.arange(periods)  # one per (entry, period)
+        states = np.bincount(bins[counted], minlength=(max(groups) + 2) * periods)
+        states = states.reshape(-1, periods)
+        states[0] &= 1
+        if not shifted:
+            yield from zip(range(0, self.grid.num_ticks, spp), map(tuple, states.T.tolist()))
+            return
+        ticks = self.switch_ticks(periods)
+        period, slot = np.divmod(ticks, spp)
+        # a B slot's partner A still holds its period-(k-1) sign; an A slot's
+        # partner B switched a tick earlier
+        agrees = self.signs[slot, period] == self.signs[slot ^ 1, period - 1 + (slot & 1)]
+        state = states[:, 0].tolist()
+        yield 0, tuple(state)
+        steps = zip(ticks.tolist(), (slot & 1).tolist(), entry[slot & ~1].tolist(), agrees.tolist())
+        for tick, flip, at, agree in steps:
+            state[0] ^= flip
+            state[at] += 1 if agree else -1
+            yield tick, tuple(state)
 
     def period_columns(self) -> Iterator[tuple[int, ...]]:
         """Slot-ordered sign column of each clock period (the readout window's).

@@ -4,21 +4,18 @@ A trace is the exact tick-by-tick value of a product or superposition
 waveform.  Samples are rational: a product string's sample is the product
 of its chosen reference values (so its magnitude is lambda^(#L factors)),
 and a factored superposition's sample is the product over bits of
-(c_H * A_r(t) + c_L * lambda * B_r(t)), evaluated in O(N) per tick.
-Every value comes from the one exact evaluator, `algebra.evaluator`, and
-its rules.
-
-Product and selection traces cost O(N·M) over M periods, with numpy
-doing the per-tick work.  They index `algebra.selection_parity`'s two
-shared values (±lambda^#L) by `ReferenceSystem.parity_trace`, the parity
-of -1 signs over the selection's odd-parity slots at each tick, which is
-read from the sign matrix without building a column: once per period
-unshifted, and shifted, where exactly one slot switches per tick, as the
-period-0 parity XOR-accumulated over the masked slots' switches.
-Superposition traces map the evaluator over `ReferenceSystem.column_runs`,
-once per run of equal consecutive columns (once per period unshifted,
-about half the ticks shifted, O(N) each), and readouts map it over
-`ReferenceSystem.period_columns`.  Samples are a few shared objects.
+(c_H * A_r(t) + c_L * lambda * B_r(t)).  No trace or readout builds a sign
+column: each indexes a law of `algebra` by a state read from the sign
+matrix, and the tests pin every one to `algebra.evaluator` on literal
+columns.  Product and selection traces, O(N·M) over M periods, index
+`selection_parity`'s two values (±lambda^#L) by
+`ReferenceSystem.parity_trace`, the parity of -1 signs over the
+odd-parity slots at each tick.  Superposition traces index
+`agreement_law` by `ReferenceSystem.agreement_runs`, the A-parity and
+each coefficient group's count of agreeing bits, once per period
+unshifted and once per switching tick shifted, so the uniform
+superposition costs O(1) per switching tick.  Samples are a few shared
+objects.
 
 Meaning is assigned at the end-of-period readout window (the last
 sub-clock slot), where shifted and unshifted traces of the same object
@@ -36,9 +33,7 @@ from typing import IO, Sequence
 
 import numpy as np
 
-from .algebra import (
-    Evaluator, FactoredSuperposition, ProductString, evaluator, selection_parity,
-)
+from .algebra import FactoredSuperposition, ProductString, agreement_law, selection_parity
 from .rtw import ClockGrid, ReferenceSystem
 
 
@@ -64,14 +59,6 @@ Selection = Sequence[tuple[int, str]]
 def _check_width(refs: ReferenceSystem, s: ProductString | FactoredSuperposition) -> None:
     if s.num_bits != refs.num_bits:
         raise ValueError("bit-width mismatch")
-
-
-def _trace(refs: ReferenceSystem, value: Evaluator, shifted: bool) -> SignalTrace:
-    """Evaluate once per run of equal consecutive columns and repeat the value."""
-    samples: list[Fraction] = []
-    for column, run in refs.column_runs(shifted):
-        samples += [value(column)] * run
-    return SignalTrace(grid=refs.grid, shifted=shifted, samples=tuple(samples))
 
 
 def trace_selection(refs: ReferenceSystem, picks: Selection, shifted: bool = False) -> SignalTrace:
@@ -101,9 +88,20 @@ def trace_superposition(
     f: FactoredSuperposition,
     shifted: bool = False,
 ) -> SignalTrace:
-    """Trace of a factored superposition, O(num_bits) work per tick."""
+    """Trace of a factored superposition, O(G) work per run of `agreement_runs`."""
+    runs = _superposition_runs(refs, f, shifted)
+    ends = [tick for tick, _ in runs[1:]] + [refs.grid.num_ticks]
+    samples: list[Fraction] = []
+    for (start, value), end in zip(runs, ends):
+        samples += [value] * (end - start)
+    return SignalTrace(grid=refs.grid, shifted=shifted, samples=tuple(samples))
+
+
+def _superposition_runs(refs: ReferenceSystem, f: FactoredSuperposition, shifted: bool) -> list:
+    """(first tick, `agreement_law` value) of each run of `agreement_runs`."""
     _check_width(refs, f)
-    return _trace(refs, evaluator(f, refs.lam), shifted)
+    groups, law = agreement_law(f, refs.lam)
+    return [(tick, law(state)) for tick, state in refs.agreement_runs(groups, shifted)]
 
 
 def multiply_traces(a: SignalTrace, b: SignalTrace) -> SignalTrace:
@@ -116,30 +114,24 @@ def multiply_traces(a: SignalTrace, b: SignalTrace) -> SignalTrace:
 
 def readout(trace: SignalTrace) -> tuple[Fraction, ...]:
     """Per-period values at the readout window (last tick of each period)."""
-    grid = trace.grid
-    return tuple(
-        trace.samples[grid.readout_tick(k)] for k in range(grid.num_periods)
-    )
+    return trace.samples[trace.grid.readout_tick(0) :: trace.grid.subclocks_per_period]
 
 
 # ---------------------------------------------------------------------------
 # readout-only fast paths (exact; skip intermediate ticks)
 # ---------------------------------------------------------------------------
 
-def _readouts(refs: ReferenceSystem, s: ProductString | FactoredSuperposition) -> tuple:
-    """readout() of either mode's trace: at the readout window both hold the period's signs."""
-    _check_width(refs, s)
-    return tuple(map(evaluator(s, refs.lam), refs.period_columns()))
-
-
 def product_readouts(refs: ReferenceSystem, w: ProductString) -> tuple[Fraction, ...]:
     """Per-period readout of a product string without building the trace."""
-    return _readouts(refs, w)
+    _check_width(refs, w)
+    slots, values = selection_parity(w.picks(), refs.lam)
+    parity = refs.parity_trace(slots, shifted=False)[:: refs.grid.subclocks_per_period]
+    return tuple(np.array(values, dtype=object)[parity].tolist())
 
 
 def superposition_readouts(refs: ReferenceSystem, f: FactoredSuperposition) -> tuple[Fraction, ...]:
     """Per-period readout of a factored superposition without building the trace."""
-    return _readouts(refs, f)
+    return tuple(value for _, value in _superposition_runs(refs, f, shifted=False))
 
 
 # ---------------------------------------------------------------------------

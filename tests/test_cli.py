@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -177,6 +178,23 @@ def test_cap_violations_exit_two(capsys) -> None:
     assert "14" in err
     rc, _, err = _run(capsys, ["range", "--bits", "25", "--exhaustive"])
     assert rc == 2
+
+
+def test_resolution_cap(capsys, monkeypatch) -> None:
+    # N at the cap runs; one bit more is refused before the power is built
+    cap = experiments.RESOLUTION_BITS_CAP
+    rc, out, _ = _run(capsys, ["resolution", "--bits", str(cap), "--format", "json"])
+    assert rc == 0
+    assert json.loads(out)["observed"]["resolution_bits"] == 158497
+
+    def no_power(*args):
+        raise AssertionError("computed a power")
+
+    monkeypatch.setattr(Fraction, "__pow__", no_power)
+    rc, out, err = _run(capsys, ["resolution", "--bits", str(cap + 1)])
+    assert rc == 2
+    assert out == ""
+    assert err == f"error: num_bits must be in 1..{cap}\n"
 
 
 def test_bench_refuses_raised_baseline_cap(capsys) -> None:

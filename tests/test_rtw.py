@@ -128,7 +128,7 @@ def test_value_at_unshifted_is_period_sign() -> None:
     refs = rtw.build_reference_system(4, 3, 5)
     slot = rtw.stream_index(2, rtw.ROLE_B)
     signs = refs.signs[slot]
-    for t, column in enumerate(refs.columns(shifted=False)):
+    for t, column in enumerate(literal_columns(refs, shifted=False)):
         assert column[slot] == signs[t // 6]
     assert t == refs.grid.num_ticks - 1
 
@@ -140,7 +140,7 @@ def test_value_at_shifted_switch_times() -> None:
     shift = rtw.stream_index(3, rtw.ROLE_A)
     assert shift == 5
     signs = refs.signs[shift]
-    for t, column in enumerate(refs.columns(shifted=True)):
+    for t, column in enumerate(literal_columns(refs, shifted=True)):
         if t < shift:
             expect = signs[0]
         else:
@@ -153,7 +153,7 @@ def test_shifted_changes_only_in_own_slot() -> None:
     refs = rtw.build_reference_system(7, 4, 30)
     g = refs.grid
     spp = g.subclocks_per_period
-    columns = list(refs.columns(shifted=True))
+    columns = literal_columns(refs, shifted=True)
     for slot in range(spp):
         prev = columns[0][slot]
         for t in range(1, g.num_ticks):
@@ -166,7 +166,7 @@ def test_shifted_changes_only_in_own_slot() -> None:
 def test_at_most_one_switch_per_tick() -> None:
     refs = rtw.build_reference_system(5, 5, 20)
     g = refs.grid
-    columns = list(refs.columns(shifted=True))
+    columns = literal_columns(refs, shifted=True)
     assert len(columns) == g.num_ticks
     for t in range(1, g.num_ticks):
         changed = [
@@ -180,8 +180,8 @@ def test_readout_window_carries_period_signs() -> None:
     # its period-k sign, so shifted and unshifted readouts agree for k >= 0
     refs = rtw.build_reference_system(11, 4, 25)
     g = refs.grid
-    shifted = list(refs.columns(shifted=True))
-    unshifted = list(refs.columns(shifted=False))
+    shifted = literal_columns(refs, shifted=True)
+    unshifted = literal_columns(refs, shifted=False)
     for k in range(g.num_periods):
         t = g.readout_tick(k)
         period = tuple(refs.signs[:, k].tolist())
@@ -222,26 +222,54 @@ def _value_at(signs: np.ndarray, slot: int, tick: int, spp: int, shifted: bool) 
     return int(signs[slot, max(tick - slot, 0) // spp])  # ticks before s replay period 0
 
 
-def test_columns_read_value_at() -> None:
-    # columns(shifted)[t][slot] is the slot's stream value at tick t, checked
-    # against the literal schedule in both modes, period-0 warm-up included
-    cases = [(13, 3, 7)] + [
-        (seed, n, p)
-        for seed in (0, 1, -5, 2**70 + 3)
-        for n in (1, 2, 3)
-        for p in (1, 2, 5)
+def literal_columns(refs: rtw.ReferenceSystem, shifted: bool) -> list[tuple[int, ...]]:
+    """Each tick's slot-ordered sign column (B_1, A_1, ..., B_N, A_N), sign by sign.
+
+    The column oracle of the tests: every sign is read from `_value_at`,
+    never from `switch_ticks` or another schedule reader of the package.
+    """
+    spp = refs.grid.subclocks_per_period
+    return [
+        tuple(_value_at(refs.signs, s, t, spp, shifted) for s in range(spp))
+        for t in range(refs.grid.num_ticks)
     ]
-    for seed, n, p in cases:
-        refs = rtw.build_reference_system(seed, n, p)
-        g = refs.grid
-        spp = g.subclocks_per_period
-        for shifted in (False, True):
-            columns = list(refs.columns(shifted))
-            assert len(columns) == g.num_ticks
-            for t, column in enumerate(columns):
-                assert column == tuple(
-                    _value_at(refs.signs, s, t, spp, shifted) for s in range(spp)
-                )
+
+
+def _literal_state(column: tuple[int, ...], groups: list[int]) -> list[int]:
+    """(parity of the -1 A signs, agreeing bits of each group) of one column."""
+    state = [sum(a < 0 for a in column[1::2]) % 2] + [0] * (max(groups) + 1)
+    for g, b, a in zip(groups, column[::2], column[1::2]):
+        state[1 + g] += b == a
+    return state
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**64),
+    num_bits=st.integers(min_value=1, max_value=8),
+    num_periods=st.integers(min_value=1, max_value=6),
+    data=st.data(),
+)
+def test_agreement_runs_read_value_at(seed, num_bits, num_periods, data) -> None:
+    # every tick's state is its literal column's, period-0 warm-up included;
+    # runs start at every period unshifted, and shifted at tick 0 and at
+    # every tick whose column differs from the one before
+    refs = rtw.build_reference_system(seed, num_bits, num_periods)
+    g = st.integers(min_value=0, max_value=num_bits - 1)
+    groups = data.draw(st.lists(g, min_size=num_bits, max_size=num_bits))
+    spp = refs.grid.subclocks_per_period
+    for shifted in (False, True):
+        columns = literal_columns(refs, shifted)
+        runs = list(refs.agreement_runs(groups, shifted))
+        if shifted:
+            starts = [0] + [t for t in range(1, len(columns)) if columns[t] != columns[t - 1]]
+        else:
+            starts = list(range(0, len(columns), spp))
+        assert [tick for tick, _ in runs] == starts
+        ends = starts[1:] + [len(columns)]
+        for (start, state), end in zip(runs, ends):
+            for column in columns[start:end]:
+                assert list(state) == _literal_state(column, groups)
 
 
 @settings(max_examples=80, deadline=None)
@@ -327,7 +355,7 @@ def test_logic_value_scaling() -> None:
     lam = Fraction(1, 3)
     refs = rtw.build_reference_system(2, 2, 6, lam=lam)
     g = refs.grid
-    columns = list(refs.columns(shifted=False))
+    columns = literal_columns(refs, shifted=False)
     for t in (0, 5, 11, g.num_ticks - 1):
         for bit in (1, 2):
             h = alg.selection_evaluator([(bit, rtw.VALUE_H)], lam)(columns[t])
@@ -346,8 +374,8 @@ def test_logic_value_scaling() -> None:
 def test_readout_agreement_property(seed: int, num_bits: int, periods: int) -> None:
     refs = rtw.build_reference_system(seed, num_bits, periods)
     g = refs.grid
-    shifted = list(refs.columns(shifted=True))
-    unshifted = list(refs.columns(shifted=False))
+    shifted = literal_columns(refs, shifted=True)
+    unshifted = literal_columns(refs, shifted=False)
     for k in range(periods):
         t = g.readout_tick(k)
         assert shifted[t] == unshifted[t]

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from rtwlogic import algebra as alg
 from rtwlogic import rtw
 from rtwlogic import signal as sig
+from test_rtw import literal_columns
 
 
 def _refs(seed: int = 5, n: int = 3, periods: int = 8, lam=Fraction(1, 2)):
@@ -33,7 +34,7 @@ def test_trace_selection_supports_repeats() -> None:
     g = refs.grid
     a = rtw.stream_index(2, rtw.ROLE_A)
     b = rtw.stream_index(2, rtw.ROLE_B)
-    columns = list(refs.columns(shifted=True))
+    columns = literal_columns(refs, shifted=True)
     assert len(columns) == g.num_ticks
     for t in range(g.num_ticks):
         expect = refs.lam * columns[t][a] * columns[t][b]
@@ -100,13 +101,14 @@ def test_trace_values_are_shared_objects() -> None:
     u = alg.uniform_superposition(n)
     value = alg.evaluator(u, lam)
     for shifted in (False, True):
+        columns = literal_columns(refs, shifted)
         tr = sig.trace_superposition(refs, u, shifted=shifted)
         assert len({id(v) for v in tr.samples}) <= 2 * (n + 1)
-        assert tr.samples == tuple(map(value, refs.columns(shifted)))
+        assert tr.samples == tuple(map(value, columns))
         w = alg.ProductString(n, 0x5A5A)
         product = sig.trace_product(refs, w, shifted=shifted)
         assert len({id(v) for v in product.samples}) <= 2
-        assert product.samples == tuple(map(alg.evaluator(w, lam), refs.columns(shifted)))
+        assert product.samples == tuple(map(alg.evaluator(w, lam), columns))
     readouts = sig.readout(sig.trace_superposition(refs, u))
     for k, v in enumerate(readouts):
         assert v is alg.evaluate_symbolic(u, refs.period_signs(k), lam)
@@ -181,13 +183,13 @@ _LAMBDAS = st.sampled_from([Fraction(1), Fraction(1, 2)])
 
 def _assert_trace_maps_columns(trace: sig.SignalTrace, refs, value) -> None:
     # every tick's sample is the evaluator at that tick's column
-    assert trace.samples == tuple(map(value, refs.columns(trace.shifted)))
+    assert trace.samples == tuple(map(value, literal_columns(refs, trace.shifted)))
 
 
 def _literal_selection(refs, picks, shifted: bool) -> tuple[Fraction, ...]:
     """Each tick's product of the picked values, one factor per pick."""
     samples = []
-    for column in refs.columns(shifted):
+    for column in literal_columns(refs, shifted):
         v = Fraction(1)
         for bit, value in picks:
             role = rtw.ROLE_A if value == "H" else rtw.ROLE_B
@@ -251,27 +253,79 @@ def test_selection_trace_repeats_and_empty_picks(picks, lam) -> None:
         assert len({id(v) for v in trace.samples}) <= 2
 
 
+def _superposition_forms(n: int, lam: Fraction, target: int) -> list:
+    """(form, number of coefficient groups) for the shapes the agreement law must cover."""
+    uni = alg.uniform_superposition(n)
+    # fresh objects on every bit, some equal in value, zero included: G = N
+    distinct = alg.FactoredSuperposition(
+        n,
+        tuple(Fraction(r % 3 - 1, 2) for r in range(n)),
+        tuple(Fraction(r + 1, 3) for r in range(n)),
+    )
+    # c_L = 0 on bits 3, 6, ... and c_H = 0 on bits 2, 5, ...: three groups, not runs
+    zero, one, half = Fraction(0), Fraction(1), Fraction(1, 2)
+    zeros = alg.FactoredSuperposition(
+        n,
+        tuple(zero if r % 3 == 1 else one for r in range(n)),
+        tuple(zero if r % 3 == 2 else half for r in range(n)),
+    )
+    notted = alg.apply_not(uni, min(target, n), lam)
+    return [(uni, 1), (notted, min(n, 2)), (distinct, n), (zeros, min(n, 3))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32),
+    n=st.integers(min_value=1, max_value=8),
+    periods=st.integers(min_value=1, max_value=6),
+    lam=st.sampled_from([Fraction(1, 3), Fraction(1, 2), Fraction(1)]),
+    target=st.integers(min_value=1, max_value=8),
+)
+def test_superposition_traces_and_readouts_equal_evaluator_over_columns(
+    seed, n, periods, lam, target
+) -> None:
+    # the agreement law indexed by agreement_runs gives, tick for tick and
+    # period for period, what the evaluator gives on the literal columns
+    refs = rtw.build_reference_system(seed, n, periods, lam=lam)
+    spp = refs.grid.subclocks_per_period
+    columns = {shifted: literal_columns(refs, shifted) for shifted in (False, True)}
+    for f, num_groups in _superposition_forms(n, lam, target):
+        assert len(set(alg.agreement_law(f, lam)[0])) == num_groups
+        value = alg.evaluator(f, lam)
+        for shifted in (False, True):
+            trace = sig.trace_superposition(refs, f, shifted)
+            assert trace.samples == tuple(map(value, columns[shifted]))
+        readouts = tuple(map(value, columns[False][spp - 1 :: spp]))
+        assert sig.superposition_readouts(refs, f) == readouts
+
+
 def test_product_and_selection_traces_never_build_columns(monkeypatch) -> None:
-    # the traces read the sign matrix: no per-tick column is built
+    # traces and readouts read the sign matrix: no per-tick or per-period
+    # column is built and no evaluator runs
     refs = _refs(seed=8, n=5, periods=7)
     w, picks = alg.ProductString(5, 0b10110), [(2, "H"), (2, "L"), (5, "L")]
-    product, selection = alg.evaluator(w, refs.lam), alg.selection_evaluator(picks, refs.lam)
-    expect = {
-        shifted: (
-            tuple(map(product, refs.columns(shifted))),
-            tuple(map(selection, refs.columns(shifted))),
-        )
-        for shifted in (False, True)
-    }
-
-    def refuse(self, shifted):
-        raise AssertionError("columns were built")
-
-    monkeypatch.setattr(rtw.ReferenceSystem, "columns", refuse)
-    monkeypatch.setattr(rtw.ReferenceSystem, "column_runs", refuse)
+    uni = alg.uniform_superposition(5)
+    forms = (uni, alg.apply_not(uni, 3, refs.lam))
+    values = [alg.evaluator(w, refs.lam), alg.selection_evaluator(picks, refs.lam)]
+    values += [alg.evaluator(f, refs.lam) for f in forms]
+    expect = {}
     for shifted in (False, True):
-        traces = sig.trace_product(refs, w, shifted), sig.trace_selection(refs, picks, shifted)
-        assert tuple(t.samples for t in traces) == expect[shifted]
+        columns = literal_columns(refs, shifted)
+        expect[shifted] = [tuple(map(value, columns)) for value in values]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a column was built or an evaluator ran")
+
+    monkeypatch.setattr(rtw.ReferenceSystem, "period_columns", refuse)
+    for name in ("evaluator", "selection_evaluator"):
+        monkeypatch.setattr(alg, name, refuse)
+    for shifted in (False, True):
+        traces = [sig.trace_product(refs, w, shifted), sig.trace_selection(refs, picks, shifted)]
+        traces += [sig.trace_superposition(refs, f, shifted) for f in forms]
+        assert [t.samples for t in traces] == expect[shifted]
+        assert sig.product_readouts(refs, w) == sig.readout(traces[0])
+        for f, trace in zip(forms, traces[2:]):
+            assert sig.superposition_readouts(refs, f) == sig.readout(trace)
 
 
 def test_write_trace_csv_fraction_style() -> None:

@@ -4,8 +4,9 @@ The tracer names only functions the package still has.  Its tuple is
 read with `ast`, not by importing the tracer, so a removed name fails
 here, at tier 1, rather than only in the traced benchmark run.
 
-No package module imports a name it never uses, and no package function
-or lambda takes a parameter it never reads.
+No package module imports a name it never uses, no package function
+or lambda takes a parameter it never reads, and no private module-level
+function or method goes without a caller in the package.
 """
 
 from __future__ import annotations
@@ -131,4 +132,61 @@ def test_unread_parameter_check_sees_functions_and_lambdas() -> None:
     )
     assert sorted(_unread_parameters(tree)) == [
         ("f", "args", 1), ("f", "b", 1), ("h", "z", 3), ("lambda", "y", 2), ("m", "v", 7)
+    ]
+
+
+def _uncalled_private_functions(trees: dict[str, ast.Module]) -> list[tuple[str, str, int]]:
+    """(module, function, line) for each private function no module references.
+
+    Private means a module-level function or a method whose name starts
+    with `_` and is not a dunder.  A reference is a load of the name or an
+    attribute of that name anywhere in any of the modules.
+    """
+    defined, referenced = [], set()
+    for module, tree in trees.items():
+        for node in tree.body:
+            members = node.body if isinstance(node, ast.ClassDef) else [node]
+            defined += [
+                (module, f.name, f.lineno)
+                for f in members
+                if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and f.name.startswith("_")
+                and not f.name.endswith("__")
+            ]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+    return [d for d in defined if d[1] not in referenced]
+
+
+def test_every_private_function_has_a_caller() -> None:
+    trees = {
+        path.name: ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted(PACKAGE.glob("*.py"))
+    }
+    assert trees
+    uncalled = [
+        f"{module}:{line} {name} has no caller in the package"
+        for module, name, line in _uncalled_private_functions(trees)
+    ]
+    assert not uncalled, "\n".join(uncalled)
+
+
+def test_uncalled_private_check_sees_functions_and_methods() -> None:
+    trees = {
+        "a.py": ast.parse(
+            "def _used(): pass\n"
+            "def _unused(): pass\n"
+            "def public(): return _used\n"
+            "class K:\n"
+            "    def __init__(self): self._m()\n"
+            "    def _m(self): pass\n"
+            "    def _n(self): pass\n"
+        ),
+        "b.py": ast.parse("def _other(): pass\nx = K()._n\n"),
+    }
+    assert sorted(_uncalled_private_functions(trees)) == [
+        ("a.py", "_unused", 2), ("b.py", "_other", 1)
     ]
