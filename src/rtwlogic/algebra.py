@@ -186,11 +186,19 @@ class FactoredSuperposition:
             raise ValueError("num_bits must be >= 1")
         if len(self.c_h) != self.num_bits or len(self.c_l) != self.num_bits:
             raise ValueError("need one (c_H, c_L) pair per bit")
-        # Fractions are kept as given: uniform_superposition's 2N are one object
+        # equal coefficients become one object, as uniform_superposition's
+        # 2N are: agreement_law and evaluator group bits by identity.  A run
+        # of one object is looked up once (hashing a Fraction is slow)
+        shared: dict[Fraction, Fraction] = {}
         for name in ("c_h", "c_l"):
-            coeffs = getattr(self, name)
-            coeffs = tuple(c if isinstance(c, Fraction) else Fraction(c) for c in coeffs)
-            object.__setattr__(self, name, coeffs)
+            coeffs, given, kept = [], None, None
+            for c in getattr(self, name):
+                if c is not given:
+                    given = c
+                    c = c if isinstance(c, Fraction) else Fraction(c)
+                    kept = shared.setdefault(c, c)
+                coeffs.append(kept)
+            object.__setattr__(self, name, tuple(coeffs))
 
 
 def uniform_superposition(num_bits: int) -> FactoredSuperposition:

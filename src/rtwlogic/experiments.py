@@ -72,11 +72,16 @@ BASELINE_BITS_CAP = 14
 # resolution_bits builds ((1+lambda)/(1-lambda))^N exactly: under 0.1 s at
 # this N for lambda = 1/2, 999/1000 or 1/1000
 RESOLUTION_BITS_CAP = 10**5
+# and its cost grows with the power's size, about N times the bit lengths of
+# the ratio's numerator and denominator: under 0.1 s up to this many bits
+# (lambda = 1/1000 at N = 10^5 is 2 * 10^6), 2.7 s at 2 * 10^7
+RESOLUTION_POWER_BITS_CAP = 2 * 10**6
 # bytes one identification trial, or one reference system's sign draw, may
 # need: the smallest unit of work must fit in memory
 ENGINE_TRIAL_BYTES_CAP = 1 << 28
 
-# tag used to draw the hidden string of a trial; stream tags are 0..2N-1
+# tag used to draw the hidden string of a trial; the sign stream's role
+# words use tags 0..2W-1, W = ceil(N/64), all below 2N
 def _hidden_tag(num_bits: int) -> int:
     return 2 * num_bits
 
@@ -247,12 +252,20 @@ def zero_prob_engine(num_bits: int, trials: int, seed: int) -> np.ndarray:
 
     Each trial is one clock period of a single reference system.  By
     `algebra.agreement_law`, a is all the uniform superposition's |readout|
-    depends on, and at lambda = 1 the readout is non-zero iff a = N.
+    depends on, and at lambda = 1 the readout is non-zero iff a = N.  A
+    bit's carriers agree when its bits in the period's two rng.role_words
+    are equal, so a is N minus the set bits of L ^ H over the noise-bits;
+    the words are drawn _batch_trials(16 * ceil(N/64)) periods at a time.
     """
+    n_words = _num_words(num_bits)
+    noise_bits = np.full((n_words, 1), rng.MASK64, dtype=np.uint64)  # from bit 63 down
+    noise_bits[-1] ^= np.uint64((1 << (64 * n_words - num_bits)) - 1)
     count = np.zeros(num_bits + 1, dtype=np.int64)
-    for signs in _sign_chunks(seed, 2 * num_bits, trials):
-        agree = (signs[0::2] == signs[1::2]).sum(axis=0)  # B row vs A row, per bit
-        count += np.bincount(agree, minlength=num_bits + 1)
+    chunk = _batch_trials(16 * n_words)
+    for start in range(0, trials, chunk):
+        words = rng.role_words(seed, n_words, min(chunk, trials - start), start)
+        differ = _popcounts((words[0] ^ words[1]) & noise_bits).sum(axis=0)
+        count += np.bincount(num_bits - differ.astype(np.intp), minlength=num_bits + 1)
     return count
 
 
@@ -323,6 +336,9 @@ def _hidden_words(trial_seeds: np.ndarray, num_bits: int) -> np.ndarray:
     return words
 
 
+_ONE = np.uint64(1)
+
+
 def _words_to_ints(words: np.ndarray) -> np.ndarray:
     """One bits integer per row of (trials, W) uint64 words, word 0 lowest.
 
@@ -334,16 +350,23 @@ def _words_to_ints(words: np.ndarray) -> np.ndarray:
     return np.array([int.from_bytes(row.tobytes(), "little") for row in little], dtype=object)
 
 
-# set bits of every byte value (np.bitwise_count needs numpy >= 2.0)
-_BYTE_POPCOUNT = np.array([bin(v).count("1") for v in range(256)], dtype=np.int64)
+_M1 = np.uint64(0x5555555555555555)
+_M2 = np.uint64(0x3333333333333333)
+_M4 = np.uint64(0x0F0F0F0F0F0F0F0F)
+_H01 = np.uint64(0x0101010101010101)
+
+
+def _popcounts(words: np.ndarray) -> np.ndarray:
+    """Set bits of each uint64 word, by SWAR (np.bitwise_count needs numpy >= 2.0)."""
+    x = words - ((words >> _ONE) & _M1)
+    x = (x & _M2) + ((x >> np.uint64(2)) & _M2)
+    x = (x + (x >> np.uint64(4))) & _M4
+    return (x * _H01) >> np.uint64(56)
 
 
 def _popcount(words: np.ndarray) -> int:
     """Set bits over a uint64 array."""
-    return int(_BYTE_POPCOUNT[np.ascontiguousarray(words).view(np.uint8)].sum())
-
-
-_ONE = np.uint64(1)
+    return int(_popcounts(words).sum())
 
 
 def _check_memory(what: str, need: int) -> None:
@@ -658,11 +681,19 @@ def resolution_bits(num_bits: int, lam: Fraction | str) -> int:
 
     ceil(N * log2((1+lambda)/(1-lambda))), computed exactly: the smallest
     M with 2^M covering the readout dynamic range ((1+lambda)/(1-lambda))^N.
-    Requires 0 < lambda < 1 (see _range_ratio) and N <= RESOLUTION_BITS_CAP.
+    Requires 0 < lambda < 1 (see _range_ratio), N <= RESOLUTION_BITS_CAP
+    and a power of at most RESOLUTION_POWER_BITS_CAP bits.
     """
     if not 1 <= num_bits <= RESOLUTION_BITS_CAP:
         raise ValueError(f"num_bits must be in 1..{RESOLUTION_BITS_CAP}")
-    return ceil_log2(_range_ratio(lam) ** num_bits)
+    ratio = _range_ratio(lam)
+    size = num_bits * (ratio.numerator.bit_length() + ratio.denominator.bit_length())
+    if size > RESOLUTION_POWER_BITS_CAP:
+        raise ValueError(
+            f"resolution at {num_bits} bits and lambda = {Fraction(lam)} builds a power of "
+            f"about {size} bits; capped at {RESOLUTION_POWER_BITS_CAP}"
+        )
+    return ceil_log2(ratio**num_bits)
 
 
 def dynamic_range_below_double(lam: Fraction | str) -> bool:

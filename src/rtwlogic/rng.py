@@ -3,21 +3,28 @@
 Every +-1 sign is a pure function of (master seed, stream index, period
 index), so any period of any stream can be evaluated in O(1) without
 generating history, and independent Monte Carlo trials can derive their
-own seeds without sharing state.  The scalar path and the numpy draws
-use the same integer mixing and agree bit for bit; `sign_block` and
-`sign_tensor`, kept because perfbench's tracer wraps them, are views of
-`sign_matrix`.  The Monte Carlo engines read the same signs packed into
-uint64 words along the axis their decision runs on: the baseline search
-XORs whole period sequences of single streams and reads `sign_words`
-(one bit per period), while identification compares all noise-bits
-within a period and reads `sign_planes` (one bit per noise-bit, per
-period and carrier role).  The numpy draws mix in place on chunks that
-stay in cache.
+own seeds without sharing state.
 
-The mixer is the SplitMix64 finalizer (public-domain constants).  A
-stream's period sequence is exactly a SplitMix64 output stream whose
-initial state is derived from (master seed, stream index); the sign is
-the top bit of the 64-bit output.
+One 64-bit mix yields 64 signs.  Stream s is the carrier of noise-bit
+q + 1, q = s // 2, in role s % 2 (0: the L carrier, 1: the H carrier).
+Each (period k, role, plane word g) has one role word,
+derive_seed(seed, 2g + role, k), and the carrier of noise-bit q + 1,
+g = q // 64, has sign -1 in period k exactly when bit 63 - q % 64 of that
+word is set.
+`sign_at` states this and is the only definition of the stream; it does
+not depend on N, and the word tags 0..2W-1 (W = ceil(N/64)) stay below
+2N, the tag of a trial's hidden string.  `role_words` draws the words
+themselves, and every numpy draw reads them and agrees with `sign_at`
+bit for bit: `sign_matrix` unpacks them into one int8 row per stream
+(`sign_block` and `sign_tensor`, kept because perfbench's tracer wraps
+them, are views of it); `sign_planes` keeps one bit per noise-bit, as
+the identification engine compares all noise-bits within a period,
+which for N <= 64 is the word shifted right by 64 - N; and `sign_words`
+repacks one bit per period, as the baseline search XORs whole period
+sequences of single streams.  The mixes run in place on chunks that stay
+in cache.
+
+The mixer is the SplitMix64 finalizer (public-domain constants).
 """
 
 from __future__ import annotations
@@ -42,8 +49,9 @@ def mix64(x: int) -> int:
 def derive_seed(seed: int, *tags: int) -> int:
     """Fold non-negative integer tags into a seed, one mix per tag.
 
-    Used for per-stream seeds (tag = stream index), per-trial seeds
-    (tag = trial index) and auxiliary draws (tag past the stream range).
+    Used for role words (tags 2g + role, then the period), per-trial
+    seeds (tag = trial index) and auxiliary draws (tag past the role-word
+    range).
     """
     x = mix64(seed + _GAMMA)
     for tag in tags:
@@ -54,9 +62,10 @@ def derive_seed(seed: int, *tags: int) -> int:
 
 
 def sign_at(master_seed: int, stream_index: int, period: int) -> int:
-    """Sign of one stream in one clock period, in O(1)."""
-    z = mix64(derive_seed(master_seed, stream_index) + (period + 1) * _GAMMA)
-    return -1 if z >> 63 else 1
+    """Sign of one stream in one clock period, in O(1): one bit of one role word."""
+    q, role = divmod(stream_index, 2)
+    word = derive_seed(master_seed, 2 * (q // 64) + role, period)
+    return -1 if word >> (63 - q % 64) & 1 else 1
 
 
 # ---------------------------------------------------------------------------
@@ -67,44 +76,84 @@ _NP_GAMMA = np.uint64(_GAMMA)
 _NP_MIX1 = np.uint64(_MIX1)
 _NP_MIX2 = np.uint64(_MIX2)
 
-# uint64 elements per buffer of the chunked draws (sign_matrix, sign_planes):
-# a buffer and the scratch of its mix stay in cache
+# uint64 elements per in-place mix step: a step and its scratch stay in
+# cache; sign_matrix draws _CHUNK // 16 role words at a time
 _CHUNK = 2**15
 
 
-def mix64_np(x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x).astype(np.uint64, copy=True)
-    tmp = np.empty_like(x)
-    # uint64 wraparound is the intended modular arithmetic here
-    with np.errstate(over="ignore"):
-        _mix_top(x, tmp)
-        np.right_shift(x, np.uint64(31), out=tmp)
-        x ^= tmp
+def _mix(x: np.ndarray) -> np.ndarray:
+    """mix64 on a uint64 array, _CHUNK elements at a time.
+
+    In place on a C-contiguous array; anything else is copied first, so
+    read the result.
+    """
+    x = np.asarray(x)
+    if not x.flags.c_contiguous:
+        x = x.copy()
+    flat = x.reshape(-1)
+    tmp = np.empty(min(flat.size, _CHUNK), dtype=np.uint64)
+    for lo in range(0, flat.size, _CHUNK):
+        part = flat[lo : lo + _CHUNK]
+        t = tmp[: part.size]
+        np.right_shift(part, np.uint64(30), out=t)
+        part ^= t
+        part *= _NP_MIX1
+        np.right_shift(part, np.uint64(27), out=t)
+        part ^= t
+        part *= _NP_MIX2
+        np.right_shift(part, np.uint64(31), out=t)
+        part ^= t
     return x
 
 
 def derive_seed_np(seeds: np.ndarray, *tags: np.ndarray | int) -> np.ndarray:
     """Vector mirror of derive_seed(seed, *tags), broadcasting seeds against tags."""
+    # uint64 wraparound is the intended modular arithmetic here
     with np.errstate(over="ignore"):
-        x = mix64_np(np.asarray(seeds, dtype=np.uint64) + _NP_GAMMA)
+        x = _mix(np.asarray(seeds, dtype=np.uint64) + _NP_GAMMA)
         for tag in tags:
             tag = np.asarray(tag, dtype=np.uint64)
-            x = mix64_np(x + (tag + np.uint64(1)) * _NP_GAMMA)
+            x = _mix(x + (tag + np.uint64(1)) * _NP_GAMMA)
     return x
 
 
-def _mix_top(x: np.ndarray, tmp: np.ndarray) -> None:
-    """mix64 in place on a uint64 buffer, up to the step that fixes the top bit.
+def role_words(
+    master_seeds: int | np.ndarray, num_words: int, num_periods: int, start_period: int = 0
+) -> np.ndarray:
+    """(..., 2, num_words, P) uint64 words: derive_seed(seed, 2g + role, k) at [..., role, g, k].
 
-    mix64's last step, x ^= x >> 31, leaves the top bit unchanged, so it is
-    skipped: the sign is already in x's top bit.  tmp is scratch of x's shape.
+    Bit 63 - j of word g holds the sign of noise-bit 64g + j + 1's carrier
+    in that role, as in `sign_at`; period k runs from start_period.  One
+    seed (any int) gives (2, num_words, P); a vector of uint64 seeds adds a
+    leading trial axis.  Periods are the last axis, so the mix runs along
+    them however few words a period has.
     """
-    np.right_shift(x, np.uint64(30), out=tmp)
-    x ^= tmp
-    x *= _NP_MIX1
-    np.right_shift(x, np.uint64(27), out=tmp)
-    x ^= tmp
-    x *= _NP_MIX2
+    if np.ndim(master_seeds) == 0:
+        # a few tag seeds cost less as Python ints than as numpy calls
+        seed = int(master_seeds)
+        base = np.array(
+            [[derive_seed(seed, 2 * g + role) for g in range(num_words)] for role in (0, 1)],
+            dtype=np.uint64,
+        )
+    else:
+        seeds = np.asarray(master_seeds, dtype=np.uint64)[:, None, None]
+        words = np.arange(num_words, dtype=np.uint64)
+        tags = np.arange(2, dtype=np.uint64)[:, None] + np.uint64(2) * words  # [role, g]
+        base = derive_seed_np(seeds, tags)
+    gamma = np.arange(start_period + 1, start_period + num_periods + 1, dtype=np.uint64)
+    gamma *= _NP_GAMMA
+    return _mix(base[..., None] + gamma)
+
+
+def _bits(words: np.ndarray, count: int) -> np.ndarray:
+    """(..., P, count) uint8 bits of (..., W, P) role words.
+
+    Noise-bit 64g + b is bit 63 - b of word g.
+    """
+    *lead, n_words, periods = words.shape
+    bits = np.unpackbits(words.astype(">u8").view(np.uint8).reshape(-1))
+    bits = bits.reshape(*lead, n_words, periods, 64).swapaxes(-3, -2)
+    return bits.reshape(*lead, periods, 64 * n_words)[..., :count]
 
 
 def sign_block(master_seed: int, stream_index: int, start_period: int, count: int) -> np.ndarray:
@@ -119,24 +168,24 @@ def sign_matrix(
 ) -> np.ndarray:
     """(num_streams, num_periods) int8 sign matrix for one master seed.
 
-    Drawn a few periods at a time on half a _CHUNK of signs (one period
-    when num_streams is larger), so the uint64 intermediates stay under
-    1 MiB however many periods are drawn, and a long matrix needs little
-    more than its int8 result.
+    Drawn at most _CHUNK // 16 role words at a time, at least one period,
+    so the words, their mix and their unpacked bits (64 bytes a word) stay
+    under 256 KiB however many periods are drawn, and a long matrix needs
+    little more than its int8 result.
     """
-    streams = np.arange(num_streams, dtype=np.uint64)
-    seeds = derive_seed_np(np.uint64(master_seed & _MASK64), streams)[:, None]
+    pairs, odd = divmod(num_streams, 2)
+    n_words = -(-(pairs + odd) // 64)
     out = np.empty((num_streams, num_periods), dtype=np.int8)
-    step = max(1, _CHUNK // max(2, 2 * num_streams))
-    # uint64 wraparound is the intended modular arithmetic here
-    with np.errstate(over="ignore"):
-        for k0 in range(0, num_periods, step):
-            k1 = min(k0 + step, num_periods)
-            periods = np.arange(start_period + k0, start_period + k1, dtype=np.uint64)
-            x = seeds + (periods + np.uint64(1)) * _NP_GAMMA
-            _mix_top(x, np.empty_like(x))
-            np.less(x.view(np.int64), 0, out=out[:, k0:k1].view(np.bool_))
-    out *= np.int8(-2)  # top bit set -> 1 -> -1
+    by_bit = out[: 2 * pairs].reshape(pairs, 2, num_periods)  # [q, role, k]
+    step = max(1, _CHUNK // 16 // (2 * max(1, n_words)))
+    for k0 in range(0, num_periods, step):
+        k1 = min(k0 + step, num_periods)
+        words = role_words(master_seed, n_words, k1 - k0, start_period + k0)
+        bits = _bits(words, pairs + odd)  # [role, k, q]
+        by_bit[:, :, k0:k1] = bits[:, :, :pairs].transpose(2, 0, 1)
+        if odd:
+            out[-1, k0:k1] = bits[0, :, pairs]
+    out *= np.int8(-2)  # bit set -> 1 -> -1
     out += np.int8(1)
     return out
 
@@ -150,93 +199,39 @@ def sign_tensor(master_seeds: np.ndarray, num_streams: int, num_periods: int) ->
     return out
 
 
-# uint64 elements per sign_words block: (periods, trials, streams) blocks
-# of this size, and the temporaries of their mix, stay in cache
-_WORDS_CHUNK = 2**14
-
-
 def sign_words(master_seeds: np.ndarray, num_streams: int, num_periods: int) -> np.ndarray:
     """sign_tensor(...) < 0 packed as (trials, num_streams, ceil(P/64)) uint64 words.
 
-    Bit k % 64 of word k // 64 is set when period k's sign is -1.  Periods
-    are drawn a few at a time on (periods, trials, streams) blocks of at
-    most _WORDS_CHUNK elements and OR-reduced over the period axis.  The
-    result is a transposed view of a (words, trials, streams) buffer, so
-    each word's (trials, streams) plane is contiguous.
+    Bit k % 64 of word k // 64 is set when period k's sign is -1.  The
+    role words are unpacked one byte per sign, laid out stream by stream
+    on a zeroed buffer padded to whole words, and packed again in one pass.
     """
     seeds = np.asarray(master_seeds, dtype=np.uint64)
-    streams = np.arange(num_streams, dtype=np.uint64)
-    stream_seeds = derive_seed_np(seeds[:, None], streams[None, :]).ravel()
-    size = stream_seeds.size
-    n_words = -(-num_periods // 64)
-    out = np.zeros((n_words, size), dtype=np.uint64)
-    cols = max(1, min(size, _WORDS_CHUNK))
-    rows = max(1, min(64, _WORDS_CHUNK // cols))
-    top = np.uint64(63)
-    with np.errstate(over="ignore"):
-        for lo in range(0, size, cols):
-            block_seeds = stream_seeds[lo : lo + cols]
-            for w in range(n_words):
-                for k0 in range(64 * w, min(64 * w + 64, num_periods), rows):
-                    k = np.arange(k0, min(k0 + rows, 64 * w + 64, num_periods), dtype=np.uint64)
-                    x = block_seeds + ((k + np.uint64(1)) * _NP_GAMMA)[:, None]
-                    _mix_top(x, np.empty_like(x))
-                    x >>= top
-                    x <<= (k % np.uint64(64))[:, None]
-                    out[w, lo : lo + cols] |= np.bitwise_or.reduce(x, axis=0)
-    return out.reshape(n_words, len(seeds), num_streams).transpose(1, 2, 0)
+    trials, bits_needed = len(seeds), -(-num_streams // 2)
+    words = role_words(seeds, -(-bits_needed // 64), num_periods)
+    by_stream = np.zeros((trials, bits_needed, 2, 64 * -(-num_periods // 64)), dtype=np.uint8)
+    by_stream[..., :num_periods] = _bits(words, bits_needed).transpose(0, 3, 1, 2)
+    packed = np.packbits(by_stream.reshape(-1), bitorder="little").view("<u8")
+    return packed.reshape(trials, 2 * bits_needed, by_stream.shape[-1] // 64)[:, :num_streams]
 
 
 def sign_planes(master_seeds: np.ndarray, num_bits: int, num_periods: int) -> np.ndarray:
     """sign_tensor(seeds, 2N, P) < 0 as (P, trials, 2, ceil(N/64)) uint64 carrier planes.
 
-    Plane 0 holds the L carriers (role B, even slots), plane 1 the H
-    carriers (role A, odd slots).  Bit j of word w is set when the carrier
+    Plane 0 holds the L carriers (role 0, even slots), plane 1 the H
+    carriers (role 1, odd slots).  Bit j of word w is set when the carrier
     of noise-bit r = N - (64w + j) has sign -1 in that period, so a plane
     word lays out its bits as the hidden-string integer does: word 0 holds
     bit positions 0-63 and bit 1 is the most significant; padding bits
-    past bit 1 stay clear.  Signs are drawn on (periods, trials, 2,
-    positions) chunks of at most _CHUNK uint64 elements, split along the
-    positions in whole plane words when one trial's 2N * P block is
-    larger, and along the periods only when 64 positions over all P
-    periods still are.
+    past bit 1 stay clear.  That is the role words, read as one integer
+    with word 0 most significant, shifted right by 64W - N: for N <= 64
+    one shift of the word, above it a funnel shift over the words in
+    reverse order.
     """
-    seeds = np.asarray(master_seeds, dtype=np.uint64)
-    n, trials = num_bits, len(seeds)
-    n_words = -(-n // 64)
-    # position p carries noise-bit r = N - p: its L carrier is stream
-    # 2(N - p - 1), its H carrier the next one
-    pos = np.arange(n, dtype=np.uint64)
-    streams = np.uint64(2) * (np.uint64(n - 1) - pos) + np.arange(2, dtype=np.uint64)[:, None]
-    stream_seeds = derive_seed_np(seeds[:, None, None], streams[None])  # (trials, 2, N)
-    gamma_k = (np.arange(num_periods, dtype=np.uint64) + np.uint64(1)) * _NP_GAMMA
-    cols = min(n, max(64, _CHUNK // (2 * num_periods) // 64 * 64))
-    rows = min(num_periods, max(1, _CHUNK // (2 * cols)))
-    per = max(1, _CHUNK // (2 * cols * rows))  # trials per chunk
-    x_buf = np.empty(rows * per * 2 * cols, dtype=np.uint64)
-    tmp_buf = np.empty_like(x_buf)
-    bits_buf = np.empty(rows * per * 2 * -(-cols // 8) * 8, dtype=bool)
-    # bytes of the plane words; whole bytes past bit 1 are never written
-    out = np.zeros((num_periods, trials, 2, 8 * n_words), dtype=np.uint8)
-    with np.errstate(over="ignore"):
-        for p0 in range(0, n, cols):
-            pc = min(cols, n - p0)
-            nbytes = -(-pc // 8)
-            for t0 in range(0, trials, per):
-                tn = min(per, trials - t0)
-                for k0 in range(0, num_periods, rows):
-                    kn = min(rows, num_periods - k0)
-                    size = kn * tn * 2 * pc
-                    x = x_buf[:size].reshape(kn, tn, 2, pc)
-                    np.add(stream_seeds[None, t0 : t0 + tn, :, p0 : p0 + pc],
-                           gamma_k[k0 : k0 + kn, None, None, None], out=x)
-                    _mix_top(x, tmp_buf[:size].reshape(x.shape))
-                    bits = bits_buf[: kn * tn * 2 * 8 * nbytes].reshape(kn, tn, 2, 8 * nbytes)
-                    np.less(x.view(np.int64), 0, out=bits[..., :pc])
-                    # rows of whole bytes: packing the flat buffer packs each
-                    # row; the bits of its last byte past bit 1 are cleared below
-                    packed = np.packbits(bits, bitorder="little").reshape(kn, tn, 2, nbytes)
-                    out[k0 : k0 + kn, t0 : t0 + tn, :, p0 // 8 : p0 // 8 + nbytes] = packed
-    planes = out.view(np.dtype("<u8"))
-    planes[..., -1] &= np.uint64((1 << (n - 64 * (n_words - 1))) - 1)
+    n_words = -(-num_bits // 64)
+    words = role_words(master_seeds, n_words, num_periods).transpose(3, 0, 1, 2)[..., ::-1]
+    shift = np.uint64(64 * n_words - num_bits)
+    planes = np.right_shift(words, shift, order="C")
+    if n_words > 1 and shift:
+        planes[..., :-1] |= words[..., 1:] << (np.uint64(64) - shift)
     return planes

@@ -197,6 +197,26 @@ def test_resolution_cap(capsys, monkeypatch) -> None:
     assert err == f"error: num_bits must be in 1..{cap}\n"
 
 
+def test_resolution_power_cap(capsys, monkeypatch) -> None:
+    # lambda = 2^-20: the ratio (2^20 + 1)/(2^20 - 1) has 21 + 20 bits, so
+    # N = 48780 builds a power of 1999980 bits, at most the cap, and
+    # N = 48781 one of 2000021; 1/10^100's ratio has 333 + 333 bits
+    cap = experiments.RESOLUTION_POWER_BITS_CAP
+    rc, out, _ = _run(capsys, ["resolution", "--bits", "48780", "--lambda", f"1/{2**20}"])
+    assert rc == 0 and 48780 * 41 <= cap
+
+    def no_power(*args):
+        raise AssertionError("computed a power")
+
+    monkeypatch.setattr(Fraction, "__pow__", no_power)
+    for bits, lam, power in ((48781, 2**20, 48781 * 41), (10**5, 10**100, 10**5 * 666)):
+        rc, out, err = _run(capsys, ["resolution", "--bits", str(bits), "--lambda", f"1/{lam}"])
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert f"about {power} bits; capped at {cap}" in err
+
+
 def test_bench_refuses_raised_baseline_cap(capsys) -> None:
     rc, out, err = _run(capsys, ["bench", "--bits", "4", "--baseline-cap", "15"])
     assert rc == 2
@@ -208,29 +228,29 @@ def test_bench_refuses_raised_baseline_cap(capsys) -> None:
 # a refactor that changes any report byte changes its digest
 GOLDEN_REPORTS = {
     "zero-prob --bits 3 --trials 20000 --format csv":
-        "45fb34f1bbc8f7a5a894c51263839158f3b23b8b7e42bb66e09e770684dc25b0",
+        "201d6a06f39b892abc77427b7fe704b6174b0ba8c2678bf264984ad8eebd06c4",
     "zero-prob --bits 3 --trials 20000 --format json":
-        "ee6bcad75fb5f758162d411ab8205b0e629875121ad72ba4db5a689afa1840f1",
+        "9222ed87f7b9e1058d273872d4d3ee1eae20c48ce3a3b28c411c0cbb534f7a01",
     "range --bits 4 --lambda 1/2 --exhaustive --format csv":
         "bbe78b5f236dcb96b1274241ab3483babeb4231d9b3a8513569933481ec23832",
     "range --bits 4 --lambda 1/2 --exhaustive --format json":
         "3ec1a50ffb6b52a937d540326bfd1c75ebaf03dd290b28870dba948875a5f47c",
     "range --bits 8 --lambda 1/2 --trials 200 --format csv":
-        "4afcc1b0f8d6f85b5c119b42c16b5aacaf0c8b6603bd3ed8e530c27bdd20f596",
+        "bc367994e2df95f0b992fa3a70f2df4307e90bcffb46302c00028befe5e246c3",
     "range --bits 8 --lambda 1/2 --trials 200 --format json":
-        "6b51f78165592de8baedd381888a86271976f00f26e9bad0270ba20b3d517b70",
+        "1456946a2a21ba21611bd79700cc8b1f8c9932db2412f8a513a03cdcedb27401",
     "resolution --bits 200 --lambda 1/2 --format csv":
         "547065e26f49f1cab96f4c19d9c9c847b64ef051801ae2db708865d83031127e",
     "resolution --bits 200 --lambda 1/2 --format json":
         "5bf772cb01f95dbb29078dd241b996c17213f3211f8e6455e828b02ca7e737e3",
     "identify --bits 8 --epsilon 1/1000 --trials 500 --format csv":
-        "dfe93f0f22eeb3605986e24ab0db47429c2921034a29f5bc146f975f2f2e2935",
+        "10ba0c7319313916612ef2f8d99ba58a588416645b29a1027f5fbccde968171f",
     "identify --bits 8 --epsilon 1/1000 --trials 500 --format json":
-        "e52226f927f734ef5ec76334ce74e130ea14a94f57ecf9c29a2b343b2d8aae77",
+        "4f8592fd2fee153b041a64af251563c40248274113626b1bba6184e45ef3dc2e",
     "bench --bits 4,6,8 --trials 50 --format csv":
-        "3e2ae84ca4b7dfb56c35e8851ce23c2e0c40fd573c5e24d1189cfc53d2288e5e",
+        "bacb7b3d4aaeee2539f930d5dd60206845807eea57b5d4d1cf6ce7aab2f4b710",
     "bench --bits 4,6,8 --trials 50 --format json":
-        "ef1c63bb9616443663b66c4fd4c51877d687db5e50a2dae282d70b900c1a752e",
+        "c33c986692d5ea024c61648fa18295b477e2bdba84cc70045eec3ffef1cbd559",
     "not-demo --bits 3 --lambda 1/2 --target 2 --periods 200 --format csv":
         "7d27faba952e8e25e9089a0418d74c68aaedf7e4007de94bab570337da189e3e",
     "not-demo --bits 3 --lambda 1/2 --target 2 --periods 200 --format json":

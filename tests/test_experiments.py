@@ -57,21 +57,28 @@ def test_sign_chunk_engines_batching_invariance(monkeypatch) -> None:
     n, periods, seed = 3, 100, 4
     whole_count = exp.zero_prob_engine(n, periods, seed)
     whole_mismatch = exp.mismatch_rate_engine(n, periods, seed)
-    # 8 * 2N = 48 bytes per period: chunks of 7 periods, the last one of 2
+    # zero-prob reads 16 bytes per period, two role words: chunks of 21
+    # periods, the last one of 16; mismatch reads sign_matrix, 8 * 2N = 48
+    # bytes per period: chunks of 7 periods, the last one of 2
     monkeypatch.setattr(exp, "_ENGINE_BATCH_BYTES", 48 * 7 + 5)
-    chunks = []
-    sign_matrix = rng.sign_matrix
+    drawn: dict[str, list[int]] = {"role_words": [], "sign_matrix": []}
 
-    def counted(*args, **kwargs):
-        signs = sign_matrix(*args, **kwargs)
-        chunks.append(signs.shape[1])
-        return signs
+    def counting(name):
+        draw = getattr(rng, name)
 
-    monkeypatch.setattr(rng, "sign_matrix", counted)
+        def counted(seed, width, count, start_period=0):
+            drawn[name].append(count)
+            return draw(seed, width, count, start_period)
+
+        return counted
+
+    for name in drawn:
+        monkeypatch.setattr(rng, name, counting(name))
     assert (exp.zero_prob_engine(n, periods, seed) == whole_count).all()
-    assert chunks == [7] * 14 + [2]
+    assert drawn == {"role_words": [21] * 4 + [16], "sign_matrix": []}
+    drawn["role_words"].clear()
     assert exp.mismatch_rate_engine(n, periods, seed) == whole_mismatch
-    assert chunks == 2 * ([7] * 14 + [2])
+    assert drawn["sign_matrix"] == [7] * 14 + [2]
 
 
 def test_mismatch_engine_matches_exact_readouts() -> None:
@@ -105,6 +112,20 @@ def _assert_trials_match(stats: exp.IdentificationTrialStats, n: int, exact_tria
             assert stats.recovered_bits[i] == res.product_string().bits
 
 
+def _mixed_trials(n: int, m: int) -> int:
+    """Trials enough that some complete and some stay undecided, but for a tail below 1e-9.
+
+    A trial leaves a bit undecided with probability p = 1 - (1 - 4^-M)^N,
+    and trials are independent, so T trials miss one kind or the other
+    with probability (1 - p)^T + p^T.
+    """
+    p = 1 - (1 - 0.25**m) ** n
+    trials = 1
+    while (1 - p) ** trials + p**trials >= 1e-9:
+        trials += 1
+    return trials
+
+
 def _assert_engine_matches_exact(n: int, m: int, trials: int, seed: int) -> None:
     stats = exp.run_identification_trials(n, m, trials, seed, keep_per_trial=True)
     assert stats.contradictions == 0
@@ -123,12 +144,12 @@ def _assert_engine_matches_exact_long_window(n: int, m: int, trials: int, seed: 
 
 
 def test_identification_engine_matches_exact_trials() -> None:
-    _assert_engine_matches_exact(4, 3, 40, 2)
+    _assert_engine_matches_exact(4, 3, _mixed_trials(4, 3), 2)
 
 
 @pytest.mark.parametrize("n, m", [(65, 4), (128, 3), (200, 4)])
 def test_identification_engine_matches_exact_trials_above_64_bits(n: int, m: int) -> None:
-    _assert_engine_matches_exact(n, m, 6, 2)
+    _assert_engine_matches_exact(n, m, _mixed_trials(n, m), 2)
 
 
 def test_identification_engine_matches_exact_trials_at_1024_bits() -> None:
@@ -347,11 +368,19 @@ def test_baseline_budget_is_one_rule() -> None:
 def test_baseline_mean_tests_near_half_catalog() -> None:
     # hidden strings are uniform over the catalog, so the mean scan position
     # is (2^N + 1)/2; sigma of the mean from the discrete uniform variance
-    n, trials = 10, 1000
-    stats = exp.run_baseline_trials(n, 20, trials, 1)
+    n, periods, trials = 10, 20, 1000
+    stats = exp.run_baseline_trials(n, periods, trials, 1)
     expect = (2**n + 1) / 2
     sigma = math.sqrt((4**n - 1) / 12 / trials)
-    assert stats.false_matches == 0
+    # a trial false-matches when a candidate scanned before the hidden one
+    # survives all its periods; (2^N - 1)/2 are scanned before it on
+    # average, each surviving with probability 2^-P, so by the union bound
+    # a trial false-matches with probability at most p = 511.5 * 2^-20.
+    # Trials are independent, so the count's upper tail is at most
+    # Binomial(T, p)'s: about 0.49 false matches are expected, and 10 or
+    # more fail
+    p = (2**n - 1) / 2 * 0.5**periods
+    assert _binomial_tails(stats.false_matches, trials, p)[1] > _LAW_TAIL
     assert abs(stats.mean_tests - expect) <= 3 * sigma
 
 

@@ -58,9 +58,9 @@ def test_sign_matrix_and_tensor_match_block() -> None:
 
 def test_sign_block_and_tensor_match_scalar_path_across_chunks(monkeypatch) -> None:
     # both are views of sign_matrix; with a small _CHUNK the draw crosses
-    # chunk boundaries (4 streams: 3 periods a chunk, 18: one), and every
+    # chunk boundaries (3 periods a chunk up to 128 streams), and every
     # sign is still sign_at's
-    monkeypatch.setattr(rng, "_CHUNK", 25)
+    monkeypatch.setattr(rng, "_CHUNK", 100)
     seed = 2**63 + 11
     for stream in (0, 3, 17):
         block = rng.sign_block(seed, stream, 5, 40)
@@ -109,13 +109,11 @@ def test_sign_words_pack_tensor_and_scalar_signs(periods: int) -> None:
 def test_sign_words_chunking_invariance(monkeypatch) -> None:
     seeds = _trial_seeds(5)
     whole = rng.sign_words(seeds, 3, 130)
-    # 15 trial-streams: blocks of 7, 7 and 1 of them, one period each
-    monkeypatch.setattr(rng, "_WORDS_CHUNK", 7)
-    assert (rng.sign_words(seeds, 3, 130) == whole).all()
-    # blocks of 3 periods leave a ragged block at the end of each word
-    # and a 2-period block in the third word
-    monkeypatch.setattr(rng, "_WORDS_CHUNK", 47)
-    assert (rng.sign_words(seeds, 3, 130) == whole).all()
+    # the 5 * 2 * 130 role words are mixed 7 or 47 at a time, the last
+    # step ragged
+    for chunk in (7, 47):
+        monkeypatch.setattr(rng, "_CHUNK", chunk)
+        assert (rng.sign_words(seeds, 3, 130) == whole).all()
 
 
 def _planes(neg: np.ndarray) -> np.ndarray:
@@ -153,10 +151,8 @@ def test_sign_planes_chunking_invariance(monkeypatch) -> None:
     seeds = _trial_seeds(5)
     cases = [(3, 9), (3, 130), (130, 3), (130, 130)]
     whole = [rng.sign_planes(seeds, bits, periods) for bits, periods in cases]
-    # 7: one period of one trial per chunk, 64 positions at a time above 64
-    # bits; 109: two trials of 3 bits over 9 periods, then one; 389: 130
-    # bits over 3 periods split into words of 64, 64 and 2 positions, and
-    # 3 bits over 130 periods into 64, 64 and 2 periods
+    # the role words (5 trials, 2 roles, 1 or 3 words, 3 to 130 periods)
+    # are mixed 7, 109 or 389 at a time, the last step ragged
     for chunk in (7, 109, 389):
         monkeypatch.setattr(rng, "_CHUNK", chunk)
         for (bits, periods), expect in zip(cases, whole):
@@ -165,8 +161,8 @@ def test_sign_planes_chunking_invariance(monkeypatch) -> None:
 
 def test_sign_matrix_chunking_invariance(monkeypatch) -> None:
     whole = rng.sign_matrix(11, 6, 130, start_period=7)
-    # 6 streams: chunks of 1, 2 and 32 periods, the last one ragged
-    for chunk in (7, 25, 389):
+    # up to 128 streams: chunks of 1, 3 and 12 periods, the last one ragged
+    for chunk in (7, 100, 389):
         monkeypatch.setattr(rng, "_CHUNK", chunk)
         assert (rng.sign_matrix(11, 6, 130, start_period=7) == whole).all()
 
@@ -221,3 +217,71 @@ def test_derive_seed_np_mirrors_nested_tags(seed: int) -> None:
     words = np.arange(1, 5, dtype=np.uint64)
     vec = rng.derive_seed_np(np.uint64(seed), 40, words)
     assert vec.tolist() == [rng.derive_seed(seed, 40, w) for w in range(1, 5)]
+
+
+# a stream-statistics check fails only when its statistic lies in a tail
+# this improbable under a fair, independent stream, summed over every
+# position or pair it tests (union bound)
+_STREAM_TAIL = 1e-9
+
+
+def _hoeffding_bound(samples: int, checks: int) -> float:
+    """t with P(|mean of samples values in [-1, 1] with mean 0| >= t) <= _STREAM_TAIL / checks."""
+    return math.sqrt(2 * math.log(2 * checks / _STREAM_TAIL) / samples)
+
+
+def _role_word_signs(seed: int, periods: int, block: int = 8192):
+    """(128, block) float32 signs of both role words' 64 positions, block by block."""
+    for k0 in range(0, periods, block):
+        yield rng.sign_matrix(seed, 128, block, start_period=k0).astype(np.float32)
+
+
+def test_every_bit_position_is_fair() -> None:
+    # the 128 streams of the first plane word are the 64 bit positions of
+    # the L and the H word; each position's mean sign is 0
+    periods = 2**16
+    signs = _role_word_signs(20261019, periods)
+    total = sum(block.sum(axis=1, dtype=np.float64) for block in signs)
+    assert np.abs(total / periods).max() < _hoeffding_bound(periods, 128)
+
+
+def test_bit_positions_are_pairwise_independent() -> None:
+    # pairs within the L word, within the H word, and across the L and H
+    # words of one period: the mean product of two independent fair signs is 0
+    periods = 2**16
+    gram = sum(s @ s.T for s in _role_word_signs(20261020, periods)).astype(np.float64)
+    pairs = np.triu_indices(128, k=1)
+    assert np.abs(gram[pairs] / periods).max() < _hoeffding_bound(periods, len(pairs[0]))
+
+
+def test_sign_matrix_rows_do_not_depend_on_stream_count() -> None:
+    seed, periods = 2**64 - 3, 9
+    widest = rng.sign_matrix(seed, 260, periods, start_period=70)
+    for streams in (1, 62, 64, 66, 128, 130, 260):
+        assert (rng.sign_matrix(seed, streams, periods, start_period=70) == widest[:streams]).all()
+    for s in (0, 1, 127, 128, 129, 259):
+        assert widest[s].tolist() == [rng.sign_at(seed, s, 70 + k) for k in range(periods)]
+
+
+# noise-bits 31-34 sit at bits 33-30 of the first role word, where mix64's
+# final x ^= x >> 31 starts to change bits (from bit 32 down); 64-66 straddle
+# the boundary between the first and second role word
+_EDGE_BITS = (31, 32, 33, 34, 64, 65, 66)
+
+
+@pytest.mark.parametrize("bits", [34, 66, 130])
+def test_draws_match_sign_at_at_edge_bits(bits: int) -> None:
+    seeds, periods = _trial_seeds(3), 5
+    planes = rng.sign_planes(seeds, bits, periods)
+    words = rng.sign_words(seeds, 2 * bits, periods)
+    for t, ts in enumerate(int(s) for s in seeds):
+        matrix = rng.sign_matrix(ts, 2 * bits, periods)
+        for r in (r for r in _EDGE_BITS if r <= bits):
+            pos = bits - r
+            for role in (0, 1):
+                s = 2 * (r - 1) + role
+                neg = [rng.sign_at(ts, s, k) < 0 for k in range(periods)]
+                assert (matrix[s] < 0).tolist() == neg
+                assert [int(words[t, s, 0]) >> k & 1 == 1 for k in range(periods)] == neg
+                column = planes[:, t, role, pos // 64]
+                assert [int(w) >> (pos % 64) & 1 == 1 for w in column] == neg

@@ -269,8 +269,9 @@ def _superposition_forms(n: int, lam: Fraction, target: int) -> list:
         tuple(zero if r % 3 == 1 else one for r in range(n)),
         tuple(zero if r % 3 == 2 else half for r in range(n)),
     )
+    # at lambda = 1 the NOT result's swapped pair (lambda^2, 1) equals the others
     notted = alg.apply_not(uni, min(target, n), lam)
-    return [(uni, 1), (notted, min(n, 2)), (distinct, n), (zeros, min(n, 3))]
+    return [(uni, 1), (notted, 1 if lam == 1 else min(n, 2)), (distinct, n), (zeros, min(n, 3))]
 
 
 @settings(max_examples=60, deadline=None)
@@ -297,6 +298,21 @@ def test_superposition_traces_and_readouts_equal_evaluator_over_columns(
             assert trace.samples == tuple(map(value, columns[shifted]))
         readouts = tuple(map(value, columns[False][spp - 1 :: spp]))
         assert sig.superposition_readouts(refs, f) == readouts
+
+
+def test_equal_coefficients_form_one_group() -> None:
+    # coefficients equal by value become one object, so 256 separately
+    # converted ones form one agreement group, as the uniform superposition's
+    n = 256
+    f = alg.FactoredSuperposition(n, (1,) * n, tuple(Fraction(2, 2) for _ in range(n)))
+    uni = alg.uniform_superposition(n)
+    groups, _ = alg.agreement_law(f, Fraction(1, 2))
+    assert set(groups) == {0}
+    refs = _refs(seed=9, n=n, periods=3)
+    for shifted in (False, True):
+        expect = sig.trace_superposition(refs, uni, shifted).samples
+        assert sig.trace_superposition(refs, f, shifted).samples == expect
+    assert sig.superposition_readouts(refs, f) == sig.superposition_readouts(refs, uni)
 
 
 def test_product_and_selection_traces_never_build_columns(monkeypatch) -> None:
