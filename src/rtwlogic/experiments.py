@@ -229,7 +229,8 @@ def fit_slope(xs: list[float], ys: list[float]) -> tuple[float, float]:
 # ===========================================================================
 
 # bytes per batch of an engine's largest intermediates: 8 per stream and
-# period for rng.sign_matrix and the baseline's rng.sign_words draw, the
+# period for rng.sign_matrix and the baseline's rng.sign_words draw (each
+# holds its result plus a fixed-size chunk of unpacked role words), the
 # baseline's match mask, or the identification engine's own
 # _identification_trial_bytes; small enough for a batch to stay in cache
 _ENGINE_BATCH_BYTES = 1 << 20
@@ -261,9 +262,10 @@ def zero_prob_engine(num_bits: int, trials: int, seed: int) -> np.ndarray:
     noise_bits = np.full((n_words, 1), rng.MASK64, dtype=np.uint64)  # from bit 63 down
     noise_bits[-1] ^= np.uint64((1 << (64 * n_words - num_bits)) - 1)
     count = np.zeros(num_bits + 1, dtype=np.int64)
+    seeds = rng.word_seeds(seed, n_words)
     chunk = _batch_trials(16 * n_words)
     for start in range(0, trials, chunk):
-        words = rng.role_words(seed, n_words, min(chunk, trials - start), start)
+        words = rng.role_words(seeds, min(chunk, trials - start), start)
         differ = _popcounts((words[0] ^ words[1]) & noise_bits).sum(axis=0)
         count += np.bincount(num_bits - differ.astype(np.intp), minlength=num_bits + 1)
     return count

@@ -13,16 +13,17 @@ g = q // 64, has sign -1 in period k exactly when bit 63 - q % 64 of that
 word is set.
 `sign_at` states this and is the only definition of the stream; it does
 not depend on N, and the word tags 0..2W-1 (W = ceil(N/64)) stay below
-2N, the tag of a trial's hidden string.  `role_words` draws the words
-themselves, and every numpy draw reads them and agrees with `sign_at`
-bit for bit: `sign_matrix` unpacks them into one int8 row per stream
-(`sign_block` and `sign_tensor`, kept because perfbench's tracer wraps
-them, are views of it); `sign_planes` keeps one bit per noise-bit, as
-the identification engine compares all noise-bits within a period,
-which for N <= 64 is the word shifted right by 64 - N; and `sign_words`
-repacks one bit per period, as the baseline search XORs whole period
-sequences of single streams.  The mixes run in place on chunks that stay
-in cache.
+2N, the tag of a trial's hidden string.  `word_seeds` derives each
+(role, g) tag seed once per draw, `role_words` folds the periods into
+them to draw the words themselves, and every numpy draw reads them and
+agrees with `sign_at` bit for bit: `sign_matrix` unpacks them into one
+int8 row per stream (`sign_block` and `sign_tensor`, kept because
+perfbench's tracer wraps them, are views of it); `sign_planes` keeps one
+bit per noise-bit, as the identification engine compares all noise-bits
+within a period, which for N <= 64 is the word shifted right by 64 - N;
+and `sign_words` repacks one bit per period, as the baseline search XORs
+whole period sequences of single streams.  The mixes run in place on
+chunks that stay in cache.
 
 The mixer is the SplitMix64 finalizer (public-domain constants).
 """
@@ -77,8 +78,14 @@ _NP_MIX1 = np.uint64(_MIX1)
 _NP_MIX2 = np.uint64(_MIX2)
 
 # uint64 elements per in-place mix step: a step and its scratch stay in
-# cache; sign_matrix draws _CHUNK // 16 role words at a time
+# cache; sign_matrix and sign_words unpack _CHUNK // 16 role words at a
+# time
 _CHUNK = 2**15
+
+# words per role up to which word_seeds derives one seed's tag seeds on
+# Python ints: 2W derive_seed calls cost less than derive_seed_np's two
+# mixes on a tiny array
+_SCALAR_WORDS = 8
 
 
 def _mix(x: np.ndarray) -> np.ndarray:
@@ -91,19 +98,19 @@ def _mix(x: np.ndarray) -> np.ndarray:
     if not x.flags.c_contiguous:
         x = x.copy()
     flat = x.reshape(-1)
-    tmp = np.empty(min(flat.size, _CHUNK), dtype=np.uint64)
     for lo in range(0, flat.size, _CHUNK):
         part = flat[lo : lo + _CHUNK]
-        t = tmp[: part.size]
-        np.right_shift(part, np.uint64(30), out=t)
-        part ^= t
+        part ^= part >> np.uint64(30)
         part *= _NP_MIX1
-        np.right_shift(part, np.uint64(27), out=t)
-        part ^= t
+        part ^= part >> np.uint64(27)
         part *= _NP_MIX2
-        np.right_shift(part, np.uint64(31), out=t)
-        part ^= t
+        part ^= part >> np.uint64(31)
     return x
+
+
+def _fold(x: np.ndarray, tag: np.ndarray | int) -> np.ndarray:
+    """One derive_seed step on arrays: mix64(x + (tag + 1) * gamma), broadcast."""
+    return _mix(x + (np.asarray(tag, dtype=np.uint64) + np.uint64(1)) * _NP_GAMMA)
 
 
 def derive_seed_np(seeds: np.ndarray, *tags: np.ndarray | int) -> np.ndarray:
@@ -112,37 +119,41 @@ def derive_seed_np(seeds: np.ndarray, *tags: np.ndarray | int) -> np.ndarray:
     with np.errstate(over="ignore"):
         x = _mix(np.asarray(seeds, dtype=np.uint64) + _NP_GAMMA)
         for tag in tags:
-            tag = np.asarray(tag, dtype=np.uint64)
-            x = _mix(x + (tag + np.uint64(1)) * _NP_GAMMA)
+            x = _fold(x, tag)
     return x
 
 
-def role_words(
-    master_seeds: int | np.ndarray, num_words: int, num_periods: int, start_period: int = 0
-) -> np.ndarray:
-    """(..., 2, num_words, P) uint64 words: derive_seed(seed, 2g + role, k) at [..., role, g, k].
+def word_seeds(master_seeds: int | np.ndarray, num_words: int) -> np.ndarray:
+    """(..., 2, num_words) uint64: derive_seed(seed, 2g + role) at [..., role, g].
 
-    Bit 63 - j of word g holds the sign of noise-bit 64g + j + 1's carrier
-    in that role, as in `sign_at`; period k runs from start_period.  One
-    seed (any int) gives (2, num_words, P); a vector of uint64 seeds adds a
-    leading trial axis.  Periods are the last axis, so the mix runs along
-    them however few words a period has.
+    One seed (any int) gives (2, num_words); a vector of uint64 seeds adds
+    a leading trial axis.  Derived once per draw, however many chunks of
+    periods `role_words` then folds in; up to _SCALAR_WORDS words, one
+    seed's tag seeds are derived as Python ints.
     """
     if np.ndim(master_seeds) == 0:
-        # a few tag seeds cost less as Python ints than as numpy calls
-        seed = int(master_seeds)
-        base = np.array(
-            [[derive_seed(seed, 2 * g + role) for g in range(num_words)] for role in (0, 1)],
-            dtype=np.uint64,
-        )
-    else:
-        seeds = np.asarray(master_seeds, dtype=np.uint64)[:, None, None]
-        words = np.arange(num_words, dtype=np.uint64)
-        tags = np.arange(2, dtype=np.uint64)[:, None] + np.uint64(2) * words  # [role, g]
-        base = derive_seed_np(seeds, tags)
-    gamma = np.arange(start_period + 1, start_period + num_periods + 1, dtype=np.uint64)
-    gamma *= _NP_GAMMA
-    return _mix(base[..., None] + gamma)
+        seed = int(master_seeds) & MASK64
+        if num_words <= _SCALAR_WORDS:
+            return np.array(
+                [[derive_seed(seed, 2 * g + role) for g in range(num_words)] for role in (0, 1)],
+                dtype=np.uint64,
+            )
+        master_seeds = seed
+    seeds = np.asarray(master_seeds, dtype=np.uint64)[..., None, None]
+    words = np.arange(num_words, dtype=np.uint64)
+    return derive_seed_np(seeds, np.arange(2, dtype=np.uint64)[:, None] + np.uint64(2) * words)
+
+
+def role_words(seeds: np.ndarray, num_periods: int, start_period: int = 0) -> np.ndarray:
+    """(..., 2, W, P) uint64 words: derive_seed(seed, 2g + role, k) at [..., role, g, k].
+
+    `seeds` is word_seeds(seed, W).  Bit 63 - j of word g holds the sign
+    of noise-bit 64g + j + 1's carrier in that role, as in `sign_at`;
+    period k runs from start_period.  Periods are the last axis, so the
+    mix runs along them however few words a period has.
+    """
+    periods = np.arange(start_period, start_period + num_periods, dtype=np.uint64)
+    return _fold(seeds[..., None], periods)
 
 
 def _bits(words: np.ndarray, count: int) -> np.ndarray:
@@ -177,10 +188,11 @@ def sign_matrix(
     n_words = -(-(pairs + odd) // 64)
     out = np.empty((num_streams, num_periods), dtype=np.int8)
     by_bit = out[: 2 * pairs].reshape(pairs, 2, num_periods)  # [q, role, k]
+    seeds = word_seeds(master_seed, n_words)
     step = max(1, _CHUNK // 16 // (2 * max(1, n_words)))
     for k0 in range(0, num_periods, step):
         k1 = min(k0 + step, num_periods)
-        words = role_words(master_seed, n_words, k1 - k0, start_period + k0)
+        words = role_words(seeds, k1 - k0, start_period + k0)
         bits = _bits(words, pairs + odd)  # [role, k, q]
         by_bit[:, :, k0:k1] = bits[:, :, :pairs].transpose(2, 0, 1)
         if odd:
@@ -205,14 +217,30 @@ def sign_words(master_seeds: np.ndarray, num_streams: int, num_periods: int) -> 
     Bit k % 64 of word k // 64 is set when period k's sign is -1.  The
     role words are unpacked one byte per sign, laid out stream by stream
     on a zeroed buffer padded to whole words, and packed again in one pass.
+    Like sign_matrix this runs on _CHUNK // 16 role words at a time, in
+    whole trials or, for a long trial, in 64-period blocks (at least one
+    trial and one block), so besides its result it needs a fixed amount of
+    memory however many trials and periods are drawn.
     """
-    seeds = np.asarray(master_seeds, dtype=np.uint64)
-    trials, bits_needed = len(seeds), -(-num_streams // 2)
-    words = role_words(seeds, -(-bits_needed // 64), num_periods)
-    by_stream = np.zeros((trials, bits_needed, 2, 64 * -(-num_periods // 64)), dtype=np.uint8)
-    by_stream[..., :num_periods] = _bits(words, bits_needed).transpose(0, 3, 1, 2)
-    packed = np.packbits(by_stream.reshape(-1), bitorder="little").view("<u8")
-    return packed.reshape(trials, 2 * bits_needed, by_stream.shape[-1] // 64)[:, :num_streams]
+    bits_needed = -(-num_streams // 2)
+    n_words = -(-bits_needed // 64)
+    seeds = word_seeds(master_seeds, n_words)
+    out = np.empty((len(seeds), 2 * bits_needed, -(-num_periods // 64)), dtype=np.uint64)
+    budget = _CHUNK // 16 // (2 * n_words)  # trial-periods per chunk
+    step = max(1, num_periods) if num_periods <= budget else max(64, budget // 64 * 64)
+    trials_step = max(1, budget // step)
+    for t0 in range(0, len(seeds), trials_step):
+        for k0 in range(0, num_periods, step):
+            periods = min(step, num_periods - k0)
+            words = role_words(seeds[t0 : t0 + trials_step], periods, k0)
+            trials = len(words)
+            by_stream = np.zeros((trials, bits_needed, 2, 64 * -(-periods // 64)), dtype=np.uint8)
+            by_stream[..., :periods] = _bits(words, bits_needed).transpose(0, 3, 1, 2)
+            packed = np.packbits(by_stream.reshape(-1), bitorder="little").view("<u8")
+            out[t0 : t0 + trials, :, k0 // 64 : (k0 + periods + 63) // 64] = packed.reshape(
+                trials, 2 * bits_needed, -1
+            )
+    return out[:, :num_streams]
 
 
 def sign_planes(master_seeds: np.ndarray, num_bits: int, num_periods: int) -> np.ndarray:
@@ -229,7 +257,8 @@ def sign_planes(master_seeds: np.ndarray, num_bits: int, num_periods: int) -> np
     reverse order.
     """
     n_words = -(-num_bits // 64)
-    words = role_words(master_seeds, n_words, num_periods).transpose(3, 0, 1, 2)[..., ::-1]
+    seeds = word_seeds(master_seeds, n_words)
+    words = role_words(seeds, num_periods).transpose(3, 0, 1, 2)[..., ::-1]
     shift = np.uint64(64 * n_words - num_bits)
     planes = np.right_shift(words, shift, order="C")
     if n_words > 1 and shift:

@@ -63,17 +63,18 @@ def test_sign_chunk_engines_batching_invariance(monkeypatch) -> None:
     monkeypatch.setattr(exp, "_ENGINE_BATCH_BYTES", 48 * 7 + 5)
     drawn: dict[str, list[int]] = {"role_words": [], "sign_matrix": []}
 
-    def counting(name):
-        draw = getattr(rng, name)
+    role_words, sign_matrix = rng.role_words, rng.sign_matrix
 
-        def counted(seed, width, count, start_period=0):
-            drawn[name].append(count)
-            return draw(seed, width, count, start_period)
+    def counted_words(seeds, count, start_period=0):
+        drawn["role_words"].append(count)
+        return role_words(seeds, count, start_period)
 
-        return counted
+    def counted_matrix(seed, width, count, start_period=0):
+        drawn["sign_matrix"].append(count)
+        return sign_matrix(seed, width, count, start_period)
 
-    for name in drawn:
-        monkeypatch.setattr(rng, name, counting(name))
+    monkeypatch.setattr(rng, "role_words", counted_words)
+    monkeypatch.setattr(rng, "sign_matrix", counted_matrix)
     assert (exp.zero_prob_engine(n, periods, seed) == whole_count).all()
     assert drawn == {"role_words": [21] * 4 + [16], "sign_matrix": []}
     drawn["role_words"].clear()
@@ -353,6 +354,24 @@ def test_baseline_memory_cap_boundary(monkeypatch) -> None:
     with pytest.raises(ValueError, match="2048"):
         exp.run_baseline_trials(11, 1, 3, 1)
     assert len(drawn) == 2
+
+
+def test_baseline_batch_stays_inside_its_memory_count() -> None:
+    # a baseline trial is counted 8 * 2N * P bytes for its sign draw and
+    # batched _ENGINE_BATCH_BYTES worth; sign_words unpacks 64 bytes per
+    # role word, 8x that count at N = 1, so it must unpack in bounded
+    # chunks for a full batch to peak below twice its count
+    n, ppt = 1, 20
+    trials = exp._batch_trials(8 * 2 * n * ppt)
+    exp.run_baseline_trials(n, ppt, 2, 1)  # imports and caches first
+    tracemalloc.start()
+    try:
+        stats = exp.run_baseline_trials(n, ppt, trials, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert stats.trials == trials
+    assert peak < 2 * trials * 8 * 2 * n * ppt
 
 
 def test_baseline_budget_is_one_rule() -> None:

@@ -109,11 +109,28 @@ def test_sign_words_pack_tensor_and_scalar_signs(periods: int) -> None:
 def test_sign_words_chunking_invariance(monkeypatch) -> None:
     seeds = _trial_seeds(5)
     whole = rng.sign_words(seeds, 3, 130)
-    # the 5 * 2 * 130 role words are mixed 7 or 47 at a time, the last
-    # step ragged
-    for chunk in (7, 47):
+    role_words = rng.role_words
+    drawn = []
+
+    def counted(seeds, *args):
+        drawn.append((len(seeds), *args))
+        return role_words(seeds, *args)
+
+    monkeypatch.setattr(rng, "role_words", counted)
+    # 2 * 130 role words a trial, unpacked _CHUNK // 16 at a time: chunks
+    # of two whole trials, or of one trial in 64-period blocks; at 7 and
+    # 47 the mix steps are ragged too
+    one_trial = [(1, 64, 0), (1, 64, 64), (1, 2, 128)]
+    for chunk, chunks in (
+        (16 * 520, [(2, 130, 0), (2, 130, 0), (1, 130, 0)]),
+        (16 * 200, one_trial * 5),
+        (7, one_trial * 5),
+        (47, one_trial * 5),
+    ):
         monkeypatch.setattr(rng, "_CHUNK", chunk)
+        drawn.clear()
         assert (rng.sign_words(seeds, 3, 130) == whole).all()
+        assert drawn == chunks
 
 
 def _planes(neg: np.ndarray) -> np.ndarray:
@@ -217,6 +234,20 @@ def test_derive_seed_np_mirrors_nested_tags(seed: int) -> None:
     words = np.arange(1, 5, dtype=np.uint64)
     vec = rng.derive_seed_np(np.uint64(seed), 40, words)
     assert vec.tolist() == [rng.derive_seed(seed, 40, w) for w in range(1, 5)]
+
+
+def test_word_seeds_agree_on_both_sides_of_the_scalar_cut() -> None:
+    # up to _SCALAR_WORDS words one seed's tag seeds are Python ints, past
+    # it and for a seed vector they come from derive_seed_np
+    seeds = _trial_seeds(3)
+    for w in (0, 1, rng._SCALAR_WORDS, rng._SCALAR_WORDS + 1):
+        vec = rng.word_seeds(seeds, w)
+        assert vec.dtype == np.uint64 and vec.shape == (3, 2, w)
+        for t, seed in enumerate(seeds.tolist()):
+            one = rng.word_seeds(seed, w)
+            assert one.dtype == np.uint64 and (one == vec[t]).all()
+            expected = [[rng.derive_seed(seed, 2 * g + role) for g in range(w)] for role in (0, 1)]
+            assert one.tolist() == expected
 
 
 # a stream-statistics check fails only when its statistic lies in a tail
