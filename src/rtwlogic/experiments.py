@@ -14,18 +14,22 @@ implementations (trace synthesis plus the tick-scanning identifier), so
 the fast path and the slow path cannot drift apart silently.  The
 identification engine works on switching instants, not ticks: one trial
 reads the 2N * M events of its window, O(N * M) time and memory, the
-paper's linear cost for fixed M.  The two engines read the same signs
-packed along different axes, each along the one its decision runs on.
-Identification compares many noise-bits within one period, so it reads
-rng.sign_planes, one uint64 per period and carrier role holding 64
-noise-bits laid out as the hidden-string integer, and decides every bit
-with a few word operations per period.  The baseline XORs whole readout
-sequences of single streams, so it reads rng.sign_words, one bit per
-period, and keeps its scan exhaustive, comparing all 2^N candidates as
-XORs of two half-tables.  A period's |readout| of the uniform superposition
-depends only on how many bits' two carriers agree, so `zero-prob` and
-Monte Carlo `range` both read one histogram of that count, drawn in
-bounded chunks, with no per-period Fraction.
+paper's linear cost for fixed M.  The engines read the same signs
+packed along one of two axes, each along the one its decision runs on.
+The per-period engines compare many noise-bits within one period, so
+they read rng.role_words, one uint64 per period and carrier role holding
+64 noise-bits, and lay out the N-bit values they compare with them
+(hidden strings, masks) in the same role order.  Identification decides
+every bit with a few word operations per period.  A period's |readout|
+of the uniform superposition depends only on how many bits' two
+carriers agree, and two product strings' readouts differ at lambda = 1
+when an odd number of the bits where they differ have disagreeing
+carriers, so `zero-prob`, Monte Carlo `range` and the mismatch rate read
+one popcount of L ^ H under a mask per period, drawn in bounded chunks,
+with no per-period Fraction.  The baseline XORs whole readout sequences
+of single streams, so it reads rng.sign_words, one bit per period, and
+keeps its scan exhaustive, comparing all 2^N candidates as XORs of two
+half-tables.
 """
 
 from __future__ import annotations
@@ -69,12 +73,10 @@ DEFAULT_SEED = 1
 ZERO_PROB_BITS_CAP = 20
 EXHAUSTIVE_BITS_CAP = 6
 BASELINE_BITS_CAP = 14
-# resolution_bits builds ((1+lambda)/(1-lambda))^N exactly: under 0.1 s at
-# this N for lambda = 1/2, 999/1000 or 1/1000
-RESOLUTION_BITS_CAP = 10**5
-# and its cost grows with the power's size, about N times the bit lengths of
-# the ratio's numerator and denominator: under 0.1 s up to this many bits
-# (lambda = 1/1000 at N = 10^5 is 2 * 10^6), 2.7 s at 2 * 10^7
+# resolution_bits builds ((1+lambda)/(1-lambda))^N exactly, at a cost that
+# grows with the power's size, about N times the bit lengths of the ratio's
+# numerator and denominator: about 0.1 s up to this many bits (lambda = 1/2
+# at N = 666,666, 1/1000 at N = 10^5), 2.7 s at 2 * 10^7
 RESOLUTION_POWER_BITS_CAP = 2 * 10**6
 # bytes one identification trial, or one reference system's sign draw, may
 # need: the smallest unit of work must fit in memory
@@ -228,11 +230,13 @@ def fit_slope(xs: list[float], ys: list[float]) -> tuple[float, float]:
 # vectorized Monte Carlo engines
 # ===========================================================================
 
-# bytes per batch of an engine's largest intermediates: 8 per stream and
-# period for rng.sign_matrix and the baseline's rng.sign_words draw (each
-# holds its result plus a fixed-size chunk of unpacked role words), the
-# baseline's match mask, or the identification engine's own
-# _identification_trial_bytes; small enough for a batch to stay in cache
+# bytes per batch of an engine's largest intermediates: 16 * ceil(N/64)
+# per period of rng.role_words for zero-prob, Monte Carlo range and the
+# mismatch rate, the identification engine's _identification_trial_bytes
+# (role words, switches and decision words), or the baseline's match mask
+# or its rng.sign_words draw, 8 per stream and period (which holds its
+# result plus a fixed-size chunk of unpacked role words); small enough for
+# a batch to stay in cache
 _ENGINE_BATCH_BYTES = 1 << 20
 
 
@@ -241,11 +245,48 @@ def _batch_trials(bytes_per_trial: int) -> int:
     return max(1, min(8192, _ENGINE_BATCH_BYTES // bytes_per_trial))
 
 
-def _sign_chunks(seed: int, num_streams: int, periods: int) -> Iterator[np.ndarray]:
-    """rng.sign_matrix over periods 0..periods-1, one _batch_trials chunk at a time."""
-    chunk = _batch_trials(8 * num_streams)
+def _role_order(words: np.ndarray, num_bits: int) -> np.ndarray:
+    """The low N bits of (..., W) uint64 words, word 0 lowest, laid out as rng.role_words.
+
+    Value bit N - 1 - q, noise-bit q + 1's bit in a bits integer, goes to
+    bit 63 - q % 64 of word q // 64: the value shifted left by 64W - N and
+    read with word 0 most significant.  Bits past noise-bit N stay clear.
+    """
+    rev = words[..., ::-1]
+    shift = np.uint64(64 * words.shape[-1] - num_bits)
+    out = rev << shift
+    if shift:
+        out[..., :-1] |= rev[..., 1:] >> (np.uint64(64) - shift)
+    return out
+
+
+def _role_order_ints(words: np.ndarray, num_bits: int) -> np.ndarray:
+    """One bits integer per row of (trials, W) role-order words: _role_order undone.
+
+    uint64 for one word; above that, an object array of Python ints.
+    """
+    shift = 64 * words.shape[1] - num_bits
+    if words.shape[1] == 1:
+        return words[:, 0] >> np.uint64(shift)
+    big = words.astype(">u8")
+    return np.array([int.from_bytes(row.tobytes(), "big") >> shift for row in big], dtype=object)
+
+
+def _carriers_differing(
+    seed: int, num_bits: int, periods: int, mask: np.ndarray
+) -> Iterator[np.ndarray]:
+    """Per period, how many bits of a role-order mask have carriers of opposite sign.
+
+    A bit's carriers differ where its bits in the period's two
+    rng.role_words do, so this is the popcount of (L ^ H) & mask; the words
+    are drawn _batch_trials(16 * ceil(N/64)) periods at a time.
+    """
+    n_words = _num_words(num_bits)
+    seeds = rng.word_seeds(seed, n_words)
+    chunk = _batch_trials(16 * n_words)
     for start in range(0, periods, chunk):
-        yield rng.sign_matrix(seed, num_streams, min(chunk, periods - start), start_period=start)
+        words = rng.role_words(seeds, min(chunk, periods - start), start)
+        yield _popcounts((words[0] ^ words[1]) & mask[:, None]).sum(axis=0)
 
 
 def zero_prob_engine(num_bits: int, trials: int, seed: int) -> np.ndarray:
@@ -253,20 +294,12 @@ def zero_prob_engine(num_bits: int, trials: int, seed: int) -> np.ndarray:
 
     Each trial is one clock period of a single reference system.  By
     `algebra.agreement_law`, a is all the uniform superposition's |readout|
-    depends on, and at lambda = 1 the readout is non-zero iff a = N.  A
-    bit's carriers agree when its bits in the period's two rng.role_words
-    are equal, so a is N minus the set bits of L ^ H over the noise-bits;
-    the words are drawn _batch_trials(16 * ceil(N/64)) periods at a time.
+    depends on, and at lambda = 1 the readout is non-zero iff a = N: a is
+    N minus the noise-bits whose carriers differ.
     """
-    n_words = _num_words(num_bits)
-    noise_bits = np.full((n_words, 1), rng.MASK64, dtype=np.uint64)  # from bit 63 down
-    noise_bits[-1] ^= np.uint64((1 << (64 * n_words - num_bits)) - 1)
+    noise_bits = _role_order(np.full(_num_words(num_bits), rng.MASK64, dtype=np.uint64), num_bits)
     count = np.zeros(num_bits + 1, dtype=np.int64)
-    seeds = rng.word_seeds(seed, n_words)
-    chunk = _batch_trials(16 * n_words)
-    for start in range(0, trials, chunk):
-        words = rng.role_words(seeds, min(chunk, trials - start), start)
-        differ = _popcounts((words[0] ^ words[1]) & noise_bits).sum(axis=0)
+    for differ in _carriers_differing(seed, num_bits, trials, noise_bits):
         count += np.bincount(num_bits - differ.astype(np.intp), minlength=num_bits + 1)
     return count
 
@@ -275,21 +308,18 @@ def mismatch_rate_engine(num_bits: int, periods: int, seed: int) -> tuple[int, i
     """(mismatch count, w1 bits, w2 bits) for two distinct random strings.
 
     Readouts at lambda = 1 are sign products, so two strings' readouts
-    differ in a period exactly when the parity of the streams in their
-    symmetric difference is odd.
+    differ in a period exactly when an odd number of the bits where the
+    strings differ have carriers of opposite sign.
     """
     w1 = _draw_bits(seed, _hidden_tag(num_bits), num_bits)
     w2 = _draw_bits(seed, _hidden_tag(num_bits) + 1, num_bits)
     if w2 == w1:
         w2 ^= 1
-    diff_rows = []
-    for i in range(num_bits):
-        pos = num_bits - 1 - i
-        if ((w1 >> pos) ^ (w2 >> pos)) & 1:
-            diff_rows.extend((2 * i, 2 * i + 1))  # both carriers of a differing bit
+    diff = (w1 ^ w2).to_bytes(8 * _num_words(num_bits), "little")
+    mask = _role_order(np.frombuffer(diff, dtype="<u8"), num_bits)
     mismatches = 0
-    for signs in _sign_chunks(seed, 2 * num_bits, periods):
-        mismatches += int(np.logical_xor.reduce(signs[diff_rows] < 0, axis=0).sum())
+    for differ in _carriers_differing(seed, num_bits, periods, mask):
+        mismatches += int((differ & _ONE).sum())
     return mismatches, w1, w2
 
 
@@ -316,42 +346,21 @@ class IdentificationTrialStats:
         return self.undecided_trials / self.trials
 
 
-def _bits_mask(num_bits: int) -> np.ndarray:
-    """(ceil(N/64),) uint64 words with bit positions 0..N-1 set."""
-    mask = np.full(_num_words(num_bits), rng.MASK64, dtype=np.uint64)
-    mask[-1] = np.uint64((1 << (num_bits - 64 * (len(mask) - 1))) - 1)
-    return mask
-
-
 def _hidden_words(trial_seeds: np.ndarray, num_bits: int) -> np.ndarray:
-    """hidden_bits_for over a seed vector as (trials, ceil(N/64)) uint64 words.
+    """hidden_bits_for over a seed vector as (trials, ceil(N/64)) role-order words.
 
-    Word w holds bit positions 64w..64w+63 of the bits integer, so bit 1 is
-    the most significant; the top word is masked to N bits.
+    Word w >= 1 of the bits integer is drawn with the nested tag w, as in
+    _draw_bits; _role_order drops the bits past N.
     """
     tag = _hidden_tag(num_bits)
     words = rng.derive_seed_np(trial_seeds, tag)[:, None]
     if num_bits > 64:
         upper = np.arange(1, _num_words(num_bits), dtype=np.uint64)
         words = np.concatenate((words, rng.derive_seed_np(trial_seeds[:, None], tag, upper)), axis=1)
-    words &= _bits_mask(num_bits)
-    return words
+    return _role_order(words, num_bits)
 
 
 _ONE = np.uint64(1)
-
-
-def _words_to_ints(words: np.ndarray) -> np.ndarray:
-    """One bits integer per row of (trials, W) uint64 words, word 0 lowest.
-
-    uint64 for one word; above that, an object array of Python ints.
-    """
-    if words.shape[1] == 1:
-        return words[:, 0].copy()
-    little = words.astype(np.dtype("<u8"), copy=False)
-    return np.array([int.from_bytes(row.tobytes(), "little") for row in little], dtype=object)
-
-
 _M1 = np.uint64(0x5555555555555555)
 _M2 = np.uint64(0x3333333333333333)
 _M4 = np.uint64(0x0F0F0F0F0F0F0F0F)
@@ -378,26 +387,22 @@ def _check_memory(what: str, need: int) -> None:
 
 
 def _identification_trial_bytes(num_bits: int, max_periods: int) -> int:
-    """Bytes one trial of the plane engine holds at once, for batch sizing.
+    """Bytes one identification trial holds, W = ceil(N/64) words per role and period.
 
-    The (M+1, 2, W) sign planes, their (M, 2, W) switches and about six
-    (M, W) decision words, W = ceil(N/64): ten uint64 per word and period.
+    Its (M+1, 2, W) role words, their (M, 2, W) switches, eight (M, W)
+    decision words (five held, three temporaries of the contradiction
+    check), its (2, W) tag seeds and its W hidden words.  The same count
+    sizes batches and refuses a trial above ENGINE_TRIAL_BYTES_CAP.
     """
-    return 8 * 10 * _num_words(num_bits) * (max_periods + 1)
+    m = max_periods
+    return 8 * _num_words(num_bits) * (2 * (m + 1) + 2 * m + 8 * m + 2 + 1)
 
 
 def _check_identification_memory(num_bits: int, max_periods: int) -> None:
-    """Refuse, before allocating, a trial larger than ENGINE_TRIAL_BYTES_CAP.
-
-    One trial is counted as three (2N, M+1) uint64 arrays, the footprint
-    of an unpacked engine.  That bounds the plane engine's own bytes from
-    N = 2 on; at N = 1 its 80 bytes per period exceed the 48 counted, so
-    the larger of the two is checked.
-    """
+    """Refuse, before allocating, a trial larger than ENGINE_TRIAL_BYTES_CAP."""
     _check_memory(
         f"one identification trial at {num_bits} bits and {max_periods} periods",
-        max(3 * 8 * 2 * num_bits * (max_periods + 1),
-            _identification_trial_bytes(num_bits, max_periods)),
+        _identification_trial_bytes(num_bits, max_periods),
     )
 
 
@@ -437,22 +442,24 @@ def run_identification_trials(
     seed: int,
     keep_per_trial: bool = False,
 ) -> IdentificationTrialStats:
-    """Monte Carlo identification trials on the bit-plane engine.
+    """Monte Carlo identification trials on the role-word engine.
 
     Each trial derives its own master seed and hidden string and reads
     only the 2N*M switching instants of its observation window, so a
     trial costs O(N*M).  In shifted mode exactly one stream switches per
     tick, so the observed waveform flips at instant (period k, slot j)
     exactly when stream j is a factor and its period-k sign differs from
-    its period-(k-1) sign.  Signs come from rng.sign_planes as carrier
-    planes: one uint64 per period and role holds 64 noise-bits, laid out
-    as the hidden-string integer is, so the hidden words, the decided
+    its period-(k-1) sign.  Signs come from rng.role_words: one uint64 per
+    period and role holds 64 noise-bits, noise-bit q + 1 at bit
+    63 - q % 64 of word q // 64, and the hidden words are laid out in the
+    same role order once per trial, so the hidden words, the decided
     value and the recovered string are words of one shape.  A period's
-    switch words are its planes XOR the previous period's; a prefix-OR
-    over the periods marks each bit's first event, where it is decided,
-    L before H within a period.  The last decision is the highest
-    noise-bit, the lowest set plane bit, of the last period with a new
-    decision.  The observed flips are derived from the hidden string, so
+    switch words are its role words XOR the previous period's, with the
+    bits past noise-bit N masked; a prefix-OR over the periods marks each
+    bit's first event, where it is decided, L before H within a period.
+    The last decision is the highest noise-bit, the lowest set bit of the
+    last non-zero word, of the last period with a new decision.  The
+    observed flips are derived from the hidden string, so
     the decided value is hidden & decided for any sign words, and the
     three soundness counts (wrong complete trials, wrong decided bits,
     contradicting events) are zero unless the lines that compute them
@@ -469,7 +476,8 @@ def run_identification_trials(
     m = max_periods
     spp = 2 * n
     batch_size = _batch_trials(_identification_trial_bytes(n, m))
-    full = _bits_mask(n)
+    n_words = _num_words(n)
+    full = _role_order(np.full(n_words, rng.MASK64, dtype=np.uint64), n)
 
     undecided_trials = 0
     complete_trials = 0
@@ -484,11 +492,14 @@ def run_identification_trials(
     for _, tseeds in _trial_batches(seed, trials, batch_size):
         b = len(tseeds)
         hidden = _hidden_words(tseeds, n)  # (b, W): set where the H carrier is the factor
-        planes = rng.sign_planes(tseeds, n, m + 1)  # (M+1, b, 2, W)
+        # (M+1, b, 2, W): periods lead, so the XOR below writes each
+        # period's switches as one block of its C-order result
+        words = rng.role_words(rng.word_seeds(tseeds, n_words), m + 1).transpose(3, 0, 1, 2)
         # switch[k]: the carriers that change sign at their period-(k+1)
-        # switching instant, one of the M in the window
-        switch = planes[1:] ^ planes[:-1]
-        del planes
+        # switching instant, one of the M in the window; (M, b, 2, W)
+        switch = np.bitwise_xor(words[1:], words[:-1], order="C")
+        del words
+        switch &= full
         s_l, s_h = switch[:, :, 0], switch[:, :, 1]
         u_l, u_h = s_l & ~hidden, s_h & hidden  # the observed waveform flips
         # an L switch the waveform does not follow means H, an H switch it
@@ -511,24 +522,25 @@ def run_identification_trials(
         complete_trials += int(complete.sum())
         undecided_trials += int(b - complete.sum())
         # the last period with a new decision, and in it the highest
-        # noise-bit decided: the lowest set plane bit
+        # noise-bit decided: the lowest set bit of the last non-zero word
         last = (seen != decided).any(axis=2).sum(axis=0)
         rows = np.arange(b)
         last_new = new[last, rows]
-        w = np.argmax(last_new != 0, axis=1)
+        w = n_words - 1 - np.argmax(last_new[:, ::-1] != 0, axis=1)
         low = last_new[rows, w]
         low &= ~low + _ONE
-        pos = 64 * w + np.frexp(low.astype(np.float64))[1] - 1
+        # noise-bit q + 1 sits at bit 63 - q % 64 of word q // 64
+        q = 64 * w + 64 - np.frexp(low.astype(np.float64))[1]
         is_h = (s_l[last, rows, w] & low) == 0
-        # the decision tick is (last+1)*2N + slot 2(r-1) + is_h, r = N - pos
-        t_obs = np.where(complete, last * spp + 2 * (n - pos - 1) + is_h + 1, m * spp)
+        # the decision tick is (last+1)*2N + slot 2q + is_h
+        t_obs = np.where(complete, last * spp + 2 * q + is_h + 1, m * spp)
         p_used = np.where(complete, last + 1, m)
         ticks_sum += int(t_obs.sum())
         periods_sum += int(p_used.sum())
         if keep_per_trial:
-            kept["hidden_bits"].append(_words_to_ints(hidden))
+            kept["hidden_bits"].append(_role_order_ints(hidden, n))
             kept["complete"].append(complete)
-            kept["recovered_bits"].append(_words_to_ints(chosen & decided))
+            kept["recovered_bits"].append(_role_order_ints(chosen & decided, n))
             kept["ticks_observed"].append(t_obs)
             kept["periods_used"].append(p_used)
 
@@ -625,7 +637,7 @@ def run_baseline_trials(
     false_matches = 0
     for start, tseeds in _trial_batches(seed, trials, batch_size):
         b = len(tseeds)
-        hidden = _hidden_words(tseeds, n)[:, 0].astype(np.intp)  # one word up to N = 64
+        hidden = _role_order_ints(_hidden_words(tseeds, n), n).astype(np.intp)
         words = rng.sign_words(tseeds, spp, periods_per_test)
         hi = _xor_table(words[:, : 2 * n_hi])
         lo = _xor_table(words[:, 2 * n_hi :])
@@ -683,11 +695,12 @@ def resolution_bits(num_bits: int, lam: Fraction | str) -> int:
 
     ceil(N * log2((1+lambda)/(1-lambda))), computed exactly: the smallest
     M with 2^M covering the readout dynamic range ((1+lambda)/(1-lambda))^N.
-    Requires 0 < lambda < 1 (see _range_ratio), N <= RESOLUTION_BITS_CAP
-    and a power of at most RESOLUTION_POWER_BITS_CAP bits.
+    Requires N >= 1, 0 < lambda < 1 (see _range_ratio) and a power of at
+    most RESOLUTION_POWER_BITS_CAP bits, which admits at most N = 666,666
+    (lambda = 1/2, ratio 3/1, the fewest bits any ratio has).
     """
-    if not 1 <= num_bits <= RESOLUTION_BITS_CAP:
-        raise ValueError(f"num_bits must be in 1..{RESOLUTION_BITS_CAP}")
+    if num_bits < 1:
+        raise ValueError("num_bits must be >= 1")
     ratio = _range_ratio(lam)
     size = num_bits * (ratio.numerator.bit_length() + ratio.denominator.bit_length())
     if size > RESOLUTION_POWER_BITS_CAP:

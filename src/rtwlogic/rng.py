@@ -16,12 +16,13 @@ not depend on N, and the word tags 0..2W-1 (W = ceil(N/64)) stay below
 2N, the tag of a trial's hidden string.  `word_seeds` derives each
 (role, g) tag seed once per draw, `role_words` folds the periods into
 them to draw the words themselves, and every numpy draw reads them and
-agrees with `sign_at` bit for bit: `sign_matrix` unpacks them into one
-int8 row per stream (`sign_block` and `sign_tensor`, kept because
-perfbench's tracer wraps them, are views of it); `sign_planes` keeps one
-bit per noise-bit, as the identification engine compares all noise-bits
-within a period, which for N <= 64 is the word shifted right by 64 - N;
-and `sign_words` repacks one bit per period, as the baseline search XORs
+agrees with `sign_at` bit for bit.  The role words are the one packed
+layout of the per-period Monte Carlo engines (identification, zero-prob,
+Monte Carlo range and the mismatch rate), which compare all noise-bits
+within a period.  `sign_matrix` unpacks them into one int8 row per
+stream for a reference system (`sign_block` and `sign_tensor`, kept
+because perfbench's tracer wraps them, are views of it), and
+`sign_words` repacks one bit per period, as the baseline search XORs
 whole period sequences of single streams.  The mixes run in place on
 chunks that stay in cache.
 
@@ -242,25 +243,3 @@ def sign_words(master_seeds: np.ndarray, num_streams: int, num_periods: int) -> 
             )
     return out[:, :num_streams]
 
-
-def sign_planes(master_seeds: np.ndarray, num_bits: int, num_periods: int) -> np.ndarray:
-    """sign_tensor(seeds, 2N, P) < 0 as (P, trials, 2, ceil(N/64)) uint64 carrier planes.
-
-    Plane 0 holds the L carriers (role 0, even slots), plane 1 the H
-    carriers (role 1, odd slots).  Bit j of word w is set when the carrier
-    of noise-bit r = N - (64w + j) has sign -1 in that period, so a plane
-    word lays out its bits as the hidden-string integer does: word 0 holds
-    bit positions 0-63 and bit 1 is the most significant; padding bits
-    past bit 1 stay clear.  That is the role words, read as one integer
-    with word 0 most significant, shifted right by 64W - N: for N <= 64
-    one shift of the word, above it a funnel shift over the words in
-    reverse order.
-    """
-    n_words = -(-num_bits // 64)
-    seeds = word_seeds(master_seeds, n_words)
-    words = role_words(seeds, num_periods).transpose(3, 0, 1, 2)[..., ::-1]
-    shift = np.uint64(64 * n_words - num_bits)
-    planes = np.right_shift(words, shift, order="C")
-    if n_words > 1 and shift:
-        planes[..., :-1] |= words[..., 1:] << (np.uint64(64) - shift)
-    return planes

@@ -181,20 +181,26 @@ def test_cap_violations_exit_two(capsys) -> None:
 
 
 def test_resolution_cap(capsys, monkeypatch) -> None:
-    # N at the cap runs; one bit more is refused before the power is built
-    cap = experiments.RESOLUTION_BITS_CAP
-    rc, out, _ = _run(capsys, ["resolution", "--bits", str(cap), "--format", "json"])
+    # the power cap is the one cap on N: at lambda = 1/2 the ratio 3/1 has
+    # 2 + 1 bits, the fewest of any lambda, so N = 666,666 builds a power of
+    # 1999998 bits and runs, and N = 666,667 is refused before the power is
+    # built
+    cap = experiments.RESOLUTION_POWER_BITS_CAP
+    rc, out, _ = _run(capsys, ["resolution", "--bits", "666666", "--format", "json"])
     assert rc == 0
-    assert json.loads(out)["observed"]["resolution_bits"] == 158497
+    assert json.loads(out)["observed"]["resolution_bits"] == 1056641
 
     def no_power(*args):
         raise AssertionError("computed a power")
 
     monkeypatch.setattr(Fraction, "__pow__", no_power)
-    rc, out, err = _run(capsys, ["resolution", "--bits", str(cap + 1)])
+    rc, out, err = _run(capsys, ["resolution", "--bits", "666667"])
     assert rc == 2
     assert out == ""
-    assert err == f"error: num_bits must be in 1..{cap}\n"
+    assert err == (
+        f"error: resolution at 666667 bits and lambda = 1/2 builds a power of about "
+        f"2000001 bits; capped at {cap}\n"
+    )
 
 
 def test_resolution_power_cap(capsys, monkeypatch) -> None:
@@ -277,9 +283,9 @@ def test_identify_memory_cap_exits_two(monkeypatch, capsys) -> None:
 
     monkeypatch.setattr(rng, "sign_tensor", no_signs)
     monkeypatch.setattr(rng, "sign_words", no_signs)
-    monkeypatch.setattr(rng, "sign_planes", no_signs)
-    for argv in (["identify", "--bits", "1000000", "--trials", "1"],
-                 ["bench", "--bits", "4,1000000", "--trials", "1"]):
+    monkeypatch.setattr(rng, "role_words", no_signs)
+    for argv in (["identify", "--bits", "20000000", "--trials", "1"],
+                 ["bench", "--bits", "4,20000000", "--trials", "1"]):
         rc, out, err = _run(capsys, argv)
         assert rc == 2, argv
         assert out == ""

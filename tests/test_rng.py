@@ -133,47 +133,57 @@ def test_sign_words_chunking_invariance(monkeypatch) -> None:
         assert drawn == chunks
 
 
-def _planes(neg: np.ndarray) -> np.ndarray:
-    """(trials, 2N, P) booleans as (P, trials, 2, W) carrier planes, one bit at a time."""
-    trials, spp, periods = neg.shape
-    n = spp // 2
-    planes = np.zeros((periods, trials, 2, -(-n // 64)), dtype=np.uint64)
-    for s in range(spp):
-        pos = n - 1 - s // 2  # noise-bit r = s // 2 + 1 sits at position N - r
-        planes[:, :, s % 2, pos // 64] |= neg[:, s, :].T.astype(np.uint64) << np.uint64(pos % 64)
-    return planes
+def _role_word_bits(neg: np.ndarray) -> np.ndarray:
+    """(trials, 2 * 64W, P) booleans as (trials, 2, W, P) role words, one bit at a time."""
+    trials, streams, periods = neg.shape
+    words = np.zeros((trials, 2, streams // 128, periods), dtype=np.uint64)
+    for s in range(streams):
+        q = s // 2  # stream s carries noise-bit q + 1 in role s % 2
+        words[:, s % 2, q // 64] |= neg[:, s].astype(np.uint64) << np.uint64(63 - q % 64)
+    return words
 
 
+# a period's two role words are its L and H sign planes, one bit per
+# noise-bit, which the identification engine XORs period to period
 @pytest.mark.parametrize("periods", [1, 9, 64, 65, 130])
 @pytest.mark.parametrize("bits", [1, 3, 63, 64, 65, 130])
 def test_sign_planes_match_tensor_and_scalar_signs(bits: int, periods: int) -> None:
+    n_words = -(-bits // 64)
     for trials in (1, 4):
         seeds = _trial_seeds(trials)
-        planes = rng.sign_planes(seeds, bits, periods)
-        assert planes.dtype == np.uint64
-        assert planes.shape == (periods, trials, 2, -(-bits // 64))
-        # padding bits past bit 1 stay clear
-        assert (planes == _planes(rng.sign_tensor(seeds, 2 * bits, periods) < 0)).all()
-        # the first, middle and last noise-bit of the last trial, scalar path
+        words = rng.role_words(rng.word_seeds(seeds, n_words), periods)
+        assert words.dtype == np.uint64
+        assert words.shape == (trials, 2, n_words, periods)
+        # the bits past noise-bit N hold the signs of the next noise-bits
+        assert (words == _role_word_bits(rng.sign_tensor(seeds, 128 * n_words, periods) < 0)).all()
+        # the first, middle and last noise-bit of the last trial, scalar
+        # path, and that trial's words drawn from its one seed
         t = trials - 1
-        for r in sorted({1, (bits + 1) // 2, bits}):
-            pos = bits - r
+        one = rng.role_words(rng.word_seeds(int(seeds[t]), n_words), periods)
+        assert (one == words[t]).all()
+        for q in sorted({0, (bits - 1) // 2, bits - 1}):
             for role in (0, 1):
                 for k in range(periods):
-                    bit = int(planes[k, t, role, pos // 64]) >> (pos % 64) & 1
-                    assert bit == (rng.sign_at(int(seeds[t]), 2 * (r - 1) + role, k) < 0)
+                    bit = int(words[t, role, q // 64, k]) >> (63 - q % 64) & 1
+                    assert bit == (rng.sign_at(int(seeds[t]), 2 * q + role, k) < 0)
 
 
 def test_sign_planes_chunking_invariance(monkeypatch) -> None:
     seeds = _trial_seeds(5)
     cases = [(3, 9), (3, 130), (130, 3), (130, 130)]
-    whole = [rng.sign_planes(seeds, bits, periods) for bits, periods in cases]
+
+    def draw(bits: int, periods: int, start_period: int = 0) -> np.ndarray:
+        return rng.role_words(rng.word_seeds(seeds, -(-bits // 64)), periods, start_period)
+
+    whole = [draw(bits, periods) for bits, periods in cases]
     # the role words (5 trials, 2 roles, 1 or 3 words, 3 to 130 periods)
-    # are mixed 7, 109 or 389 at a time, the last step ragged
+    # are mixed 7, 109 or 389 at a time, the last step ragged; a draw that
+    # starts at period 2 is the rest of the whole draw
     for chunk in (7, 109, 389):
         monkeypatch.setattr(rng, "_CHUNK", chunk)
         for (bits, periods), expect in zip(cases, whole):
-            assert (rng.sign_planes(seeds, bits, periods) == expect).all()
+            assert (draw(bits, periods) == expect).all()
+            assert (draw(bits, periods - 2, 2) == expect[..., 2:]).all()
 
 
 def test_sign_matrix_chunking_invariance(monkeypatch) -> None:
@@ -303,16 +313,16 @@ _EDGE_BITS = (31, 32, 33, 34, 64, 65, 66)
 @pytest.mark.parametrize("bits", [34, 66, 130])
 def test_draws_match_sign_at_at_edge_bits(bits: int) -> None:
     seeds, periods = _trial_seeds(3), 5
-    planes = rng.sign_planes(seeds, bits, periods)
+    by_role = rng.role_words(rng.word_seeds(seeds, -(-bits // 64)), periods)
     words = rng.sign_words(seeds, 2 * bits, periods)
     for t, ts in enumerate(int(s) for s in seeds):
         matrix = rng.sign_matrix(ts, 2 * bits, periods)
         for r in (r for r in _EDGE_BITS if r <= bits):
-            pos = bits - r
+            q = r - 1
             for role in (0, 1):
-                s = 2 * (r - 1) + role
+                s = 2 * q + role
                 neg = [rng.sign_at(ts, s, k) < 0 for k in range(periods)]
                 assert (matrix[s] < 0).tolist() == neg
                 assert [int(words[t, s, 0]) >> k & 1 == 1 for k in range(periods)] == neg
-                column = planes[:, t, role, pos // 64]
-                assert [int(w) >> (pos % 64) & 1 == 1 for w in column] == neg
+                row = by_role[t, role, q // 64]
+                assert [int(w) >> (63 - q % 64) & 1 == 1 for w in row] == neg

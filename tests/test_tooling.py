@@ -5,8 +5,9 @@ read with `ast`, not by importing the tracer, so a removed name fails
 here, at tier 1, rather than only in the traced benchmark run.
 
 No package module imports a name it never uses, no package function
-or lambda takes a parameter it never reads, and no private module-level
-function or method goes without a caller in the package.
+or lambda takes a parameter it never reads, no private module-level
+function or method goes without a caller in the package, and every
+public draw of `rng` has a caller in the package or is traced.
 """
 
 from __future__ import annotations
@@ -135,6 +136,25 @@ def test_unread_parameter_check_sees_functions_and_lambdas() -> None:
     ]
 
 
+def _package_trees() -> dict[str, ast.Module]:
+    return {
+        path.name: ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted(PACKAGE.glob("*.py"))
+    }
+
+
+def _references(trees: dict[str, ast.Module]) -> set[str]:
+    """Names referenced anywhere in the modules: each load of a name, each attribute."""
+    referenced = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+    return referenced
+
+
 def _uncalled_private_functions(trees: dict[str, ast.Module]) -> list[tuple[str, str, int]]:
     """(module, function, line) for each private function no module references.
 
@@ -142,7 +162,7 @@ def _uncalled_private_functions(trees: dict[str, ast.Module]) -> list[tuple[str,
     with `_` and is not a dunder.  A reference is a load of the name or an
     attribute of that name anywhere in any of the modules.
     """
-    defined, referenced = [], set()
+    defined = []
     for module, tree in trees.items():
         for node in tree.body:
             members = node.body if isinstance(node, ast.ClassDef) else [node]
@@ -153,19 +173,12 @@ def _uncalled_private_functions(trees: dict[str, ast.Module]) -> list[tuple[str,
                 and f.name.startswith("_")
                 and not f.name.endswith("__")
             ]
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                referenced.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                referenced.add(node.attr)
+    referenced = _references(trees)
     return [d for d in defined if d[1] not in referenced]
 
 
 def test_every_private_function_has_a_caller() -> None:
-    trees = {
-        path.name: ast.parse(path.read_text(encoding="utf-8"))
-        for path in sorted(PACKAGE.glob("*.py"))
-    }
+    trees = _package_trees()
     assert trees
     uncalled = [
         f"{module}:{line} {name} has no caller in the package"
@@ -190,3 +203,24 @@ def test_uncalled_private_check_sees_functions_and_methods() -> None:
     assert sorted(_uncalled_private_functions(trees)) == [
         ("a.py", "_unused", 2), ("b.py", "_other", 1)
     ]
+
+
+def test_every_public_rng_function_has_a_caller_or_is_traced() -> None:
+    # a public draw that no package module calls and the tracer does not
+    # wrap is dead code; sign_at is exempt as the one definition of the
+    # sign stream, which every numpy draw mirrors and the tests pin them to,
+    # though no engine needs one sign at a time
+    trees = _package_trees()
+    traced = {name.partition(".")[2] for name in _traced_names() if name.startswith("rng.")}
+    kept = _references(trees) | traced | {"sign_at"}
+    public = [
+        node for node in trees["rng.py"].body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+    ]
+    assert public
+    dead = [
+        f"rng.py:{node.lineno} {node.name} has no caller in the package and is not traced"
+        for node in public
+        if node.name not in kept
+    ]
+    assert not dead, "\n".join(dead)
