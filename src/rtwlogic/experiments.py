@@ -14,22 +14,20 @@ implementations (trace synthesis plus the tick-scanning identifier), so
 the fast path and the slow path cannot drift apart silently.  The
 identification engine works on switching instants, not ticks: one trial
 reads the 2N * M events of its window, O(N * M) time and memory, the
-paper's linear cost for fixed M.  The engines read the same signs
-packed along one of two axes, each along the one its decision runs on.
-The per-period engines compare many noise-bits within one period, so
-they read rng.role_words, one uint64 per period and carrier role holding
-64 noise-bits, and lay out the N-bit values they compare with them
-(hidden strings, masks) in the same role order.  Identification decides
-every bit with a few word operations per period.  A period's |readout|
-of the uniform superposition depends only on how many bits' two
-carriers agree, and two product strings' readouts differ at lambda = 1
-when an odd number of the bits where they differ have disagreeing
-carriers, so `zero-prob`, Monte Carlo `range` and the mismatch rate read
-one popcount of L ^ H under a mask per period, drawn in bounded chunks,
-with no per-period Fraction.  The baseline XORs whole readout sequences
-of single streams, so it reads rng.sign_words, one bit per period, and
+paper's linear cost for fixed M.  Every engine reads the signs as
+rng.role_words, one uint64 per period and carrier role holding 64
+noise-bits, and lays out the N-bit values it compares with them (hidden
+strings, masks) in the same role order.  Identification decides every
+bit with a few word operations per period.  A period's |readout| of the
+uniform superposition depends only on how many bits' two carriers
+agree, and two product strings' readouts differ at lambda = 1 when an
+odd number of the bits where they differ have disagreeing carriers, so
+`zero-prob`, Monte Carlo `range` and the mismatch rate read one popcount
+of L ^ H under a mask per period, drawn in bounded chunks, with no
+per-period Fraction.  The baseline compares whole readout sequences by
+the same law: it transposes each bit's L ^ H into one bit per period and
 keeps its scan exhaustive, comparing all 2^N candidates as XORs of two
-half-tables.
+half-tables of those columns.
 """
 
 from __future__ import annotations
@@ -233,10 +231,9 @@ def fit_slope(xs: list[float], ys: list[float]) -> tuple[float, float]:
 # bytes per batch of an engine's largest intermediates: 16 * ceil(N/64)
 # per period of rng.role_words for zero-prob, Monte Carlo range and the
 # mismatch rate, the identification engine's _identification_trial_bytes
-# (role words, switches and decision words), or the baseline's match mask
-# or its rng.sign_words draw, 8 per stream and period (which holds its
-# result plus a fixed-size chunk of unpacked role words); small enough for
-# a batch to stay in cache
+# (role words, switches and decision words), or the baseline's
+# _baseline_trial_bytes (role words, differ columns, half-tables and match
+# mask); small enough for a batch to stay in cache
 _ENGINE_BATCH_BYTES = 1 << 20
 
 
@@ -587,19 +584,48 @@ class BaselineTrialStats:
     tests: np.ndarray | None = None
 
 
-def _xor_table(words: np.ndarray) -> np.ndarray:
-    """(b, 2^k, W) readout words of every string over k bits, in catalog order.
+def _xor_table(columns: np.ndarray) -> np.ndarray:
+    """(b, 2^k, W) XOR of the columns of each k-bit string's 1 bits, in catalog order.
 
-    words is (b, 2k, W): the packed signs of each bit's L then H carrier.
+    columns is (b, k, W), one row per bit, first bit most significant.
     """
-    b, _, w = words.shape
+    b, k, w = columns.shape
     table = np.zeros((b, 1, w), dtype=np.uint64)
-    for i in range(0, words.shape[1], 2):
+    for i in range(k):
         nxt = np.empty((b, 2 * table.shape[1], w), dtype=np.uint64)
-        nxt[:, 0::2] = table ^ words[:, None, i]      # append L for this bit
-        nxt[:, 1::2] = table ^ words[:, None, i + 1]  # append H for this bit
+        nxt[:, 0::2] = table
+        np.bitwise_xor(table, columns[:, None, i], out=nxt[:, 1::2])
         table = nxt
     return table
+
+
+def _differ_columns(trial_seeds: np.ndarray, num_bits: int, periods: int) -> np.ndarray:
+    """(b, N, ceil(P/64)) uint64 carriers-differ columns, one row per noise-bit.
+
+    Bit k % 64 of word k // 64 of row q is the bit of noise-bit q + 1 in
+    period k's L ^ H role words; bits past period P stay clear.
+    """
+    b, n = len(trial_seeds), num_bits
+    words = rng.role_words(rng.word_seeds(trial_seeds, 1), periods)[:, :, 0]
+    differ = (words[:, 0] ^ words[:, 1]).astype(">u8").view(np.uint8).reshape(b, periods, 8)
+    packed = np.packbits(np.unpackbits(differ, axis=2, count=n), axis=1, bitorder="little")
+    columns = np.zeros((b, n, 8 * -(-periods // 64)), dtype=np.uint8)
+    columns[:, :, : packed.shape[1]] = packed.transpose(0, 2, 1)
+    return columns.view("<u8")
+
+
+def _baseline_trial_bytes(num_bits: int, periods: int) -> int:
+    """Bytes one baseline trial holds, W = ceil(P/64); sizes batches and refuses.
+
+    Its (2, P) role words and their fold, P differ values and their
+    big-endian copy, (P, N) unpacked bits, their packed bytes, the (N, W)
+    columns, both half-tables while the low one doubles, the XOR'd high
+    table, and the W * 2^N-byte match mask plus its .all result if W > 1.
+    """
+    n, p, w = num_bits, periods, -(-periods // 64)
+    hi, lo = 1 << n // 2, 1 << n - n // 2
+    signs = 8 * 6 * p + n * p + 2 * 8 * n * w
+    return signs + 8 * w * (2 * hi + lo + lo // 2) + ((w + (w > 1)) << n)
 
 
 def run_baseline_trials(
@@ -611,14 +637,17 @@ def run_baseline_trials(
 ) -> BaselineTrialStats:
     """Monte Carlo baseline searches at lambda = 1 on bit-packed XOR parities.
 
-    Readout values at lambda = 1 are products of signs, so a string's
-    readouts over its P-period budget are the XOR of its carriers'
-    negative-sign bits, packed by rng.sign_words into W = ceil(P/64)
-    uint64 words.  Batches of trials are scanned at once.  Candidate c
-    splits into its first floor(N/2) bits (c_hi) and the rest (c_lo) and
-    reads Hi[c_hi] ^ Lo[c_lo], so two half-tables of at most 2^ceil(N/2)
-    rows stand in for the 2^N-row catalog; all 2^N candidates are
-    compared, and the flattened match mask is in catalog order (all-L
+    Readouts at lambda = 1 are sign products, so two strings' readouts
+    differ in a period exactly when an odd number of the bits where they
+    differ have carriers of opposite sign: strings compare through the XOR
+    of one column per 1 bit, that bit's carriers-differ sequence packed
+    into W = ceil(P/64) words.  One rng.role_words word per carrier role
+    holds every noise-bit, since the 2^N-byte match mask keeps N <= 28
+    under ENGINE_TRIAL_BYTES_CAP.  Batches of trials are scanned at once.
+    Candidate c splits into its first floor(N/2) bits (c_hi) and the rest
+    (c_lo) and reads Hi[c_hi] ^ Lo[c_lo], so two half-tables of at most
+    2^ceil(N/2) rows stand in for the 2^N-row catalog; all 2^N candidates
+    are compared, and the flattened match mask is in catalog order (all-L
     first).  A trial's cost is the index of the first candidate that
     survives its whole period budget, exactly as the sequential reference
     search counts it.
@@ -626,11 +655,9 @@ def run_baseline_trials(
     if num_bits < 1 or periods_per_test < 1 or trials < 1:
         raise ValueError("num_bits, periods_per_test and trials must be >= 1")
     n = num_bits
-    spp = 2 * n
     n_hi = n // 2
     n_words = -(-periods_per_test // 64)
-    # per trial: the 2^N * W-byte match mask or 8 bytes per stream and period
-    trial_bytes = max(n_words << n, 8 * spp * periods_per_test)
+    trial_bytes = _baseline_trial_bytes(n, periods_per_test)
     _check_memory(f"one baseline trial at {n} bits and {periods_per_test} periods", trial_bytes)
     batch_size = _batch_trials(trial_bytes)
     tests = np.empty(trials, dtype=np.int64)
@@ -638,9 +665,9 @@ def run_baseline_trials(
     for start, tseeds in _trial_batches(seed, trials, batch_size):
         b = len(tseeds)
         hidden = _role_order_ints(_hidden_words(tseeds, n), n).astype(np.intp)
-        words = rng.sign_words(tseeds, spp, periods_per_test)
-        hi = _xor_table(words[:, : 2 * n_hi])
-        lo = _xor_table(words[:, 2 * n_hi :])
+        columns = _differ_columns(tseeds, n, periods_per_test)
+        hi = _xor_table(columns[:, :n_hi])
+        lo = _xor_table(columns[:, n_hi:])
         c_hi, c_lo = np.divmod(hidden, lo.shape[1])
         unknown = hi[np.arange(b), c_hi] ^ lo[np.arange(b), c_lo]
         match = (hi ^ unknown[:, None, :])[:, :, None, :] == lo[:, None, :, :]

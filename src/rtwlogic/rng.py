@@ -17,14 +17,12 @@ not depend on N, and the word tags 0..2W-1 (W = ceil(N/64)) stay below
 (role, g) tag seed once per draw, `role_words` folds the periods into
 them to draw the words themselves, and every numpy draw reads them and
 agrees with `sign_at` bit for bit.  The role words are the one packed
-layout of the per-period Monte Carlo engines (identification, zero-prob,
-Monte Carlo range and the mismatch rate), which compare all noise-bits
-within a period.  `sign_matrix` unpacks them into one int8 row per
-stream for a reference system (`sign_block` and `sign_tensor`, kept
-because perfbench's tracer wraps them, are views of it), and
-`sign_words` repacks one bit per period, as the baseline search XORs
-whole period sequences of single streams.  The mixes run in place on
-chunks that stay in cache.
+layout of every Monte Carlo engine (identification, zero-prob, Monte
+Carlo range, the mismatch rate and the baseline scan).  `sign_matrix`
+unpacks them into one int8 row per stream for a reference system, the
+exact path's one int8 layout (`sign_block` and `sign_tensor`, kept
+because perfbench's tracer wraps them, are views of it).  The mixes run
+in place on chunks that stay in cache.
 
 The mixer is the SplitMix64 finalizer (public-domain constants).
 """
@@ -79,8 +77,7 @@ _NP_MIX1 = np.uint64(_MIX1)
 _NP_MIX2 = np.uint64(_MIX2)
 
 # uint64 elements per in-place mix step: a step and its scratch stay in
-# cache; sign_matrix and sign_words unpack _CHUNK // 16 role words at a
-# time
+# cache; sign_matrix unpacks _CHUNK // 16 role words at a time
 _CHUNK = 2**15
 
 # words per role up to which word_seeds derives one seed's tag seeds on
@@ -210,36 +207,4 @@ def sign_tensor(master_seeds: np.ndarray, num_streams: int, num_periods: int) ->
     for t, seed in enumerate(seeds):
         out[t] = sign_matrix(seed, num_streams, num_periods)
     return out
-
-
-def sign_words(master_seeds: np.ndarray, num_streams: int, num_periods: int) -> np.ndarray:
-    """sign_tensor(...) < 0 packed as (trials, num_streams, ceil(P/64)) uint64 words.
-
-    Bit k % 64 of word k // 64 is set when period k's sign is -1.  The
-    role words are unpacked one byte per sign, laid out stream by stream
-    on a zeroed buffer padded to whole words, and packed again in one pass.
-    Like sign_matrix this runs on _CHUNK // 16 role words at a time, in
-    whole trials or, for a long trial, in 64-period blocks (at least one
-    trial and one block), so besides its result it needs a fixed amount of
-    memory however many trials and periods are drawn.
-    """
-    bits_needed = -(-num_streams // 2)
-    n_words = -(-bits_needed // 64)
-    seeds = word_seeds(master_seeds, n_words)
-    out = np.empty((len(seeds), 2 * bits_needed, -(-num_periods // 64)), dtype=np.uint64)
-    budget = _CHUNK // 16 // (2 * n_words)  # trial-periods per chunk
-    step = max(1, num_periods) if num_periods <= budget else max(64, budget // 64 * 64)
-    trials_step = max(1, budget // step)
-    for t0 in range(0, len(seeds), trials_step):
-        for k0 in range(0, num_periods, step):
-            periods = min(step, num_periods - k0)
-            words = role_words(seeds[t0 : t0 + trials_step], periods, k0)
-            trials = len(words)
-            by_stream = np.zeros((trials, bits_needed, 2, 64 * -(-periods // 64)), dtype=np.uint8)
-            by_stream[..., :periods] = _bits(words, bits_needed).transpose(0, 3, 1, 2)
-            packed = np.packbits(by_stream.reshape(-1), bitorder="little").view("<u8")
-            out[t0 : t0 + trials, :, k0 // 64 : (k0 + periods + 63) // 64] = packed.reshape(
-                trials, 2 * bits_needed, -1
-            )
-    return out[:, :num_streams]
 

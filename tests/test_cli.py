@@ -282,7 +282,6 @@ def test_identify_memory_cap_exits_two(monkeypatch, capsys) -> None:
         raise AssertionError("signs were drawn before the memory check")
 
     monkeypatch.setattr(rng, "sign_tensor", no_signs)
-    monkeypatch.setattr(rng, "sign_words", no_signs)
     monkeypatch.setattr(rng, "role_words", no_signs)
     for argv in (["identify", "--bits", "20000000", "--trials", "1"],
                  ["bench", "--bits", "4,20000000", "--trials", "1"]):

@@ -284,12 +284,8 @@ def test_baseline_engine_matches_exact_trials() -> None:
         assert stats.tests[i] == tests
 
 
-@pytest.mark.parametrize("ppt", [1, 2, 63, 64, 65, 130])
-@pytest.mark.parametrize("n", [1, 2, 5, 8])
-def test_baseline_engine_matches_exact_trials_across_word_boundaries(n: int, ppt: int) -> None:
-    # P around 64 crosses the uint64 period-word boundary; odd N makes the
-    # two half-tables unequal, N = 1 leaves the high one a single row
-    trials, seed = 12, 6
+def _assert_baseline_matches_exact(n: int, ppt: int, trials: int, seed: int) -> int:
+    """Pin the engine's per-trial tests and false matches to the exact path; the false matches."""
     stats = exp.run_baseline_trials(n, ppt, trials, seed, keep_per_trial=True)
     false_matches = 0
     for i in range(trials):
@@ -297,24 +293,56 @@ def test_baseline_engine_matches_exact_trials_across_word_boundaries(n: int, ppt
         assert stats.tests[i] == tests
         false_matches += tests != hidden.bits + 1
     assert stats.false_matches == false_matches
+    return false_matches
+
+
+@pytest.mark.parametrize("ppt", [1, 2, 63, 64, 65, 130])
+@pytest.mark.parametrize("n", [1, 2, 5, 8])
+def test_baseline_engine_matches_exact_trials_across_word_boundaries(n: int, ppt: int) -> None:
+    # P around 64 crosses the uint64 period-word boundary; odd N makes the
+    # two half-tables unequal, N = 1 leaves the high one a single row
+    false_matches = _assert_baseline_matches_exact(n, ppt, 12, 6)
     if ppt == 1:
         # a one-period budget lets earlier candidates match first
         assert false_matches > 0
 
 
+@pytest.mark.parametrize("n, trials", [(11, 8), (13, 5)])
+def test_baseline_engine_matches_exact_trials_at_benchmark_sizes(n: int, trials: int) -> None:
+    # the benchmark's bit counts, odd so the half-tables are unequal; an
+    # exact trial costs about 26 ms at N = 11 and 95 ms at N = 13
+    _assert_baseline_matches_exact(n, 20, trials, 6)
+
+
+@pytest.mark.parametrize("periods", [1, 2, 63, 64, 65, 130])
+def test_differ_columns_pack_scalar_signs(periods: int) -> None:
+    # row q holds noise-bit q + 1's carriers-differ sequence, period k at
+    # bit k % 64 of word k // 64; bits past the last period stay clear
+    seeds = np.array([rng.derive_seed(77, i) for i in range(3)], dtype=np.uint64)
+    for n in (1, 5, 28):
+        columns = exp._differ_columns(seeds, n, periods)
+        assert columns.dtype == np.uint64 and columns.shape == (3, n, -(-periods // 64))
+        for t, ts in enumerate(int(s) for s in seeds):
+            for q in range(n):
+                value = sum(int(w) << (64 * i) for i, w in enumerate(columns[t, q]))
+                differ = [rng.sign_at(ts, 2 * q, k) != rng.sign_at(ts, 2 * q + 1, k)
+                          for k in range(periods)]
+                assert value == sum(1 << k for k in range(periods) if differ[k])
+
+
 def test_baseline_engine_batching_invariance(monkeypatch) -> None:
     n, ppt, trials, seed = 5, 70, 30, 8
     whole = exp.run_baseline_trials(n, ppt, trials, seed, keep_per_trial=True)
-    # 8 * 2N * P = 5600 bytes per trial: batches of 2 trials
+    # _baseline_trial_bytes(5, 70) = 4286 bytes per trial: batches of 2 trials
     monkeypatch.setattr(exp, "_ENGINE_BATCH_BYTES", 12000)
     batches = []
-    sign_words = rng.sign_words
+    role_words = rng.role_words
 
     def counted(seeds, *args):
         batches.append(len(seeds))
-        return sign_words(seeds, *args)
+        return role_words(seeds, *args)
 
-    monkeypatch.setattr(rng, "sign_words", counted)
+    monkeypatch.setattr(rng, "role_words", counted)
     split = exp.run_baseline_trials(n, ppt, trials, seed, keep_per_trial=True)
     assert batches == [2] * 15
     assert (split.tests == whole.tests).all()
@@ -327,50 +355,72 @@ def test_baseline_memory_refused_before_drawing(monkeypatch) -> None:
         raise AssertionError("signs were drawn before the memory check")
 
     # N = 30: a 2^30-byte match mask for one trial, refused unpatched
-    monkeypatch.setattr(rng, "sign_words", no_signs)
+    monkeypatch.setattr(rng, "role_words", no_signs)
     with pytest.raises(ValueError, match="capped at"):
         exp.run_baseline_trials(30, 20, 1, 1)
 
 
 def test_baseline_memory_cap_boundary(monkeypatch) -> None:
-    # one trial needs max(2^N * ceil(P/64), 8 * 2N * P) bytes
-    sign_words = rng.sign_words
+    # one trial at N bits and P periods, W = ceil(P/64), H = 2^floor(N/2),
+    # L = 2^ceil(N/2), holds 8 * 6P (role words, fold, differ values and
+    # their copy) + NP (bits) + 16NW (packed bits, columns) + 8W(2H + L +
+    # L/2) (half-tables, XOR'd high table) + (W + [W > 1]) * 2^N (match mask)
+    role_words = rng.role_words
     drawn = []
 
     def counted(*args):
         drawn.append(args)
-        return sign_words(*args)
+        return role_words(*args)
 
-    monkeypatch.setattr(rng, "sign_words", counted)
-    # the stream term: 8 * 8 * 20 = 1280 bytes at N = 4, P = 20
-    monkeypatch.setattr(exp, "ENGINE_TRIAL_BYTES_CAP", 1280)
+    monkeypatch.setattr(rng, "role_words", counted)
+    # N = 4, P = 20: 960 + 80 + 64 + 112 + 16 = 1232; P = 21: 1284
+    monkeypatch.setattr(exp, "ENGINE_TRIAL_BYTES_CAP", 1232)
     assert exp.run_baseline_trials(4, 20, 3, 1).trials == 3
-    with pytest.raises(ValueError, match="1344"):
+    with pytest.raises(ValueError, match="1284 bytes; capped at 1232"):
         exp.run_baseline_trials(4, 21, 3, 1)
-    # the match-mask term: 2^10 bytes at N = 10, P = 1
-    monkeypatch.setattr(exp, "ENGINE_TRIAL_BYTES_CAP", 1024)
+    # the match mask leads at N = 10, P = 1: 48 + 10 + 160 + 896 + 1024 =
+    # 2138; N = 11: 48 + 11 + 176 + 1280 + 2048 = 3563
+    monkeypatch.setattr(exp, "ENGINE_TRIAL_BYTES_CAP", 2138)
     assert exp.run_baseline_trials(10, 1, 3, 1).trials == 3
-    with pytest.raises(ValueError, match="2048"):
+    with pytest.raises(ValueError, match="3563 bytes; capped at 2138"):
         exp.run_baseline_trials(11, 1, 3, 1)
+    # a second period word adds the .all result: N = 4, P = 65 holds
+    # 3120 + 260 + 128 + 224 + 3 * 16 = 3780
+    monkeypatch.setattr(exp, "ENGINE_TRIAL_BYTES_CAP", 3779)
+    with pytest.raises(ValueError, match="3780 bytes; capped at 3779"):
+        exp.run_baseline_trials(4, 65, 3, 1)
     assert len(drawn) == 2
 
 
+# numpy's broadcasting ufuncs hold two buffers of np.getbufsize() uint64
+# elements (128 KiB) per call, however many trials the call covers
+_UFUNC_BUFFERS = 2 * 8 * np.getbufsize()
+# the count sums arrays that are never all held at once; a full batch's
+# peak per trial, less _UFUNC_BUFFERS, measured 0.52 / 0.60 / 0.92 / 0.32
+# of it at the four sizes below
+_BASELINE_PEAK_SLACK = 4
+
+
 def test_baseline_batch_stays_inside_its_memory_count() -> None:
-    # a baseline trial is counted 8 * 2N * P bytes for its sign draw and
-    # batched _ENGINE_BATCH_BYTES worth; sign_words unpacks 64 bytes per
-    # role word, 8x that count at N = 1, so it must unpack in bounded
-    # chunks for a full batch to peak below twice its count
-    n, ppt = 1, 20
-    trials = exp._batch_trials(8 * 2 * n * ppt)
-    exp.run_baseline_trials(n, ppt, 2, 1)  # imports and caches first
-    tracemalloc.start()
-    try:
-        stats = exp.run_baseline_trials(n, ppt, trials, 1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert stats.trials == trials
-    assert peak < 2 * trials * 8 * 2 * n * ppt
+    for n, ppt in ((1, 20), (10, 20), (14, 20), (8, 130)):
+        count = exp._baseline_trial_bytes(n, ppt)
+        trials = exp._batch_trials(count)
+        exp.run_baseline_trials(n, ppt, 2, 1)  # imports and caches first
+        tracemalloc.start()
+        try:
+            stats = exp.run_baseline_trials(n, ppt, trials, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert stats.trials == trials
+        per_trial = (peak - _UFUNC_BUFFERS) / trials
+        assert count / _BASELINE_PEAK_SLACK <= per_trial <= count, (n, ppt, per_trial, count)
+
+
+def test_baseline_scan_ops_are_one_batch() -> None:
+    # perfbench's baseline-scan op runs 20 trials at P = 20
+    for n in (10, 12, 14):
+        assert exp._batch_trials(exp._baseline_trial_bytes(n, 20)) >= 20
 
 
 def test_baseline_budget_is_one_rule() -> None:
@@ -618,7 +668,6 @@ def test_identification_memory_refused_before_allocating(monkeypatch) -> None:
         raise AssertionError("signs were drawn before the memory check")
 
     monkeypatch.setattr(rng, "sign_tensor", no_signs)
-    monkeypatch.setattr(rng, "sign_words", no_signs)
     monkeypatch.setattr(rng, "role_words", no_signs)
     n = 20_000_000
     with pytest.raises(ValueError, match="capped at"):

@@ -76,61 +76,8 @@ def test_sign_block_and_tensor_match_scalar_path_across_chunks(monkeypatch) -> N
     assert tensor.tolist() == expect
 
 
-def _pack(neg: np.ndarray) -> np.ndarray:
-    """(trials, streams, P) booleans as uint64 words, one period at a time."""
-    trials, streams, periods = neg.shape
-    words = np.zeros((trials, streams, -(-periods // 64)), dtype=np.uint64)
-    for k in range(periods):
-        words[:, :, k // 64] |= neg[:, :, k].astype(np.uint64) << np.uint64(k % 64)
-    return words
-
-
 def _trial_seeds(count: int) -> np.ndarray:
     return np.array([rng.derive_seed(77, i) for i in range(count)], dtype=np.uint64)
-
-
-@pytest.mark.parametrize("periods", [1, 2, 63, 64, 65, 130])
-def test_sign_words_pack_tensor_and_scalar_signs(periods: int) -> None:
-    for trials in (1, 4):
-        seeds = _trial_seeds(trials)
-        for streams in (1, 3, 6):
-            words = rng.sign_words(seeds, streams, periods)
-            assert words.dtype == np.uint64
-            assert words.shape == (trials, streams, -(-periods // 64))
-            # bits past the last period stay clear
-            assert (words == _pack(rng.sign_tensor(seeds, streams, periods) < 0)).all()
-            for t in range(trials):
-                for j in range(streams):
-                    for k in range(periods):
-                        bit = int(words[t, j, k // 64]) >> (k % 64) & 1
-                        assert bit == (rng.sign_at(int(seeds[t]), j, k) < 0)
-
-
-def test_sign_words_chunking_invariance(monkeypatch) -> None:
-    seeds = _trial_seeds(5)
-    whole = rng.sign_words(seeds, 3, 130)
-    role_words = rng.role_words
-    drawn = []
-
-    def counted(seeds, *args):
-        drawn.append((len(seeds), *args))
-        return role_words(seeds, *args)
-
-    monkeypatch.setattr(rng, "role_words", counted)
-    # 2 * 130 role words a trial, unpacked _CHUNK // 16 at a time: chunks
-    # of two whole trials, or of one trial in 64-period blocks; at 7 and
-    # 47 the mix steps are ragged too
-    one_trial = [(1, 64, 0), (1, 64, 64), (1, 2, 128)]
-    for chunk, chunks in (
-        (16 * 520, [(2, 130, 0), (2, 130, 0), (1, 130, 0)]),
-        (16 * 200, one_trial * 5),
-        (7, one_trial * 5),
-        (47, one_trial * 5),
-    ):
-        monkeypatch.setattr(rng, "_CHUNK", chunk)
-        drawn.clear()
-        assert (rng.sign_words(seeds, 3, 130) == whole).all()
-        assert drawn == chunks
 
 
 def _role_word_bits(neg: np.ndarray) -> np.ndarray:
@@ -314,7 +261,6 @@ _EDGE_BITS = (31, 32, 33, 34, 64, 65, 66)
 def test_draws_match_sign_at_at_edge_bits(bits: int) -> None:
     seeds, periods = _trial_seeds(3), 5
     by_role = rng.role_words(rng.word_seeds(seeds, -(-bits // 64)), periods)
-    words = rng.sign_words(seeds, 2 * bits, periods)
     for t, ts in enumerate(int(s) for s in seeds):
         matrix = rng.sign_matrix(ts, 2 * bits, periods)
         for r in (r for r in _EDGE_BITS if r <= bits):
@@ -323,6 +269,5 @@ def test_draws_match_sign_at_at_edge_bits(bits: int) -> None:
                 s = 2 * q + role
                 neg = [rng.sign_at(ts, s, k) < 0 for k in range(periods)]
                 assert (matrix[s] < 0).tolist() == neg
-                assert [int(words[t, s, 0]) >> k & 1 == 1 for k in range(periods)] == neg
                 row = by_role[t, role, q // 64]
                 assert [int(w) >> (63 - q % 64) & 1 == 1 for w in row] == neg

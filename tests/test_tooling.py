@@ -6,8 +6,9 @@ here, at tier 1, rather than only in the traced benchmark run.
 
 No package module imports a name it never uses, no package function
 or lambda takes a parameter it never reads, no private module-level
-function or method goes without a caller in the package, and every
-public draw of `rng` has a caller in the package or is traced.
+function or method goes without a caller in the package, every public
+draw of `rng` has a caller in the package or is traced, and the Monte
+Carlo engines in `experiments` read no `rng.sign_*` draw.
 """
 
 from __future__ import annotations
@@ -224,3 +225,37 @@ def test_every_public_rng_function_has_a_caller_or_is_traced() -> None:
         if node.name not in kept
     ]
     assert not dead, "\n".join(dead)
+
+
+def _sign_draws(tree: ast.Module) -> list[tuple[str, int]]:
+    """(name, line) of each rng.sign_* attribute read, or sign_* name imported from rng."""
+    found = []
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and node.attr.startswith("sign_")
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "rng"
+        ):
+            found.append((node.attr, node.lineno))
+        elif isinstance(node, ast.ImportFrom) and node.module in ("rng", "rtwlogic.rng"):
+            found += [(a.name, node.lineno) for a in node.names if a.name.startswith("sign_")]
+    return found
+
+
+def test_experiments_reads_signs_only_as_role_words() -> None:
+    # every Monte Carlo engine reads rng.role_words, the one packed layout;
+    # the exact path reaches sign_matrix only through rtw.build_reference_system
+    found = _sign_draws(_package_trees()["experiments.py"])
+    assert not found, "\n".join(f"experiments.py:{line} reads rng.{name}" for name, line in found)
+
+
+def test_sign_draw_check_sees_attributes_and_imports() -> None:
+    tree = ast.parse(
+        "from . import rng\n"
+        "from .rng import role_words, sign_block\n"
+        "a = rng.sign_matrix(1, 2, 3)\n"
+        "b = rng.role_words(a, 4)\n"
+        "c = other.sign_tensor\n"
+    )
+    assert sorted(_sign_draws(tree)) == [("sign_block", 2), ("sign_matrix", 3)]
