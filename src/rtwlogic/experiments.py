@@ -64,7 +64,7 @@ from .identify import (
     tsinbl_identify,
     verification_periods,
 )
-from .rtw import build_reference_system, check_lambda
+from .rtw import _COLUMNS_CHUNK, build_reference_system, check_lambda
 from .signal import trace_product
 
 DEFAULT_SEED = 1
@@ -228,18 +228,23 @@ def fit_slope(xs: list[float], ys: list[float]) -> tuple[float, float]:
 # vectorized Monte Carlo engines
 # ===========================================================================
 
-# bytes per batch of an engine's largest intermediates: 16 * ceil(N/64)
-# per period of rng.role_words for zero-prob, Monte Carlo range and the
-# mismatch rate, the identification engine's _identification_trial_bytes
-# (role words, switches and decision words), or the baseline's
-# _baseline_trial_bytes (role words, differ columns, half-tables and match
-# mask); small enough for a batch to stay in cache
+# bytes per batch, small enough to stay in cache: an engine's `_*_bytes`
+# count per trial or period times the batch, plus numpy's ufunc buffers, two
+# of np.getbufsize() uint64 elements (128 KiB) per call however large the call
 _ENGINE_BATCH_BYTES = 1 << 20
+_UFUNC_BUFFER_BYTES = 2 * 8 * np.getbufsize()
 
 
-def _batch_trials(bytes_per_trial: int) -> int:
-    """Trials per batch: _ENGINE_BATCH_BYTES worth, at least 1 and at most 8192."""
-    return max(1, min(8192, _ENGINE_BATCH_BYTES // bytes_per_trial))
+def _check_memory(what: str, need: int) -> None:
+    """Refuse, before allocating, work that needs more than ENGINE_TRIAL_BYTES_CAP."""
+    if need > ENGINE_TRIAL_BYTES_CAP:
+        raise ValueError(f"{what} needs about {need} bytes; capped at {ENGINE_TRIAL_BYTES_CAP}")
+
+
+def _batch_trials(what: str, bytes_per_trial: int) -> int:
+    """Trials or periods (1 to 8192) per batch, bytes_per_trial each; refuses one above the cap."""
+    _check_memory(what, bytes_per_trial)
+    return max(1, min(8192, (_ENGINE_BATCH_BYTES - _UFUNC_BUFFER_BYTES) // bytes_per_trial))
 
 
 def _role_order(words: np.ndarray, num_bits: int) -> np.ndarray:
@@ -269,34 +274,38 @@ def _role_order_ints(words: np.ndarray, num_bits: int) -> np.ndarray:
     return np.array([int.from_bytes(row.tobytes(), "big") >> shift for row in big], dtype=object)
 
 
-def _carriers_differing(
-    seed: int, num_bits: int, periods: int, mask: np.ndarray
-) -> Iterator[np.ndarray]:
-    """Per period, how many bits of a role-order mask have carriers of opposite sign.
+def _period_bytes(num_bits: int) -> int:
+    """Bytes one period of _carriers_differing holds: 8 words of W = ceil(N/64) (see there)."""
+    return 64 * _num_words(num_bits)
+
+
+def _carriers_differing(seed: int, num_bits: int, periods: int, mask: int) -> Iterator[np.ndarray]:
+    """Per period, how many bits of a bits-integer mask have carriers of opposite sign.
 
     A bit's carriers differ where its bits in the period's two
-    rng.role_words do, so this is the popcount of (L ^ H) & mask; the words
-    are drawn _batch_trials(16 * ceil(N/64)) periods at a time.
+    rng.role_words do, so this is the popcount of (L ^ H) & mask in role
+    order.  A period holds its two role words, their XOR, the masked XOR and
+    four SWAR popcount temporaries: _period_bytes, which sizes the chunks.
     """
     n_words = _num_words(num_bits)
+    chunk = _batch_trials(f"one period of {num_bits} bits", _period_bytes(num_bits))
+    words_mask = _role_order(np.frombuffer(mask.to_bytes(8 * n_words, "little"), "<u8"), num_bits)
     seeds = rng.word_seeds(seed, n_words)
-    chunk = _batch_trials(16 * n_words)
     for start in range(0, periods, chunk):
         words = rng.role_words(seeds, min(chunk, periods - start), start)
-        yield _popcounts((words[0] ^ words[1]) & mask[:, None]).sum(axis=0)
+        yield _popcounts((words[0] ^ words[1]) & words_mask[:, None]).sum(axis=0)
 
 
 def zero_prob_engine(num_bits: int, trials: int, seed: int) -> np.ndarray:
     """count[a]: periods in which exactly a bits' two carriers agree (int64, N+1).
 
-    Each trial is one clock period of a single reference system.  By
-    `algebra.agreement_law`, a is all the uniform superposition's |readout|
-    depends on, and at lambda = 1 the readout is non-zero iff a = N: a is
-    N minus the noise-bits whose carriers differ.
+    Each trial is one clock period of a single reference system, read by
+    _carriers_differing.  By `algebra.agreement_law`, a is all the uniform
+    superposition's |readout| depends on; at lambda = 1 it is non-zero iff
+    a = N, and a is N minus the noise-bits whose carriers differ.
     """
-    noise_bits = _role_order(np.full(_num_words(num_bits), rng.MASK64, dtype=np.uint64), num_bits)
     count = np.zeros(num_bits + 1, dtype=np.int64)
-    for differ in _carriers_differing(seed, num_bits, trials, noise_bits):
+    for differ in _carriers_differing(seed, num_bits, trials, (1 << num_bits) - 1):
         count += np.bincount(num_bits - differ.astype(np.intp), minlength=num_bits + 1)
     return count
 
@@ -312,12 +321,8 @@ def mismatch_rate_engine(num_bits: int, periods: int, seed: int) -> tuple[int, i
     w2 = _draw_bits(seed, _hidden_tag(num_bits) + 1, num_bits)
     if w2 == w1:
         w2 ^= 1
-    diff = (w1 ^ w2).to_bytes(8 * _num_words(num_bits), "little")
-    mask = _role_order(np.frombuffer(diff, dtype="<u8"), num_bits)
-    mismatches = 0
-    for differ in _carriers_differing(seed, num_bits, periods, mask):
-        mismatches += int((differ & _ONE).sum())
-    return mismatches, w1, w2
+    differing = _carriers_differing(seed, num_bits, periods, w1 ^ w2)
+    return sum(int((differ & _ONE).sum()) for differ in differing), w1, w2
 
 
 @dataclass(frozen=True)
@@ -372,17 +377,6 @@ def _popcounts(words: np.ndarray) -> np.ndarray:
     return (x * _H01) >> np.uint64(56)
 
 
-def _popcount(words: np.ndarray) -> int:
-    """Set bits over a uint64 array."""
-    return int(_popcounts(words).sum())
-
-
-def _check_memory(what: str, need: int) -> None:
-    """Refuse, before allocating, work that needs more than ENGINE_TRIAL_BYTES_CAP."""
-    if need > ENGINE_TRIAL_BYTES_CAP:
-        raise ValueError(f"{what} needs about {need} bytes; capped at {ENGINE_TRIAL_BYTES_CAP}")
-
-
 def _identification_trial_bytes(num_bits: int, max_periods: int) -> int:
     """Bytes one identification trial holds, W = ceil(N/64) words per role and period.
 
@@ -393,22 +387,6 @@ def _identification_trial_bytes(num_bits: int, max_periods: int) -> int:
     """
     m = max_periods
     return 8 * _num_words(num_bits) * (2 * (m + 1) + 2 * m + 8 * m + 2 + 1)
-
-
-def _check_identification_memory(num_bits: int, max_periods: int) -> None:
-    """Refuse, before allocating, a trial larger than ENGINE_TRIAL_BYTES_CAP."""
-    _check_memory(
-        f"one identification trial at {num_bits} bits and {max_periods} periods",
-        _identification_trial_bytes(num_bits, max_periods),
-    )
-
-
-def _check_reference_memory(num_bits: int, num_periods: int) -> None:
-    """Refuse a reference system whose (2N, P) uint64 sign draw exceeds the cap."""
-    _check_memory(
-        f"a reference system of {num_bits} bits over {num_periods} periods",
-        8 * 2 * num_bits * num_periods,
-    )
 
 
 def _check_renderable(num_bits: int, lam: Fraction) -> None:
@@ -463,16 +441,15 @@ def run_identification_trials(
     break; they cannot catch a flaw in the decision rule.  The evidence
     for the rule is that aggregates match the tick-scanning reference
     identifier, tsinbl_identify, trial for trial (see the unit tests).
-    Batches hold _batch_trials(_identification_trial_bytes(N, M)) trials;
-    results do not depend on the batch size.
+    _identification_trial_bytes sizes the batches; results do not depend on it.
     """
     if num_bits < 1 or max_periods < 1 or trials < 1:
         raise ValueError("num_bits, max_periods and trials must be >= 1")
-    _check_identification_memory(num_bits, max_periods)
     n = num_bits
     m = max_periods
     spp = 2 * n
-    batch_size = _batch_trials(_identification_trial_bytes(n, m))
+    what = f"one identification trial at {n} bits and {m} periods"
+    batch_size = _batch_trials(what, _identification_trial_bytes(n, m))
     n_words = _num_words(n)
     full = _role_order(np.full(n_words, rng.MASK64, dtype=np.uint64), n)
 
@@ -510,11 +487,11 @@ def run_identification_trials(
         decided = seen[-1]
         # every event of the window is checked against the decided value
         against = (chosen & ((s_l & u_l) | (s_h ^ u_h))) | (~chosen & ((s_l ^ u_l) | u_h))
-        contradictions += _popcount(np.bitwise_or.reduce(against, axis=0))
+        contradictions += int(_popcounts(np.bitwise_or.reduce(against, axis=0)).sum())
 
         complete = (decided == full).all(axis=1)
         wrong = chosen ^ hidden
-        wrong_decided_bits += _popcount(wrong & decided)
+        wrong_decided_bits += int(_popcounts(wrong & decided).sum())
         wrong_complete += int((complete & (wrong != 0).any(axis=1)).sum())
         complete_trials += int(complete.sum())
         undecided_trials += int(b - complete.sum())
@@ -657,11 +634,10 @@ def run_baseline_trials(
     n = num_bits
     n_hi = n // 2
     n_words = -(-periods_per_test // 64)
-    trial_bytes = _baseline_trial_bytes(n, periods_per_test)
-    _check_memory(f"one baseline trial at {n} bits and {periods_per_test} periods", trial_bytes)
-    batch_size = _batch_trials(trial_bytes)
-    tests = np.empty(trials, dtype=np.int64)
-    false_matches = 0
+    what = f"one baseline trial at {n} bits and {periods_per_test} periods"
+    batch_size = _batch_trials(what, _baseline_trial_bytes(n, periods_per_test))
+    tests = np.empty(trials, dtype=np.int64) if keep_per_trial else None
+    tests_sum = false_matches = 0
     for start, tseeds in _trial_batches(seed, trials, batch_size):
         b = len(tseeds)
         hidden = _role_order_ints(_hidden_words(tseeds, n), n).astype(np.intp)
@@ -673,14 +649,16 @@ def run_baseline_trials(
         match = (hi ^ unknown[:, None, :])[:, :, None, :] == lo[:, None, :, :]
         match = match.all(axis=3) if n_words > 1 else match[..., 0]
         first = np.argmax(match.reshape(b, -1), axis=1)
-        tests[start : start + b] = first + 1
+        tests_sum += int(first.sum()) + b
         false_matches += int((first != hidden).sum())
+        if keep_per_trial:
+            tests[start : start + b] = first + 1
     return BaselineTrialStats(
         trials=trials,
         periods_per_test=periods_per_test,
-        mean_tests=float(tests.mean()),
+        mean_tests=tests_sum / trials,
         false_matches=false_matches,
-        tests=tests if keep_per_trial else None,
+        tests=tests,
     )
 
 
@@ -822,7 +800,7 @@ def amplitude_range_experiment(
     if not exhaustive:
         if trials < 1:
             raise ValueError("trials must be >= 1")
-        _check_reference_memory(num_bits, 1)
+        _batch_trials(f"one period of {num_bits} bits", _period_bytes(num_bits))
     _check_renderable(num_bits, lam)
     t_min = (1 - lam) ** num_bits
     t_max = (1 + lam) ** num_bits
@@ -1010,8 +988,8 @@ def identification_benchmark(
         raise ValueError("bit counts must be distinct")
     eps = Fraction(epsilon)
     budgets = [ErrorBudget.from_epsilon(n, eps) for n in bits_list]
-    for budget in budgets:
-        _check_identification_memory(budget.num_bits, budget.max_periods)
+    for n, m in ((b.num_bits, b.max_periods) for b in budgets):  # before any trial
+        _batch_trials(f"one identification trial at {n} bits", _identification_trial_bytes(n, m))
     rows: list[dict[str, object]] = []
     baseline_points: list[tuple[int, float]] = []
     passed = True  # each bit count's rate and soundness checks, then the fits
@@ -1106,6 +1084,19 @@ def identification_benchmark(
 _EXPANSION_TERM_BYTES = 452
 
 
+def _not_demo_bytes(num_bits: int, periods: int) -> int:
+    """Bytes not_gate_demo holds at most, N = num_bits and P = periods.
+
+    rng.matrix_bytes of its (2N, P) signs, the three (2N, P) bool
+    temporaries of ReferenceSystem's +-1 check, one period_columns chunk at
+    64 bytes a sign and its three expansions at _EXPANSION_TERM_BYTES a
+    term, 2^N terms (2^21 above DEFAULT_EXPAND_CAP).
+    """
+    signs = rng.matrix_bytes(2 * num_bits, periods) + 6 * num_bits * periods
+    terms = _EXPANSION_TERM_BYTES << min(num_bits, DEFAULT_EXPAND_CAP + 1)
+    return signs + 64 * max(_COLUMNS_CHUNK, 2 * num_bits) + terms
+
+
 def not_gate_demo(
     num_bits: int,
     lam: Fraction | str,
@@ -1115,22 +1106,21 @@ def not_gate_demo(
 ) -> ExperimentReport:
     """Inversion of one bit by multiplying with its H*L reference product.
 
-    Checks the symbolic coefficient permutation (H terms to L unchanged,
-    L terms to H scaled by lambda^2), that the factored result expands to
-    it, and that the waveform route (the uniform superposition's trace
-    multiplied pointwise by the H_r * L_r trace) agrees with the factored
-    result exactly at every readout, O(N) per period; the 2^N-term
-    expansion is paid once per run.  Every refusal comes before it.
+    Checks the symbolic coefficient permutation (H terms to L unchanged, L terms to
+    H scaled by lambda^2), that the factored result expands to it, and that the
+    waveform route (the uniform superposition's trace multiplied pointwise by the
+    H_r * L_r trace) agrees with the factored result exactly at every readout, O(N)
+    per period; the 2^N-term expansion is paid once per run.  Every refusal, the
+    memory check on _not_demo_bytes included, comes before any draw or expansion.
     """
     lam = Fraction(lam)
     if num_bits < 1:
         raise ValueError("num_bits must be >= 1")
     if not 1 <= target_bit <= num_bits:
         raise ValueError(f"target_bit must be in 1..{num_bits}")
-    _check_reference_memory(num_bits, periods)
+    need = _not_demo_bytes(num_bits, periods)
+    _check_memory(f"not-demo at {num_bits} bits over {periods} periods", need)
     refs = build_reference_system(seed, num_bits, periods, lam)
-    if num_bits <= DEFAULT_EXPAND_CAP:  # above it expand() refuses on its own
-        _check_memory(f"the expansion of {num_bits} bits", _EXPANSION_TERM_BYTES << num_bits)
     uni = uniform_superposition(num_bits)
     expanded = expand(uni)
     notted = apply_not(expanded, target_bit, lam)

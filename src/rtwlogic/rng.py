@@ -178,9 +178,8 @@ def sign_matrix(
     """(num_streams, num_periods) int8 sign matrix for one master seed.
 
     Drawn at most _CHUNK // 16 role words at a time, at least one period,
-    so the words, their mix and their unpacked bits (64 bytes a word) stay
-    under 256 KiB however many periods are drawn, and a long matrix needs
-    little more than its int8 result.
+    so however many periods are drawn a long matrix needs little more than
+    its int8 result; `matrix_bytes` counts what it holds.
     """
     pairs, odd = divmod(num_streams, 2)
     n_words = -(-(pairs + odd) // 64)
@@ -198,6 +197,16 @@ def sign_matrix(
     out *= np.int8(-2)  # bit set -> 1 -> -1
     out += np.int8(1)
     return out
+
+
+def matrix_bytes(num_streams: int, num_periods: int) -> int:
+    """Bytes sign_matrix holds at most: its int8 result and a chunk's role words.
+
+    Each word, its big-endian copy, its 64 unpacked bits, the previous chunk's
+    (bound while the next is drawn) and, above one plane word, their copy.
+    """
+    n_words = -(-num_streams // 128)
+    return num_streams * num_periods + (144 + 64 * (n_words > 1)) * max(_CHUNK // 16, 2 * n_words)
 
 
 def sign_tensor(master_seeds: np.ndarray, num_streams: int, num_periods: int) -> np.ndarray:

@@ -297,7 +297,8 @@ def test_reference_memory_cap_exits_two(monkeypatch, capsys) -> None:
         raise AssertionError("signs were drawn before the memory check")
 
     monkeypatch.setattr(rng, "sign_matrix", no_signs)
-    for argv in (["range", "--bits", "16777217", "--trials", "1"],
+    monkeypatch.setattr(rng, "role_words", no_signs)
+    for argv in (["range", "--bits", "268435457", "--trials", "1"],
                  ["not-demo", "--bits", "1", "--periods", "100000000"]):
         rc, out, err = _run(capsys, argv)
         assert rc == 2, argv

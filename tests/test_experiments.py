@@ -57,9 +57,9 @@ def test_sign_chunk_engines_batching_invariance(monkeypatch) -> None:
     n, periods, seed = 3, 100, 4
     whole_count = exp.zero_prob_engine(n, periods, seed)
     whole_mismatch = exp.mismatch_rate_engine(n, periods, seed)
-    # both engines read 16 bytes per period, two role words: chunks of 21
+    # both engines hold _period_bytes(3) = 64 bytes per period: chunks of 21
     # periods, the last one of 16, and no sign_matrix
-    monkeypatch.setattr(exp, "_ENGINE_BATCH_BYTES", 16 * 21 + 5)
+    monkeypatch.setattr(exp, "_ENGINE_BATCH_BYTES", exp._UFUNC_BUFFER_BYTES + 64 * 21 + 5)
     drawn: dict[str, list[int]] = {"role_words": [], "sign_matrix": []}
 
     role_words, sign_matrix = rng.role_words, rng.sign_matrix
@@ -95,9 +95,12 @@ def test_mismatch_engine_matches_exact_readouts(n: int) -> None:
 
 
 def test_mismatch_rate_near_half() -> None:
-    periods = 100_000
+    # each period mismatches with probability 1/2, independently; by
+    # Hoeffding the rate lies within 0.0045 of it at 2^19 periods, but for
+    # a tail of _LAW_TAIL
+    periods = 2**19
     mismatches, _, _ = exp.mismatch_rate_engine(8, periods, 1)
-    assert abs(mismatches / periods - 0.5) <= 0.005
+    assert abs(mismatches / periods - 0.5) < math.sqrt(math.log(2 / _LAW_TAIL) / (2 * periods))
 
 
 def _assert_trials_match(stats: exp.IdentificationTrialStats, n: int, exact_trial) -> None:
@@ -224,7 +227,8 @@ def test_identification_engine_matches_exact_trials_decided_late(monkeypatch) ->
 def test_hidden_strings_cover_every_bit_above_64(monkeypatch) -> None:
     # a single masked 64-bit word would leave bits 1..36 always L at N = 100
     n, trials, seed = 100, 200, 5
-    monkeypatch.setattr(exp, "_ENGINE_BATCH_BYTES", 7 * exp._identification_trial_bytes(n, 1))
+    batch = 7 * exp._identification_trial_bytes(n, 1)
+    monkeypatch.setattr(exp, "_ENGINE_BATCH_BYTES", exp._UFUNC_BUFFER_BYTES + batch)
     stats = exp.run_identification_trials(n, 1, trials, seed, keep_per_trial=True)
     union = 0
     for i, bits in enumerate(stats.hidden_bits):
@@ -251,7 +255,8 @@ def _assert_identification_batching_invariance(monkeypatch, m: int, n: int = 5) 
     monkeypatch.setattr(rng, "role_words", counted)
     runs = []
     for size in (7, 64):
-        monkeypatch.setattr(exp, "_ENGINE_BATCH_BYTES", size * exp._identification_trial_bytes(n, m))
+        batch = size * exp._identification_trial_bytes(n, m)
+        monkeypatch.setattr(exp, "_ENGINE_BATCH_BYTES", exp._UFUNC_BUFFER_BYTES + batch)
         runs.append(exp.run_identification_trials(n, m, 64, 9, keep_per_trial=True))
     assert batches == [7] * 9 + [1] + [64]
     a, b = runs
@@ -334,7 +339,7 @@ def test_baseline_engine_batching_invariance(monkeypatch) -> None:
     n, ppt, trials, seed = 5, 70, 30, 8
     whole = exp.run_baseline_trials(n, ppt, trials, seed, keep_per_trial=True)
     # _baseline_trial_bytes(5, 70) = 4286 bytes per trial: batches of 2 trials
-    monkeypatch.setattr(exp, "_ENGINE_BATCH_BYTES", 12000)
+    monkeypatch.setattr(exp, "_ENGINE_BATCH_BYTES", exp._UFUNC_BUFFER_BYTES + 12000)
     batches = []
     role_words = rng.role_words
 
@@ -392,11 +397,17 @@ def test_baseline_memory_cap_boundary(monkeypatch) -> None:
     assert len(drawn) == 2
 
 
-# numpy's broadcasting ufuncs hold two buffers of np.getbufsize() uint64
-# elements (128 KiB) per call, however many trials the call covers
-_UFUNC_BUFFERS = 2 * 8 * np.getbufsize()
+def _traced_peak(run):
+    """run()'s result and the tracemalloc peak, in bytes, while it ran."""
+    tracemalloc.start()
+    try:
+        return run(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 # the count sums arrays that are never all held at once; a full batch's
-# peak per trial, less _UFUNC_BUFFERS, measured 0.52 / 0.60 / 0.92 / 0.32
+# peak per trial, less _UFUNC_BUFFER_BYTES, measured 0.50 / 0.60 / 0.92 / 0.32
 # of it at the four sizes below
 _BASELINE_PEAK_SLACK = 4
 
@@ -404,23 +415,32 @@ _BASELINE_PEAK_SLACK = 4
 def test_baseline_batch_stays_inside_its_memory_count() -> None:
     for n, ppt in ((1, 20), (10, 20), (14, 20), (8, 130)):
         count = exp._baseline_trial_bytes(n, ppt)
-        trials = exp._batch_trials(count)
+        trials = exp._batch_trials("a baseline trial", count)
         exp.run_baseline_trials(n, ppt, 2, 1)  # imports and caches first
-        tracemalloc.start()
-        try:
-            stats = exp.run_baseline_trials(n, ppt, trials, 1)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        stats, peak = _traced_peak(lambda: exp.run_baseline_trials(n, ppt, trials, 1))
         assert stats.trials == trials
-        per_trial = (peak - _UFUNC_BUFFERS) / trials
+        assert peak <= exp._ENGINE_BATCH_BYTES
+        per_trial = (peak - exp._UFUNC_BUFFER_BYTES) / trials
         assert count / _BASELINE_PEAK_SLACK <= per_trial <= count, (n, ppt, per_trial, count)
+
+
+def test_baseline_unkept_run_holds_one_batch() -> None:
+    # 200,000 trials at N = 1 run in 227 batches of 883; an int64 per trial
+    # would be 1.6 MB, more than a batch may hold
+    trials = 200_000
+    exp.run_baseline_trials(1, 20, 2, 1)  # imports and caches first
+    stats, peak = _traced_peak(lambda: exp.run_baseline_trials(1, 20, trials, 1))
+    assert stats.tests is None
+    assert peak <= exp._ENGINE_BATCH_BYTES < 8 * trials
+    kept = exp.run_baseline_trials(1, 20, trials, 1, keep_per_trial=True)
+    assert stats.mean_tests == float(kept.tests.mean())
+    assert stats.false_matches == kept.false_matches
 
 
 def test_baseline_scan_ops_are_one_batch() -> None:
     # perfbench's baseline-scan op runs 20 trials at P = 20
     for n in (10, 12, 14):
-        assert exp._batch_trials(exp._baseline_trial_bytes(n, 20)) >= 20
+        assert exp._batch_trials("a baseline trial", exp._baseline_trial_bytes(n, 20)) >= 20
 
 
 def test_baseline_budget_is_one_rule() -> None:
@@ -434,22 +454,30 @@ def test_baseline_budget_is_one_rule() -> None:
 
 
 def test_baseline_mean_tests_near_half_catalog() -> None:
-    # hidden strings are uniform over the catalog, so the mean scan position
-    # is (2^N + 1)/2; sigma of the mean from the discrete uniform variance
-    n, periods, trials = 10, 20, 1000
+    # hidden strings are uniform over the catalog, so hidden + 1 is uniform
+    # on 1..2^N, with mean (2^N + 1)/2 and variance (4^N - 1)/12; a trial's
+    # scan position is hidden + 1 unless a false match stops it earlier
+    n, periods, trials = 10, 20, 6000
     stats = exp.run_baseline_trials(n, periods, trials, 1)
     expect = (2**n + 1) / 2
-    sigma = math.sqrt((4**n - 1) / 12 / trials)
     # a trial false-matches when a candidate scanned before the hidden one
     # survives all its periods; (2^N - 1)/2 are scanned before it on
     # average, each surviving with probability 2^-P, so by the union bound
     # a trial false-matches with probability at most p = 511.5 * 2^-20.
     # Trials are independent, so the count's upper tail is at most
-    # Binomial(T, p)'s: about 0.49 false matches are expected, and 10 or
+    # Binomial(T, p)'s: about 2.9 false matches are expected, and 19 or
     # more fail
     p = (2**n - 1) / 2 * 0.5**periods
     assert _binomial_tails(stats.false_matches, trials, p)[1] > _LAW_TAIL
-    assert abs(stats.mean_tests - expect) <= 3 * sigma
+    # Bernstein: the mean of T values within b = (2^N - 1)/2 of their mean
+    # mu, of variance v, is t or more from mu with probability at most
+    # 2 exp(-T t^2 / (2v + 2bt/3)); t = 25.6 here.  Each false match lowers
+    # the mean by at most (2^N - 1) / T
+    v, b, log_tail = (4**n - 1) / 12, (2**n - 1) / 2, math.log(2 / _LAW_TAIL)
+    t = (2 * b / 3 * log_tail + math.sqrt((2 * b / 3 * log_tail) ** 2
+                                          + 8 * trials * v * log_tail)) / (2 * trials)
+    shift = stats.false_matches * (2**n - 1) / trials
+    assert -t - shift < stats.mean_tests - expect < t
 
 
 # ------------------------------------------------------------- exact laws
@@ -701,26 +729,41 @@ def test_identification_memory_cap_counts_plane_bytes_at_one_bit(monkeypatch) ->
         exp.run_identification_trials(1, 4, 5, 1)
 
 
-# a full batch's tracemalloc peak per trial read 0.90, 0.90 and 0.88 of the
-# count at these sizes (numpy 2.4.6, Python 3.11.7); the check lets the
-# count overstate the peak by up to this factor, and no more, so that it
-# stays a count of what the engine holds
+# a full batch's tracemalloc peak per trial read 0.91, 0.92 and 0.89 of the
+# identification count at (N, M) = (16, 7), (64, 8) and (1024, 10), and a
+# full chunk's peak per period 0.88, 0.88 and 0.89 of _period_bytes at N =
+# 20, 1000 and 20000 (numpy 2.4.6, Python 3.11.7); the checks let a count
+# overstate the peak by up to this factor, and no more, so that it stays a
+# count of what the engine holds
 _PEAK_SLACK = 1.25
 
 
 @pytest.mark.parametrize("n, m", [(16, 7), (64, 8), (1024, 10)])
 def test_identification_batch_stays_inside_its_memory_count(n: int, m: int) -> None:
     count = exp._identification_trial_bytes(n, m)
-    trials = exp._batch_trials(count)
+    trials = exp._batch_trials("an identification trial", count)
     exp.run_identification_trials(n, m, 2, 1)  # imports and caches first
-    tracemalloc.start()
-    try:
-        stats = exp.run_identification_trials(n, m, trials, 1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    stats, peak = _traced_peak(lambda: exp.run_identification_trials(n, m, trials, 1))
     assert stats.trials == trials
+    assert peak <= exp._ENGINE_BATCH_BYTES
     assert count / _PEAK_SLACK <= peak / trials <= count
+
+
+def test_period_chunk_stays_inside_its_memory_count() -> None:
+    # the engine under zero-prob, Monte Carlo range and the mismatch rate,
+    # without zero_prob_engine's (N+1)-bin histogram
+    for n in (20, 1000, 20000):
+        count = exp._period_bytes(n)
+        periods = exp._batch_trials("a period", count)
+
+        def run():
+            return sum(int(d.sum()) for d in exp._carriers_differing(1, n, periods, (1 << n) - 1))
+
+        run()  # imports and caches first
+        differing, peak = _traced_peak(run)
+        assert 0 < differing < n * periods
+        assert peak <= exp._ENGINE_BATCH_BYTES
+        assert count / _PEAK_SLACK <= peak / periods <= count, (n, peak / periods, count)
 
 
 def test_reference_memory_refused_before_allocating(monkeypatch) -> None:
@@ -728,52 +771,52 @@ def test_reference_memory_refused_before_allocating(monkeypatch) -> None:
         raise AssertionError("signs were drawn before the memory check")
 
     monkeypatch.setattr(rng, "sign_matrix", no_signs)
-    # range draws one period at a time: 8 * 2N bytes, just over 2^28 here
+    monkeypatch.setattr(rng, "role_words", no_signs)
+    # range holds 64 * ceil(N/64) bytes a period, just over 2^28 here; the
+    # refusal comes before (1+lambda)^N is built
     with pytest.raises(ValueError, match="capped at"):
-        exp.amplitude_range_experiment(16_777_217, "1/2", trials=1)
+        exp.amplitude_range_experiment(268_435_457, "1/2", trials=1)
+    # not-demo holds 4 bytes a sign of its (2N, P) reference system (int8
+    # signs, three bool temporaries of the +-1 check): 8 * 10^8 here
     with pytest.raises(ValueError, match="capped at"):
         exp.not_gate_demo(1, "1/2", 1, periods=100_000_000)
 
 
 def test_reference_memory_cap_boundary(monkeypatch) -> None:
-    # range draws one period of N bits at a time, 8 * 2N bytes, whatever the
-    # trial count; not-demo's reference system of N bits over P periods
-    # draws 8 * 2N * P bytes
-    monkeypatch.setattr(exp, "ENGINE_TRIAL_BYTES_CAP", 8 * 14)
-    assert exp.amplitude_range_experiment(7, "1/2", trials=5).observed["samples"] == 5
+    # range holds _period_bytes(N) = 64 * ceil(N/64) bytes per period,
+    # whatever the trial count; not-demo's one count grows with its periods
+    monkeypatch.setattr(exp, "ENGINE_TRIAL_BYTES_CAP", 64)
+    assert exp.amplitude_range_experiment(64, "1/2", trials=5).observed["samples"] == 5
     assert exp.amplitude_range_experiment(7, "1/2", trials=500).observed["samples"] == 500
-    with pytest.raises(ValueError, match=str(8 * 16)):
-        exp.amplitude_range_experiment(8, "1/2", trials=1)
-    monkeypatch.setattr(exp, "ENGINE_TRIAL_BYTES_CAP", 8 * 2 * 5)
-    # not-demo's expansion check, larger than this cap, has its own boundary test
-    monkeypatch.setattr(exp, "_EXPANSION_TERM_BYTES", 0)
+    with pytest.raises(ValueError, match="128 bytes; capped at 64"):
+        exp.amplitude_range_experiment(65, "1/2", trials=1)
+    monkeypatch.setattr(exp, "ENGINE_TRIAL_BYTES_CAP", exp._not_demo_bytes(1, 5))
     assert exp.not_gate_demo(1, "1/2", 1, periods=5).passed
-    with pytest.raises(ValueError, match="capped at"):
+    with pytest.raises(ValueError, match=f"{exp._not_demo_bytes(1, 6)} bytes; capped at"):
         exp.not_gate_demo(1, "1/2", 1, periods=6)
 
 
 def test_not_gate_demo_refuses_before_expanding(monkeypatch) -> None:
-    # above DEFAULT_EXPAND_CAP, expand refuses before it allocates
-    with pytest.raises(ValueError, match="cap of 20"):
-        exp.not_gate_demo(21, "1/2", 2, periods=1)
+    def no_work(*args, **kwargs):
+        raise AssertionError("drew or expanded before refusing")
 
-    def no_expansion(*args, **kwargs):
-        raise AssertionError("expanded before refusing")
-
-    monkeypatch.setattr(exp, "expand", no_expansion)
+    monkeypatch.setattr(exp, "expand", no_work)
+    monkeypatch.setattr(rng, "sign_matrix", no_work)
     with pytest.raises(ValueError, match="num_periods"):
         exp.not_gate_demo(18, "1/2", 1, periods=0)
     with pytest.raises(ValueError, match="lambda"):
         exp.not_gate_demo(18, "0", 1)
-    # 2^20 terms at _EXPANSION_TERM_BYTES each exceed ENGINE_TRIAL_BYTES_CAP
-    with pytest.raises(ValueError, match="capped at"):
-        exp.not_gate_demo(20, "1/2", 2, periods=1)
+    # 2^20 terms at _EXPANSION_TERM_BYTES each exceed ENGINE_TRIAL_BYTES_CAP;
+    # above DEFAULT_EXPAND_CAP the count holds 2^21 terms, however large N is
+    for n in (20, 21, 10**9):
+        with pytest.raises(ValueError, match="capped at"):
+            exp.not_gate_demo(n, "1/2", 2, periods=1)
 
 
 def test_not_gate_demo_expansion_cap_boundary(monkeypatch) -> None:
-    monkeypatch.setattr(exp, "ENGINE_TRIAL_BYTES_CAP", exp._EXPANSION_TERM_BYTES << 3)
+    monkeypatch.setattr(exp, "ENGINE_TRIAL_BYTES_CAP", exp._not_demo_bytes(3, 5))
     assert exp.not_gate_demo(3, "1/2", 2, periods=5).passed
-    with pytest.raises(ValueError, match=str(exp._EXPANSION_TERM_BYTES << 4)):
+    with pytest.raises(ValueError, match=str(exp._not_demo_bytes(4, 5))):
         exp.not_gate_demo(4, "1/2", 2, periods=5)
 
 
@@ -835,20 +878,19 @@ def test_not_gate_expanded_route_matches_waveform() -> None:
                 assert r.passed and r.observed["readouts_agreeing"] == periods
 
 
+# not_gate_demo's tracemalloc peak read 0.66, 0.64 and 0.97 of
+# _not_demo_bytes at these sizes: the count sums the draw, the +-1 check and
+# the read, which do not all hold their arrays at once
+_NOT_DEMO_PEAK_SLACK = 2
+
+
 def test_not_gate_demo_stays_inside_its_memory_check() -> None:
-    # the reference memory check counts 8 * 2N * P bytes for the (2N, P)
-    # sign draw; a run that reads one period column at a time peaks below
-    # twice that
-    n, periods = 1, 20_000
-    exp.not_gate_demo(n, "1/2", 1, periods=100)  # imports and caches first
-    tracemalloc.start()
-    try:
-        r = exp.not_gate_demo(n, "1/2", 1, periods=periods)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert r.passed and r.observed["readouts_agreeing"] == periods
-    assert peak < 2 * 8 * 2 * n * periods
+    exp.not_gate_demo(1, "1/2", 1, periods=100)  # imports and caches first
+    for n, periods in ((1, 20_000), (4, 20_000), (16, 5_000)):
+        r, peak = _traced_peak(lambda: exp.not_gate_demo(n, "1/2", 1, periods=periods))
+        assert r.passed and r.observed["readouts_agreeing"] == periods
+        count = exp._not_demo_bytes(n, periods)
+        assert count / _NOT_DEMO_PEAK_SLACK <= peak <= count, (n, periods, peak, count)
 
 
 def test_not_gate_demo_passes_both_lambdas() -> None:

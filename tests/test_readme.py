@@ -1,4 +1,4 @@
-"""The README's library quick start and command lines run as written."""
+"""The README's library quick start, command lines and refusal examples run as written."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from rtwlogic import cli
+from rtwlogic import cli, experiments, rng
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -21,6 +21,18 @@ def _command_lines() -> list[str]:
              for line in block.group(1).splitlines() if line.startswith("rtwlogic ")]
     assert lines, "no rtwlogic lines under 'Command line'"
     return lines
+
+
+def _refusal_examples() -> list[str]:
+    """Each backticked CLI command in the Refusal column of the Caps table."""
+    section = README.read_text(encoding="utf-8").split("### Caps", 1)[1].split("\n\n#", 1)[0]
+    rows = [line for line in section.splitlines() if line.startswith("| `")]
+    assert rows, "no Caps table"
+    subcommands = {line.split()[1] for line in _command_lines()}
+    examples = [span for row in rows for span in re.findall(r"`([^`]+)`", row.split(" | ")[-1])
+                if span.split()[0] in subcommands]
+    assert examples, "no refusal examples in the Caps table"
+    return examples
 
 
 def test_library_quick_start_runs(capsys) -> None:
@@ -38,3 +50,16 @@ def test_library_quick_start_runs(capsys) -> None:
 @pytest.mark.parametrize("line", _command_lines())
 def test_command_line_block_runs(capsys, line: str) -> None:
     assert cli.main(line.split()[1:]) == 0, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line", _refusal_examples())
+def test_refusal_example_exits_two(monkeypatch, capsys, line: str) -> None:
+    def no_work(*args, **kwargs):
+        raise AssertionError("drew signs or expanded before refusing")
+
+    for module, name in ((rng, "role_words"), (rng, "sign_matrix"), (experiments, "expand")):
+        monkeypatch.setattr(module, name, no_work)
+    assert cli.main(line.split()) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")

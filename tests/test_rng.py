@@ -146,28 +146,6 @@ def test_signs_are_plus_minus_one() -> None:
     assert set(np.unique(block)) <= {-1, 1}
 
 
-def test_sign_fairness_three_sigma() -> None:
-    # binomial oracle: 3*sqrt(0.25/T) around one half
-    trials = 100_000
-    block = rng.sign_block(1, 0, 0, trials)
-    frac_plus = float((block > 0).mean())
-    assert abs(frac_plus - 0.5) <= 3 * math.sqrt(0.25 / trials)
-
-
-def test_cross_stream_independence_three_sigma() -> None:
-    # product of two fair independent signs has mean 0, sigma 1/sqrt(T)
-    trials = 100_000
-    a = rng.sign_block(1, 0, 0, trials).astype(np.int32)
-    b = rng.sign_block(1, 1, 0, trials).astype(np.int32)
-    assert abs(float((a * b).mean())) <= 3 / math.sqrt(trials)
-
-
-def test_lagged_self_independence() -> None:
-    trials = 100_000
-    a = rng.sign_block(1, 2, 0, trials + 1).astype(np.int32)
-    assert abs(float((a[1:] * a[:-1]).mean())) <= 3 / math.sqrt(trials)
-
-
 @given(
     seed=st.integers(min_value=0, max_value=2**64 - 1),
     stream=st.integers(min_value=0, max_value=2**16),
@@ -240,6 +218,15 @@ def test_bit_positions_are_pairwise_independent() -> None:
     gram = sum(s @ s.T for s in _role_word_signs(20261020, periods)).astype(np.float64)
     pairs = np.triu_indices(128, k=1)
     assert np.abs(gram[pairs] / periods).max() < _hoeffding_bound(periods, len(pairs[0]))
+
+
+def test_lagged_self_independence() -> None:
+    # a stream's consecutive signs are independent and fair, so their
+    # products are too: the mean product is 0, within 0.0090 at 2^19 periods
+    # but for a tail of _STREAM_TAIL
+    periods = 2**19
+    a = rng.sign_block(1, 2, 0, periods + 1).astype(np.int32)
+    assert abs(float((a[1:] * a[:-1]).mean())) < _hoeffding_bound(periods, 1)
 
 
 def test_sign_matrix_rows_do_not_depend_on_stream_count() -> None:

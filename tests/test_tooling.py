@@ -7,8 +7,9 @@ here, at tier 1, rather than only in the traced benchmark run.
 No package module imports a name it never uses, no package function
 or lambda takes a parameter it never reads, no private module-level
 function or method goes without a caller in the package, every public
-draw of `rng` has a caller in the package or is traced, and the Monte
-Carlo engines in `experiments` read no `rng.sign_*` draw.
+draw of `rng` has a caller in the package or is traced, the Monte
+Carlo engines in `experiments` read no `rng.sign_*` draw, and each of
+its memory counts is used by one call that both sizes and refuses.
 """
 
 from __future__ import annotations
@@ -259,3 +260,77 @@ def test_sign_draw_check_sees_attributes_and_imports() -> None:
         "c = other.sign_tensor\n"
     )
     assert sorted(_sign_draws(tree)) == [("sign_block", 2), ("sign_matrix", 3)]
+
+
+# the one memory rule of `experiments`: the batch helper refuses work above
+# the cap and sizes its batches from the same count
+_CAP, _CHECK, _BATCH = "ENGINE_TRIAL_BYTES_CAP", "_check_memory", "_batch_trials"
+_BATCHED = ("run_identification_trials", "run_baseline_trials", "_carriers_differing")
+
+
+def _memory_rule_breaches(tree: ast.Module) -> list[str]:
+    """Where a module states its memory rule other than once per path.
+
+    Only _check_memory reads ENGINE_TRIAL_BYTES_CAP; only _batch_trials and
+    not_gate_demo, once each, call _check_memory; each _BATCHED engine calls
+    _batch_trials once; and every _batch_trials call takes its count from a
+    call of a `*_bytes` function.  Calls and reads are attributed to the
+    module-level function or class they sit in.
+    """
+    breaches, calls = [], {}
+    for top in tree.body:
+        owner = getattr(top, "name", "<module>")
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name) and node.id == _CAP and isinstance(node.ctx, ast.Load):
+                if owner != _CHECK:
+                    breaches.append(f"{owner} reads {_CAP}")
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)):
+                continue
+            calls.setdefault(owner, []).append(node.func.id)
+            count = node.args[1] if len(node.args) > 1 else None
+            if node.func.id == _BATCH and not (
+                isinstance(count, ast.Call)
+                and isinstance(count.func, ast.Name)
+                and count.func.id.endswith("_bytes")
+            ):
+                breaches.append(f"{owner} sizes a batch by a count no *_bytes function states")
+    checks = sorted(name for name, called in calls.items() for c in called if c == _CHECK)
+    if checks != [_BATCH, "not_gate_demo"]:
+        breaches.append(f"{_CHECK} is called by {checks}")
+    for name in _BATCHED:
+        if calls.get(name, []).count(_BATCH) != 1:
+            breaches.append(f"{name} calls {_BATCH} {calls.get(name, []).count(_BATCH)} times")
+    return breaches
+
+
+def test_each_memory_count_sizes_and_refuses_in_one_call() -> None:
+    breaches = _memory_rule_breaches(_package_trees()["experiments.py"])
+    assert not breaches, "\n".join(breaches)
+
+
+def test_memory_rule_check_sees_second_refusals_and_literal_counts() -> None:
+    tree = ast.parse(
+        "ENGINE_TRIAL_BYTES_CAP = 1\n"
+        "def _check_memory(what, need):\n"
+        "    return need > ENGINE_TRIAL_BYTES_CAP\n"
+        "def _batch_trials(what, count):\n"
+        "    return _check_memory(what, count)\n"
+        "def run_identification_trials(n):\n"
+        "    _batch_trials('a', _trial_bytes(n))\n"
+        "    _check_memory('a', _trial_bytes(n))\n"
+        "def run_baseline_trials(n):\n"
+        "    _batch_trials('b', 16 * n)\n"
+        "    _batch_trials('b', _trial_bytes(n))\n"
+        "def _carriers_differing(n):\n"
+        "    return ENGINE_TRIAL_BYTES_CAP // 64\n"
+        "def not_gate_demo(n):\n"
+        "    _check_memory('c', n)\n"
+    )
+    assert sorted(_memory_rule_breaches(tree)) == [
+        "_carriers_differing calls _batch_trials 0 times",
+        "_carriers_differing reads ENGINE_TRIAL_BYTES_CAP",
+        "_check_memory is called by ['_batch_trials', 'not_gate_demo', "
+        "'run_identification_trials']",
+        "run_baseline_trials calls _batch_trials 2 times",
+        "run_baseline_trials sizes a batch by a count no *_bytes function states",
+    ]
