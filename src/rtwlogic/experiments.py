@@ -17,7 +17,11 @@ reads the 2N * M events of its window, O(N * M) time and memory, the
 paper's linear cost for fixed M.  Every engine reads the signs as
 rng.role_words, one uint64 per period and carrier role holding 64
 noise-bits, and lays out the N-bit values it compares with them (hidden
-strings, masks) in the same role order.  Identification decides every
+strings, masks) in the same role order.  The two per-trial engines,
+identification and the baseline, take each batch's role-word tag seeds
+and hidden words from one rng.trial_tag_seeds chain, the derivation
+trial_master_seed and hidden_bits_for state on Python ints for one
+trial.  Identification decides every
 bit with a few word operations per period.  A period's |readout| of the
 uniform superposition depends only on how many bits' two carriers
 agree, and two product strings' readouts differ at lambda = 1 when an
@@ -93,13 +97,6 @@ def _num_words(num_bits: int) -> int:
 def trial_master_seed(seed: int, trial_index: int) -> int:
     """Per-trial master seed; trials are independent and order-free."""
     return rng.derive_seed(seed, trial_index)
-
-
-def _trial_batches(seed: int, trials: int, batch_size: int) -> Iterator[tuple[int, np.ndarray]]:
-    """(first trial, trial_master_seed of each trial) per batch of batch_size trials."""
-    for start in range(0, trials, batch_size):
-        idx = np.arange(start, min(start + batch_size, trials), dtype=np.uint64)
-        yield start, rng.derive_seed_np(np.uint64(seed & rng.MASK64), idx)
 
 
 def _draw_bits(seed: int, tag: int, num_bits: int) -> int:
@@ -348,20 +345,6 @@ class IdentificationTrialStats:
         return self.undecided_trials / self.trials
 
 
-def _hidden_words(trial_seeds: np.ndarray, num_bits: int) -> np.ndarray:
-    """hidden_bits_for over a seed vector as (trials, ceil(N/64)) role-order words.
-
-    Word w >= 1 of the bits integer is drawn with the nested tag w, as in
-    _draw_bits; _role_order drops the bits past N.
-    """
-    tag = _hidden_tag(num_bits)
-    words = rng.derive_seed_np(trial_seeds, tag)[:, None]
-    if num_bits > 64:
-        upper = np.arange(1, _num_words(num_bits), dtype=np.uint64)
-        words = np.concatenate((words, rng.derive_seed_np(trial_seeds[:, None], tag, upper)), axis=1)
-    return _role_order(words, num_bits)
-
-
 _ONE = np.uint64(1)
 _M1 = np.uint64(0x5555555555555555)
 _M2 = np.uint64(0x3333333333333333)
@@ -452,6 +435,9 @@ def run_identification_trials(
     batch_size = _batch_trials(what, _identification_trial_bytes(n, m))
     n_words = _num_words(n)
     full = _role_order(np.full(n_words, rng.MASK64, dtype=np.uint64), n)
+    # rng.word_seeds' tags 2g + role in its (role, g) order, then the hidden
+    # string's, whose ceil(N/64) words end each row of tag seeds
+    tags = np.append(np.add.outer(np.arange(2), 2 * np.arange(n_words)), _hidden_tag(n))
 
     undecided_trials = 0
     complete_trials = 0
@@ -463,12 +449,14 @@ def run_identification_trials(
     kept: dict[str, list[np.ndarray]] = {k: [] for k in
         ("hidden_bits", "complete", "recovered_bits", "ticks_observed", "periods_used")}
 
-    for _, tseeds in _trial_batches(seed, trials, batch_size):
-        b = len(tseeds)
-        hidden = _hidden_words(tseeds, n)  # (b, W): set where the H carrier is the factor
+    for _, seeds in rng.trial_tag_seeds(seed, trials, batch_size, tags, n_words):
+        b = len(seeds)
+        # (b, W) hidden_bits_for, set where the H carrier is the factor
+        hidden = _role_order(seeds[:, 2 * n_words :], n)
         # (M+1, b, 2, W): periods lead, so the XOR below writes each
         # period's switches as one block of its C-order result
-        words = rng.role_words(rng.word_seeds(tseeds, n_words), m + 1).transpose(3, 0, 1, 2)
+        tag_seeds = seeds[:, : 2 * n_words].reshape(b, 2, n_words)
+        words = rng.role_words(tag_seeds, m + 1).transpose(3, 0, 1, 2)
         # switch[k]: the carriers that change sign at their period-(k+1)
         # switching instant, one of the M in the window; (M, b, 2, W)
         switch = np.bitwise_xor(words[1:], words[:-1], order="C")
@@ -576,14 +564,15 @@ def _xor_table(columns: np.ndarray) -> np.ndarray:
     return table
 
 
-def _differ_columns(trial_seeds: np.ndarray, num_bits: int, periods: int) -> np.ndarray:
+def _differ_columns(tag_seeds: np.ndarray, num_bits: int, periods: int) -> np.ndarray:
     """(b, N, ceil(P/64)) uint64 carriers-differ columns, one row per noise-bit.
 
-    Bit k % 64 of word k // 64 of row q is the bit of noise-bit q + 1 in
-    period k's L ^ H role words; bits past period P stay clear.
+    tag_seeds is (b, 2, 1) rng.word_seeds of the trials.  Bit k % 64 of
+    word k // 64 of row q is the bit of noise-bit q + 1 in period k's
+    L ^ H role words; bits past period P stay clear.
     """
-    b, n = len(trial_seeds), num_bits
-    words = rng.role_words(rng.word_seeds(trial_seeds, 1), periods)[:, :, 0]
+    b, n = len(tag_seeds), num_bits
+    words = rng.role_words(tag_seeds, periods)[:, :, 0]
     differ = (words[:, 0] ^ words[:, 1]).astype(">u8").view(np.uint8).reshape(b, periods, 8)
     packed = np.packbits(np.unpackbits(differ, axis=2, count=n), axis=1, bitorder="little")
     columns = np.zeros((b, n, 8 * -(-periods // 64)), dtype=np.uint8)
@@ -619,7 +608,7 @@ def run_baseline_trials(
     differ have carriers of opposite sign: strings compare through the XOR
     of one column per 1 bit, that bit's carriers-differ sequence packed
     into W = ceil(P/64) words.  One rng.role_words word per carrier role
-    holds every noise-bit, since the 2^N-byte match mask keeps N <= 28
+    holds every noise-bit, since the 2^N-byte match mask keeps N <= 27
     under ENGINE_TRIAL_BYTES_CAP.  Batches of trials are scanned at once.
     Candidate c splits into its first floor(N/2) bits (c_hi) and the rest
     (c_lo) and reads Hi[c_hi] ^ Lo[c_lo], so two half-tables of at most
@@ -638,10 +627,13 @@ def run_baseline_trials(
     batch_size = _batch_trials(what, _baseline_trial_bytes(n, periods_per_test))
     tests = np.empty(trials, dtype=np.int64) if keep_per_trial else None
     tests_sum = false_matches = 0
-    for start, tseeds in _trial_batches(seed, trials, batch_size):
-        b = len(tseeds)
-        hidden = _role_order_ints(_hidden_words(tseeds, n), n).astype(np.intp)
-        columns = _differ_columns(tseeds, n, periods_per_test)
+    # the role tags 0 (L) and 1 (H) of one word, then the hidden string's;
+    # the match mask keeps N <= 27, so one word holds the string
+    tags = np.array([0, 1, _hidden_tag(n)])
+    for start, seeds in rng.trial_tag_seeds(seed, trials, batch_size, tags, 1):
+        b = len(seeds)
+        hidden = (seeds[:, 2] & np.uint64((1 << n) - 1)).astype(np.intp)  # hidden_bits_for
+        columns = _differ_columns(seeds[:, :2, None], n, periods_per_test)
         hi = _xor_table(columns[:, :n_hi])
         lo = _xor_table(columns[:, n_hi:])
         c_hi, c_lo = np.divmod(hidden, lo.shape[1])
@@ -1087,12 +1079,12 @@ _EXPANSION_TERM_BYTES = 452
 def _not_demo_bytes(num_bits: int, periods: int) -> int:
     """Bytes not_gate_demo holds at most, N = num_bits and P = periods.
 
-    rng.matrix_bytes of its (2N, P) signs, the three (2N, P) bool
-    temporaries of ReferenceSystem's +-1 check, one period_columns chunk at
-    64 bytes a sign and its three expansions at _EXPANSION_TERM_BYTES a
-    term, 2^N terms (2^21 above DEFAULT_EXPAND_CAP).
+    rng.matrix_bytes of its (2N, P) signs, the one (2N, P) bool temporary
+    of ReferenceSystem's +-1 check, one period_columns chunk at 64 bytes a
+    sign and its three expansions at _EXPANSION_TERM_BYTES a term, 2^N
+    terms (2^21 above DEFAULT_EXPAND_CAP).
     """
-    signs = rng.matrix_bytes(2 * num_bits, periods) + 6 * num_bits * periods
+    signs = rng.matrix_bytes(2 * num_bits, periods) + 2 * num_bits * periods
     terms = _EXPANSION_TERM_BYTES << min(num_bits, DEFAULT_EXPAND_CAP + 1)
     return signs + 64 * max(_COLUMNS_CHUNK, 2 * num_bits) + terms
 

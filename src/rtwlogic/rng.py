@@ -24,10 +24,20 @@ exact path's one int8 layout (`sign_block` and `sign_tensor`, kept
 because perfbench's tracer wraps them, are views of it).  The mixes run
 in place on chunks that stay in cache.
 
+Trial t of master seed s has its own master seed derive_seed(s, t) and
+reads it only through tag seeds derive_seed(derive_seed(s, t), tag), its
+role-word tags 2g + role and its hidden string's tag 2N (the string's
+words w >= 1 nest one more tag w).  `trial_tag_seeds` folds a batch's
+chain in three array mixes (the trial seeds, their first re-mix, every
+tag at once) and a fourth for the nested words; with `role_words`, a
+batch of trials costs four or five mixes.
+
 The mixer is the SplitMix64 finalizer (public-domain constants).
 """
 
 from __future__ import annotations
+
+from typing import Iterator
 
 import numpy as np
 
@@ -75,6 +85,7 @@ def sign_at(master_seed: int, stream_index: int, period: int) -> int:
 _NP_GAMMA = np.uint64(_GAMMA)
 _NP_MIX1 = np.uint64(_MIX1)
 _NP_MIX2 = np.uint64(_MIX2)
+_NP_MIX_S27, _NP_MIX_S30, _NP_MIX_S31 = np.uint64(27), np.uint64(30), np.uint64(31)
 
 # uint64 elements per in-place mix step: a step and its scratch stay in
 # cache; sign_matrix unpacks _CHUNK // 16 role words at a time
@@ -98,11 +109,11 @@ def _mix(x: np.ndarray) -> np.ndarray:
     flat = x.reshape(-1)
     for lo in range(0, flat.size, _CHUNK):
         part = flat[lo : lo + _CHUNK]
-        part ^= part >> np.uint64(30)
+        part ^= part >> _NP_MIX_S30
         part *= _NP_MIX1
-        part ^= part >> np.uint64(27)
+        part ^= part >> _NP_MIX_S27
         part *= _NP_MIX2
-        part ^= part >> np.uint64(31)
+        part ^= part >> _NP_MIX_S31
     return x
 
 
@@ -140,6 +151,26 @@ def word_seeds(master_seeds: int | np.ndarray, num_words: int) -> np.ndarray:
     seeds = np.asarray(master_seeds, dtype=np.uint64)[..., None, None]
     words = np.arange(num_words, dtype=np.uint64)
     return derive_seed_np(seeds, np.arange(2, dtype=np.uint64)[:, None] + np.uint64(2) * words)
+
+
+def trial_tag_seeds(
+    seed: int, trials: int, batch_size: int, tags: np.ndarray, last_words: int
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Per batch of batch_size trials, its first trial and its (b, T + last_words - 1) seeds.
+
+    Row t holds derive_seed(derive_seed(seed, t), tag) for the T tags, then
+    derive_seed(derive_seed(seed, t), tags[-1], w) for w = 1..last_words-1.
+    """
+    first = derive_seed(seed) + _GAMMA  # derive_seed(seed, t) mixes first + t * gamma
+    trial_step = np.arange(min(batch_size, trials), dtype=np.uint64) * _NP_GAMMA
+    tag_step = (np.asarray(tags, dtype=np.uint64) + np.uint64(1)) * _NP_GAMMA
+    word_step = np.arange(2, last_words + 1, dtype=np.uint64) * _NP_GAMMA
+    for start in range(0, trials, batch_size):
+        x = _mix(trial_step[: trials - start] + np.uint64((first + start * _GAMMA) & _MASK64))
+        x = _mix(_mix(x + _NP_GAMMA)[:, None] + tag_step)
+        if last_words > 1:
+            x = np.concatenate((x, _mix(x[:, -1:] + word_step)), axis=1)
+        yield start, x
 
 
 def role_words(seeds: np.ndarray, num_periods: int, start_period: int = 0) -> np.ndarray:
@@ -194,6 +225,7 @@ def sign_matrix(
         by_bit[:, :, k0:k1] = bits[:, :, :pairs].transpose(2, 0, 1)
         if odd:
             out[-1, k0:k1] = bits[0, :, pairs]
+        del words, bits  # nothing of this chunk is held while the next is drawn
     out *= np.int8(-2)  # bit set -> 1 -> -1
     out += np.int8(1)
     return out
@@ -202,11 +234,11 @@ def sign_matrix(
 def matrix_bytes(num_streams: int, num_periods: int) -> int:
     """Bytes sign_matrix holds at most: its int8 result and a chunk's role words.
 
-    Each word, its big-endian copy, its 64 unpacked bits, the previous chunk's
-    (bound while the next is drawn) and, above one plane word, their copy.
+    Each word, its big-endian copy, its 64 unpacked bits and, above one
+    plane word, their copy.
     """
     n_words = -(-num_streams // 128)
-    return num_streams * num_periods + (144 + 64 * (n_words > 1)) * max(_CHUNK // 16, 2 * n_words)
+    return num_streams * num_periods + (80 + 64 * (n_words > 1)) * max(_CHUNK // 16, 2 * n_words)
 
 
 def sign_tensor(master_seeds: np.ndarray, num_streams: int, num_periods: int) -> np.ndarray:

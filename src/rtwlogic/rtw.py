@@ -162,7 +162,8 @@ class ReferenceSystem:
         shape = (self.grid.subclocks_per_period, self.grid.num_periods)
         if signs.shape != shape:
             raise ValueError(f"signs must have shape {shape} (2N, periods), got {signs.shape}")
-        if not ((signs == 1) | (signs == -1)).all():
+        # one bool temporary alive at a time
+        if np.count_nonzero(signs == 1) + np.count_nonzero(signs == -1) != signs.size:
             raise ValueError("signs must be +1 or -1")
         if signs.dtype != np.int8 or signs.flags.writeable:
             signs = signs.astype(np.int8)  # a private copy nobody else can write

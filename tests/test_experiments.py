@@ -237,6 +237,85 @@ def test_hidden_strings_cover_every_bit_above_64(monkeypatch) -> None:
     assert union == (1 << n) - 1
 
 
+def _spy_role_words(monkeypatch) -> list[np.ndarray]:
+    """Every rng.role_words result, in call order."""
+    drawn = []
+    role_words = rng.role_words
+
+    def spied(*args):
+        drawn.append(role_words(*args))
+        return drawn[-1]
+
+    monkeypatch.setattr(rng, "role_words", spied)
+    return drawn
+
+
+@pytest.mark.parametrize("n", [1, 14, 63, 64, 65, 130, 1024])
+def test_identification_trials_read_the_scalar_seed_chain(monkeypatch, n: int) -> None:
+    # five trials in batches of two: each trial's hidden string and role
+    # words are those of its own trial_master_seed
+    m, trials, seed = 2, 5, 2**64 - 3
+    batch = 2 * exp._identification_trial_bytes(n, m)
+    monkeypatch.setattr(exp, "_ENGINE_BATCH_BYTES", exp._UFUNC_BUFFER_BYTES + batch)
+    drawn = _spy_role_words(monkeypatch)
+    stats = exp.run_identification_trials(n, m, trials, seed, keep_per_trial=True)
+    assert [len(words) for words in drawn] == [2, 2, 1]
+    words = np.concatenate(drawn)
+    for t in range(trials):
+        ts = exp.trial_master_seed(seed, t)
+        assert stats.hidden_bits[t] == exp.hidden_bits_for(ts, n)
+        assert (words[t] == rng.role_words(rng.word_seeds(ts, -(-n // 64)), m + 1)).all()
+
+
+@pytest.mark.parametrize("n", [1, 14])
+def test_baseline_trials_read_the_scalar_seed_chain(monkeypatch, n: int) -> None:
+    # at 64 periods per candidate no other candidate survives (a chance of
+    # 2^N * 2^-64), so each scan stops at the trial's own hidden string
+    periods, trials, seed = 64, 5, -7
+    batch = 2 * exp._baseline_trial_bytes(n, periods)
+    monkeypatch.setattr(exp, "_ENGINE_BATCH_BYTES", exp._UFUNC_BUFFER_BYTES + batch)
+    drawn = _spy_role_words(monkeypatch)
+    stats = exp.run_baseline_trials(n, periods, trials, seed, keep_per_trial=True)
+    assert [len(words) for words in drawn] == [2, 2, 1]
+    assert stats.false_matches == 0
+    words = np.concatenate(drawn)
+    for t in range(trials):
+        ts = exp.trial_master_seed(seed, t)
+        assert stats.tests[t] == exp.hidden_bits_for(ts, n) + 1
+        assert (words[t] == rng.role_words(rng.word_seeds(ts, 1), periods)).all()
+
+
+def test_one_batch_runs_four_mixes(monkeypatch) -> None:
+    # the trial seeds, their re-mix, every tag at once and the role words;
+    # above 64 bits one more mix draws the hidden string's nested words
+    mixes = []
+    mix = rng._mix
+
+    def counted(x):
+        mixes.append(x.shape)
+        return mix(x)
+
+    monkeypatch.setattr(rng, "_mix", counted)
+    runs = [
+        (4, lambda: exp.run_identification_trials(5, 4, 3, 1)),
+        (4, lambda: exp.run_identification_trials(64, 4, 3, 1)),
+        (5, lambda: exp.run_identification_trials(65, 4, 3, 1)),
+        (5, lambda: exp.run_identification_trials(1024, 2, 3, 1)),
+        (4, lambda: exp.run_baseline_trials(1, 20, 3, 1)),
+        (4, lambda: exp.run_baseline_trials(14, 20, 3, 1)),
+    ]
+    for per_batch, run in runs:
+        mixes.clear()
+        run()
+        assert len(mixes) == per_batch
+    # a second batch runs as many again
+    batch = exp._identification_trial_bytes(65, 4)
+    monkeypatch.setattr(exp, "_ENGINE_BATCH_BYTES", exp._UFUNC_BUFFER_BYTES + 2 * batch)
+    mixes.clear()
+    exp.run_identification_trials(65, 4, 3, 1)
+    assert len(mixes) == 10
+
+
 def test_hidden_draw_keeps_first_word() -> None:
     ts = exp.trial_master_seed(3, 0)
     for n in (1, 8, 64, 65, 200):
@@ -325,7 +404,7 @@ def test_differ_columns_pack_scalar_signs(periods: int) -> None:
     # bit k % 64 of word k // 64; bits past the last period stay clear
     seeds = np.array([rng.derive_seed(77, i) for i in range(3)], dtype=np.uint64)
     for n in (1, 5, 28):
-        columns = exp._differ_columns(seeds, n, periods)
+        columns = exp._differ_columns(rng.word_seeds(seeds, 1), n, periods)
         assert columns.dtype == np.uint64 and columns.shape == (3, n, -(-periods // 64))
         for t, ts in enumerate(int(s) for s in seeds):
             for q in range(n):
@@ -395,6 +474,17 @@ def test_baseline_memory_cap_boundary(monkeypatch) -> None:
     with pytest.raises(ValueError, match="3780 bytes; capped at 3779"):
         exp.run_baseline_trials(4, 65, 3, 1)
     assert len(drawn) == 2
+
+
+def test_baseline_admits_one_hidden_word() -> None:
+    # the 2^N-byte match mask alone fills the cap at N = 28, so one uint64
+    # always holds a baseline trial's hidden string: 268,896,176 bytes at
+    # N = 28, P = 20
+    for periods in (20, 64):
+        assert exp._batch_trials("a baseline trial", exp._baseline_trial_bytes(27, periods)) >= 1
+        with pytest.raises(ValueError, match="capped at"):
+            exp._batch_trials("a baseline trial", exp._baseline_trial_bytes(28, periods))
+    assert exp._baseline_trial_bytes(28, 20) == 268_896_176
 
 
 def _traced_peak(run):
@@ -776,8 +866,8 @@ def test_reference_memory_refused_before_allocating(monkeypatch) -> None:
     # refusal comes before (1+lambda)^N is built
     with pytest.raises(ValueError, match="capped at"):
         exp.amplitude_range_experiment(268_435_457, "1/2", trials=1)
-    # not-demo holds 4 bytes a sign of its (2N, P) reference system (int8
-    # signs, three bool temporaries of the +-1 check): 8 * 10^8 here
+    # not-demo holds 2 bytes a sign of its (2N, P) reference system (int8
+    # signs, one bool temporary of the +-1 check): 4 * 10^8 here
     with pytest.raises(ValueError, match="capped at"):
         exp.not_gate_demo(1, "1/2", 1, periods=100_000_000)
 
@@ -878,7 +968,7 @@ def test_not_gate_expanded_route_matches_waveform() -> None:
                 assert r.passed and r.observed["readouts_agreeing"] == periods
 
 
-# not_gate_demo's tracemalloc peak read 0.66, 0.64 and 0.97 of
+# not_gate_demo's tracemalloc peak read 0.68, 0.59 and 0.99 of
 # _not_demo_bytes at these sizes: the count sums the draw, the +-1 check and
 # the read, which do not all hold their arrays at once
 _NOT_DEMO_PEAK_SLACK = 2

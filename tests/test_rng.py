@@ -185,6 +185,22 @@ def test_word_seeds_agree_on_both_sides_of_the_scalar_cut() -> None:
             assert one.tolist() == expected
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2**63, 2**64 - 1, -5])
+def test_trial_tag_seeds_fold_the_scalar_chain(seed: int) -> None:
+    # 7 trials in batches of 3; a negative seed folds as seed mod 2^64
+    tags = [0, 1, 2, 3, 40]
+    for last_words in (1, 3):
+        batches = list(rng.trial_tag_seeds(seed, 7, 3, np.array(tags), last_words))
+        assert [start for start, _ in batches] == [0, 3, 6]
+        rows = np.concatenate([seeds for _, seeds in batches])
+        assert rows.dtype == np.uint64 and rows.shape == (7, len(tags) + last_words - 1)
+        for t, row in enumerate(rows.tolist()):
+            ts = rng.derive_seed(seed & rng.MASK64, t)
+            assert ts == rng.derive_seed(seed, t)
+            nested = [rng.derive_seed(ts, tags[-1], w) for w in range(1, last_words)]
+            assert row == [rng.derive_seed(ts, tag) for tag in tags] + nested
+
+
 # a stream-statistics check fails only when its statistic lies in a tail
 # this improbable under a fair, independent stream, summed over every
 # position or pair it tests (union bound)

@@ -8,8 +8,9 @@ No package module imports a name it never uses, no package function
 or lambda takes a parameter it never reads, no private module-level
 function or method goes without a caller in the package, every public
 draw of `rng` has a caller in the package or is traced, the Monte
-Carlo engines in `experiments` read no `rng.sign_*` draw, and each of
-its memory counts is used by one call that both sizes and refuses.
+Carlo engines in `experiments` read no `rng.sign_*` draw, no module but
+`rng` names a SplitMix64 primitive, and each of the memory counts of
+`experiments` is used by one call that both sizes and refuses.
 """
 
 from __future__ import annotations
@@ -260,6 +261,53 @@ def test_sign_draw_check_sees_attributes_and_imports() -> None:
         "c = other.sign_tensor\n"
     )
     assert sorted(_sign_draws(tree)) == [("sign_block", 2), ("sign_matrix", 3)]
+
+
+# the SplitMix64 mixer, the seed fold and their constants
+_PRIMITIVES = {"mix64", "_mix", "_fold", "_GAMMA", "_NP_GAMMA"}
+
+
+def _is_primitive(name: str) -> bool:
+    return name in _PRIMITIVES or name.startswith(("_MIX", "_NP_MIX"))
+
+
+def _primitive_references(tree: ast.Module) -> list[tuple[str, int]]:
+    """(name, line) of each SplitMix64 primitive named, read as an attribute or imported."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and _is_primitive(node.id):
+            found.append((node.id, node.lineno))
+        elif isinstance(node, ast.Attribute) and _is_primitive(node.attr):
+            found.append((node.attr, node.lineno))
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            found += [(a.name, node.lineno) for a in node.names if _is_primitive(a.name)]
+    return found
+
+
+def test_splitmix64_primitives_stay_in_rng() -> None:
+    # every seed a package module needs comes from an rng derivation, so no
+    # module holds a second copy of the mix or the fold
+    found = [
+        f"{module}:{line} references {name}"
+        for module, tree in _package_trees().items()
+        if module != "rng.py"
+        for name, line in _primitive_references(tree)
+    ]
+    assert not found, "\n".join(found)
+
+
+def test_primitive_check_sees_attributes_and_imports() -> None:
+    tree = ast.parse(
+        "from . import rng\n"
+        "from .rng import derive_seed, mix64\n"
+        "a = rng._mix(rng.role_words(x, 4))\n"
+        "_GAMMA = 0x9E3779B97F4A7C15\n"
+        "b = (t + 1) * rng._NP_GAMMA * _MIX1 + rng.derive_seed(1)\n"
+        "c = other._fold\n"
+    )
+    assert sorted(_primitive_references(tree)) == [
+        ("_GAMMA", 4), ("_MIX1", 5), ("_NP_GAMMA", 5), ("_fold", 6), ("_mix", 3), ("mix64", 2)
+    ]
 
 
 # the one memory rule of `experiments`: the batch helper refuses work above
