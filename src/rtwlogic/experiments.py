@@ -29,9 +29,10 @@ odd number of the bits where they differ have disagreeing carriers, so
 `zero-prob`, Monte Carlo `range` and the mismatch rate read one popcount
 of L ^ H under a mask per period, drawn in bounded chunks, with no
 per-period Fraction.  The baseline compares whole readout sequences by
-the same law: it transposes each bit's L ^ H into one bit per period and
-keeps its scan exhaustive, comparing all 2^N candidates as XORs of two
-half-tables of those columns.
+the same law: it transposes each bit's L ^ H into one bit per period of
+uint32 words and keeps its scan exhaustive, comparing all 2^N candidates
+on their first word as XORs of two half-tables of those columns and
+checking the first first-word match on the other words.
 """
 
 from __future__ import annotations
@@ -550,48 +551,49 @@ class BaselineTrialStats:
 
 
 def _xor_table(columns: np.ndarray) -> np.ndarray:
-    """(b, 2^k, W) XOR of the columns of each k-bit string's 1 bits, in catalog order.
+    """(b, W, 2^k) XOR of the columns of each k-bit string's 1 bits, in catalog order.
 
-    columns is (b, k, W), one row per bit, first bit most significant.
+    columns is (b, k, W), one row per bit, first bit most significant;
+    the table has their dtype and holds each period word's 2^k values in
+    one contiguous row.
     """
     b, k, w = columns.shape
-    table = np.zeros((b, 1, w), dtype=np.uint64)
-    for i in range(k):
-        nxt = np.empty((b, 2 * table.shape[1], w), dtype=np.uint64)
-        nxt[:, 0::2] = table
-        np.bitwise_xor(table, columns[:, None, i], out=nxt[:, 1::2])
-        table = nxt
+    table = np.zeros((b, w, 1 << k), dtype=columns.dtype)
+    for i in range(k):  # the last bit first: strings with bit k - 1 - i set follow the rest
+        size = 1 << i
+        out = table[..., size : 2 * size]
+        np.bitwise_xor(table[..., :size], columns[:, k - 1 - i, :, None], out=out)
     return table
 
 
 def _differ_columns(tag_seeds: np.ndarray, num_bits: int, periods: int) -> np.ndarray:
-    """(b, N, ceil(P/64)) uint64 carriers-differ columns, one row per noise-bit.
+    """(b, N, ceil(P/32)) uint32 carriers-differ columns, one row per noise-bit.
 
-    tag_seeds is (b, 2, 1) rng.word_seeds of the trials.  Bit k % 64 of
-    word k // 64 of row q is the bit of noise-bit q + 1 in period k's
+    tag_seeds is (b, 2, 1) rng.word_seeds of the trials.  Bit k % 32 of
+    word k // 32 of row q is the bit of noise-bit q + 1 in period k's
     L ^ H role words; bits past period P stay clear.
     """
     b, n = len(tag_seeds), num_bits
     words = rng.role_words(tag_seeds, periods)[:, :, 0]
     differ = (words[:, 0] ^ words[:, 1]).astype(">u8").view(np.uint8).reshape(b, periods, 8)
     packed = np.packbits(np.unpackbits(differ, axis=2, count=n), axis=1, bitorder="little")
-    columns = np.zeros((b, n, 8 * -(-periods // 64)), dtype=np.uint8)
+    columns = np.zeros((b, n, 4 * -(-periods // 32)), dtype=np.uint8)
     columns[:, :, : packed.shape[1]] = packed.transpose(0, 2, 1)
-    return columns.view("<u8")
+    return columns.view("<u4")
 
 
 def _baseline_trial_bytes(num_bits: int, periods: int) -> int:
-    """Bytes one baseline trial holds, W = ceil(P/64); sizes batches and refuses.
+    """Bytes one baseline trial holds, W = ceil(P/32); sizes batches and refuses.
 
     Its (2, P) role words and their fold, P differ values and their
     big-endian copy, (P, N) unpacked bits, their packed bytes, the (N, W)
-    columns, both half-tables while the low one doubles, the XOR'd high
-    table, and the W * 2^N-byte match mask plus its .all result if W > 1.
+    columns, both half-tables, the XOR'd first word of the high one, and
+    the 2^N-byte first-word match mask.
     """
-    n, p, w = num_bits, periods, -(-periods // 64)
+    n, p, w = num_bits, periods, -(-periods // 32)
     hi, lo = 1 << n // 2, 1 << n - n // 2
-    signs = 8 * 6 * p + n * p + 2 * 8 * n * w
-    return signs + 8 * w * (2 * hi + lo + lo // 2) + ((w + (w > 1)) << n)
+    signs = 8 * 6 * p + n * p + 2 * 4 * n * w
+    return signs + 4 * w * (hi + lo) + 4 * hi + (1 << n)
 
 
 def run_baseline_trials(
@@ -607,22 +609,26 @@ def run_baseline_trials(
     differ in a period exactly when an odd number of the bits where they
     differ have carriers of opposite sign: strings compare through the XOR
     of one column per 1 bit, that bit's carriers-differ sequence packed
-    into W = ceil(P/64) words.  One rng.role_words word per carrier role
-    holds every noise-bit, since the 2^N-byte match mask keeps N <= 27
-    under ENGINE_TRIAL_BYTES_CAP.  Batches of trials are scanned at once.
-    Candidate c splits into its first floor(N/2) bits (c_hi) and the rest
-    (c_lo) and reads Hi[c_hi] ^ Lo[c_lo], so two half-tables of at most
-    2^ceil(N/2) rows stand in for the 2^N-row catalog; all 2^N candidates
-    are compared, and the flattened match mask is in catalog order (all-L
-    first).  A trial's cost is the index of the first candidate that
-    survives its whole period budget, exactly as the sequential reference
-    search counts it.
+    into W = ceil(P/32) uint32 words.  One rng.role_words word per carrier
+    role holds every noise-bit, since the 2^N-byte match mask keeps
+    N <= 27 under ENGINE_TRIAL_BYTES_CAP.  Batches of trials are scanned
+    at once.  Candidate c splits into its first floor(N/2) bits (c_hi) and
+    the rest (c_lo) and reads Hi[c_hi] ^ Lo[c_lo], so two half-tables of
+    at most 2^ceil(N/2) rows stand in for the 2^N-row catalog.  All 2^N
+    candidates are compared on their first word (periods 0..31), and the
+    flattened match mask is in catalog order (all-L first).  Above 32
+    periods the first first-word match is checked on the other words; a
+    candidate that differs there (a chance of 2^-32 each) is passed over
+    for the next first-word match, one pass per earlier first-word-only
+    match, so in practice one.  A trial's cost is the index of the first
+    candidate that survives its whole period budget, exactly as the
+    sequential reference search counts it.
     """
     if num_bits < 1 or periods_per_test < 1 or trials < 1:
         raise ValueError("num_bits, periods_per_test and trials must be >= 1")
     n = num_bits
     n_hi = n // 2
-    n_words = -(-periods_per_test // 64)
+    n_words = -(-periods_per_test // 32)
     what = f"one baseline trial at {n} bits and {periods_per_test} periods"
     batch_size = _batch_trials(what, _baseline_trial_bytes(n, periods_per_test))
     tests = np.empty(trials, dtype=np.int64) if keep_per_trial else None
@@ -636,11 +642,20 @@ def run_baseline_trials(
         columns = _differ_columns(seeds[:, :2, None], n, periods_per_test)
         hi = _xor_table(columns[:, :n_hi])
         lo = _xor_table(columns[:, n_hi:])
-        c_hi, c_lo = np.divmod(hidden, lo.shape[1])
-        unknown = hi[np.arange(b), c_hi] ^ lo[np.arange(b), c_lo]
-        match = (hi ^ unknown[:, None, :])[:, :, None, :] == lo[:, None, :, :]
-        match = match.all(axis=3) if n_words > 1 else match[..., 0]
-        first = np.argmax(match.reshape(b, -1), axis=1)
+        c_hi, c_lo = np.divmod(hidden, lo.shape[2])
+        unknown = hi[np.arange(b), :, c_hi] ^ lo[np.arange(b), :, c_lo]
+        match = ((hi[:, 0] ^ unknown[:, :1])[:, :, None] == lo[:, 0, None, :]).reshape(b, -1)
+        first = np.argmax(match, axis=1)
+        # a first-word match that differs on a later word (2^-32 a candidate)
+        # gives way to the trial's next first-word match; the hidden string
+        # matches on every word, so there is one
+        pending = np.arange(b if n_words > 1 else 0)
+        while len(pending):
+            c_hi, c_lo = np.divmod(first[pending], lo.shape[2])
+            differs = (hi[pending, :, c_hi] ^ lo[pending, :, c_lo] ^ unknown[pending]).any(axis=1)
+            pending = pending[differs]
+            for t in pending:
+                first[t] += 1 + np.argmax(match[t, first[t] + 1 :])
         tests_sum += int(first.sum()) + b
         false_matches += int((first != hidden).sum())
         if keep_per_trial:

@@ -96,6 +96,11 @@ _CHUNK = 2**15
 # mixes on a tiny array
 _SCALAR_WORDS = 8
 
+# what a draw holds beside its arrays' data, whatever its size: np.unpackbits'
+# own scratch (5360 bytes a call) and the arrays' headers, 6336 bytes in
+# all at (2, 20000) and (8, 20000) (tracemalloc, numpy 2.4), rounded up
+_DRAW_FIXED_BYTES = 8192
+
 
 def _mix(x: np.ndarray) -> np.ndarray:
     """mix64 on a uint64 array, _CHUNK elements at a time.
@@ -232,13 +237,14 @@ def sign_matrix(
 
 
 def matrix_bytes(num_streams: int, num_periods: int) -> int:
-    """Bytes sign_matrix holds at most: its int8 result and a chunk's role words.
+    """Bytes sign_matrix holds at most: its int8 result, a chunk's role words, a fixed term.
 
     Each word, its big-endian copy, its 64 unpacked bits and, above one
-    plane word, their copy.
+    plane word, their copy; then _DRAW_FIXED_BYTES.
     """
     n_words = -(-num_streams // 128)
-    return num_streams * num_periods + (80 + 64 * (n_words > 1)) * max(_CHUNK // 16, 2 * n_words)
+    chunk = (80 + 64 * (n_words > 1)) * max(_CHUNK // 16, 2 * n_words)
+    return num_streams * num_periods + chunk + _DRAW_FIXED_BYTES
 
 
 def sign_tensor(master_seeds: np.ndarray, num_streams: int, num_periods: int) -> np.ndarray:

@@ -380,10 +380,11 @@ def _assert_baseline_matches_exact(n: int, ppt: int, trials: int, seed: int) -> 
     return false_matches
 
 
-@pytest.mark.parametrize("ppt", [1, 2, 63, 64, 65, 130])
+@pytest.mark.parametrize("ppt", [1, 2, 31, 32, 33, 63, 64, 65, 130])
 @pytest.mark.parametrize("n", [1, 2, 5, 8])
 def test_baseline_engine_matches_exact_trials_across_word_boundaries(n: int, ppt: int) -> None:
-    # P around 64 crosses the uint64 period-word boundary; odd N makes the
+    # P around 32 and 64 crosses the uint32 period-word boundaries (a
+    # second word is checked only on a first-word match); odd N makes the
     # two half-tables unequal, N = 1 leaves the high one a single row
     false_matches = _assert_baseline_matches_exact(n, ppt, 12, 6)
     if ppt == 1:
@@ -398,17 +399,53 @@ def test_baseline_engine_matches_exact_trials_at_benchmark_sizes(n: int, trials:
     _assert_baseline_matches_exact(n, 20, trials, 6)
 
 
-@pytest.mark.parametrize("periods", [1, 2, 63, 64, 65, 130])
+def _brute_force_baseline_tests(trial_seed: int, n: int, periods: int) -> int:
+    """Scan position of the first candidate whose readouts equal the hidden string's throughout."""
+    words = rng.role_words(rng.word_seeds(trial_seed, 1), periods)[:, 0]
+    # noise-bit q + 1 is bit 63 - q of a role word and bit N - 1 - q of a catalog index
+    differ = [int(lw ^ hw) >> (64 - n) for lw, hw in zip(*words)]
+    hidden = exp.hidden_bits_for(trial_seed, n)
+    for c in range(1 << n):
+        if all(bin((c ^ hidden) & d).count("1") % 2 == 0 for d in differ):
+            return c + 1
+    raise AssertionError("the hidden string matches itself")
+
+
+@pytest.mark.parametrize("periods", [40, 100])
+@pytest.mark.parametrize("n", [1, 4, 7, 8])
+def test_baseline_first_word_matches_are_checked_on_every_word(monkeypatch, n, periods) -> None:
+    # with L = H in periods 0..31 every candidate matches on the first
+    # period word, so only the later words tell candidates apart; random
+    # signs reach this path with a chance of 2^-32 per candidate
+    role_words = rng.role_words
+
+    def equal_roles_first_word(seeds, num_periods, start_period=0):
+        words = role_words(seeds, num_periods, start_period)
+        early = max(0, min(num_periods, 32 - start_period))
+        words[..., 1, :, :early] = words[..., 0, :, :early]
+        return words
+
+    monkeypatch.setattr(rng, "role_words", equal_roles_first_word)
+    trials, seed = 12, 5
+    stats = exp.run_baseline_trials(n, periods, trials, seed, keep_per_trial=True)
+    expect = [_brute_force_baseline_tests(exp.trial_master_seed(seed, t), n, periods)
+              for t in range(trials)]
+    assert stats.tests.tolist() == expect
+    # a first-word-only scan would stop every trial at the first candidate
+    assert max(expect) > 1
+
+
+@pytest.mark.parametrize("periods", [1, 2, 31, 32, 33, 63, 64, 65, 130])
 def test_differ_columns_pack_scalar_signs(periods: int) -> None:
     # row q holds noise-bit q + 1's carriers-differ sequence, period k at
-    # bit k % 64 of word k // 64; bits past the last period stay clear
+    # bit k % 32 of uint32 word k // 32; bits past the last period stay clear
     seeds = np.array([rng.derive_seed(77, i) for i in range(3)], dtype=np.uint64)
     for n in (1, 5, 28):
         columns = exp._differ_columns(rng.word_seeds(seeds, 1), n, periods)
-        assert columns.dtype == np.uint64 and columns.shape == (3, n, -(-periods // 64))
+        assert columns.dtype == np.uint32 and columns.shape == (3, n, -(-periods // 32))
         for t, ts in enumerate(int(s) for s in seeds):
             for q in range(n):
-                value = sum(int(w) << (64 * i) for i, w in enumerate(columns[t, q]))
+                value = sum(int(w) << (32 * i) for i, w in enumerate(columns[t, q]))
                 differ = [rng.sign_at(ts, 2 * q, k) != rng.sign_at(ts, 2 * q + 1, k)
                           for k in range(periods)]
                 assert value == sum(1 << k for k in range(periods) if differ[k])
@@ -417,7 +454,7 @@ def test_differ_columns_pack_scalar_signs(periods: int) -> None:
 def test_baseline_engine_batching_invariance(monkeypatch) -> None:
     n, ppt, trials, seed = 5, 70, 30, 8
     whole = exp.run_baseline_trials(n, ppt, trials, seed, keep_per_trial=True)
-    # _baseline_trial_bytes(5, 70) = 4286 bytes per trial: batches of 2 trials
+    # _baseline_trial_bytes(5, 70) = 4022 bytes per trial: batches of 2 trials
     monkeypatch.setattr(exp, "_ENGINE_BATCH_BYTES", exp._UFUNC_BUFFER_BYTES + 12000)
     batches = []
     role_words = rng.role_words
@@ -445,10 +482,11 @@ def test_baseline_memory_refused_before_drawing(monkeypatch) -> None:
 
 
 def test_baseline_memory_cap_boundary(monkeypatch) -> None:
-    # one trial at N bits and P periods, W = ceil(P/64), H = 2^floor(N/2),
+    # one trial at N bits and P periods, W = ceil(P/32), H = 2^floor(N/2),
     # L = 2^ceil(N/2), holds 8 * 6P (role words, fold, differ values and
-    # their copy) + NP (bits) + 16NW (packed bits, columns) + 8W(2H + L +
-    # L/2) (half-tables, XOR'd high table) + (W + [W > 1]) * 2^N (match mask)
+    # their copy) + NP (bits) + 8NW (packed bits, columns) + 4W(H + L)
+    # (half-tables) + 4H (XOR'd first word of the high table) + 2^N (the
+    # first-word match mask)
     role_words = rng.role_words
     drawn = []
 
@@ -457,34 +495,37 @@ def test_baseline_memory_cap_boundary(monkeypatch) -> None:
         return role_words(*args)
 
     monkeypatch.setattr(rng, "role_words", counted)
-    # N = 4, P = 20: 960 + 80 + 64 + 112 + 16 = 1232; P = 21: 1284
-    monkeypatch.setattr(exp, "ENGINE_TRIAL_BYTES_CAP", 1232)
+    # N = 4, P = 20: 960 + 80 + 32 + 32 + 16 + 16 = 1136; P = 21: 1188
+    monkeypatch.setattr(exp, "ENGINE_TRIAL_BYTES_CAP", 1136)
     assert exp.run_baseline_trials(4, 20, 3, 1).trials == 3
-    with pytest.raises(ValueError, match="1284 bytes; capped at 1232"):
+    with pytest.raises(ValueError, match="1188 bytes; capped at 1136"):
         exp.run_baseline_trials(4, 21, 3, 1)
-    # the match mask leads at N = 10, P = 1: 48 + 10 + 160 + 896 + 1024 =
-    # 2138; N = 11: 48 + 11 + 176 + 1280 + 2048 = 3563
-    monkeypatch.setattr(exp, "ENGINE_TRIAL_BYTES_CAP", 2138)
+    # the match mask leads at N = 10, P = 1: 48 + 10 + 80 + 256 + 128 +
+    # 1024 = 1546; N = 11: 48 + 11 + 88 + 384 + 128 + 2048 = 2707
+    monkeypatch.setattr(exp, "ENGINE_TRIAL_BYTES_CAP", 1546)
     assert exp.run_baseline_trials(10, 1, 3, 1).trials == 3
-    with pytest.raises(ValueError, match="3563 bytes; capped at 2138"):
+    with pytest.raises(ValueError, match="2707 bytes; capped at 1546"):
         exp.run_baseline_trials(11, 1, 3, 1)
-    # a second period word adds the .all result: N = 4, P = 65 holds
-    # 3120 + 260 + 128 + 224 + 3 * 16 = 3780
-    monkeypatch.setattr(exp, "ENGINE_TRIAL_BYTES_CAP", 3779)
-    with pytest.raises(ValueError, match="3780 bytes; capped at 3779"):
-        exp.run_baseline_trials(4, 65, 3, 1)
+    # a second period word widens the columns and tables, not the mask:
+    # N = 4, P = 33 holds 1584 + 132 + 64 + 64 + 16 + 16 = 1876
+    monkeypatch.setattr(exp, "ENGINE_TRIAL_BYTES_CAP", 1875)
+    with pytest.raises(ValueError, match="1876 bytes; capped at 1875"):
+        exp.run_baseline_trials(4, 33, 3, 1)
     assert len(drawn) == 2
 
 
 def test_baseline_admits_one_hidden_word() -> None:
     # the 2^N-byte match mask alone fills the cap at N = 28, so one uint64
-    # always holds a baseline trial's hidden string: 268,896,176 bytes at
-    # N = 28, P = 20
-    for periods in (20, 64):
+    # always holds a baseline trial's hidden string: 268,633,808 bytes at
+    # N = 28, P = 20.  Every P holds one mask, so N = 27 is admitted up to
+    # P = 42,528
+    for periods in (20, 64, 42_528):
         assert exp._batch_trials("a baseline trial", exp._baseline_trial_bytes(27, periods)) >= 1
         with pytest.raises(ValueError, match="capped at"):
             exp._batch_trials("a baseline trial", exp._baseline_trial_bytes(28, periods))
-    assert exp._baseline_trial_bytes(28, 20) == 268_896_176
+    assert exp._baseline_trial_bytes(28, 20) == 268_633_808
+    with pytest.raises(ValueError, match="capped at"):
+        exp._batch_trials("a baseline trial", exp._baseline_trial_bytes(27, 42_529))
 
 
 def _traced_peak(run):
@@ -497,7 +538,7 @@ def _traced_peak(run):
 
 
 # the count sums arrays that are never all held at once; a full batch's
-# peak per trial, less _UFUNC_BUFFER_BYTES, measured 0.50 / 0.60 / 0.92 / 0.32
+# peak per trial, less _UFUNC_BUFFER_BYTES, measured 0.54 / 0.50 / 0.87 / 0.37
 # of it at the four sizes below
 _BASELINE_PEAK_SLACK = 4
 

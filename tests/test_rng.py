@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -139,6 +140,21 @@ def test_sign_matrix_chunking_invariance(monkeypatch) -> None:
     for chunk in (7, 100, 389):
         monkeypatch.setattr(rng, "_CHUNK", chunk)
         assert (rng.sign_matrix(11, 6, 130, start_period=7) == whole).all()
+
+
+@pytest.mark.parametrize("streams, periods", [(2, 20_000), (8, 20_000), (130, 3000), (300, 2000)])
+def test_sign_matrix_stays_inside_matrix_bytes(streams: int, periods: int) -> None:
+    # one plane word, then two and three; the traced peak measured 0.99 /
+    # 0.99 / 0.97 / 0.97 of the count
+    rng.sign_matrix(1, streams, periods)  # imports and caches first
+    tracemalloc.start()
+    try:
+        rng.sign_matrix(1, streams, periods)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    count = rng.matrix_bytes(streams, periods)
+    assert 0.9 * count <= peak <= count, (streams, periods, peak, count)
 
 
 def test_signs_are_plus_minus_one() -> None:
