@@ -288,6 +288,13 @@ def _shared(num: int, den: int) -> Fraction:
     return Fraction(num, den)
 
 
+def _pair_integers(ch: Fraction, cl: Fraction, lam: Fraction) -> tuple[int, int, int]:
+    """(h, l, d): c_H and lambda * c_L as h / d and l / d, d the lcm of their denominators."""
+    hd, ld = ch.denominator, cl.denominator * lam.denominator
+    d = math.lcm(hd, ld)
+    return ch.numerator * (d // hd), cl.numerator * lam.numerator * (d // ld), d
+
+
 def evaluator(
     s: ProductString | Superposition | FactoredSuperposition, lam: Fraction
 ) -> Evaluator:
@@ -305,20 +312,17 @@ def evaluator(
     lam = check_lambda(lam)
     if isinstance(s, ProductString):
         return selection_evaluator(s.picks(), lam)
-    p, q = lam.numerator, lam.denominator
     if isinstance(s, FactoredSuperposition):
-        # per bit: over d = lcm of the denominators of c_H and c_L * lambda,
-        # the integer h * A + l * B for each (A, B); a run of bits holding
-        # the same (c_H, c_L) objects shares one table
+        # per bit: the integer h * A + l * B over d (_pair_integers) for each
+        # (A, B); a run of bits holding the same (c_H, c_L) objects shares
+        # one table
         tables = []
         den = 1
         pair = None
         for ch, cl in zip(s.c_h, s.c_l):
             if pair is None or ch is not pair[0] or cl is not pair[1]:
                 pair = ch, cl
-                hd, ld = ch.denominator, cl.denominator * q
-                d = math.lcm(hd, ld)
-                h, l = ch.numerator * (d // hd), cl.numerator * p * (d // ld)
+                h, l, d = _pair_integers(ch, cl, lam)
                 table = {(1, 1): h + l, (1, -1): h - l, (-1, 1): l - h, (-1, -1): -h - l}
             tables.append(table)
             den *= d
@@ -328,6 +332,7 @@ def evaluator(
         )
     if isinstance(s, Superposition):
         # per term: its picked slots and c * lambda^#L as num / den
+        p, q = lam.numerator, lam.denominator
         terms = []
         for bits, c in s.terms.items():
             n_l = s.num_bits - bits.bit_count()
@@ -391,17 +396,14 @@ def agreement_law(
     the shared `Fraction` `evaluator` returns.
     """
     lam = check_lambda(lam)
-    p, q = lam.numerator, lam.denominator
     index: dict[tuple[int, int], int] = {}
     groups, factors, pair = [], [], None
     for ch, cl in zip(f.c_h, f.c_l):
         if pair is None or ch is not pair[0] or cl is not pair[1]:  # a run's first bit
             pair = ch, cl
             g = index.setdefault((id(ch), id(cl)), len(factors))
-            if g == len(factors):  # [h + l, h - l, n_g, d], d as in evaluator
-                hd, ld = ch.denominator, cl.denominator * q
-                d = math.lcm(hd, ld)
-                h, l = ch.numerator * (d // hd), cl.numerator * p * (d // ld)
+            if g == len(factors):  # [h + l, h - l, n_g, d]
+                h, l, d = _pair_integers(ch, cl, lam)
                 factors.append([h + l, h - l, 0, d])
         factors[g][2] += 1
         groups.append(g)

@@ -17,22 +17,23 @@ reads the 2N * M events of its window, O(N * M) time and memory, the
 paper's linear cost for fixed M.  Every engine reads the signs as
 rng.role_words, one uint64 per period and carrier role holding 64
 noise-bits, and lays out the N-bit values it compares with them (hidden
-strings, masks) in the same role order.  The two per-trial engines,
-identification and the baseline, take each batch's role-word tag seeds
-and hidden words from one rng.trial_tag_seeds chain, the derivation
-trial_master_seed and hidden_bits_for state on Python ints for one
-trial.  Identification decides every
-bit with a few word operations per period.  A period's |readout| of the
-uniform superposition depends only on how many bits' two carriers
-agree, and two product strings' readouts differ at lambda = 1 when an
-odd number of the bits where they differ have disagreeing carriers, so
-`zero-prob`, Monte Carlo `range` and the mismatch rate read one popcount
-of L ^ H under a mask per period, drawn in bounded chunks, with no
-per-period Fraction.  The baseline compares whole readout sequences by
-the same law: it transposes each bit's L ^ H into one bit per period of
-uint32 words and keeps its scan exhaustive, comparing all 2^N candidates
-on their first word as XORs of two half-tables of those columns and
-checking the first first-word match on the other words.
+strings, masks) in the same bit order by rng.role_order.  The two
+per-trial engines, identification and the baseline, read each batch's
+role-word tag seeds and hidden words from rng.trial_draws, and their
+exact twins read the same trial from rng.trial_master_seed and
+rng.hidden_bits_for, so no trial's seed tag is stated here.
+Identification decides every bit with a few word operations per period.
+A period's |readout| of the uniform superposition depends only on how
+many bits' two carriers agree, and two product strings' readouts differ
+at lambda = 1 when an odd number of the bits where they differ have
+disagreeing carriers, so `zero-prob`, Monte Carlo `range` and the
+mismatch rate read one popcount of L ^ H under a mask per period, drawn
+in bounded chunks, with no per-period Fraction.  The baseline compares
+whole readout sequences by the same law: it transposes each bit's L ^ H
+into one bit per period of uint32 words and keeps its scan exhaustive,
+comparing all 2^N candidates on their first word as XORs of two
+half-tables of those columns and checking the first first-word match on
+the other words.
 """
 
 from __future__ import annotations
@@ -84,38 +85,6 @@ RESOLUTION_POWER_BITS_CAP = 2 * 10**6
 # bytes one identification trial, or one reference system's sign draw, may
 # need: the smallest unit of work must fit in memory
 ENGINE_TRIAL_BYTES_CAP = 1 << 28
-
-# tag used to draw the hidden string of a trial; the sign stream's role
-# words use tags 0..2W-1, W = ceil(N/64), all below 2N
-def _hidden_tag(num_bits: int) -> int:
-    return 2 * num_bits
-
-
-def _num_words(num_bits: int) -> int:
-    return -(-num_bits // 64)
-
-
-def trial_master_seed(seed: int, trial_index: int) -> int:
-    """Per-trial master seed; trials are independent and order-free."""
-    return rng.derive_seed(seed, trial_index)
-
-
-def _draw_bits(seed: int, tag: int, num_bits: int) -> int:
-    """Uniform num_bits-bit integer from ceil(N/64) derived 64-bit words.
-
-    Word 0 (the low 64 bits) is derive_seed(seed, tag); word w >= 1 is
-    derive_seed(seed, tag, w), whose nested tag cannot collide with a
-    single-tag draw at tag + 1.
-    """
-    value = rng.derive_seed(seed, tag)
-    for w in range(1, _num_words(num_bits)):
-        value |= rng.derive_seed(seed, tag, w) << (64 * w)
-    return value & ((1 << num_bits) - 1)
-
-
-def hidden_bits_for(trial_seed: int, num_bits: int) -> int:
-    """Uniform hidden product string for one trial, as a bits integer."""
-    return _draw_bits(trial_seed, _hidden_tag(num_bits), num_bits)
 
 
 # ===========================================================================
@@ -245,36 +214,9 @@ def _batch_trials(what: str, bytes_per_trial: int) -> int:
     return max(1, min(8192, (_ENGINE_BATCH_BYTES - _UFUNC_BUFFER_BYTES) // bytes_per_trial))
 
 
-def _role_order(words: np.ndarray, num_bits: int) -> np.ndarray:
-    """The low N bits of (..., W) uint64 words, word 0 lowest, laid out as rng.role_words.
-
-    Value bit N - 1 - q, noise-bit q + 1's bit in a bits integer, goes to
-    bit 63 - q % 64 of word q // 64: the value shifted left by 64W - N and
-    read with word 0 most significant.  Bits past noise-bit N stay clear.
-    """
-    rev = words[..., ::-1]
-    shift = np.uint64(64 * words.shape[-1] - num_bits)
-    out = rev << shift
-    if shift:
-        out[..., :-1] |= rev[..., 1:] >> (np.uint64(64) - shift)
-    return out
-
-
-def _role_order_ints(words: np.ndarray, num_bits: int) -> np.ndarray:
-    """One bits integer per row of (trials, W) role-order words: _role_order undone.
-
-    uint64 for one word; above that, an object array of Python ints.
-    """
-    shift = 64 * words.shape[1] - num_bits
-    if words.shape[1] == 1:
-        return words[:, 0] >> np.uint64(shift)
-    big = words.astype(">u8")
-    return np.array([int.from_bytes(row.tobytes(), "big") >> shift for row in big], dtype=object)
-
-
 def _period_bytes(num_bits: int) -> int:
     """Bytes one period of _carriers_differing holds: 8 words of W = ceil(N/64) (see there)."""
-    return 64 * _num_words(num_bits)
+    return 64 * rng.num_words(num_bits)
 
 
 def _carriers_differing(seed: int, num_bits: int, periods: int, mask: int) -> Iterator[np.ndarray]:
@@ -285,13 +227,13 @@ def _carriers_differing(seed: int, num_bits: int, periods: int, mask: int) -> It
     order.  A period holds its two role words, their XOR, the masked XOR and
     four SWAR popcount temporaries: _period_bytes, which sizes the chunks.
     """
-    n_words = _num_words(num_bits)
+    n_words = rng.num_words(num_bits)
     chunk = _batch_trials(f"one period of {num_bits} bits", _period_bytes(num_bits))
-    words_mask = _role_order(np.frombuffer(mask.to_bytes(8 * n_words, "little"), "<u8"), num_bits)
+    role_mask = rng.role_order(np.frombuffer(mask.to_bytes(8 * n_words, "little"), "<u8"), num_bits)
     seeds = rng.word_seeds(seed, n_words)
     for start in range(0, periods, chunk):
         words = rng.role_words(seeds, min(chunk, periods - start), start)
-        yield _popcounts((words[0] ^ words[1]) & words_mask[:, None]).sum(axis=0)
+        yield _popcounts((words[0] ^ words[1]) & role_mask[:, None]).sum(axis=0)
 
 
 def zero_prob_engine(num_bits: int, trials: int, seed: int) -> np.ndarray:
@@ -315,8 +257,8 @@ def mismatch_rate_engine(num_bits: int, periods: int, seed: int) -> tuple[int, i
     differ in a period exactly when an odd number of the bits where the
     strings differ have carriers of opposite sign.
     """
-    w1 = _draw_bits(seed, _hidden_tag(num_bits), num_bits)
-    w2 = _draw_bits(seed, _hidden_tag(num_bits) + 1, num_bits)
+    w1 = rng.hidden_bits_for(seed, num_bits)
+    w2 = rng.draw_bits(seed, 2 * num_bits + 1, num_bits)  # the tag after w1's
     if w2 == w1:
         w2 ^= 1
     differing = _carriers_differing(seed, num_bits, periods, w1 ^ w2)
@@ -370,7 +312,7 @@ def _identification_trial_bytes(num_bits: int, max_periods: int) -> int:
     sizes batches and refuses a trial above ENGINE_TRIAL_BYTES_CAP.
     """
     m = max_periods
-    return 8 * _num_words(num_bits) * (2 * (m + 1) + 2 * m + 8 * m + 2 + 1)
+    return 8 * rng.num_words(num_bits) * (2 * (m + 1) + 2 * m + 8 * m + 2 + 1)
 
 
 def _check_renderable(num_bits: int, lam: Fraction) -> None:
@@ -434,11 +376,8 @@ def run_identification_trials(
     spp = 2 * n
     what = f"one identification trial at {n} bits and {m} periods"
     batch_size = _batch_trials(what, _identification_trial_bytes(n, m))
-    n_words = _num_words(n)
-    full = _role_order(np.full(n_words, rng.MASK64, dtype=np.uint64), n)
-    # rng.word_seeds' tags 2g + role in its (role, g) order, then the hidden
-    # string's, whose ceil(N/64) words end each row of tag seeds
-    tags = np.append(np.add.outer(np.arange(2), 2 * np.arange(n_words)), _hidden_tag(n))
+    n_words = rng.num_words(n)
+    full = rng.role_order(np.full(n_words, rng.MASK64, dtype=np.uint64), n)
 
     undecided_trials = 0
     complete_trials = 0
@@ -450,13 +389,12 @@ def run_identification_trials(
     kept: dict[str, list[np.ndarray]] = {k: [] for k in
         ("hidden_bits", "complete", "recovered_bits", "ticks_observed", "periods_used")}
 
-    for _, seeds in rng.trial_tag_seeds(seed, trials, batch_size, tags, n_words):
-        b = len(seeds)
+    for _, tag_seeds, hidden in rng.trial_draws(seed, n, trials, batch_size):
+        b = len(tag_seeds)
         # (b, W) hidden_bits_for, set where the H carrier is the factor
-        hidden = _role_order(seeds[:, 2 * n_words :], n)
+        hidden = rng.role_order(hidden, n)
         # (M+1, b, 2, W): periods lead, so the XOR below writes each
         # period's switches as one block of its C-order result
-        tag_seeds = seeds[:, : 2 * n_words].reshape(b, 2, n_words)
         words = rng.role_words(tag_seeds, m + 1).transpose(3, 0, 1, 2)
         # switch[k]: the carriers that change sign at their period-(k+1)
         # switching instant, one of the M in the window; (M, b, 2, W)
@@ -501,9 +439,9 @@ def run_identification_trials(
         ticks_sum += int(t_obs.sum())
         periods_sum += int(p_used.sum())
         if keep_per_trial:
-            kept["hidden_bits"].append(_role_order_ints(hidden, n))
+            kept["hidden_bits"].append(rng.role_order_ints(hidden, n))
             kept["complete"].append(complete)
-            kept["recovered_bits"].append(_role_order_ints(chosen & decided, n))
+            kept["recovered_bits"].append(rng.role_order_ints(chosen & decided, n))
             kept["ticks_observed"].append(t_obs)
             kept["periods_used"].append(p_used)
 
@@ -532,8 +470,8 @@ def identification_trial_exact(
     trace is one numpy pass over the sign matrix and the scanner reads one
     sample per tick, about 9-13 ms at N = 1024, M = 6 (2-vCPU Xeon, Python 3.11).
     """
-    ts = trial_master_seed(seed, trial_index)
-    hidden = ProductString(num_bits, hidden_bits_for(ts, num_bits))
+    ts = rng.trial_master_seed(seed, trial_index)
+    hidden = ProductString(num_bits, rng.hidden_bits_for(ts, num_bits))
     refs = build_reference_system(ts, num_bits, max_periods + 1, 1)
     trace = trace_product(refs, hidden, shifted=True)
     return hidden, tsinbl_identify(trace, refs, max_periods)
@@ -569,9 +507,9 @@ def _xor_table(columns: np.ndarray) -> np.ndarray:
 def _differ_columns(tag_seeds: np.ndarray, num_bits: int, periods: int) -> np.ndarray:
     """(b, N, ceil(P/32)) uint32 carriers-differ columns, one row per noise-bit.
 
-    tag_seeds is (b, 2, 1) rng.word_seeds of the trials.  Bit k % 32 of
-    word k // 32 of row q is the bit of noise-bit q + 1 in period k's
-    L ^ H role words; bits past period P stay clear.
+    tag_seeds is the trials' (b, 2, 1) rng.trial_draws tag seeds.  Bit
+    k % 32 of word k // 32 of row q is the bit of noise-bit q + 1 in period
+    k's L ^ H role words; bits past period P stay clear.
     """
     b, n = len(tag_seeds), num_bits
     words = rng.role_words(tag_seeds, periods)[:, :, 0]
@@ -633,13 +571,11 @@ def run_baseline_trials(
     batch_size = _batch_trials(what, _baseline_trial_bytes(n, periods_per_test))
     tests = np.empty(trials, dtype=np.int64) if keep_per_trial else None
     tests_sum = false_matches = 0
-    # the role tags 0 (L) and 1 (H) of one word, then the hidden string's;
-    # the match mask keeps N <= 27, so one word holds the string
-    tags = np.array([0, 1, _hidden_tag(n)])
-    for start, seeds in rng.trial_tag_seeds(seed, trials, batch_size, tags, 1):
-        b = len(seeds)
-        hidden = (seeds[:, 2] & np.uint64((1 << n) - 1)).astype(np.intp)  # hidden_bits_for
-        columns = _differ_columns(seeds[:, :2, None], n, periods_per_test)
+    # the match mask keeps N <= 27, so one word holds each role and the string
+    for start, tag_seeds, hidden in rng.trial_draws(seed, n, trials, batch_size):
+        b = len(tag_seeds)
+        hidden = (hidden[:, 0] & np.uint64((1 << n) - 1)).astype(np.intp)  # hidden_bits_for
+        columns = _differ_columns(tag_seeds, n, periods_per_test)
         hi = _xor_table(columns[:, :n_hi])
         lo = _xor_table(columns[:, n_hi:])
         c_hi, c_lo = np.divmod(hidden, lo.shape[2])
@@ -681,8 +617,8 @@ def baseline_trial_exact(
     seed: int, trial_index: int, num_bits: int, epsilon: Fraction | float | str
 ) -> tuple[ProductString, int]:
     """One baseline-search trial on the exact Fraction path (lambda = 1)."""
-    ts = trial_master_seed(seed, trial_index)
-    hidden = ProductString(num_bits, hidden_bits_for(ts, num_bits))
+    ts = rng.trial_master_seed(seed, trial_index)
+    hidden = ProductString(num_bits, rng.hidden_bits_for(ts, num_bits))
     budget = verification_periods(epsilon)
     refs = build_reference_system(ts, num_bits, budget, 1)
     trace = trace_product(refs, hidden, shifted=False)

@@ -24,13 +24,14 @@ exact path's one int8 layout (`sign_block` and `sign_tensor`, kept
 because perfbench's tracer wraps them, are views of it).  The mixes run
 in place on chunks that stay in cache.
 
-Trial t of master seed s has its own master seed derive_seed(s, t) and
-reads it only through tag seeds derive_seed(derive_seed(s, t), tag), its
-role-word tags 2g + role and its hidden string's tag 2N (the string's
-words w >= 1 nest one more tag w).  `trial_tag_seeds` folds a batch's
-chain in three array mixes (the trial seeds, their first re-mix, every
-tag at once) and a fourth for the nested words; with `role_words`, a
-batch of trials costs four or five mixes.
+Trial t of master seed s reads its own master seed derive_seed(s, t)
+(`trial_master_seed`) only through tag seeds: its role-word tags 2g + role
+and its hidden string's tag 2N, whose words w >= 1 nest one more tag w
+(`hidden_bits_for`).  `trial_draws` folds a batch of that chain in three
+array mixes (the trial seeds, their first re-mix, every tag at once) and a
+fourth for the nested words, so with `role_words` a batch costs four or
+five mixes.  `role_order` lays an N-bit value out in the role words' bit
+order, and `role_order_ints` reads it back.
 
 The mixer is the SplitMix64 finalizer (public-domain constants).
 """
@@ -76,6 +77,34 @@ def sign_at(master_seed: int, stream_index: int, period: int) -> int:
     q, role = divmod(stream_index, 2)
     word = derive_seed(master_seed, 2 * (q // 64) + role, period)
     return -1 if word >> (63 - q % 64) & 1 else 1
+
+
+def num_words(num_bits: int) -> int:
+    """uint64 words that hold num_bits bits, ceil(N/64): a role's plane, a hidden string."""
+    return -(-num_bits // 64)
+
+
+def trial_master_seed(seed: int, trial_index: int) -> int:
+    """Per-trial master seed; trials are independent and order-free."""
+    return derive_seed(seed, trial_index)
+
+
+def draw_bits(seed: int, tag: int, num_bits: int) -> int:
+    """Uniform num_bits-bit integer from ceil(N/64) derived 64-bit words.
+
+    Word 0 (the low 64 bits) is derive_seed(seed, tag); word w >= 1 is
+    derive_seed(seed, tag, w), whose nested tag cannot collide with a
+    single-tag draw at tag + 1.
+    """
+    value = derive_seed(seed, tag)
+    for w in range(1, num_words(num_bits)):
+        value |= derive_seed(seed, tag, w) << (64 * w)
+    return value & ((1 << num_bits) - 1)
+
+
+def hidden_bits_for(trial_seed: int, num_bits: int) -> int:
+    """Uniform hidden product string for one trial, as a bits integer (tag 2N)."""
+    return draw_bits(trial_seed, 2 * num_bits, num_bits)
 
 
 # ---------------------------------------------------------------------------
@@ -137,54 +166,84 @@ def derive_seed_np(seeds: np.ndarray, *tags: np.ndarray | int) -> np.ndarray:
     return x
 
 
-def word_seeds(master_seeds: int | np.ndarray, num_words: int) -> np.ndarray:
-    """(..., 2, num_words) uint64: derive_seed(seed, 2g + role) at [..., role, g].
+def word_seeds(master_seed: int, n_words: int) -> np.ndarray:
+    """(2, n_words) uint64: derive_seed(seed, 2g + role) at [role, g].
 
-    One seed (any int) gives (2, num_words); a vector of uint64 seeds adds
-    a leading trial axis.  Derived once per draw, however many chunks of
-    periods `role_words` then folds in; up to _SCALAR_WORDS words, one
-    seed's tag seeds are derived as Python ints.
+    Derived once per draw, however many chunks of periods `role_words`
+    then folds in; up to _SCALAR_WORDS words, as Python ints.
     """
-    if np.ndim(master_seeds) == 0:
-        seed = int(master_seeds) & MASK64
-        if num_words <= _SCALAR_WORDS:
-            return np.array(
-                [[derive_seed(seed, 2 * g + role) for g in range(num_words)] for role in (0, 1)],
-                dtype=np.uint64,
-            )
-        master_seeds = seed
-    seeds = np.asarray(master_seeds, dtype=np.uint64)[..., None, None]
-    words = np.arange(num_words, dtype=np.uint64)
-    return derive_seed_np(seeds, np.arange(2, dtype=np.uint64)[:, None] + np.uint64(2) * words)
+    seed = int(master_seed) & MASK64
+    if n_words <= _SCALAR_WORDS:
+        return np.array(
+            [[derive_seed(seed, 2 * g + role) for g in range(n_words)] for role in (0, 1)],
+            dtype=np.uint64,
+        )
+    tags = 2 * np.arange(n_words, dtype=np.uint64) + np.arange(2, dtype=np.uint64)[:, None]
+    return derive_seed_np(np.uint64(seed), tags)
 
 
-def trial_tag_seeds(
-    seed: int, trials: int, batch_size: int, tags: np.ndarray, last_words: int
-) -> Iterator[tuple[int, np.ndarray]]:
-    """Per batch of batch_size trials, its first trial and its (b, T + last_words - 1) seeds.
+def trial_draws(
+    seed: int, num_bits: int, trials: int, batch_size: int
+) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """Per batch of batch_size trials: its first trial, tag seeds and hidden words.
 
-    Row t holds derive_seed(derive_seed(seed, t), tag) for the T tags, then
-    derive_seed(derive_seed(seed, t), tags[-1], w) for w = 1..last_words-1.
+    For trial t, ts = trial_master_seed(seed, t): the (b, 2, W) tag seeds
+    hold word_seeds(ts, W) and the (b, W) hidden words, word 0 lowest,
+    the words of draw_bits(ts, 2N, N) before its mask, so their low N bits
+    are hidden_bits_for(ts, N).  W = ceil(N/64).
     """
+    w = num_words(num_bits)
     first = derive_seed(seed) + _GAMMA  # derive_seed(seed, t) mixes first + t * gamma
     trial_step = np.arange(min(batch_size, trials), dtype=np.uint64) * _NP_GAMMA
-    tag_step = (np.asarray(tags, dtype=np.uint64) + np.uint64(1)) * _NP_GAMMA
-    word_step = np.arange(2, last_words + 1, dtype=np.uint64) * _NP_GAMMA
+    # each tag + 1, as derive_seed folds it: word_seeds' tags in its (role, g)
+    # order, then the hidden string's
+    plus_one = [2 * g + role + 1 for role in (0, 1) for g in range(w)] + [2 * num_bits + 1]
+    tag_step = np.array(plus_one, dtype=np.uint64) * _NP_GAMMA
     for start in range(0, trials, batch_size):
         x = _mix(trial_step[: trials - start] + np.uint64((first + start * _GAMMA) & _MASK64))
         x = _mix(_mix(x + _NP_GAMMA)[:, None] + tag_step)
-        if last_words > 1:
-            x = np.concatenate((x, _mix(x[:, -1:] + word_step)), axis=1)
-        yield start, x
+        hidden = x[:, 2 * w :]
+        if w > 1:  # words v >= 1 nest one more tag v, folded as (v + 1) * gamma
+            word_step = np.arange(2, w + 1, dtype=np.uint64) * _NP_GAMMA
+            hidden = np.concatenate((hidden, _mix(hidden + word_step)), axis=1)
+        yield start, x[:, : 2 * w].reshape(len(x), 2, w), hidden
+
+
+def role_order(words: np.ndarray, num_bits: int) -> np.ndarray:
+    """The low N bits of (..., W) uint64 words, word 0 lowest, laid out as role_words.
+
+    Value bit N - 1 - q, noise-bit q + 1's bit in a bits integer, goes to
+    bit 63 - q % 64 of word q // 64: the value shifted left by 64W - N and
+    read with word 0 most significant.  Bits past noise-bit N stay clear.
+    """
+    rev = words[..., ::-1]
+    shift = np.uint64(64 * words.shape[-1] - num_bits)
+    out = rev << shift
+    if shift:
+        out[..., :-1] |= rev[..., 1:] >> (np.uint64(64) - shift)
+    return out
+
+
+def role_order_ints(words: np.ndarray, num_bits: int) -> np.ndarray:
+    """One bits integer per row of (trials, W) role-order words: role_order undone.
+
+    uint64 for one word; above that, an object array of Python ints.
+    """
+    shift = 64 * words.shape[1] - num_bits
+    if words.shape[1] == 1:
+        return words[:, 0] >> np.uint64(shift)
+    big = words.astype(">u8")
+    return np.array([int.from_bytes(row.tobytes(), "big") >> shift for row in big], dtype=object)
 
 
 def role_words(seeds: np.ndarray, num_periods: int, start_period: int = 0) -> np.ndarray:
     """(..., 2, W, P) uint64 words: derive_seed(seed, 2g + role, k) at [..., role, g, k].
 
-    `seeds` is word_seeds(seed, W).  Bit 63 - j of word g holds the sign
-    of noise-bit 64g + j + 1's carrier in that role, as in `sign_at`;
-    period k runs from start_period.  Periods are the last axis, so the
-    mix runs along them however few words a period has.
+    `seeds` is word_seeds(seed, W), or trial_draws' (b, 2, W) tag seeds.
+    Bit 63 - j of word g holds the sign of noise-bit 64g + j + 1's carrier
+    in that role, as in `sign_at`; period k runs from start_period.
+    Periods are the last axis, so the mix runs along them however few
+    words a period has.
     """
     periods = np.arange(start_period, start_period + num_periods, dtype=np.uint64)
     return _fold(seeds[..., None], periods)
@@ -218,7 +277,7 @@ def sign_matrix(
     its int8 result; `matrix_bytes` counts what it holds.
     """
     pairs, odd = divmod(num_streams, 2)
-    n_words = -(-(pairs + odd) // 64)
+    n_words = num_words(pairs + odd)
     out = np.empty((num_streams, num_periods), dtype=np.int8)
     by_bit = out[: 2 * pairs].reshape(pairs, 2, num_periods)  # [q, role, k]
     seeds = word_seeds(master_seed, n_words)
@@ -242,7 +301,7 @@ def matrix_bytes(num_streams: int, num_periods: int) -> int:
     Each word, its big-endian copy, its 64 unpacked bits and, above one
     plane word, their copy; then _DRAW_FIXED_BYTES.
     """
-    n_words = -(-num_streams // 128)
+    n_words = num_words(-(-num_streams // 2))
     chunk = (80 + 64 * (n_words > 1)) * max(_CHUNK // 16, 2 * n_words)
     return num_streams * num_periods + chunk + _DRAW_FIXED_BYTES
 

@@ -205,8 +205,8 @@ def test_identification_engine_matches_exact_trials_decided_late(monkeypatch) ->
         return words
 
     def exact_trial(i):
-        ts = exp.trial_master_seed(seed, i)
-        hidden = alg.ProductString(n, exp.hidden_bits_for(ts, n))
+        ts = rng.trial_master_seed(seed, i)
+        hidden = alg.ProductString(n, rng.hidden_bits_for(ts, n))
         signs = rng.sign_matrix(ts, 2 * n, m + 1)
         q, hold = _held(rng.derive_seed(ts, 0), n)
         signs[2 * q : 2 * q + 2, : hold + 1] = signs[2 * q : 2 * q + 2, :1]
@@ -232,7 +232,7 @@ def test_hidden_strings_cover_every_bit_above_64(monkeypatch) -> None:
     stats = exp.run_identification_trials(n, 1, trials, seed, keep_per_trial=True)
     union = 0
     for i, bits in enumerate(stats.hidden_bits):
-        assert bits == exp.hidden_bits_for(exp.trial_master_seed(seed, i), n)
+        assert bits == rng.hidden_bits_for(rng.trial_master_seed(seed, i), n)
         union |= int(bits)
     assert union == (1 << n) - 1
 
@@ -262,8 +262,8 @@ def test_identification_trials_read_the_scalar_seed_chain(monkeypatch, n: int) -
     assert [len(words) for words in drawn] == [2, 2, 1]
     words = np.concatenate(drawn)
     for t in range(trials):
-        ts = exp.trial_master_seed(seed, t)
-        assert stats.hidden_bits[t] == exp.hidden_bits_for(ts, n)
+        ts = rng.trial_master_seed(seed, t)
+        assert stats.hidden_bits[t] == rng.hidden_bits_for(ts, n)
         assert (words[t] == rng.role_words(rng.word_seeds(ts, -(-n // 64)), m + 1)).all()
 
 
@@ -280,8 +280,8 @@ def test_baseline_trials_read_the_scalar_seed_chain(monkeypatch, n: int) -> None
     assert stats.false_matches == 0
     words = np.concatenate(drawn)
     for t in range(trials):
-        ts = exp.trial_master_seed(seed, t)
-        assert stats.tests[t] == exp.hidden_bits_for(ts, n) + 1
+        ts = rng.trial_master_seed(seed, t)
+        assert stats.tests[t] == rng.hidden_bits_for(ts, n) + 1
         assert (words[t] == rng.role_words(rng.word_seeds(ts, 1), periods)).all()
 
 
@@ -317,10 +317,10 @@ def test_one_batch_runs_four_mixes(monkeypatch) -> None:
 
 
 def test_hidden_draw_keeps_first_word() -> None:
-    ts = exp.trial_master_seed(3, 0)
+    ts = rng.trial_master_seed(3, 0)
     for n in (1, 8, 64, 65, 200):
         low = rng.derive_seed(ts, 2 * n) & ((1 << min(n, 64)) - 1)
-        assert exp.hidden_bits_for(ts, n) & ((1 << 64) - 1) == low
+        assert rng.hidden_bits_for(ts, n) & ((1 << 64) - 1) == low
 
 
 def _assert_identification_batching_invariance(monkeypatch, m: int, n: int = 5) -> None:
@@ -404,7 +404,7 @@ def _brute_force_baseline_tests(trial_seed: int, n: int, periods: int) -> int:
     words = rng.role_words(rng.word_seeds(trial_seed, 1), periods)[:, 0]
     # noise-bit q + 1 is bit 63 - q of a role word and bit N - 1 - q of a catalog index
     differ = [int(lw ^ hw) >> (64 - n) for lw, hw in zip(*words)]
-    hidden = exp.hidden_bits_for(trial_seed, n)
+    hidden = rng.hidden_bits_for(trial_seed, n)
     for c in range(1 << n):
         if all(bin((c ^ hidden) & d).count("1") % 2 == 0 for d in differ):
             return c + 1
@@ -428,7 +428,7 @@ def test_baseline_first_word_matches_are_checked_on_every_word(monkeypatch, n, p
     monkeypatch.setattr(rng, "role_words", equal_roles_first_word)
     trials, seed = 12, 5
     stats = exp.run_baseline_trials(n, periods, trials, seed, keep_per_trial=True)
-    expect = [_brute_force_baseline_tests(exp.trial_master_seed(seed, t), n, periods)
+    expect = [_brute_force_baseline_tests(rng.trial_master_seed(seed, t), n, periods)
               for t in range(trials)]
     assert stats.tests.tolist() == expect
     # a first-word-only scan would stop every trial at the first candidate
@@ -440,8 +440,9 @@ def test_differ_columns_pack_scalar_signs(periods: int) -> None:
     # row q holds noise-bit q + 1's carriers-differ sequence, period k at
     # bit k % 32 of uint32 word k // 32; bits past the last period stay clear
     seeds = np.array([rng.derive_seed(77, i) for i in range(3)], dtype=np.uint64)
+    tag_seeds = np.stack([rng.word_seeds(seed, 1) for seed in seeds.tolist()])
     for n in (1, 5, 28):
-        columns = exp._differ_columns(rng.word_seeds(seeds, 1), n, periods)
+        columns = exp._differ_columns(tag_seeds, n, periods)
         assert columns.dtype == np.uint32 and columns.shape == (3, n, -(-periods // 32))
         for t, ts in enumerate(int(s) for s in seeds):
             for q in range(n):

@@ -13,7 +13,8 @@ from rtwlogic import algebra as alg
 from rtwlogic import identify as idf
 from rtwlogic import rtw
 from rtwlogic import signal as sig
-from rtwlogic.experiments import hidden_bits_for, identification_trial_exact, trial_master_seed
+from rtwlogic.experiments import identification_trial_exact
+from rtwlogic.rng import hidden_bits_for, trial_master_seed
 
 # ------------------------------------------------------------- error math
 

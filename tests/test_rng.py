@@ -81,6 +81,11 @@ def _trial_seeds(count: int) -> np.ndarray:
     return np.array([rng.derive_seed(77, i) for i in range(count)], dtype=np.uint64)
 
 
+def _word_seeds(seeds: np.ndarray, n_words: int) -> np.ndarray:
+    """(trials, 2, n_words) tag seeds: one rng.word_seeds draw per trial seed, stacked."""
+    return np.stack([rng.word_seeds(seed, n_words) for seed in seeds.tolist()])
+
+
 def _role_word_bits(neg: np.ndarray) -> np.ndarray:
     """(trials, 2 * 64W, P) booleans as (trials, 2, W, P) role words, one bit at a time."""
     trials, streams, periods = neg.shape
@@ -99,16 +104,13 @@ def test_sign_planes_match_tensor_and_scalar_signs(bits: int, periods: int) -> N
     n_words = -(-bits // 64)
     for trials in (1, 4):
         seeds = _trial_seeds(trials)
-        words = rng.role_words(rng.word_seeds(seeds, n_words), periods)
+        words = rng.role_words(_word_seeds(seeds, n_words), periods)
         assert words.dtype == np.uint64
         assert words.shape == (trials, 2, n_words, periods)
         # the bits past noise-bit N hold the signs of the next noise-bits
         assert (words == _role_word_bits(rng.sign_tensor(seeds, 128 * n_words, periods) < 0)).all()
-        # the first, middle and last noise-bit of the last trial, scalar
-        # path, and that trial's words drawn from its one seed
+        # the first, middle and last noise-bit of the last trial, scalar path
         t = trials - 1
-        one = rng.role_words(rng.word_seeds(int(seeds[t]), n_words), periods)
-        assert (one == words[t]).all()
         for q in sorted({0, (bits - 1) // 2, bits - 1}):
             for role in (0, 1):
                 for k in range(periods):
@@ -121,7 +123,7 @@ def test_sign_planes_chunking_invariance(monkeypatch) -> None:
     cases = [(3, 9), (3, 130), (130, 3), (130, 130)]
 
     def draw(bits: int, periods: int, start_period: int = 0) -> np.ndarray:
-        return rng.role_words(rng.word_seeds(seeds, -(-bits // 64)), periods, start_period)
+        return rng.role_words(_word_seeds(seeds, -(-bits // 64)), periods, start_period)
 
     whole = [draw(bits, periods) for bits, periods in cases]
     # the role words (5 trials, 2 roles, 1 or 3 words, 3 to 130 periods)
@@ -188,33 +190,60 @@ def test_derive_seed_np_mirrors_nested_tags(seed: int) -> None:
 
 
 def test_word_seeds_agree_on_both_sides_of_the_scalar_cut() -> None:
-    # up to _SCALAR_WORDS words one seed's tag seeds are Python ints, past
-    # it and for a seed vector they come from derive_seed_np
-    seeds = _trial_seeds(3)
-    for w in (0, 1, rng._SCALAR_WORDS, rng._SCALAR_WORDS + 1):
-        vec = rng.word_seeds(seeds, w)
-        assert vec.dtype == np.uint64 and vec.shape == (3, 2, w)
-        for t, seed in enumerate(seeds.tolist()):
+    # up to _SCALAR_WORDS words a seed's tag seeds are Python ints, past it
+    # they come from derive_seed_np; a negative seed folds as seed mod 2^64
+    for seed in (*_trial_seeds(3).tolist(), -5):
+        for w in (0, 1, rng._SCALAR_WORDS, rng._SCALAR_WORDS + 1):
             one = rng.word_seeds(seed, w)
-            assert one.dtype == np.uint64 and (one == vec[t]).all()
+            assert one.dtype == np.uint64 and one.shape == (2, w)
             expected = [[rng.derive_seed(seed, 2 * g + role) for g in range(w)] for role in (0, 1)]
             assert one.tolist() == expected
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2**63, 2**64 - 1, -5])
-def test_trial_tag_seeds_fold_the_scalar_chain(seed: int) -> None:
+def test_trial_draws_fold_the_scalar_chain(seed: int) -> None:
     # 7 trials in batches of 3; a negative seed folds as seed mod 2^64
-    tags = [0, 1, 2, 3, 40]
-    for last_words in (1, 3):
-        batches = list(rng.trial_tag_seeds(seed, 7, 3, np.array(tags), last_words))
-        assert [start for start, _ in batches] == [0, 3, 6]
-        rows = np.concatenate([seeds for _, seeds in batches])
-        assert rows.dtype == np.uint64 and rows.shape == (7, len(tags) + last_words - 1)
-        for t, row in enumerate(rows.tolist()):
-            ts = rng.derive_seed(seed & rng.MASK64, t)
-            assert ts == rng.derive_seed(seed, t)
-            nested = [rng.derive_seed(ts, tags[-1], w) for w in range(1, last_words)]
-            assert row == [rng.derive_seed(ts, tag) for tag in tags] + nested
+    for n in (1, 14, 63, 64, 65, 128, 130):
+        w = rng.num_words(n)
+        batches = list(rng.trial_draws(seed, n, 7, 3))
+        assert [start for start, _, _ in batches] == [0, 3, 6]
+        tag_seeds = np.concatenate([tags for _, tags, _ in batches])
+        hidden = np.concatenate([words for _, _, words in batches])
+        assert tag_seeds.dtype == hidden.dtype == np.uint64
+        assert tag_seeds.shape == (7, 2, w) and hidden.shape == (7, w)
+        for t in range(7):
+            ts = rng.trial_master_seed(seed, t)
+            assert ts == rng.derive_seed(seed & rng.MASK64, t)
+            assert (tag_seeds[t] == rng.word_seeds(ts, w)).all()
+            nested = [rng.derive_seed(ts, 2 * n, v) for v in range(1, w)]
+            assert hidden[t].tolist() == [rng.derive_seed(ts, 2 * n)] + nested
+            value = sum(int(word) << (64 * v) for v, word in enumerate(hidden[t]))
+            assert value & ((1 << n) - 1) == rng.hidden_bits_for(ts, n)
+
+
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 127, 128, 129, 1024])
+def test_role_order_round_trips_and_places_each_noise_bit(n: int) -> None:
+    w = rng.num_words(n)
+    values = [0, (1 << n) - 1, 1, 1 << (n - 1), rng.draw_bits(3, 0, n), rng.draw_bits(4, 0, n)]
+
+    def words(value: int) -> list[int]:  # word 0 lowest, as trial_draws yields them
+        return [value >> (64 * v) & rng.MASK64 for v in range(w)]
+
+    laid = rng.role_order(np.array([words(v) for v in values], dtype=np.uint64), n)
+    assert laid.dtype == np.uint64 and laid.shape == (len(values), w)
+    assert [int(v) for v in rng.role_order_ints(laid, n)] == values
+    # noise-bit q + 1 is value bit N - 1 - q, and lands alone at bit
+    # 63 - q % 64 of word q // 64, where sign_at reads its carriers
+    seed = 2**64 - 3
+    drawn = rng.role_words(rng.word_seeds(seed, w), 2)
+    for q in sorted({0, 1, n // 2, 62, 63, 64, n - 2, n - 1} & set(range(n))):
+        one = rng.role_order(np.array(words(1 << (n - 1 - q)), dtype=np.uint64), n)
+        expect = [1 << (63 - q % 64) if v == q // 64 else 0 for v in range(w)]
+        assert one.tolist() == expect
+        for role in (0, 1):
+            for k in range(2):
+                neg = bool((drawn[role, :, k] & one).any())
+                assert neg == (rng.sign_at(seed, 2 * q + role, k) < 0)
 
 
 # a stream-statistics check fails only when its statistic lies in a tail
@@ -279,7 +308,7 @@ _EDGE_BITS = (31, 32, 33, 34, 64, 65, 66)
 @pytest.mark.parametrize("bits", [34, 66, 130])
 def test_draws_match_sign_at_at_edge_bits(bits: int) -> None:
     seeds, periods = _trial_seeds(3), 5
-    by_role = rng.role_words(rng.word_seeds(seeds, -(-bits // 64)), periods)
+    by_role = rng.role_words(_word_seeds(seeds, -(-bits // 64)), periods)
     for t, ts in enumerate(int(s) for s in seeds):
         matrix = rng.sign_matrix(ts, 2 * bits, periods)
         for r in (r for r in _EDGE_BITS if r <= bits):

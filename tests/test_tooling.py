@@ -9,8 +9,9 @@ or lambda takes a parameter it never reads, no private module-level
 function or method goes without a caller in the package, every public
 draw of `rng` has a caller in the package or is traced, the Monte
 Carlo engines in `experiments` read no `rng.sign_*` draw, no module but
-`rng` names a SplitMix64 primitive, and each of the memory counts of
-`experiments` is used by one call that both sizes and refuses.
+`rng` names a SplitMix64 primitive or derives a seed from more than one
+tag, and each of the memory counts of `experiments` is used by one call
+that both sizes and refuses.
 """
 
 from __future__ import annotations
@@ -308,6 +309,50 @@ def test_primitive_check_sees_attributes_and_imports() -> None:
     assert sorted(_primitive_references(tree)) == [
         ("_GAMMA", 4), ("_MIX1", 5), ("_NP_GAMMA", 5), ("_fold", 6), ("_mix", 3), ("mix64", 2)
     ]
+
+
+def _multi_tag_seeds(tree: ast.Module) -> list[int]:
+    """Line of each derive_seed call, by name or as an attribute, with more than one tag.
+
+    A starred argument may hold any number of tags, so it counts as more.
+    """
+    lines = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        tags = node.args[1:]
+        if name == "derive_seed" and (
+            len(tags) > 1 or any(isinstance(tag, ast.Starred) for tag in tags)
+        ):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_only_rng_derives_a_seed_from_more_than_one_tag() -> None:
+    # a seed chain (a trial's tag seeds, a hidden string's nested words) is
+    # stated once, in rng; other modules take sub-seeds of one tag each
+    found = [
+        f"{module}:{line} calls derive_seed with more than one tag"
+        for module, tree in _package_trees().items()
+        if module != "rng.py"
+        for line in _multi_tag_seeds(tree)
+    ]
+    assert not found, "\n".join(found)
+
+
+def test_multi_tag_check_sees_names_attributes_and_starred_tags() -> None:
+    tree = ast.parse(
+        "from .rng import derive_seed\n"
+        "a = rng.derive_seed(seed, 2 * n)\n"
+        "b = rng.derive_seed(seed, tag, w)\n"
+        "c = derive_seed(seed, t, 0, k)\n"
+        "d = derive_seed(seed, *tags)\n"
+        "e = other.derive_seed_np(seed, 1, 2)\n"
+        "f = derive_seed(seed)\n"
+    )
+    assert _multi_tag_seeds(tree) == [3, 4, 5]
 
 
 # the one memory rule of `experiments`: the batch helper refuses work above
