@@ -279,11 +279,16 @@ def _shared(num: int, den: int) -> Fraction:
     """The one `Fraction(num, den)` every evaluator returns for this key.
 
     Equal values from one evaluator share a single object across calls,
-    traces and runs, and the gcd normalisation runs once per distinct
-    value.  The cache holds at most _SHARED_VALUES = 1024 entries, each
-    about 330 bytes while num and den fit in 64 bits (CPython 3.11), so
-    about 340 KB in the worst case; larger integers add about twice
-    their own size per entry (the key and the reduced value).
+    traces and runs while their key is cached, and the gcd normalisation
+    runs once per distinct value.  A key evicted and asked for again gets
+    a new, equal object.  So callers may group values by identity rather
+    than by hash (hashing a `Fraction` computes a modular inverse on every
+    call): a grouping that keeps each object alive, so that no id is
+    reused, is exact either way, and equal values that are not shared only
+    form extra groups.  The cache holds at most _SHARED_VALUES = 1024
+    entries, each about 330 bytes while num and den fit in 64 bits
+    (CPython 3.11), so about 340 KB in the worst case; larger integers add
+    about twice their own size per entry (the key and the reduced value).
     """
     return Fraction(num, den)
 
@@ -307,7 +312,9 @@ def evaluator(
 
     Evaluation runs on integers over one common denominator fixed when
     the evaluator is built, and each value is returned as the shared
-    `Fraction` of `_shared`, so equal values are one object.
+    `Fraction` of `_shared`, so equal values are one object while cached.
+    Grouping the values by identity before any `Fraction` arithmetic is
+    exact whether or not they are (see `_shared`).
     """
     lam = check_lambda(lam)
     if isinstance(s, ProductString):

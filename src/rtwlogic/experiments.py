@@ -725,10 +725,16 @@ def amplitude_range_experiment(
 
     Exhaustive mode (num_bits <= 6) walks all 2^(2N) sign assignments
     through `algebra.evaluator` and must attain (1-lambda)^N and
-    (1+lambda)^N exactly, with nothing outside; Monte Carlo mode samples
-    periods and must stay inside.  |readout| grows with the agreement count
-    a, so Monte Carlo mode reads `algebra.agreement_law` exactly at the
-    smallest and largest a of the zero_prob_engine histogram.
+    (1+lambda)^N exactly, with nothing outside.  The evaluator returns one
+    shared object per distinct value, so the columns are grouped by object
+    identity first and each distinct value is compared once; `samples`
+    still counts every column.  Monte Carlo mode samples periods and must
+    stay inside.  |readout| grows with the agreement count a, so Monte
+    Carlo mode reads `algebra.agreement_law` exactly at the smallest and
+    largest a of the zero_prob_engine histogram.  Its bounds check cannot
+    fail, since every (1+lambda)^a (1-lambda)^(N-a) lies within the
+    bounds; it stays so until the report checks the histogram against its
+    binomial law.
     """
     lam = check_lambda(lam)
     if num_bits < 1:
@@ -750,7 +756,11 @@ def amplitude_range_experiment(
     if exhaustive:
         value = evaluator(uniform_superposition(num_bits), lam)
         columns = iter_product((-1, 1), repeat=2 * num_bits)
-        values = [abs(value(column)) for column in columns]
+        # one entry per shared value object; the dict keeps each alive, so
+        # no id is reused, and equal values that are not shared only add
+        # entries
+        distinct = {id(v): v for v in map(value, columns)}
+        values = [abs(v) for v in distinct.values()]
     else:
         seen = np.flatnonzero(zero_prob_engine(num_bits, trials, seed)).tolist()
         _, law = agreement_law(uniform_superposition(num_bits), lam)
@@ -778,7 +788,7 @@ def amplitude_range_experiment(
             "min_attained": v_min == t_min,
             "max_attained": v_max == t_max,
             "all_within_bounds": within,
-            "samples": len(values) if exhaustive else trials,
+            "samples": 4**num_bits if exhaustive else trials,
         },
         theoretical={"min_abs": t_min, "max_abs": t_max},
         passed=passed,
@@ -1081,10 +1091,20 @@ def not_gate_demo(
     readout = evaluator(uni, lam)
     hl = selection_evaluator([(target_bit, "H"), (target_bit, "L")], lam)
     symbolic = evaluator(notted_factored, lam)
-    # one pass over the periods: nothing per period outlives its column
-    agree = sum(
-        readout(column) * hl(column) == symbolic(column) for column in refs.period_columns()
-    )
+    # one pass over the periods, counted per identity triple of the three
+    # shared values, then one exact r * h == s per distinct triple.  The
+    # dict keeps each triple's objects alive, so no id is reused; its
+    # entries are the distinct value triples, O(N) of them, so nothing per
+    # period outlives its column
+    groups: dict[tuple[int, int, int], list] = {}
+    for column in refs.period_columns():
+        r, h, s = readout(column), hl(column), symbolic(column)
+        key = id(r), id(h), id(s)
+        if key in groups:
+            groups[key][3] += 1
+        else:
+            groups[key] = [r, h, s, 1]
+    agree = sum(n for r, h, s, n in groups.values() if r * h == s)
     waveform_ok = agree == periods
 
     passed = permutation_ok and factored_matches and waveform_ok

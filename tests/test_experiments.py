@@ -8,6 +8,7 @@ route breaks the agreement.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import math
 import tracemalloc
@@ -729,6 +730,25 @@ def test_amplitude_range_exhaustive_exact() -> None:
     assert r.observed["all_within_bounds"]
 
 
+
+@pytest.mark.parametrize("lam", [Fraction(1, 3), Fraction(1, 2), Fraction(1)])
+def test_amplitude_range_exhaustive_matches_brute_force_scan(lam: Fraction) -> None:
+    # the report compares each distinct shared value once; a scan of every
+    # column's |readout| must read the same, lambda = 1 with its zero minimum
+    for n in range(1, 7):
+        value = alg.evaluator(alg.uniform_superposition(n), lam)
+        values = [abs(value(c)) for c in itertools.product((-1, 1), repeat=2 * n)]
+        lo, hi = (1 - lam) ** n, (1 + lam) ** n
+        r = exp.amplitude_range_experiment(n, lam, exhaustive=True)
+        assert r.observed["min_abs"] == min(values)
+        assert r.observed["max_abs"] == max(values)
+        assert r.observed["min_attained"] == (min(values) == lo)
+        assert r.observed["max_attained"] == (max(values) == hi)
+        within = all(lo <= v <= hi for v in values)
+        assert r.observed["all_within_bounds"] == within
+        assert r.passed == (within and min(values) == lo and max(values) == hi)
+        assert r.observed["samples"] == len(values) == 4**n
+
 def test_amplitude_range_monte_carlo_stays_inside() -> None:
     r = exp.amplitude_range_experiment(8, "1/2", exhaustive=False, trials=3000, seed=2)
     assert r.passed
@@ -1008,6 +1028,37 @@ def test_not_gate_expanded_route_matches_waveform() -> None:
                     assert v * hl(column) == expanded(column) == factored(column)
                 r = exp.not_gate_demo(n, lam, target, periods=periods, seed=n + target)
                 assert r.passed and r.observed["readouts_agreeing"] == periods
+
+
+@pytest.mark.parametrize("lam", [Fraction(1, 3), Fraction(1, 2), Fraction(1)])
+@pytest.mark.parametrize("n", [1, 3, 8])
+def test_not_gate_demo_counts_periods_not_groups(monkeypatch, n: int, lam: Fraction) -> None:
+    # H_r * L_r negated, as a shared value, on the columns whose last sign
+    # (A_N) is -1: the demo groups periods by value identity, and
+    # readouts_agreeing must still count the periods that agree
+    selection_evaluator = alg.selection_evaluator
+
+    def negated_on_subset(picks, lam):
+        hl = selection_evaluator(picks, lam)
+
+        def value(column):
+            v = hl(column)
+            return alg._shared(-v.numerator, v.denominator) if column[-1] < 0 else v
+
+        return value
+
+    monkeypatch.setattr(exp, "selection_evaluator", negated_on_subset)
+    periods, seed, target = 3000, 5, (n + 1) // 2
+    r = exp.not_gate_demo(n, lam, target, periods=periods, seed=seed)
+    uni = alg.uniform_superposition(n)
+    readout = alg.evaluator(uni, lam)
+    hl = negated_on_subset([(target, "H"), (target, "L")], lam)
+    symbolic = alg.evaluator(alg.apply_not(uni, target, lam), lam)
+    refs = rtw.build_reference_system(seed, n, periods, lam)
+    agree = sum(readout(c) * hl(c) == symbolic(c) for c in refs.period_columns())
+    assert agree < periods
+    assert r.observed["readouts_agreeing"] == agree
+    assert not r.passed
 
 
 # not_gate_demo's tracemalloc peak read 0.68, 0.59 and 0.99 of
