@@ -23,11 +23,15 @@ role-word tag seeds and hidden words from rng.trial_draws, and their
 exact twins read the same trial from rng.trial_master_seed and
 rng.hidden_bits_for, so no trial's seed tag is stated here.
 Identification decides every bit with a few word operations per period.
+Every set bit the engines count, they count with np.bitwise_count (numpy
+>= 2.0), one count per uint64 word, summed over words as integers; it
+also locates identification's last decision, as the count of the zeros
+below the lowest set bit of a word.
 A period's |readout| of the uniform superposition depends only on how
 many bits' two carriers agree, and two product strings' readouts differ
 at lambda = 1 when an odd number of the bits where they differ have
 disagreeing carriers, so `zero-prob`, Monte Carlo `range` and the
-mismatch rate read one popcount of L ^ H under a mask per period, drawn
+mismatch rate read one bit count of L ^ H under a mask per period, drawn
 in bounded chunks, with no per-period Fraction.  The baseline compares
 whole readout sequences by the same law: it transposes each bit's L ^ H
 into one bit per period of uint32 words and keeps its scan exhaustive,
@@ -215,17 +219,26 @@ def _batch_trials(what: str, bytes_per_trial: int) -> int:
 
 
 def _period_bytes(num_bits: int) -> int:
-    """Bytes one period of _carriers_differing holds: 8 words of W = ceil(N/64) (see there)."""
-    return 64 * rng.num_words(num_bits)
+    """Bytes one period of _carriers_differing holds, W = ceil(N/64): 30W + 16.
+
+    Its two role words and their masked XOR, which takes its own bit
+    counts in place, hold 24W, the draw's period index and the per-period
+    sum 8 bytes each.  The other 6W bound one chunk's numpy scratch as a
+    share of each of its periods: rng's mix scratch, at most the size of
+    the words it draws, while the XOR and the sum do not yet exist, and
+    the broadcast buffer of the mask after.
+    """
+    return 30 * rng.num_words(num_bits) + 16
 
 
 def _carriers_differing(seed: int, num_bits: int, periods: int, mask: int) -> Iterator[np.ndarray]:
     """Per period, how many bits of a bits-integer mask have carriers of opposite sign.
 
     A bit's carriers differ where its bits in the period's two
-    rng.role_words do, so this is the popcount of (L ^ H) & mask in role
-    order.  A period holds its two role words, their XOR, the masked XOR and
-    four SWAR popcount temporaries: _period_bytes, which sizes the chunks.
+    rng.role_words do, so this is the number of set bits of (L ^ H) & mask
+    in role order: np.bitwise_count of each masked word, written back over
+    it, summed over the period's W words as integers.  _period_bytes
+    counts what a period holds and sizes the chunks.
     """
     n_words = rng.num_words(num_bits)
     chunk = _batch_trials(f"one period of {num_bits} bits", _period_bytes(num_bits))
@@ -233,7 +246,9 @@ def _carriers_differing(seed: int, num_bits: int, periods: int, mask: int) -> It
     seeds = rng.word_seeds(seed, n_words)
     for start in range(0, periods, chunk):
         words = rng.role_words(seeds, min(chunk, periods - start), start)
-        yield _popcounts((words[0] ^ words[1]) & role_mask[:, None]).sum(axis=0)
+        differ = words[0] ^ words[1]
+        differ &= role_mask[:, None]
+        yield np.bitwise_count(differ, out=differ).sum(axis=0)
 
 
 def zero_prob_engine(num_bits: int, trials: int, seed: int) -> np.ndarray:
@@ -289,18 +304,6 @@ class IdentificationTrialStats:
 
 
 _ONE = np.uint64(1)
-_M1 = np.uint64(0x5555555555555555)
-_M2 = np.uint64(0x3333333333333333)
-_M4 = np.uint64(0x0F0F0F0F0F0F0F0F)
-_H01 = np.uint64(0x0101010101010101)
-
-
-def _popcounts(words: np.ndarray) -> np.ndarray:
-    """Set bits of each uint64 word, by SWAR (np.bitwise_count needs numpy >= 2.0)."""
-    x = words - ((words >> _ONE) & _M1)
-    x = (x & _M2) + ((x >> np.uint64(2)) & _M2)
-    x = (x + (x >> np.uint64(4))) & _M4
-    return (x * _H01) >> np.uint64(56)
 
 
 def _identification_trial_bytes(num_bits: int, max_periods: int) -> int:
@@ -359,12 +362,14 @@ def run_identification_trials(
     bits past noise-bit N masked; a prefix-OR over the periods marks each
     bit's first event, where it is decided, L before H within a period.
     The last decision is the highest noise-bit, the lowest set bit of the
-    last non-zero word, of the last period with a new decision.  The
-    observed flips are derived from the hidden string, so
-    the decided value is hidden & decided for any sign words, and the
-    three soundness counts (wrong complete trials, wrong decided bits,
-    contradicting events) are zero unless the lines that compute them
-    break; they cannot catch a flaw in the decision rule.  The evidence
+    last non-zero word x, of the last period with a new decision:
+    x & (~x + 1) isolates that bit, and np.bitwise_count of it minus one,
+    the zeros below it, gives its position.  The observed flips are
+    derived from the hidden string, so the decided value is
+    hidden & decided for any sign words, and the three soundness counts
+    (wrong complete trials, and np.bitwise_count sums of wrong decided
+    bits and contradicting events) are zero unless the lines that compute
+    them break; they cannot catch a flaw in the decision rule.  The evidence
     for the rule is that aggregates match the tick-scanning reference
     identifier, tsinbl_identify, trial for trial (see the unit tests).
     _identification_trial_bytes sizes the batches; results do not depend on it.
@@ -414,11 +419,11 @@ def run_identification_trials(
         decided = seen[-1]
         # every event of the window is checked against the decided value
         against = (chosen & ((s_l & u_l) | (s_h ^ u_h))) | (~chosen & ((s_l ^ u_l) | u_h))
-        contradictions += int(_popcounts(np.bitwise_or.reduce(against, axis=0)).sum())
+        contradictions += int(np.bitwise_count(np.bitwise_or.reduce(against, axis=0)).sum())
 
         complete = (decided == full).all(axis=1)
         wrong = chosen ^ hidden
-        wrong_decided_bits += int(_popcounts(wrong & decided).sum())
+        wrong_decided_bits += int(np.bitwise_count(wrong & decided).sum())
         wrong_complete += int((complete & (wrong != 0).any(axis=1)).sum())
         complete_trials += int(complete.sum())
         undecided_trials += int(b - complete.sum())
@@ -430,8 +435,9 @@ def run_identification_trials(
         w = n_words - 1 - np.argmax(last_new[:, ::-1] != 0, axis=1)
         low = last_new[rows, w]
         low &= ~low + _ONE
-        # noise-bit q + 1 sits at bit 63 - q % 64 of word q // 64
-        q = 64 * w + 64 - np.frexp(low.astype(np.float64))[1]
+        # noise-bit q + 1 sits at bit 63 - q % 64 of word q // 64, and the
+        # lowest set bit's position is the count of the zeros below it
+        q = 64 * w + 63 - np.bitwise_count(low - _ONE)
         is_h = (s_l[last, rows, w] & low) == 0
         # the decision tick is (last+1)*2N + slot 2q + is_h
         t_obs = np.where(complete, last * spp + 2 * q + is_h + 1, m * spp)
@@ -827,8 +833,8 @@ def resolution_experiment(num_bits: int, lam: Fraction | str) -> ExperimentRepor
 
 def _identification_verdict(
     budget: ErrorBudget, trials: int, seed: int
-) -> tuple[IdentificationTrialStats, float, bool, bool]:
-    """Run and judge a budget's trials: (stats, three sigma, rate ok, sound).
+) -> tuple[IdentificationTrialStats, Fraction, float, bool, bool]:
+    """Run and judge a budget's trials: (stats, clamped bound, three sigma, rate ok, sound).
 
     The rate check: the undecided rate is at most the clamped union bound
     plus three binomial sigmas, 0 when the bound is 1.  The soundness
@@ -836,14 +842,15 @@ def _identification_verdict(
     contradiction.
     """
     stats = run_identification_trials(budget.num_bits, budget.max_periods, trials, seed)
-    p = float(budget.clamped_epsilon)
+    bound = budget.clamped_epsilon
+    p = float(bound)
     tol = three_sigma(p, trials) if p < 1 else 0.0
     sound = (
         stats.wrong_complete_trials == 0
         and stats.wrong_decided_bits == 0
         and stats.contradictions == 0
     )
-    return stats, tol, stats.undecided_rate <= p + tol, sound
+    return stats, bound, tol, stats.undecided_rate <= p + tol, sound
 
 
 def identification_experiment(
@@ -869,7 +876,7 @@ def identification_experiment(
         budget = ErrorBudget.from_epsilon(num_bits, epsilon)
     else:
         budget = ErrorBudget.from_periods(num_bits, max_periods)
-    stats, tol, rate_ok, sound = _identification_verdict(budget, trials, seed)
+    stats, bound, tol, rate_ok, sound = _identification_verdict(budget, trials, seed)
     parameters: dict[str, object] = {
         "bits": num_bits,
         "trials": trials,
@@ -888,8 +895,8 @@ def identification_experiment(
         "mean_periods_used": stats.mean_periods_used,
     }
     theoretical: dict[str, object] = {
-        "undecided_bound": budget.clamped_epsilon,
-        "undecided_bound_float": float(budget.clamped_epsilon),
+        "undecided_bound": bound,
+        "undecided_bound_float": float(bound),
         "three_sigma": tol,
         "budget_ticks": budget.ticks,
     }
@@ -949,7 +956,7 @@ def identification_benchmark(
     for budget in budgets:
         n = budget.num_bits
         t0 = time.perf_counter()
-        stats, _, rate_ok, sound = _identification_verdict(
+        stats, _, _, rate_ok, sound = _identification_verdict(
             budget, trials, rng.derive_seed(seed, 2 * n)
         )
         dt = time.perf_counter() - t0

@@ -219,7 +219,7 @@ def role_order(words: np.ndarray, num_bits: int) -> np.ndarray:
     rev = words[..., ::-1]
     shift = np.uint64(64 * words.shape[-1] - num_bits)
     out = rev << shift
-    if shift:
+    if shift and words.shape[-1] > 1:  # each word but the last takes the next one's top bits
         out[..., :-1] |= rev[..., 1:] >> (np.uint64(64) - shift)
     return out
 

@@ -298,7 +298,7 @@ def test_reference_memory_cap_exits_two(monkeypatch, capsys) -> None:
 
     monkeypatch.setattr(rng, "sign_matrix", no_signs)
     monkeypatch.setattr(rng, "role_words", no_signs)
-    for argv in (["range", "--bits", "268435457", "--trials", "1"],
+    for argv in (["range", "--bits", "572662273", "--trials", "1"],
                  ["not-demo", "--bits", "1", "--periods", "100000000"]):
         rc, out, err = _run(capsys, argv)
         assert rc == 2, argv

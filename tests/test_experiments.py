@@ -58,9 +58,9 @@ def test_sign_chunk_engines_batching_invariance(monkeypatch) -> None:
     n, periods, seed = 3, 100, 4
     whole_count = exp.zero_prob_engine(n, periods, seed)
     whole_mismatch = exp.mismatch_rate_engine(n, periods, seed)
-    # both engines hold _period_bytes(3) = 64 bytes per period: chunks of 21
+    # both engines hold _period_bytes(3) = 46 bytes per period: chunks of 21
     # periods, the last one of 16, and no sign_matrix
-    monkeypatch.setattr(exp, "_ENGINE_BATCH_BYTES", exp._UFUNC_BUFFER_BYTES + 64 * 21 + 5)
+    monkeypatch.setattr(exp, "_ENGINE_BATCH_BYTES", exp._UFUNC_BUFFER_BYTES + 46 * 21 + 5)
     drawn: dict[str, list[int]] = {"role_words": [], "sign_matrix": []}
 
     role_words, sign_matrix = rng.role_words, rng.sign_matrix
@@ -223,6 +223,39 @@ def test_identification_engine_matches_exact_trials_decided_late(monkeypatch) ->
     # released
     assert (stats.periods_used[stats.complete] > 64).any()
     _assert_trials_match(stats, n, exact_trial)
+
+
+@pytest.mark.parametrize("event", ["L", "H"])
+@pytest.mark.parametrize("bit", [1, 64, 65, 128])
+def test_last_decision_at_role_word_edges(monkeypatch, bit: int, event: str) -> None:
+    # every noise-bit but one switches both carriers at the first window
+    # period; that one holds until period 3 and then switches only its L or
+    # only its H carrier, so it is every trial's last decision, at bit 63 or
+    # bit 0 of role word 0 or 1.  The other L carriers switch again at
+    # period 3, so that period's L events are not the last decision's alone
+    n, m, trials, seed, late = 128, 4, 6, 7, 3
+    q = bit - 1
+    role_words = rng.role_words
+
+    def edge_words(seeds, num_periods, start_period=0):
+        # a function of the (role, word) axes and the period alone, so the
+        # engine and the exact path's sign_matrix read the same signs
+        start = role_words(seeds, 1)  # (..., 2, W, 1): the period-0 words
+        k = np.arange(start_period, start_period + num_periods)
+        held = np.zeros(start.shape[-3:], dtype=np.uint64)
+        held[:, q // 64] = np.uint64(1 << (63 - q % 64))
+        again = ~held
+        again[1] = 0
+        again[int(event == "H")] |= held[0]
+        return start ^ np.where(k >= 1, ~held, 0) ^ np.where(k >= late, again, 0)
+
+    monkeypatch.setattr(rng, "role_words", edge_words)
+    stats = exp.run_identification_trials(n, m, trials, seed, keep_per_trial=True)
+    assert stats.complete_trials == trials
+    assert (stats.periods_used == late).all()
+    # the decision tick is slot 2q of the last period, one later for an H event
+    assert ((stats.ticks_observed - 1) % (2 * n) == 2 * q + (event == "H")).all()
+    _assert_trials_match(stats, n, lambda i: exp.identification_trial_exact(seed, i, n, m))
 
 
 def test_hidden_strings_cover_every_bit_above_64(monkeypatch) -> None:
@@ -883,7 +916,7 @@ def test_identification_memory_cap_counts_plane_bytes_at_one_bit(monkeypatch) ->
 
 # a full batch's tracemalloc peak per trial read 0.91, 0.92 and 0.89 of the
 # identification count at (N, M) = (16, 7), (64, 8) and (1024, 10), and a
-# full chunk's peak per period 0.88, 0.88 and 0.89 of _period_bytes at N =
+# full chunk's peak per period 0.87, 0.84 and 0.88 of _period_bytes at N =
 # 20, 1000 and 20000 (numpy 2.4.6, Python 3.11.7); the checks let a count
 # overstate the peak by up to this factor, and no more, so that it stays a
 # count of what the engine holds
@@ -924,10 +957,10 @@ def test_reference_memory_refused_before_allocating(monkeypatch) -> None:
 
     monkeypatch.setattr(rng, "sign_matrix", no_signs)
     monkeypatch.setattr(rng, "role_words", no_signs)
-    # range holds 64 * ceil(N/64) bytes a period, just over 2^28 here; the
-    # refusal comes before (1+lambda)^N is built
+    # range holds 30 * ceil(N/64) + 16 bytes a period, just over 2^28 here;
+    # the refusal comes before (1+lambda)^N is built
     with pytest.raises(ValueError, match="capped at"):
-        exp.amplitude_range_experiment(268_435_457, "1/2", trials=1)
+        exp.amplitude_range_experiment(572_662_273, "1/2", trials=1)
     # not-demo holds 2 bytes a sign of its (2N, P) reference system (int8
     # signs, one bool temporary of the +-1 check): 4 * 10^8 here
     with pytest.raises(ValueError, match="capped at"):
@@ -935,12 +968,12 @@ def test_reference_memory_refused_before_allocating(monkeypatch) -> None:
 
 
 def test_reference_memory_cap_boundary(monkeypatch) -> None:
-    # range holds _period_bytes(N) = 64 * ceil(N/64) bytes per period,
+    # range holds _period_bytes(N) = 30 * ceil(N/64) + 16 bytes per period,
     # whatever the trial count; not-demo's one count grows with its periods
-    monkeypatch.setattr(exp, "ENGINE_TRIAL_BYTES_CAP", 64)
+    monkeypatch.setattr(exp, "ENGINE_TRIAL_BYTES_CAP", 46)
     assert exp.amplitude_range_experiment(64, "1/2", trials=5).observed["samples"] == 5
     assert exp.amplitude_range_experiment(7, "1/2", trials=500).observed["samples"] == 500
-    with pytest.raises(ValueError, match="128 bytes; capped at 64"):
+    with pytest.raises(ValueError, match="76 bytes; capped at 46"):
         exp.amplitude_range_experiment(65, "1/2", trials=1)
     monkeypatch.setattr(exp, "ENGINE_TRIAL_BYTES_CAP", exp._not_demo_bytes(1, 5))
     assert exp.not_gate_demo(1, "1/2", 1, periods=5).passed

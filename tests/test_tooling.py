@@ -11,18 +11,22 @@ draw of `rng` has a caller in the package or is traced, the Monte
 Carlo engines in `experiments` read no `rng.sign_*` draw, no module but
 `rng` names a SplitMix64 primitive or derives a seed from more than one
 tag, and each of the memory counts of `experiments` is used by one call
-that both sizes and refuses.
+that both sizes and refuses.  The CI job that tests the oldest numpy the
+package accepts pins the floor that `pyproject.toml` states.
 """
 
 from __future__ import annotations
 
 import ast
 import importlib
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACER = ROOT / "perfbench" / "tracer.py"
 PACKAGE = ROOT / "src" / "rtwlogic"
+PYPROJECT = ROOT / "pyproject.toml"
+WORKFLOW = ROOT / ".github" / "workflows" / "tests.yml"
 
 
 def _assigned_literal(tree: ast.Module, name: str):
@@ -426,4 +430,53 @@ def test_memory_rule_check_sees_second_refusals_and_literal_counts() -> None:
         "'run_identification_trials']",
         "run_baseline_trials calls _batch_trials 2 times",
         "run_baseline_trials sizes a batch by a count no *_bytes function states",
+    ]
+
+
+# the comment above the CI matrix entry that installs the oldest numpy
+_OLDEST_NUMPY = "# the oldest numpy that pyproject.toml accepts"
+
+
+def _numpy_floor_breaches(pyproject: str, workflow: str) -> list[str]:
+    """Where pyproject.toml's numpy floor and the CI entry that pins it disagree.
+
+    The floor is the one `"numpy>=X"` dependency; the pin is the first
+    `numpy: "numpy==Y.*"` after the _OLDEST_NUMPY comment.
+    """
+    floors = re.findall(r'"numpy>=([0-9.]+)"', pyproject)
+    if len(floors) != 1:
+        return [f"pyproject.toml states {len(floors)} numpy floors"]
+    _, found, after = workflow.partition(_OLDEST_NUMPY)
+    pin = re.search(r'numpy: "numpy==([0-9.]+)\.\*"', after)
+    if not found or pin is None:
+        return ["no CI entry pins the oldest numpy"]
+    if pin.group(1) != floors[0]:
+        return [f"pyproject.toml accepts numpy >= {floors[0]}; CI pins numpy=={pin.group(1)}.*"]
+    return []
+
+
+def test_ci_tests_the_numpy_floor() -> None:
+    breaches = _numpy_floor_breaches(
+        PYPROJECT.read_text(encoding="utf-8"), WORKFLOW.read_text(encoding="utf-8")
+    )
+    assert not breaches, "\n".join(breaches)
+
+
+def test_numpy_floor_check_sees_a_stale_pin_and_a_missing_entry() -> None:
+    pyproject = 'dependencies = [\n    "numpy>=2.0",\n]\n'
+    entry = (
+        '        numpy: ["numpy"]\n'
+        "        include:\n"
+        f"          {_OLDEST_NUMPY}\n"
+        '          - python-version: "3.10"\n'
+        '            numpy: "numpy=={}.*"\n'
+    )
+    assert _numpy_floor_breaches(pyproject, entry.format("2.0")) == []
+    assert _numpy_floor_breaches(pyproject, entry.format("1.24")) == [
+        "pyproject.toml accepts numpy >= 2.0; CI pins numpy==1.24.*"
+    ]
+    unmarked = entry.format("2.0").replace(_OLDEST_NUMPY, "# another entry")
+    assert _numpy_floor_breaches(pyproject, unmarked) == ["no CI entry pins the oldest numpy"]
+    assert _numpy_floor_breaches('"numpy"\n', entry.format("2.0")) == [
+        "pyproject.toml states 0 numpy floors"
     ]
