@@ -57,13 +57,12 @@ import numpy as np
 
 from . import rng
 from .algebra import (
-    DEFAULT_EXPAND_CAP,
+    _SHARED_VALUES,
     ProductString,
     agreement_law,
     apply_not,
     ceil_log2,
     evaluator,
-    expand,
     selection_evaluator,
     uniform_superposition,
 )
@@ -86,6 +85,10 @@ BASELINE_BITS_CAP = 14
 # numerator and denominator: about 0.1 s up to this many bits (lambda = 1/2
 # at N = 666,666, 1/1000 at N = 10^5), 2.7 s at 2 * 10^7
 RESOLUTION_POWER_BITS_CAP = 2 * 10**6
+# not_gate_demo's exact values are products of N pair integers, about N
+# times the bit lengths of lambda's p + q and q: one took 0.6-1.1 s to
+# evaluate at this many bits (lambda = 1/2, 1/1000, 1/10^100), 5.7 s at 2 * 10^6
+NOT_DEMO_VALUE_BITS_CAP = 10**6
 # bytes one identification trial, or one reference system's sign draw, may
 # need: the smallest unit of work must fit in memory
 ENGINE_TRIAL_BYTES_CAP = 1 << 28
@@ -474,7 +477,7 @@ def identification_trial_exact(
     vectorized engine, which has no lambda (here 1), so results are
     comparable trial for trial.  A trial costs O(N·M): the shifted product
     trace is one numpy pass over the sign matrix and the scanner reads one
-    sample per tick, about 9-13 ms at N = 1024, M = 6 (2-vCPU Xeon, Python 3.11).
+    sample per tick.
     """
     ts = rng.trial_master_seed(seed, trial_index)
     hidden = ProductString(num_bits, rng.hidden_bits_for(ts, num_bits))
@@ -1040,21 +1043,31 @@ def identification_benchmark(
     )
 
 
-# not_gate_demo's tracemalloc peak per expansion term, N = 15..17, CPython 3.11
-_EXPANSION_TERM_BYTES = 452
+def _not_demo_bytes(num_bits: int, periods: int, lam: Fraction) -> int:
+    """Bytes not_gate_demo holds at most, N = num_bits, P = periods, lambda = p/q.
 
-
-def _not_demo_bytes(num_bits: int, periods: int) -> int:
-    """Bytes not_gate_demo holds at most, N = num_bits and P = periods.
-
-    rng.matrix_bytes of its (2N, P) signs, the one (2N, P) bool temporary
-    of ReferenceSystem's +-1 check, one period_columns chunk at 64 bytes a
-    sign and its three expansions at _EXPANSION_TERM_BYTES a term, 2^N
-    terms (2^21 above DEFAULT_EXPAND_CAP).
+    rng.matrix_bytes of its (2N, P) signs, one period_columns chunk at 64
+    bytes a sign, and the larger of the (2N, P) bool temporary of
+    ReferenceSystem's +-1 check and the exact values the period loop keeps.
+    A readout or NOT result is fixed by its sign and how many bits agree,
+    at most 2(N+1) of each, held as a Fraction's two integers and its
+    _shared key's numerator, each of at most (N+1) times the bit length of
+    p + q bits.  Each of at most 4N groups of periods holds 512 bytes of
+    objects (about 460 on CPython 3.11).  Past 4N + 6 distinct values
+    _shared evicts, an evicted value comes back as a new object, and each
+    period can add two values and a group.  24 more integers cover the
+    evaluators, lambda^2, H_r * L_r's values and the period at hand.
     """
-    signs = rng.matrix_bytes(2 * num_bits, periods) + 2 * num_bits * periods
-    terms = _EXPANSION_TERM_BYTES << min(num_bits, DEFAULT_EXPAND_CAP + 1)
-    return signs + 64 * max(_COLUMNS_CHUNK, 2 * num_bits) + terms
+    bits = (num_bits + 1) * (lam.numerator + lam.denominator).bit_length()
+    digits = -(-bits // sys.int_info.bits_per_digit)
+    large = sys.getsizeof(0) + digits * sys.int_info.sizeof_digit
+    if 4 * num_bits + 6 <= _SHARED_VALUES:
+        results, groups = min(2 * periods, 4 * num_bits + 4), min(periods, 4 * num_bits)
+    else:
+        results, groups = 2 * periods, periods
+    values = (3 * results + 24) * large + 512 * groups
+    signs = rng.matrix_bytes(2 * num_bits, periods) + 64 * max(_COLUMNS_CHUNK, 2 * num_bits)
+    return signs + max(2 * num_bits * periods, values)
 
 
 def not_gate_demo(
@@ -1066,43 +1079,50 @@ def not_gate_demo(
 ) -> ExperimentReport:
     """Inversion of one bit by multiplying with its H*L reference product.
 
-    Checks the symbolic coefficient permutation (H terms to L unchanged, L terms to
-    H scaled by lambda^2), that the factored result expands to it, and that the
-    waveform route (the uniform superposition's trace multiplied pointwise by the
-    H_r * L_r trace) agrees with the factored result exactly at every readout, O(N)
-    per period; the 2^N-term expansion is paid once per run.  Every refusal, the
-    memory check on _not_demo_bytes included, comes before any draw or expansion.
+    Checks the factored NOT result of the uniform superposition pair by
+    pair, O(N) with no expansion: coefficient_permutation_ok that the
+    target bit's (c_H, c_L) is (lambda^2 * c_L, c_H) of the input's, and
+    factored_route_matches that the bit count and every other bit's pair
+    are unchanged.  Multiplying out is multilinear in the pairs, so when
+    both hold every one of the 2^N terms maps by the permutation rule (H
+    terms to L unchanged, L terms to H scaled by lambda^2).  The waveform
+    route (the uniform superposition's trace multiplied pointwise by the
+    H_r * L_r trace) must agree with the factored result exactly at every
+    readout, in O(N^2) a period, times the square of lambda's bit lengths.
+    Every refusal, NOT_DEMO_VALUE_BITS_CAP's and the memory check on
+    _not_demo_bytes included, comes before any draw.
     """
-    lam = Fraction(lam)
+    lam = check_lambda(lam)
     if num_bits < 1:
         raise ValueError("num_bits must be >= 1")
     if not 1 <= target_bit <= num_bits:
         raise ValueError(f"target_bit must be in 1..{num_bits}")
-    need = _not_demo_bytes(num_bits, periods)
+    p, q = lam.numerator, lam.denominator
+    size = num_bits * ((p + q).bit_length() + q.bit_length())
+    if size > NOT_DEMO_VALUE_BITS_CAP:
+        raise ValueError(f"not-demo at {num_bits} bits evaluates values of about {size} bits; "
+                         f"capped at {NOT_DEMO_VALUE_BITS_CAP}")
+    need = _not_demo_bytes(num_bits, periods, lam)
     _check_memory(f"not-demo at {num_bits} bits over {periods} periods", need)
     refs = build_reference_system(seed, num_bits, periods, lam)
     uni = uniform_superposition(num_bits)
-    expanded = expand(uni)
-    notted = apply_not(expanded, target_bit, lam)
-    notted_factored = apply_not(uni, target_bit, lam)
-    factored_matches = expand(notted_factored) == notted
+    notted = apply_not(uni, target_bit, lam)
 
     lam2 = lam * lam
-    permutation_ok = len(notted) == len(expanded)
-    for w, coeff in expanded.items():
-        image = w.with_bit_flipped(target_bit)
-        expect = coeff if w.value(target_bit) == "H" else coeff * lam2
-        if notted.coeff(image) != expect:
-            permutation_ok = False
+    i = target_bit - 1
+    permutation_ok = (notted.c_h[i], notted.c_l[i]) == (lam2 * uni.c_l[i], uni.c_h[i])
+    factored_matches = (
+        notted.c_h[:i] + notted.c_h[i + 1 :] == uni.c_h[:i] + uni.c_h[i + 1 :]
+        and notted.c_l[:i] + notted.c_l[i + 1 :] == uni.c_l[:i] + uni.c_l[i + 1 :]
+    )
 
     readout = evaluator(uni, lam)
     hl = selection_evaluator([(target_bit, "H"), (target_bit, "L")], lam)
-    symbolic = evaluator(notted_factored, lam)
+    symbolic = evaluator(notted, lam)
     # one pass over the periods, counted per identity triple of the three
     # shared values, then one exact r * h == s per distinct triple.  The
-    # dict keeps each triple's objects alive, so no id is reused; its
-    # entries are the distinct value triples, O(N) of them, so nothing per
-    # period outlives its column
+    # dict keeps each triple's objects alive, so no id is reused; it has at
+    # most 4N entries while _shared holds every value (see _not_demo_bytes)
     groups: dict[tuple[int, int, int], list] = {}
     for column in refs.period_columns():
         r, h, s = readout(column), hl(column), symbolic(column)

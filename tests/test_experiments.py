@@ -975,33 +975,52 @@ def test_reference_memory_cap_boundary(monkeypatch) -> None:
     assert exp.amplitude_range_experiment(7, "1/2", trials=500).observed["samples"] == 500
     with pytest.raises(ValueError, match="76 bytes; capped at 46"):
         exp.amplitude_range_experiment(65, "1/2", trials=1)
-    monkeypatch.setattr(exp, "ENGINE_TRIAL_BYTES_CAP", exp._not_demo_bytes(1, 5))
+    half = Fraction(1, 2)
+    monkeypatch.setattr(exp, "ENGINE_TRIAL_BYTES_CAP", exp._not_demo_bytes(1, 5, half))
     assert exp.not_gate_demo(1, "1/2", 1, periods=5).passed
-    with pytest.raises(ValueError, match=f"{exp._not_demo_bytes(1, 6)} bytes; capped at"):
+    with pytest.raises(ValueError, match=f"{exp._not_demo_bytes(1, 6, half)} bytes; capped at"):
         exp.not_gate_demo(1, "1/2", 1, periods=6)
 
 
-def test_not_gate_demo_refuses_before_expanding(monkeypatch) -> None:
+def test_not_gate_demo_refuses_before_drawing(monkeypatch) -> None:
     def no_work(*args, **kwargs):
-        raise AssertionError("drew or expanded before refusing")
+        raise AssertionError("drew signs before refusing")
 
-    monkeypatch.setattr(exp, "expand", no_work)
     monkeypatch.setattr(rng, "sign_matrix", no_work)
     with pytest.raises(ValueError, match="num_periods"):
         exp.not_gate_demo(18, "1/2", 1, periods=0)
     with pytest.raises(ValueError, match="lambda"):
         exp.not_gate_demo(18, "0", 1)
-    # 2^20 terms at _EXPANSION_TERM_BYTES each exceed ENGINE_TRIAL_BYTES_CAP;
-    # above DEFAULT_EXPAND_CAP the count holds 2^21 terms, however large N is
-    for n in (20, 21, 10**9):
-        with pytest.raises(ValueError, match="capped at"):
-            exp.not_gate_demo(n, "1/2", 2, periods=1)
+    # 2 * 10^9 signs at 2 bytes each exceed ENGINE_TRIAL_BYTES_CAP
+    with pytest.raises(ValueError, match="capped at"):
+        exp.not_gate_demo(10**9, "1/2", 2, periods=1)
+    # lambda = 1/10^100 has 333-bit parts: at N = 20,000 each exact value
+    # would have about 1.3 * 10^7 bits
+    tiny = Fraction(1, 10**100)
+    with pytest.raises(ValueError, match="values of about 13320000 bits; capped at 1000000"):
+        exp.not_gate_demo(20_000, tiny, 1, periods=1000)
+    # at N = 1000 the values fit their cap, but 2000 periods' groups of them
+    # do not fit the memory cap, which the same run at lambda = 1/2 does
+    assert exp._not_demo_bytes(1000, 2000, Fraction(1, 2)) <= exp.ENGINE_TRIAL_BYTES_CAP
+    with pytest.raises(ValueError, match="bytes; capped at"):
+        exp.not_gate_demo(1000, tiny, 1, periods=2000)
 
 
-def test_not_gate_demo_expansion_cap_boundary(monkeypatch) -> None:
-    monkeypatch.setattr(exp, "ENGINE_TRIAL_BYTES_CAP", exp._not_demo_bytes(3, 5))
+def test_not_gate_demo_memory_cap_boundary(monkeypatch) -> None:
+    half = Fraction(1, 2)
+    monkeypatch.setattr(exp, "ENGINE_TRIAL_BYTES_CAP", exp._not_demo_bytes(3, 5, half))
     assert exp.not_gate_demo(3, "1/2", 2, periods=5).passed
-    with pytest.raises(ValueError, match=str(exp._not_demo_bytes(4, 5))):
+    with pytest.raises(ValueError, match=str(exp._not_demo_bytes(4, 5, half))):
+        exp.not_gate_demo(4, "1/2", 2, periods=5)
+
+
+def test_not_gate_demo_value_cap_boundary(monkeypatch) -> None:
+    # a value is counted as N times the bit lengths of p + q and q: 4N bits
+    # at lambda = 1/2, 3N at lambda = 1
+    monkeypatch.setattr(exp, "NOT_DEMO_VALUE_BITS_CAP", 12)
+    assert exp.not_gate_demo(3, "1/2", 2, periods=5).passed
+    assert exp.not_gate_demo(4, 1, 2, periods=5).passed
+    with pytest.raises(ValueError, match="at 4 bits evaluates values of about 16 bits; capped at 12"):
         exp.not_gate_demo(4, "1/2", 2, periods=5)
 
 
@@ -1064,7 +1083,7 @@ def test_not_gate_expanded_route_matches_waveform() -> None:
 
 
 @pytest.mark.parametrize("lam", [Fraction(1, 3), Fraction(1, 2), Fraction(1)])
-@pytest.mark.parametrize("n", [1, 3, 8])
+@pytest.mark.parametrize("n", [1, 3, 8, 64])
 def test_not_gate_demo_counts_periods_not_groups(monkeypatch, n: int, lam: Fraction) -> None:
     # H_r * L_r negated, as a shared value, on the columns whose last sign
     # (A_N) is -1: the demo groups periods by value identity, and
@@ -1089,24 +1108,61 @@ def test_not_gate_demo_counts_periods_not_groups(monkeypatch, n: int, lam: Fract
     symbolic = alg.evaluator(alg.apply_not(uni, target, lam), lam)
     refs = rtw.build_reference_system(seed, n, periods, lam)
     agree = sum(readout(c) * hl(c) == symbolic(c) for c in refs.period_columns())
-    assert agree < periods
+    # at lambda = 1 and N = 64 some bit's carriers disagree in every period,
+    # so the readout and the NOT result are 0 there and every period agrees
+    assert (agree == periods) == (n == 64 and lam == 1)
     assert r.observed["readouts_agreeing"] == agree
-    assert not r.passed
+    assert r.passed == (agree == periods)
 
 
-# not_gate_demo's tracemalloc peak read 0.68, 0.59 and 0.99 of
-# _not_demo_bytes at these sizes: the count sums the draw, the +-1 check and
-# the read, which do not all hold their arrays at once
+def test_not_gate_demo_fails_a_wrong_factored_result(monkeypatch) -> None:
+    # each symbolic field reads its own part of the factored NOT result: the
+    # target bit's pair, then the bit count and every other bit's pair
+    apply_not = alg.apply_not
+
+    def unpermuted(s, target_bit, lam):
+        return s
+
+    def other_bit_changed(s, target_bit, lam):
+        f = apply_not(s, target_bit, lam)
+        c_l = list(f.c_l)
+        c_l[target_bit % f.num_bits] *= 2
+        return alg.FactoredSuperposition(f.num_bits, f.c_h, tuple(c_l))
+
+    fields = ("coefficient_permutation_ok", "factored_route_matches")
+    for wrong, expect in ((unpermuted, (False, True)), (other_bit_changed, (True, False))):
+        monkeypatch.setattr(exp, "apply_not", wrong)
+        r = exp.not_gate_demo(3, "1/2", 2, periods=50, seed=3)
+        assert tuple(r.observed[k] for k in fields) == expect, wrong.__name__
+        assert not r.passed
+
+
+# not_gate_demo's tracemalloc peak read 0.66, 0.59, 0.59 and 0.55 of
+# _not_demo_bytes at these sizes: the count sums the draw, the +-1 check or
+# the exact values, and the read, which do not all hold their arrays at once
 _NOT_DEMO_PEAK_SLACK = 2
 
 
 def test_not_gate_demo_stays_inside_its_memory_check() -> None:
     exp.not_gate_demo(1, "1/2", 1, periods=100)  # imports and caches first
-    for n, periods in ((1, 20_000), (4, 20_000), (16, 5_000)):
+    for n, periods in ((1, 20_000), (4, 20_000), (16, 5_000), (1000, 100)):
         r, peak = _traced_peak(lambda: exp.not_gate_demo(n, "1/2", 1, periods=periods))
         assert r.passed and r.observed["readouts_agreeing"] == periods
-        count = exp._not_demo_bytes(n, periods)
+        count = exp._not_demo_bytes(n, periods, Fraction(1, 2))
         assert count / _NOT_DEMO_PEAK_SLACK <= peak <= count, (n, periods, peak, count)
+
+
+def test_not_gate_demo_counts_its_exact_values() -> None:
+    # at lambda = 2^-300 each factor has about 300 bits, and the values the
+    # period loop keeps outweigh the signs: the traced peak is more than the
+    # same run's count at lambda = 1/2, and stays inside the count at its
+    # own (0.36 of it: the count takes every agreement count as reached)
+    n, periods, lam = 60, 1000, Fraction(1, 2**300)
+    alg._shared.cache_clear()  # values an earlier run left cached are not made again
+    r, peak = _traced_peak(lambda: exp.not_gate_demo(n, lam, 1, periods=periods))
+    assert r.passed and r.observed["readouts_agreeing"] == periods
+    assert exp._not_demo_bytes(n, periods, Fraction(1, 2)) < peak
+    assert peak <= exp._not_demo_bytes(n, periods, lam)
 
 
 def test_not_gate_demo_passes_both_lambdas() -> None:

@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import re
 import shlex
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from rtwlogic import cli, experiments, rng
+from rtwlogic.identify import required_periods
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -23,10 +25,14 @@ def _command_lines() -> list[str]:
     return lines
 
 
+def _caps_rows() -> list[str]:
+    section = README.read_text(encoding="utf-8").split("### Caps", 1)[1].split("\n\n#", 1)[0]
+    return [line for line in section.splitlines() if line.startswith("| `")]
+
+
 def _refusal_examples() -> list[str]:
     """Each backticked CLI command in the Refusal column of the Caps table."""
-    section = README.read_text(encoding="utf-8").split("### Caps", 1)[1].split("\n\n#", 1)[0]
-    rows = [line for line in section.splitlines() if line.startswith("| `")]
+    rows = _caps_rows()
     assert rows, "no Caps table"
     subcommands = {line.split()[1] for line in _command_lines()}
     examples = [span for row in rows for span in re.findall(r"`([^`]+)`", row.split(" | ")[-1])
@@ -55,11 +61,44 @@ def test_command_line_block_runs(capsys, line: str) -> None:
 @pytest.mark.parametrize("line", _refusal_examples())
 def test_refusal_example_exits_two(monkeypatch, capsys, line: str) -> None:
     def no_work(*args, **kwargs):
-        raise AssertionError("drew signs or expanded before refusing")
+        raise AssertionError("drew signs before refusing")
 
-    for module, name in ((rng, "role_words"), (rng, "sign_matrix"), (experiments, "expand")):
-        monkeypatch.setattr(module, name, no_work)
+    for name in ("role_words", "sign_matrix"):
+        monkeypatch.setattr(rng, name, no_work)
     assert cli.main(line.split()) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
+
+
+def _largest_admitted(count, lo: int, hi: int) -> int:
+    """Largest x in [lo, hi) whose count fits ENGINE_TRIAL_BYTES_CAP; count grows with x."""
+    cap = experiments.ENGINE_TRIAL_BYTES_CAP
+    assert count(lo) <= cap < count(hi)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if count(mid) <= cap else (lo, mid)
+    return lo
+
+
+def test_caps_rows_state_the_admitted_limits() -> None:
+    # each memory count's admitted limit, bisected on the count itself, must
+    # appear comma-grouped in its row, so a changed count fails until the
+    # README follows
+    exp = experiments
+    half = Fraction(1, 2)
+    limits = {
+        "identification trial": [_largest_admitted(
+            lambda n: exp._identification_trial_bytes(n, required_periods(n, "1/1000")), 1, 2**40
+        )],
+        "per-period engine": [_largest_admitted(exp._period_bytes, 1, 2**40)],
+        "`not-demo`": [_largest_admitted(lambda n: exp._not_demo_bytes(n, 1000, half), 1, 2**40),
+                       _largest_admitted(lambda p: exp._not_demo_bytes(1, p, half), 1, 2**40)],
+        "baseline trial": [_largest_admitted(lambda p: exp._baseline_trial_bytes(n, p), 1, 2**40)
+                           for n in (27, 14)],
+    }
+    rows = _caps_rows()
+    for name, values in limits.items():
+        (row,) = [r for r in rows if r.startswith(f"| `ENGINE_TRIAL_BYTES_CAP`: {name} |")]
+        for value in values:
+            assert re.search(rf"(?<![\d,]){value:,}(?!,?\d)", row), f"{name}: {value:,}"

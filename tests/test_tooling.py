@@ -10,7 +10,8 @@ function or method goes without a caller in the package, every public
 draw of `rng` has a caller in the package or is traced, the Monte
 Carlo engines in `experiments` read no `rng.sign_*` draw, no module but
 `rng` names a SplitMix64 primitive or derives a seed from more than one
-tag, and each of the memory counts of `experiments` is used by one call
+tag, no module but `algebra` calls the 2^N-term `expand`, and each of
+the memory counts of `experiments` is used by one call
 that both sizes and refuses.  The CI job that tests the oldest numpy the
 package accepts pins the floor that `pyproject.toml` states.
 """
@@ -315,6 +316,12 @@ def test_primitive_check_sees_attributes_and_imports() -> None:
     ]
 
 
+def _call_name(node: ast.Call) -> str | None:
+    """The name a call calls, by name or as an attribute."""
+    func = node.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
 def _multi_tag_seeds(tree: ast.Module) -> list[int]:
     """Line of each derive_seed call, by name or as an attribute, with more than one tag.
 
@@ -324,10 +331,8 @@ def _multi_tag_seeds(tree: ast.Module) -> list[int]:
     for node in ast.walk(tree):
         if not isinstance(node, ast.Call):
             continue
-        func = node.func
-        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
         tags = node.args[1:]
-        if name == "derive_seed" and (
+        if _call_name(node) == "derive_seed" and (
             len(tags) > 1 or any(isinstance(tag, ast.Starred) for tag in tags)
         ):
             lines.append(node.lineno)
@@ -357,6 +362,38 @@ def test_multi_tag_check_sees_names_attributes_and_starred_tags() -> None:
         "f = derive_seed(seed)\n"
     )
     assert _multi_tag_seeds(tree) == [3, 4, 5]
+
+
+def _expand_calls(tree: ast.Module) -> list[int]:
+    """Line of each call of expand, by name or as an attribute."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and _call_name(node) == "expand"
+    )
+
+
+def test_only_algebra_expands() -> None:
+    # every report works on factored superpositions, O(N); the 2^N-term
+    # expansion is for library callers and the tests
+    found = [
+        f"{module}:{line} calls expand"
+        for module, tree in _package_trees().items()
+        if module != "algebra.py"
+        for line in _expand_calls(tree)
+    ]
+    assert not found, "\n".join(found)
+
+
+def test_expand_check_sees_names_and_attributes() -> None:
+    tree = ast.parse(
+        "from .algebra import expand\n"
+        "a = expand(uni)\n"
+        "b = algebra.expand(apply_not(uni, 1, lam))\n"
+        "c = expanded(uni)\n"
+        "d = other.expand\n"
+    )
+    assert _expand_calls(tree) == [2, 3]
 
 
 # the one memory rule of `experiments`: the batch helper refuses work above
