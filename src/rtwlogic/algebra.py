@@ -286,9 +286,8 @@ def _shared(num: int, den: int) -> Fraction:
     call): a grouping that keeps each object alive, so that no id is
     reused, is exact either way, and equal values that are not shared only
     form extra groups.  The cache holds at most _SHARED_VALUES = 1024
-    entries, each about 330 bytes while num and den fit in 64 bits
-    (CPython 3.11), so about 340 KB in the worst case; larger integers add
-    about twice their own size per entry (the key and the reduced value).
+    entries; each holds its key and the reduced value, so about twice the
+    size of its integers plus a few objects of fixed size.
     """
     return Fraction(num, den)
 

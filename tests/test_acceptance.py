@@ -25,6 +25,7 @@ from fractions import Fraction
 from typing import Callable
 
 from rtwlogic import algebra as alg
+from rtwlogic import engines as eng
 from rtwlogic import experiments as exp
 from rtwlogic import identify as idf
 from rtwlogic import rtw
@@ -153,7 +154,7 @@ def test_5_scaling_separation() -> None:
 def test_6_mismatch_rate_and_verification_budget() -> None:
     def body() -> str:
         periods = 10**5
-        mismatches, b1, b2 = exp.mismatch_rate_engine(8, periods, seed=1)
+        mismatches, b1, b2 = eng.mismatch_rate_engine(8, periods, seed=1)
         rate = mismatches / periods
         assert b1 != b2
         assert abs(rate - 0.5) <= 0.005, rate

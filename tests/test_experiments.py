@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from rtwlogic import algebra as alg
+from rtwlogic import engines as eng
 from rtwlogic import experiments as exp
 from rtwlogic import identify as idf
 from rtwlogic import rng
@@ -43,7 +44,7 @@ def test_zero_prob_engine_matches_exact_readouts() -> None:
             for seed in (0, 11, -5, 2**70 + 3):
                 refs = rtw.build_reference_system(seed, n, periods, lam)
                 outs = sig.superposition_readouts(refs, alg.uniform_superposition(n))
-                prefix = [exp.zero_prob_engine(n, k, seed) for k in range(periods + 1)]
+                prefix = [eng.zero_prob_engine(n, k, seed) for k in range(periods + 1)]
                 count = prefix[-1]
                 assert count.dtype == np.int64 and count.shape == (n + 1,)
                 assert count.sum() == periods
@@ -56,11 +57,11 @@ def test_zero_prob_engine_matches_exact_readouts() -> None:
 
 def test_sign_chunk_engines_batching_invariance(monkeypatch) -> None:
     n, periods, seed = 3, 100, 4
-    whole_count = exp.zero_prob_engine(n, periods, seed)
-    whole_mismatch = exp.mismatch_rate_engine(n, periods, seed)
+    whole_count = eng.zero_prob_engine(n, periods, seed)
+    whole_mismatch = eng.mismatch_rate_engine(n, periods, seed)
     # both engines hold _period_bytes(3) = 46 bytes per period: chunks of 21
     # periods, the last one of 16, and no sign_matrix
-    monkeypatch.setattr(exp, "_ENGINE_BATCH_BYTES", exp._UFUNC_BUFFER_BYTES + 46 * 21 + 5)
+    monkeypatch.setattr(eng, "_ENGINE_BATCH_BYTES", eng._UFUNC_BUFFER_BYTES + 46 * 21 + 5)
     drawn: dict[str, list[int]] = {"role_words": [], "sign_matrix": []}
 
     role_words, sign_matrix = rng.role_words, rng.sign_matrix
@@ -75,10 +76,10 @@ def test_sign_chunk_engines_batching_invariance(monkeypatch) -> None:
 
     monkeypatch.setattr(rng, "role_words", counted_words)
     monkeypatch.setattr(rng, "sign_matrix", counted_matrix)
-    assert (exp.zero_prob_engine(n, periods, seed) == whole_count).all()
+    assert (eng.zero_prob_engine(n, periods, seed) == whole_count).all()
     assert drawn == {"role_words": [21] * 4 + [16], "sign_matrix": []}
     drawn["role_words"].clear()
-    assert exp.mismatch_rate_engine(n, periods, seed) == whole_mismatch
+    assert eng.mismatch_rate_engine(n, periods, seed) == whole_mismatch
     assert drawn == {"role_words": [21] * 4 + [16], "sign_matrix": []}
 
 
@@ -86,7 +87,7 @@ def test_sign_chunk_engines_batching_invariance(monkeypatch) -> None:
 @pytest.mark.parametrize("n", [1, 3, 64, 65, 130])
 def test_mismatch_engine_matches_exact_readouts(n: int) -> None:
     periods, seed = 300, 5
-    mismatches, b1, b2 = exp.mismatch_rate_engine(n, periods, seed)
+    mismatches, b1, b2 = eng.mismatch_rate_engine(n, periods, seed)
     assert b1 != b2
     refs = rtw.build_reference_system(seed, n, periods, lam=1)
     r1 = sig.product_readouts(refs, alg.ProductString(n, b1))
@@ -100,11 +101,11 @@ def test_mismatch_rate_near_half() -> None:
     # Hoeffding the rate lies within 0.0045 of it at 2^19 periods, but for
     # a tail of _LAW_TAIL
     periods = 2**19
-    mismatches, _, _ = exp.mismatch_rate_engine(8, periods, 1)
+    mismatches, _, _ = eng.mismatch_rate_engine(8, periods, 1)
     assert abs(mismatches / periods - 0.5) < math.sqrt(math.log(2 / _LAW_TAIL) / (2 * periods))
 
 
-def _assert_trials_match(stats: exp.IdentificationTrialStats, n: int, exact_trial) -> None:
+def _assert_trials_match(stats: eng.IdentificationTrialStats, n: int, exact_trial) -> None:
     for i in range(stats.trials):
         hidden, res = exact_trial(i)
         assert stats.hidden_bits[i] == hidden.bits
@@ -133,7 +134,7 @@ def _mixed_trials(n: int, m: int) -> int:
 
 
 def _assert_engine_matches_exact(n: int, m: int, trials: int, seed: int) -> None:
-    stats = exp.run_identification_trials(n, m, trials, seed, keep_per_trial=True)
+    stats = eng.run_identification_trials(n, m, trials, seed, keep_per_trial=True)
     assert stats.contradictions == 0
     # every pinned case mixes fully decided and undecided trials
     assert 0 < stats.complete_trials < trials
@@ -143,7 +144,7 @@ def _assert_engine_matches_exact(n: int, m: int, trials: int, seed: int) -> None
 def _assert_engine_matches_exact_long_window(n: int, m: int, trials: int, seed: int) -> None:
     # a window of 63 or more periods leaves a bit undecided with probability
     # about 4^-63, so every trial completes
-    stats = exp.run_identification_trials(n, m, trials, seed, keep_per_trial=True)
+    stats = eng.run_identification_trials(n, m, trials, seed, keep_per_trial=True)
     assert stats.contradictions == 0
     assert stats.complete_trials == trials
     _assert_trials_match(stats, n, lambda i: exp.identification_trial_exact(seed, i, n, m))
@@ -174,7 +175,7 @@ def test_identification_engine_matches_exact_trials_decided_past_first_plane_wor
     # at N = 130 the last decision of a trial, its highest noise-bit decided
     # in its last period, often lies in role word 1 or 2 (noise-bits 65..130)
     n, m, trials, seed = 130, 6, 12, 4
-    stats = exp.run_identification_trials(n, m, trials, seed, keep_per_trial=True)
+    stats = eng.run_identification_trials(n, m, trials, seed, keep_per_trial=True)
     _assert_trials_match(stats, n, lambda i: exp.identification_trial_exact(seed, i, n, m))
     # ticks observed end at slot 2(r-1) + is_h of the last decided bit r
     last_bits = (stats.ticks_observed[stats.complete] - 1) % (2 * n) // 2 + 1
@@ -217,7 +218,7 @@ def test_identification_engine_matches_exact_trials_decided_late(monkeypatch) ->
     # the exact path draws through role_words too, and holds on its own
     with monkeypatch.context() as patched:
         patched.setattr(rng, "role_words", held_words)
-        stats = exp.run_identification_trials(n, m, trials, seed, keep_per_trial=True)
+        stats = eng.run_identification_trials(n, m, trials, seed, keep_per_trial=True)
     assert 0 < stats.complete_trials < trials
     # some trial is decided past period 64, once its held carriers are
     # released
@@ -250,7 +251,7 @@ def test_last_decision_at_role_word_edges(monkeypatch, bit: int, event: str) -> 
         return start ^ np.where(k >= 1, ~held, 0) ^ np.where(k >= late, again, 0)
 
     monkeypatch.setattr(rng, "role_words", edge_words)
-    stats = exp.run_identification_trials(n, m, trials, seed, keep_per_trial=True)
+    stats = eng.run_identification_trials(n, m, trials, seed, keep_per_trial=True)
     assert stats.complete_trials == trials
     assert (stats.periods_used == late).all()
     # the decision tick is slot 2q of the last period, one later for an H event
@@ -261,9 +262,11 @@ def test_last_decision_at_role_word_edges(monkeypatch, bit: int, event: str) -> 
 def test_hidden_strings_cover_every_bit_above_64(monkeypatch) -> None:
     # a single masked 64-bit word would leave bits 1..36 always L at N = 100
     n, trials, seed = 100, 200, 5
-    batch = 7 * exp._identification_trial_bytes(n, 1)
-    monkeypatch.setattr(exp, "_ENGINE_BATCH_BYTES", exp._UFUNC_BUFFER_BYTES + batch)
-    stats = exp.run_identification_trials(n, 1, trials, seed, keep_per_trial=True)
+    batch = 7 * eng._identification_trial_bytes(n, 1)
+    monkeypatch.setattr(eng, "_ENGINE_BATCH_BYTES", eng._UFUNC_BUFFER_BYTES + batch)
+    drawn = _spy_role_words(monkeypatch)
+    stats = eng.run_identification_trials(n, 1, trials, seed, keep_per_trial=True)
+    assert [len(words) for words in drawn] == [7] * 28 + [4]
     union = 0
     for i, bits in enumerate(stats.hidden_bits):
         assert bits == rng.hidden_bits_for(rng.trial_master_seed(seed, i), n)
@@ -289,10 +292,10 @@ def test_identification_trials_read_the_scalar_seed_chain(monkeypatch, n: int) -
     # five trials in batches of two: each trial's hidden string and role
     # words are those of its own trial_master_seed
     m, trials, seed = 2, 5, 2**64 - 3
-    batch = 2 * exp._identification_trial_bytes(n, m)
-    monkeypatch.setattr(exp, "_ENGINE_BATCH_BYTES", exp._UFUNC_BUFFER_BYTES + batch)
+    batch = 2 * eng._identification_trial_bytes(n, m)
+    monkeypatch.setattr(eng, "_ENGINE_BATCH_BYTES", eng._UFUNC_BUFFER_BYTES + batch)
     drawn = _spy_role_words(monkeypatch)
-    stats = exp.run_identification_trials(n, m, trials, seed, keep_per_trial=True)
+    stats = eng.run_identification_trials(n, m, trials, seed, keep_per_trial=True)
     assert [len(words) for words in drawn] == [2, 2, 1]
     words = np.concatenate(drawn)
     for t in range(trials):
@@ -306,10 +309,10 @@ def test_baseline_trials_read_the_scalar_seed_chain(monkeypatch, n: int) -> None
     # at 64 periods per candidate no other candidate survives (a chance of
     # 2^N * 2^-64), so each scan stops at the trial's own hidden string
     periods, trials, seed = 64, 5, -7
-    batch = 2 * exp._baseline_trial_bytes(n, periods)
-    monkeypatch.setattr(exp, "_ENGINE_BATCH_BYTES", exp._UFUNC_BUFFER_BYTES + batch)
+    batch = 2 * eng._baseline_trial_bytes(n, periods)
+    monkeypatch.setattr(eng, "_ENGINE_BATCH_BYTES", eng._UFUNC_BUFFER_BYTES + batch)
     drawn = _spy_role_words(monkeypatch)
-    stats = exp.run_baseline_trials(n, periods, trials, seed, keep_per_trial=True)
+    stats = eng.run_baseline_trials(n, periods, trials, seed, keep_per_trial=True)
     assert [len(words) for words in drawn] == [2, 2, 1]
     assert stats.false_matches == 0
     words = np.concatenate(drawn)
@@ -331,22 +334,22 @@ def test_one_batch_runs_four_mixes(monkeypatch) -> None:
 
     monkeypatch.setattr(rng, "_mix", counted)
     runs = [
-        (4, lambda: exp.run_identification_trials(5, 4, 3, 1)),
-        (4, lambda: exp.run_identification_trials(64, 4, 3, 1)),
-        (5, lambda: exp.run_identification_trials(65, 4, 3, 1)),
-        (5, lambda: exp.run_identification_trials(1024, 2, 3, 1)),
-        (4, lambda: exp.run_baseline_trials(1, 20, 3, 1)),
-        (4, lambda: exp.run_baseline_trials(14, 20, 3, 1)),
+        (4, lambda: eng.run_identification_trials(5, 4, 3, 1)),
+        (4, lambda: eng.run_identification_trials(64, 4, 3, 1)),
+        (5, lambda: eng.run_identification_trials(65, 4, 3, 1)),
+        (5, lambda: eng.run_identification_trials(1024, 2, 3, 1)),
+        (4, lambda: eng.run_baseline_trials(1, 20, 3, 1)),
+        (4, lambda: eng.run_baseline_trials(14, 20, 3, 1)),
     ]
     for per_batch, run in runs:
         mixes.clear()
         run()
         assert len(mixes) == per_batch
     # a second batch runs as many again
-    batch = exp._identification_trial_bytes(65, 4)
-    monkeypatch.setattr(exp, "_ENGINE_BATCH_BYTES", exp._UFUNC_BUFFER_BYTES + 2 * batch)
+    batch = eng._identification_trial_bytes(65, 4)
+    monkeypatch.setattr(eng, "_ENGINE_BATCH_BYTES", eng._UFUNC_BUFFER_BYTES + 2 * batch)
     mixes.clear()
-    exp.run_identification_trials(65, 4, 3, 1)
+    eng.run_identification_trials(65, 4, 3, 1)
     assert len(mixes) == 10
 
 
@@ -368,9 +371,9 @@ def _assert_identification_batching_invariance(monkeypatch, m: int, n: int = 5) 
     monkeypatch.setattr(rng, "role_words", counted)
     runs = []
     for size in (7, 64):
-        batch = size * exp._identification_trial_bytes(n, m)
-        monkeypatch.setattr(exp, "_ENGINE_BATCH_BYTES", exp._UFUNC_BUFFER_BYTES + batch)
-        runs.append(exp.run_identification_trials(n, m, 64, 9, keep_per_trial=True))
+        batch = size * eng._identification_trial_bytes(n, m)
+        monkeypatch.setattr(eng, "_ENGINE_BATCH_BYTES", eng._UFUNC_BUFFER_BYTES + batch)
+        runs.append(eng.run_identification_trials(n, m, 64, 9, keep_per_trial=True))
     assert batches == [7] * 9 + [1] + [64]
     a, b = runs
     assert (a.hidden_bits == b.hidden_bits).all()
@@ -395,7 +398,7 @@ def test_identification_engine_batching_invariance_across_plane_words(monkeypatc
 
 def test_baseline_engine_matches_exact_trials() -> None:
     n, ppt, trials, seed = 3, 12, 30, 4
-    stats = exp.run_baseline_trials(n, ppt, trials, seed, keep_per_trial=True)
+    stats = eng.run_baseline_trials(n, ppt, trials, seed, keep_per_trial=True)
     eps = idf.verification_error_bound(ppt)
     for i in range(trials):
         hidden, tests = exp.baseline_trial_exact(seed, i, n, eps)
@@ -404,7 +407,7 @@ def test_baseline_engine_matches_exact_trials() -> None:
 
 def _assert_baseline_matches_exact(n: int, ppt: int, trials: int, seed: int) -> int:
     """Pin the engine's per-trial tests and false matches to the exact path; the false matches."""
-    stats = exp.run_baseline_trials(n, ppt, trials, seed, keep_per_trial=True)
+    stats = eng.run_baseline_trials(n, ppt, trials, seed, keep_per_trial=True)
     false_matches = 0
     for i in range(trials):
         hidden, tests = exp.baseline_trial_exact(seed, i, n, idf.verification_error_bound(ppt))
@@ -461,7 +464,7 @@ def test_baseline_first_word_matches_are_checked_on_every_word(monkeypatch, n, p
 
     monkeypatch.setattr(rng, "role_words", equal_roles_first_word)
     trials, seed = 12, 5
-    stats = exp.run_baseline_trials(n, periods, trials, seed, keep_per_trial=True)
+    stats = eng.run_baseline_trials(n, periods, trials, seed, keep_per_trial=True)
     expect = [_brute_force_baseline_tests(rng.trial_master_seed(seed, t), n, periods)
               for t in range(trials)]
     assert stats.tests.tolist() == expect
@@ -476,7 +479,7 @@ def test_differ_columns_pack_scalar_signs(periods: int) -> None:
     seeds = np.array([rng.derive_seed(77, i) for i in range(3)], dtype=np.uint64)
     tag_seeds = np.stack([rng.word_seeds(seed, 1) for seed in seeds.tolist()])
     for n in (1, 5, 28):
-        columns = exp._differ_columns(tag_seeds, n, periods)
+        columns = eng._differ_columns(tag_seeds, n, periods)
         assert columns.dtype == np.uint32 and columns.shape == (3, n, -(-periods // 32))
         for t, ts in enumerate(int(s) for s in seeds):
             for q in range(n):
@@ -488,9 +491,9 @@ def test_differ_columns_pack_scalar_signs(periods: int) -> None:
 
 def test_baseline_engine_batching_invariance(monkeypatch) -> None:
     n, ppt, trials, seed = 5, 70, 30, 8
-    whole = exp.run_baseline_trials(n, ppt, trials, seed, keep_per_trial=True)
+    whole = eng.run_baseline_trials(n, ppt, trials, seed, keep_per_trial=True)
     # _baseline_trial_bytes(5, 70) = 4022 bytes per trial: batches of 2 trials
-    monkeypatch.setattr(exp, "_ENGINE_BATCH_BYTES", exp._UFUNC_BUFFER_BYTES + 12000)
+    monkeypatch.setattr(eng, "_ENGINE_BATCH_BYTES", eng._UFUNC_BUFFER_BYTES + 12000)
     batches = []
     role_words = rng.role_words
 
@@ -499,7 +502,7 @@ def test_baseline_engine_batching_invariance(monkeypatch) -> None:
         return role_words(seeds, *args)
 
     monkeypatch.setattr(rng, "role_words", counted)
-    split = exp.run_baseline_trials(n, ppt, trials, seed, keep_per_trial=True)
+    split = eng.run_baseline_trials(n, ppt, trials, seed, keep_per_trial=True)
     assert batches == [2] * 15
     assert (split.tests == whole.tests).all()
     assert split.false_matches == whole.false_matches
@@ -513,7 +516,7 @@ def test_baseline_memory_refused_before_drawing(monkeypatch) -> None:
     # N = 30: a 2^30-byte match mask for one trial, refused unpatched
     monkeypatch.setattr(rng, "role_words", no_signs)
     with pytest.raises(ValueError, match="capped at"):
-        exp.run_baseline_trials(30, 20, 1, 1)
+        eng.run_baseline_trials(30, 20, 1, 1)
 
 
 def test_baseline_memory_cap_boundary(monkeypatch) -> None:
@@ -531,21 +534,21 @@ def test_baseline_memory_cap_boundary(monkeypatch) -> None:
 
     monkeypatch.setattr(rng, "role_words", counted)
     # N = 4, P = 20: 960 + 80 + 32 + 32 + 16 + 16 = 1136; P = 21: 1188
-    monkeypatch.setattr(exp, "ENGINE_TRIAL_BYTES_CAP", 1136)
-    assert exp.run_baseline_trials(4, 20, 3, 1).trials == 3
+    monkeypatch.setattr(eng, "ENGINE_TRIAL_BYTES_CAP", 1136)
+    assert eng.run_baseline_trials(4, 20, 3, 1).trials == 3
     with pytest.raises(ValueError, match="1188 bytes; capped at 1136"):
-        exp.run_baseline_trials(4, 21, 3, 1)
+        eng.run_baseline_trials(4, 21, 3, 1)
     # the match mask leads at N = 10, P = 1: 48 + 10 + 80 + 256 + 128 +
     # 1024 = 1546; N = 11: 48 + 11 + 88 + 384 + 128 + 2048 = 2707
-    monkeypatch.setattr(exp, "ENGINE_TRIAL_BYTES_CAP", 1546)
-    assert exp.run_baseline_trials(10, 1, 3, 1).trials == 3
+    monkeypatch.setattr(eng, "ENGINE_TRIAL_BYTES_CAP", 1546)
+    assert eng.run_baseline_trials(10, 1, 3, 1).trials == 3
     with pytest.raises(ValueError, match="2707 bytes; capped at 1546"):
-        exp.run_baseline_trials(11, 1, 3, 1)
+        eng.run_baseline_trials(11, 1, 3, 1)
     # a second period word widens the columns and tables, not the mask:
     # N = 4, P = 33 holds 1584 + 132 + 64 + 64 + 16 + 16 = 1876
-    monkeypatch.setattr(exp, "ENGINE_TRIAL_BYTES_CAP", 1875)
+    monkeypatch.setattr(eng, "ENGINE_TRIAL_BYTES_CAP", 1875)
     with pytest.raises(ValueError, match="1876 bytes; capped at 1875"):
-        exp.run_baseline_trials(4, 33, 3, 1)
+        eng.run_baseline_trials(4, 33, 3, 1)
     assert len(drawn) == 2
 
 
@@ -555,12 +558,12 @@ def test_baseline_admits_one_hidden_word() -> None:
     # N = 28, P = 20.  Every P holds one mask, so N = 27 is admitted up to
     # P = 42,528
     for periods in (20, 64, 42_528):
-        assert exp._batch_trials("a baseline trial", exp._baseline_trial_bytes(27, periods)) >= 1
+        assert eng._batch_trials("a baseline trial", eng._baseline_trial_bytes(27, periods)) >= 1
         with pytest.raises(ValueError, match="capped at"):
-            exp._batch_trials("a baseline trial", exp._baseline_trial_bytes(28, periods))
-    assert exp._baseline_trial_bytes(28, 20) == 268_633_808
+            eng._batch_trials("a baseline trial", eng._baseline_trial_bytes(28, periods))
+    assert eng._baseline_trial_bytes(28, 20) == 268_633_808
     with pytest.raises(ValueError, match="capped at"):
-        exp._batch_trials("a baseline trial", exp._baseline_trial_bytes(27, 42_529))
+        eng._batch_trials("a baseline trial", eng._baseline_trial_bytes(27, 42_529))
 
 
 def _traced_peak(run):
@@ -580,13 +583,13 @@ _BASELINE_PEAK_SLACK = 4
 
 def test_baseline_batch_stays_inside_its_memory_count() -> None:
     for n, ppt in ((1, 20), (10, 20), (14, 20), (8, 130)):
-        count = exp._baseline_trial_bytes(n, ppt)
-        trials = exp._batch_trials("a baseline trial", count)
-        exp.run_baseline_trials(n, ppt, 2, 1)  # imports and caches first
-        stats, peak = _traced_peak(lambda: exp.run_baseline_trials(n, ppt, trials, 1))
+        count = eng._baseline_trial_bytes(n, ppt)
+        trials = eng._batch_trials("a baseline trial", count)
+        eng.run_baseline_trials(n, ppt, 2, 1)  # imports and caches first
+        stats, peak = _traced_peak(lambda: eng.run_baseline_trials(n, ppt, trials, 1))
         assert stats.trials == trials
-        assert peak <= exp._ENGINE_BATCH_BYTES
-        per_trial = (peak - exp._UFUNC_BUFFER_BYTES) / trials
+        assert peak <= eng._ENGINE_BATCH_BYTES
+        per_trial = (peak - eng._UFUNC_BUFFER_BYTES) / trials
         assert count / _BASELINE_PEAK_SLACK <= per_trial <= count, (n, ppt, per_trial, count)
 
 
@@ -594,11 +597,11 @@ def test_baseline_unkept_run_holds_one_batch() -> None:
     # 200,000 trials at N = 1 run in 227 batches of 883; an int64 per trial
     # would be 1.6 MB, more than a batch may hold
     trials = 200_000
-    exp.run_baseline_trials(1, 20, 2, 1)  # imports and caches first
-    stats, peak = _traced_peak(lambda: exp.run_baseline_trials(1, 20, trials, 1))
+    eng.run_baseline_trials(1, 20, 2, 1)  # imports and caches first
+    stats, peak = _traced_peak(lambda: eng.run_baseline_trials(1, 20, trials, 1))
     assert stats.tests is None
-    assert peak <= exp._ENGINE_BATCH_BYTES < 8 * trials
-    kept = exp.run_baseline_trials(1, 20, trials, 1, keep_per_trial=True)
+    assert peak <= eng._ENGINE_BATCH_BYTES < 8 * trials
+    kept = eng.run_baseline_trials(1, 20, trials, 1, keep_per_trial=True)
     assert stats.mean_tests == float(kept.tests.mean())
     assert stats.false_matches == kept.false_matches
 
@@ -606,7 +609,7 @@ def test_baseline_unkept_run_holds_one_batch() -> None:
 def test_baseline_scan_ops_are_one_batch() -> None:
     # perfbench's baseline-scan op runs 20 trials at P = 20
     for n in (10, 12, 14):
-        assert exp._batch_trials("a baseline trial", exp._baseline_trial_bytes(n, 20)) >= 20
+        assert eng._batch_trials("a baseline trial", eng._baseline_trial_bytes(n, 20)) >= 20
 
 
 def test_baseline_budget_is_one_rule() -> None:
@@ -624,7 +627,7 @@ def test_baseline_mean_tests_near_half_catalog() -> None:
     # on 1..2^N, with mean (2^N + 1)/2 and variance (4^N - 1)/12; a trial's
     # scan position is hidden + 1 unless a false match stops it earlier
     n, periods, trials = 10, 20, 6000
-    stats = exp.run_baseline_trials(n, periods, trials, 1)
+    stats = eng.run_baseline_trials(n, periods, trials, 1)
     expect = (2**n + 1) / 2
     # a trial false-matches when a candidate scanned before the hidden one
     # survives all its periods; (2^N - 1)/2 are scanned before it on
@@ -672,7 +675,7 @@ def test_identification_engine_follows_exact_laws(n: int, m: int) -> None:
     # undecided after k periods with probability 4^-k, independently of
     # the other bits
     trials, seed = 20000, 2024
-    stats = exp.run_identification_trials(n, m, trials, seed)
+    stats = eng.run_identification_trials(n, m, trials, seed)
     undecided = 1 - (1 - Fraction(1, 4**m)) ** n
     below, above = _binomial_tails(stats.undecided_trials, trials, float(undecided))
     assert below > _LAW_TAIL and above > _LAW_TAIL
@@ -689,7 +692,7 @@ def test_zero_prob_engine_follows_binomial_bins(n: int) -> None:
     # a bit's two carriers agree with probability 1/2, independently, so
     # each bin count[a] is Binomial(P, C(N, a) / 2^N)
     periods, seed = 20000, 2024
-    count = exp.zero_prob_engine(n, periods, seed)
+    count = eng.zero_prob_engine(n, periods, seed)
     assert count.sum() == periods
     for a, observed in enumerate(count.tolist()):
         below, above = _binomial_tails(observed, periods, math.comb(n, a) / 2**n)
@@ -884,7 +887,7 @@ def test_identification_memory_refused_before_allocating(monkeypatch) -> None:
     monkeypatch.setattr(rng, "role_words", no_signs)
     n = 20_000_000
     with pytest.raises(ValueError, match="capped at"):
-        exp.run_identification_trials(n, idf.required_periods(n, "1/1000"), 1, 1)
+        eng.run_identification_trials(n, idf.required_periods(n, "1/1000"), 1, 1)
     with pytest.raises(ValueError, match="capped at"):
         exp.identification_experiment(n, 1, epsilon="1/1000")
     # the small bit count comes first but must not run either
@@ -896,22 +899,22 @@ def test_identification_memory_cap_boundary(monkeypatch) -> None:
     # one trial at N <= 64 holds one word per role and period:
     # 8 * (2(M+1) + 2M + 8M + 2 + 1) = 328 bytes at M = 3 and 424 at M = 4;
     # N = 65 holds two words, 656 bytes at M = 3
-    monkeypatch.setattr(exp, "ENGINE_TRIAL_BYTES_CAP", 328)
+    monkeypatch.setattr(eng, "ENGINE_TRIAL_BYTES_CAP", 328)
     for n in (4, 64):
-        assert exp.run_identification_trials(n, 3, 5, 1).trials == 5
+        assert eng.run_identification_trials(n, 3, 5, 1).trials == 5
         with pytest.raises(ValueError, match="424 bytes; capped at 328"):
-            exp.run_identification_trials(n, 4, 5, 1)
+            eng.run_identification_trials(n, 4, 5, 1)
     with pytest.raises(ValueError, match="656 bytes; capped at 328"):
-        exp.run_identification_trials(65, 3, 5, 1)
+        eng.run_identification_trials(65, 3, 5, 1)
 
 
 def test_identification_memory_cap_counts_plane_bytes_at_one_bit(monkeypatch) -> None:
     # at N = 1 a trial still holds a whole role word per role and period,
     # the same 328 bytes at M = 3 and 424 at M = 4 as at N = 64
-    monkeypatch.setattr(exp, "ENGINE_TRIAL_BYTES_CAP", 328)
-    assert exp.run_identification_trials(1, 3, 5, 1).trials == 5
+    monkeypatch.setattr(eng, "ENGINE_TRIAL_BYTES_CAP", 328)
+    assert eng.run_identification_trials(1, 3, 5, 1).trials == 5
     with pytest.raises(ValueError, match="424 bytes; capped at 328"):
-        exp.run_identification_trials(1, 4, 5, 1)
+        eng.run_identification_trials(1, 4, 5, 1)
 
 
 # a full batch's tracemalloc peak per trial read 0.91, 0.92 and 0.89 of the
@@ -925,12 +928,12 @@ _PEAK_SLACK = 1.25
 
 @pytest.mark.parametrize("n, m", [(16, 7), (64, 8), (1024, 10)])
 def test_identification_batch_stays_inside_its_memory_count(n: int, m: int) -> None:
-    count = exp._identification_trial_bytes(n, m)
-    trials = exp._batch_trials("an identification trial", count)
-    exp.run_identification_trials(n, m, 2, 1)  # imports and caches first
-    stats, peak = _traced_peak(lambda: exp.run_identification_trials(n, m, trials, 1))
+    count = eng._identification_trial_bytes(n, m)
+    trials = eng._batch_trials("an identification trial", count)
+    eng.run_identification_trials(n, m, 2, 1)  # imports and caches first
+    stats, peak = _traced_peak(lambda: eng.run_identification_trials(n, m, trials, 1))
     assert stats.trials == trials
-    assert peak <= exp._ENGINE_BATCH_BYTES
+    assert peak <= eng._ENGINE_BATCH_BYTES
     assert count / _PEAK_SLACK <= peak / trials <= count
 
 
@@ -938,16 +941,16 @@ def test_period_chunk_stays_inside_its_memory_count() -> None:
     # the engine under zero-prob, Monte Carlo range and the mismatch rate,
     # without zero_prob_engine's (N+1)-bin histogram
     for n in (20, 1000, 20000):
-        count = exp._period_bytes(n)
-        periods = exp._batch_trials("a period", count)
+        count = eng._period_bytes(n)
+        periods = eng._batch_trials("a period", count)
 
         def run():
-            return sum(int(d.sum()) for d in exp._carriers_differing(1, n, periods, (1 << n) - 1))
+            return sum(int(d.sum()) for d in eng._carriers_differing(1, n, periods, (1 << n) - 1))
 
         run()  # imports and caches first
         differing, peak = _traced_peak(run)
         assert 0 < differing < n * periods
-        assert peak <= exp._ENGINE_BATCH_BYTES
+        assert peak <= eng._ENGINE_BATCH_BYTES
         assert count / _PEAK_SLACK <= peak / periods <= count, (n, peak / periods, count)
 
 
@@ -970,13 +973,13 @@ def test_reference_memory_refused_before_allocating(monkeypatch) -> None:
 def test_reference_memory_cap_boundary(monkeypatch) -> None:
     # range holds _period_bytes(N) = 30 * ceil(N/64) + 16 bytes per period,
     # whatever the trial count; not-demo's one count grows with its periods
-    monkeypatch.setattr(exp, "ENGINE_TRIAL_BYTES_CAP", 46)
+    monkeypatch.setattr(eng, "ENGINE_TRIAL_BYTES_CAP", 46)
     assert exp.amplitude_range_experiment(64, "1/2", trials=5).observed["samples"] == 5
     assert exp.amplitude_range_experiment(7, "1/2", trials=500).observed["samples"] == 500
     with pytest.raises(ValueError, match="76 bytes; capped at 46"):
         exp.amplitude_range_experiment(65, "1/2", trials=1)
     half = Fraction(1, 2)
-    monkeypatch.setattr(exp, "ENGINE_TRIAL_BYTES_CAP", exp._not_demo_bytes(1, 5, half))
+    monkeypatch.setattr(eng, "ENGINE_TRIAL_BYTES_CAP", exp._not_demo_bytes(1, 5, half))
     assert exp.not_gate_demo(1, "1/2", 1, periods=5).passed
     with pytest.raises(ValueError, match=f"{exp._not_demo_bytes(1, 6, half)} bytes; capped at"):
         exp.not_gate_demo(1, "1/2", 1, periods=6)
@@ -1001,14 +1004,14 @@ def test_not_gate_demo_refuses_before_drawing(monkeypatch) -> None:
         exp.not_gate_demo(20_000, tiny, 1, periods=1000)
     # at N = 1000 the values fit their cap, but 2000 periods' groups of them
     # do not fit the memory cap, which the same run at lambda = 1/2 does
-    assert exp._not_demo_bytes(1000, 2000, Fraction(1, 2)) <= exp.ENGINE_TRIAL_BYTES_CAP
+    assert exp._not_demo_bytes(1000, 2000, Fraction(1, 2)) <= eng.ENGINE_TRIAL_BYTES_CAP
     with pytest.raises(ValueError, match="bytes; capped at"):
         exp.not_gate_demo(1000, tiny, 1, periods=2000)
 
 
 def test_not_gate_demo_memory_cap_boundary(monkeypatch) -> None:
     half = Fraction(1, 2)
-    monkeypatch.setattr(exp, "ENGINE_TRIAL_BYTES_CAP", exp._not_demo_bytes(3, 5, half))
+    monkeypatch.setattr(eng, "ENGINE_TRIAL_BYTES_CAP", exp._not_demo_bytes(3, 5, half))
     assert exp.not_gate_demo(3, "1/2", 2, periods=5).passed
     with pytest.raises(ValueError, match=str(exp._not_demo_bytes(4, 5, half))):
         exp.not_gate_demo(4, "1/2", 2, periods=5)

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from rtwlogic import cli, experiments, rng
+from rtwlogic import cli, engines, experiments, rng
 from rtwlogic.identify import required_periods
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -73,7 +73,7 @@ def test_refusal_example_exits_two(monkeypatch, capsys, line: str) -> None:
 
 def _largest_admitted(count, lo: int, hi: int) -> int:
     """Largest x in [lo, hi) whose count fits ENGINE_TRIAL_BYTES_CAP; count grows with x."""
-    cap = experiments.ENGINE_TRIAL_BYTES_CAP
+    cap = engines.ENGINE_TRIAL_BYTES_CAP
     assert count(lo) <= cap < count(hi)
     while hi - lo > 1:
         mid = (lo + hi) // 2
@@ -85,16 +85,16 @@ def test_caps_rows_state_the_admitted_limits() -> None:
     # each memory count's admitted limit, bisected on the count itself, must
     # appear comma-grouped in its row, so a changed count fails until the
     # README follows
-    exp = experiments
+    eng, exp = engines, experiments
     half = Fraction(1, 2)
     limits = {
         "identification trial": [_largest_admitted(
-            lambda n: exp._identification_trial_bytes(n, required_periods(n, "1/1000")), 1, 2**40
+            lambda n: eng._identification_trial_bytes(n, required_periods(n, "1/1000")), 1, 2**40
         )],
-        "per-period engine": [_largest_admitted(exp._period_bytes, 1, 2**40)],
+        "per-period engine": [_largest_admitted(eng._period_bytes, 1, 2**40)],
         "`not-demo`": [_largest_admitted(lambda n: exp._not_demo_bytes(n, 1000, half), 1, 2**40),
                        _largest_admitted(lambda p: exp._not_demo_bytes(1, p, half), 1, 2**40)],
-        "baseline trial": [_largest_admitted(lambda p: exp._baseline_trial_bytes(n, p), 1, 2**40)
+        "baseline trial": [_largest_admitted(lambda p: eng._baseline_trial_bytes(n, p), 1, 2**40)
                            for n in (27, 14)],
     }
     rows = _caps_rows()

@@ -7,13 +7,15 @@ here, at tier 1, rather than only in the traced benchmark run.
 No package module imports a name it never uses, no package function
 or lambda takes a parameter it never reads, no private module-level
 function or method goes without a caller in the package, every public
-draw of `rng` has a caller in the package or is traced, the Monte
-Carlo engines in `experiments` read no `rng.sign_*` draw, no module but
+draw of `rng` has a caller in the package or is traced, neither
+`engines` nor `experiments` reads an `rng.sign_*` draw, no module but
 `rng` names a SplitMix64 primitive or derives a seed from more than one
-tag, no module but `algebra` calls the 2^N-term `expand`, and each of
-the memory counts of `experiments` is used by one call
-that both sizes and refuses.  The CI job that tests the oldest numpy the
-package accepts pins the floor that `pyproject.toml` states.
+tag, no module but `algebra` calls the 2^N-term `expand`, each of the
+memory counts of `engines` and `experiments` is used by one call that
+both sizes and refuses, and `engines` imports nothing from `experiments`,
+so the report builders depend on the engines and not the other way.  The
+CI job that tests the oldest numpy the package accepts pins the floor
+that `pyproject.toml` states.
 """
 
 from __future__ import annotations
@@ -253,9 +255,15 @@ def _sign_draws(tree: ast.Module) -> list[tuple[str, int]]:
 
 def test_experiments_reads_signs_only_as_role_words() -> None:
     # every Monte Carlo engine reads rng.role_words, the one packed layout;
-    # the exact path reaches sign_matrix only through rtw.build_reference_system
-    found = _sign_draws(_package_trees()["experiments.py"])
-    assert not found, "\n".join(f"experiments.py:{line} reads rng.{name}" for name, line in found)
+    # the exact twins and not-demo reach sign_matrix only through
+    # rtw.build_reference_system
+    trees = _package_trees()
+    found = [
+        f"{module}:{line} reads rng.{name}"
+        for module in ("engines.py", "experiments.py")
+        for name, line in _sign_draws(trees[module])
+    ]
+    assert not found, "\n".join(found)
 
 
 def test_sign_draw_check_sees_attributes_and_imports() -> None:
@@ -396,14 +404,14 @@ def test_expand_check_sees_names_and_attributes() -> None:
     assert _expand_calls(tree) == [2, 3]
 
 
-# the one memory rule of `experiments`: the batch helper refuses work above
-# the cap and sizes its batches from the same count
+# the one memory rule of `engines` and `experiments`: the batch helper
+# refuses work above the cap and sizes its batches from the same count
 _CAP, _CHECK, _BATCH = "ENGINE_TRIAL_BYTES_CAP", "_check_memory", "_batch_trials"
 _BATCHED = ("run_identification_trials", "run_baseline_trials", "_carriers_differing")
 
 
-def _memory_rule_breaches(tree: ast.Module) -> list[str]:
-    """Where a module states its memory rule other than once per path.
+def _memory_rule_breaches(*trees: ast.Module) -> list[str]:
+    """Where the modules state their memory rule other than once per path.
 
     Only _check_memory reads ENGINE_TRIAL_BYTES_CAP; only _batch_trials and
     not_gate_demo, once each, call _check_memory; each _BATCHED engine calls
@@ -412,7 +420,7 @@ def _memory_rule_breaches(tree: ast.Module) -> list[str]:
     module-level function or class they sit in.
     """
     breaches, calls = [], {}
-    for top in tree.body:
+    for top in (top for tree in trees for top in tree.body):
         owner = getattr(top, "name", "<module>")
         for node in ast.walk(top):
             if isinstance(node, ast.Name) and node.id == _CAP and isinstance(node.ctx, ast.Load):
@@ -438,12 +446,13 @@ def _memory_rule_breaches(tree: ast.Module) -> list[str]:
 
 
 def test_each_memory_count_sizes_and_refuses_in_one_call() -> None:
-    breaches = _memory_rule_breaches(_package_trees()["experiments.py"])
+    trees = _package_trees()
+    breaches = _memory_rule_breaches(trees["engines.py"], trees["experiments.py"])
     assert not breaches, "\n".join(breaches)
 
 
 def test_memory_rule_check_sees_second_refusals_and_literal_counts() -> None:
-    tree = ast.parse(
+    engines = ast.parse(
         "ENGINE_TRIAL_BYTES_CAP = 1\n"
         "def _check_memory(what, need):\n"
         "    return need > ENGINE_TRIAL_BYTES_CAP\n"
@@ -457,10 +466,19 @@ def test_memory_rule_check_sees_second_refusals_and_literal_counts() -> None:
         "    _batch_trials('b', _trial_bytes(n))\n"
         "def _carriers_differing(n):\n"
         "    return ENGINE_TRIAL_BYTES_CAP // 64\n"
+    )
+    experiments = ast.parse(
+        "from .engines import _check_memory\n"
         "def not_gate_demo(n):\n"
         "    _check_memory('c', n)\n"
     )
-    assert sorted(_memory_rule_breaches(tree)) == [
+    assert _memory_rule_breaches(experiments) == [
+        "_check_memory is called by ['not_gate_demo']",
+        "run_identification_trials calls _batch_trials 0 times",
+        "run_baseline_trials calls _batch_trials 0 times",
+        "_carriers_differing calls _batch_trials 0 times",
+    ]
+    assert sorted(_memory_rule_breaches(engines, experiments)) == [
         "_carriers_differing calls _batch_trials 0 times",
         "_carriers_differing reads ENGINE_TRIAL_BYTES_CAP",
         "_check_memory is called by ['_batch_trials', 'not_gate_demo', "
@@ -468,6 +486,46 @@ def test_memory_rule_check_sees_second_refusals_and_literal_counts() -> None:
         "run_baseline_trials calls _batch_trials 2 times",
         "run_baseline_trials sizes a batch by a count no *_bytes function states",
     ]
+
+
+def _imports_of(tree: ast.Module, module: str) -> list[int]:
+    """Line of each import of the package module `module`, or of a name from it."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            named = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            # `from . import experiments` names the module among the names
+            from_package = node.module in (None, "rtwlogic")
+            named = [alias.name for alias in node.names] if from_package else [node.module]
+        else:
+            continue
+        if any(name in (module, f"rtwlogic.{module}") for name in named):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_engines_import_nothing_from_experiments() -> None:
+    # dependencies run one way, report builders -> engines -> rng: the
+    # builders import the engines, and an engine needs no report
+    found = _imports_of(_package_trees()["engines.py"], "experiments")
+    assert not found, "\n".join(f"engines.py:{line} imports from experiments" for line in found)
+
+
+def test_import_check_sees_relative_absolute_and_module_imports() -> None:
+    tree = ast.parse(
+        "from . import rng\n"
+        "from .experiments import ExperimentReport\n"
+        "from . import algebra, experiments\n"
+        "import rtwlogic.experiments\n"
+        "from rtwlogic.experiments import three_sigma\n"
+        "from rtwlogic import experiments as exp\n"
+        "from .experiments_old import x\n"
+        "from other import experiments\n"
+        "def f():\n"
+        "    from .experiments import fit_slope\n"
+    )
+    assert _imports_of(tree, "experiments") == [2, 3, 4, 5, 6, 10]
 
 
 # the comment above the CI matrix entry that installs the oldest numpy
