@@ -19,7 +19,10 @@ read two laws with the same values instead, `selection_parity` and
 `agreement_law`.  It computes on integers: each evaluator scales its
 coefficients (and lambda's powers) to integers over one common
 denominator when it is built, multiplies or sums integers per column,
-and returns a shared `Fraction`, one object per distinct value.
+and returns a shared `Fraction`, one object per distinct value.  A
+factored superposition's integers are derived once per (superposition,
+lambda) and kept beside it for `evaluator` and `agreement_law` alike, and
+`uniform_superposition` returns one shared instance per bit count.
 """
 
 from __future__ import annotations
@@ -175,6 +178,13 @@ class FactoredSuperposition:
 
     Storage and evaluation are O(N); expanding multiplies out to as many
     as 2^N terms.  c_h[r-1] and c_l[r-1] hold the pair for noise-bit r.
+
+    Its integers at lambda (`_pair_law`) are derived once per (object,
+    lambda) and kept beside the instance, outside its dataclass fields, so
+    `==`, `hash`, `repr`, `fields` and `asdict` do not see them; the
+    instance keeps those of _LAWS_KEPT = 1 lambda at a time, about 8N
+    bytes of group map at N bits plus about 300 bytes per coefficient
+    group of small integers.
     """
 
     num_bits: int
@@ -199,10 +209,26 @@ class FactoredSuperposition:
                     kept = shared.setdefault(c, c)
                 coeffs.append(kept)
             object.__setattr__(self, name, tuple(coeffs))
+        # the laws `_pair_law` keeps, by lambda, outside the dataclass fields
+        object.__setattr__(self, "_laws", {})
 
 
+# uniform_superposition keeps the instances of this many bit counts
+_UNIFORM_SUPERPOSITIONS = 16
+
+
+@functools.lru_cache(maxsize=_UNIFORM_SUPERPOSITIONS, typed=True)
 def uniform_superposition(num_bits: int) -> FactoredSuperposition:
-    """The complete uniform superposition: every c_H = c_L = 1."""
+    """The complete uniform superposition: every c_H = c_L = 1.
+
+    One immutable instance per bit count is shared by every caller, so the
+    law it keeps (`_pair_law`) carries from one run to the next; a count
+    of another type, such as True for 1, gets its own.  At most
+    _UNIFORM_SUPERPOSITIONS = 16 are kept, each about 24N bytes at N bits
+    (its two coefficient tuples and one law's group map) plus about 3 KB
+    of objects of fixed size.  That memory is held between runs, outside
+    any run's memory count.
+    """
     ones = (Fraction(1),) * num_bits
     return FactoredSuperposition(num_bits=num_bits, c_h=ones, c_l=ones)
 
@@ -299,6 +325,47 @@ def _pair_integers(ch: Fraction, cl: Fraction, lam: Fraction) -> tuple[int, int,
     return ch.numerator * (d // hd), cl.numerator * lam.numerator * (d // ld), d
 
 
+# a FactoredSuperposition keeps the laws of this many lambdas
+_LAWS_KEPT = 1
+
+# bit r's group, each group's (h, l, d, n) and the common denominator
+_PairLaw = tuple[tuple[int, ...], tuple[tuple[int, int, int, int], ...], int]
+
+
+def _pair_law(f: FactoredSuperposition, lam: Fraction) -> _PairLaw:
+    """f's integers at lambda: (groups, factors, den), derived once per (f, lambda).
+
+    Bits holding one (c_H, c_L) pair, by identity, form a group, numbered
+    in order of their first bit; groups[r - 1] is bit r's.  factors[g] is
+    group g's (h, l, d, n): its pair as h / d and l / d by `_pair_integers`
+    and its n bits.  den = prod_g d^n is f's common denominator.  The law
+    is kept in f's memo, keyed by lambda's (numerator, denominator); it
+    holds _LAWS_KEPT = 1 law, so another lambda replaces it.  The memo is
+    replaced, never changed in place, so threads sharing an instance at
+    worst derive a law twice.
+    """
+    laws = f._laws
+    key = lam.numerator, lam.denominator
+    law = laws.get(key)
+    if law is None:
+        index: dict[tuple[int, int], int] = {}
+        groups, pairs, counts, pair = [], [], [], None
+        for ch, cl in zip(f.c_h, f.c_l):
+            if pair is None or ch is not pair[0] or cl is not pair[1]:  # a run's first bit
+                pair = ch, cl
+                g = index.setdefault((id(ch), id(cl)), len(pairs))
+                if g == len(pairs):
+                    pairs.append(_pair_integers(ch, cl, lam))
+                    counts.append(0)
+            counts[g] += 1
+            groups.append(g)
+        factors = tuple((h, l, d, n) for (h, l, d), n in zip(pairs, counts))
+        law = tuple(groups), factors, math.prod(d**n for _, _, d, n in factors)
+        kept = list(laws.items())[max(0, len(laws) + 1 - _LAWS_KEPT) :]
+        object.__setattr__(f, "_laws", dict(kept + [(key, law)]))
+    return law
+
+
 def evaluator(
     s: ProductString | Superposition | FactoredSuperposition, lam: Fraction
 ) -> Evaluator:
@@ -313,25 +380,23 @@ def evaluator(
     the evaluator is built, and each value is returned as the shared
     `Fraction` of `_shared`, so equal values are one object while cached.
     Grouping the values by identity before any `Fraction` arithmetic is
-    exact whether or not they are (see `_shared`).
+    exact whether or not they are (see `_shared`).  A factored
+    superposition's integers are built once per (superposition, lambda)
+    by `_pair_law`, which `agreement_law` reads too; its bound and bytes
+    are stated on `FactoredSuperposition`.
     """
     lam = check_lambda(lam)
     if isinstance(s, ProductString):
         return selection_evaluator(s.picks(), lam)
     if isinstance(s, FactoredSuperposition):
-        # per bit: the integer h * A + l * B over d (_pair_integers) for each
-        # (A, B); a run of bits holding the same (c_H, c_L) objects shares
-        # one table
-        tables = []
-        den = 1
-        pair = None
-        for ch, cl in zip(s.c_h, s.c_l):
-            if pair is None or ch is not pair[0] or cl is not pair[1]:
-                pair = ch, cl
-                h, l, d = _pair_integers(ch, cl, lam)
-                table = {(1, 1): h + l, (1, -1): h - l, (-1, 1): l - h, (-1, -1): -h - l}
-            tables.append(table)
-            den *= d
+        # per bit: its group's integer h * A + l * B over d (_pair_law) for
+        # each (A, B); the bits of one group share one table
+        groups, factors, den = _pair_law(s, lam)
+        by_group = [
+            {(1, 1): h + l, (1, -1): h - l, (-1, 1): l - h, (-1, -1): -h - l}
+            for h, l, _, _ in factors
+        ]
+        tables = [by_group[g] for g in groups]
         # column[1::2] holds A_1, A_2, ... and column[::2] B_1, B_2, ...
         return lambda column: _shared(
             math.prod(map(dict.__getitem__, tables, zip(column[1::2], column[::2]))), den
@@ -399,29 +464,21 @@ def agreement_law(
     holding one (c_H, c_L) pair, by identity, form a group; at state =
     (parity of the A = -1 signs, a_0, ..., a_(G-1)), a_g of group g's n_g
     bits agreeing, f is (-1)^parity * prod_g (h_g + l_g)^(a_g) (h_g - l_g)^(n_g - a_g),
-    the shared `Fraction` `evaluator` returns.
+    the shared `Fraction` `evaluator` returns.  The groups and their
+    integers are `_pair_law`'s, built once per (f, lambda) and shared with
+    `evaluator`; the returned group list is a fresh copy.
     """
     lam = check_lambda(lam)
-    index: dict[tuple[int, int], int] = {}
-    groups, factors, pair = [], [], None
-    for ch, cl in zip(f.c_h, f.c_l):
-        if pair is None or ch is not pair[0] or cl is not pair[1]:  # a run's first bit
-            pair = ch, cl
-            g = index.setdefault((id(ch), id(cl)), len(factors))
-            if g == len(factors):  # [h + l, h - l, n_g, d]
-                h, l, d = _pair_integers(ch, cl, lam)
-                factors.append([h + l, h - l, 0, d])
-        factors[g][2] += 1
-        groups.append(g)
-    den = math.prod(d**n for _, _, n, d in factors)
+    groups, factors, den = _pair_law(f, lam)
+    powers = [(h + l, h - l, n) for h, l, _, n in factors]
 
     def value(state: Sequence[int]) -> Fraction:
         num = -1 if state[0] else 1
-        for (s, t, n, _), a in zip(factors, state[1:]):
+        for (s, t, n), a in zip(powers, state[1:]):
             num *= s**a * t ** (n - a)
         return _shared(num, den)
 
-    return groups, value
+    return list(groups), value
 
 
 # every accepted sign by value, so True and 1.0 read as the int 1
@@ -462,6 +519,9 @@ def evaluate_symbolic(
     """Exact value of s under one period's {(bit, role): sign} assignment.
 
     H_r evaluates to the role-A sign, L_r to lambda times the role-B sign.
-    Every bit's A and B entries must be present, read or not.
+    Every bit's A and B entries must be present, read or not.  Each call
+    builds an `evaluator`; for a factored superposition that reads the
+    integers kept per (superposition, lambda), so repeated calls on one
+    object, such as the shared `uniform_superposition(N)`, derive them once.
     """
     return evaluator(s, lam)(_sign_column(signs, s.num_bits))

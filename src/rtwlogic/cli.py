@@ -17,6 +17,7 @@ from fractions import Fraction
 
 from . import experiments
 from .identify import check_epsilon
+from .rng import MASK64
 from .rtw import check_lambda
 
 
@@ -39,6 +40,22 @@ def _checked(check):
 
 _lambda = _checked(check_lambda)
 _epsilon = _checked(check_epsilon)
+
+
+def _seed(text: str) -> int:
+    """An argparse type: a master seed in 0..2^64 - 1.
+
+    The library folds any integer seed mod 2^64, so seeds that differ by a
+    multiple of 2^64 would draw the same signs while their reports state
+    different seeds.
+    """
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if not 0 <= seed <= MASK64:
+        raise argparse.ArgumentTypeError(f"seed must satisfy 0 <= seed < 2^64, got {seed}")
+    return seed
 
 
 def _bits_list(text: str) -> list[int]:
@@ -75,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--bits", type=int, required=True)
     p.add_argument("--trials", type=int, default=100000)
-    p.add_argument("--seed", type=int, default=experiments.DEFAULT_SEED)
+    p.add_argument("--seed", type=_seed, default=experiments.DEFAULT_SEED)
     p.set_defaults(run=lambda a: experiments.zero_probability_experiment(
         a.bits, a.trials, a.seed))
 
@@ -88,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--exhaustive", action="store_true",
                    help="enumerate all sign assignments (bits <= 6)")
     p.add_argument("--trials", type=int, default=10000)
-    p.add_argument("--seed", type=int, default=experiments.DEFAULT_SEED)
+    p.add_argument("--seed", type=_seed, default=experiments.DEFAULT_SEED)
     p.set_defaults(run=lambda a: experiments.amplitude_range_experiment(
         a.bits, a.lam, exhaustive=True if a.exhaustive else None,
         trials=a.trials, seed=a.seed))
@@ -108,7 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bits", type=int, required=True)
     p.add_argument("--epsilon", type=_epsilon, default=Fraction(1, 1000))
     p.add_argument("--trials", type=int, default=10000)
-    p.add_argument("--seed", type=int, default=experiments.DEFAULT_SEED)
+    p.add_argument("--seed", type=_seed, default=experiments.DEFAULT_SEED)
     p.add_argument("--baseline", action="store_true",
                    help="also run the exhaustive baseline search (bits <= 14)")
     p.set_defaults(run=lambda a: experiments.identification_experiment(
@@ -123,7 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bits", type=_bits_list, default="4,6,8,10,12")
     p.add_argument("--epsilon", type=_epsilon, default=Fraction(1, 1000000))
     p.add_argument("--trials", type=int, default=200)
-    p.add_argument("--seed", type=int, default=experiments.DEFAULT_SEED)
+    p.add_argument("--seed", type=_seed, default=experiments.DEFAULT_SEED)
     p.add_argument("--no-baseline", action="store_true",
                    help="skip the exponential baseline entirely")
     p.add_argument("--baseline-cap", type=int, default=experiments.BASELINE_BITS_CAP,
@@ -142,7 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="lam", type=_lambda, default=Fraction(1, 2))
     p.add_argument("--target", type=int, default=1, help="bit to invert (1-based)")
     p.add_argument("--periods", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=experiments.DEFAULT_SEED)
+    p.add_argument("--seed", type=_seed, default=experiments.DEFAULT_SEED)
     p.set_defaults(run=lambda a: experiments.not_gate_demo(
         a.bits, a.lam, a.target, periods=a.periods, seed=a.seed))
 

@@ -9,7 +9,10 @@ coefficient.
 
 from __future__ import annotations
 
+import copy
+import dataclasses
 import itertools
+import pickle
 import re
 from fractions import Fraction
 
@@ -117,6 +120,11 @@ def test_factored_superposition_keeps_fraction_coefficients() -> None:
     assert f.c_l[0] == Fraction(1, 4) and type(f.c_l[0]) is Fraction
     uni = alg.uniform_superposition(16)
     assert len({id(c) for c in uni.c_h + uni.c_l}) == 1
+    assert uni is alg.uniform_superposition(16)
+    assert uni is not alg.uniform_superposition(15)
+    # an equal count of another type does not hand its type to int callers
+    assert alg.uniform_superposition(True).num_bits is True
+    assert type(alg.uniform_superposition(1).num_bits) is int
 
 
 @settings(max_examples=200, deadline=None)
@@ -168,6 +176,10 @@ def test_apply_not_factored_rule() -> None:
     assert g.c_l == (Fraction(1), Fraction(1))
     assert g.c_h[0] == lam * lam * f.c_l[0]
     assert g.c_l[0] == f.c_h[0]
+    # one shared instance per bit count, which the gate leaves as it was
+    assert f is alg.uniform_superposition(2)
+    assert f.c_h == f.c_l == (Fraction(1), Fraction(1))
+    assert alg.evaluator(f, lam)((1, 1, 1, 1)) == Fraction(9, 4)
 
 
 def test_apply_not_expanded_permutes_terms() -> None:
@@ -311,29 +323,49 @@ def test_evaluation_matches_literal_oracle() -> None:
                 )
 
 
+def _agreement_state(groups: list[int], column) -> tuple[int, ...]:
+    # (parity of the A = -1 signs, agreeing bits of each group), read off
+    # the column directly
+    state = [sum(a < 0 for a in column[1::2]) % 2] + [0] * (max(groups) + 1)
+    for g, b, a in zip(groups, column[::2], column[1::2]):
+        state[1 + g] += a == b
+    return tuple(state)
+
+
 def test_factored_evaluator_matches_literal_oracle() -> None:
     # arbitrary (c_H, c_L) pairs, zero and negative included, against the
     # literal sum over product strings of prod_r coefficient times the
-    # literal product, over every column at N <= 3
+    # literal product, over every column at N <= 3, by the evaluator and
+    # by the agreement law.  Each object sees lambda go 1/2 -> 1/3 -> 1/2
+    # and on, so a law kept for another lambda would show
     coeffs = (Fraction(0), Fraction(1), Fraction(-1), Fraction(3, 4), Fraction(-5, 3))
-    for lam in (Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), Fraction(1)):
-        for n in (1, 2, 3):
+    forms = [
+        (n, alg.FactoredSuperposition(
+            n,
+            tuple(coeffs[(pick + 2 * r) % 5] for r in range(n)),
+            tuple(coeffs[(pick * 3 + r) % 5] for r in range(n)),
+        ))
+        for n in (1, 2, 3)
+        for pick in range(2 * n, 2 * n + 9)
+    ]
+    for lam in (Fraction(1, 2), Fraction(1, 3), Fraction(1, 2), Fraction(2, 3),
+                Fraction(1), Fraction(1, 3)):
+        for n, f in forms:
             strings = [alg.ProductString(n, bits) for bits in range(2**n)]
-            for pick in range(2 * n, 2 * n + 9):
-                c_h = tuple(coeffs[(pick + 2 * r) % 5] for r in range(n))
-                c_l = tuple(coeffs[(pick * 3 + r) % 5] for r in range(n))
-                f = alg.FactoredSuperposition(n, c_h, c_l)
-                value = alg.evaluator(f, lam)
-                for picks in range(2 ** (2 * n)):
-                    signs = _random_signs(n, picks)
-                    expect = sum(
-                        (_literal_product(w, signs, lam) * _string_coeff(w, c_h, c_l)
-                         for w in strings),
-                        Fraction(0),
-                    )
-                    v = value(alg._sign_column(signs, n))
-                    assert type(v) is Fraction
-                    assert v == expect
+            value = alg.evaluator(f, lam)
+            groups, law = alg.agreement_law(f, lam)
+            for picks in range(2 ** (2 * n)):
+                signs = _random_signs(n, picks)
+                expect = sum(
+                    (_literal_product(w, signs, lam) * _string_coeff(w, f.c_h, f.c_l)
+                     for w in strings),
+                    Fraction(0),
+                )
+                column = alg._sign_column(signs, n)
+                v = value(column)
+                assert type(v) is Fraction
+                assert v == expect
+                assert law(_agreement_state(groups, column)) is v
 
 
 def test_factored_evaluator_with_shared_and_distinct_coefficient_objects() -> None:
@@ -370,6 +402,86 @@ def test_equal_values_are_one_shared_object() -> None:
     again = alg.selection_evaluator(picks, lam)
     assert {id(again((1, 1, 1, 1))), id(again((1, 1, -1, 1)))} == set(map(id, values))
     assert type(alg.evaluator(alg.Superposition(4), lam)(column)) is Fraction
+
+
+@pytest.mark.parametrize("make", [
+    lambda: alg.uniform_superposition(4),
+    lambda: alg.FactoredSuperposition(
+        4, (Fraction(1, 2), Fraction(3), Fraction(1, 2), Fraction(-2, 7)), (1, 1, "1/5", 0)
+    ),
+])
+def test_laws_share_values_with_a_fresh_equal_superposition(make, monkeypatch) -> None:
+    # a fresh, equal superposition's evaluator and agreement law return the
+    # very objects of one whose law is kept, before and after its law is
+    # built; each (object, lambda) derives its pair integers once
+    f = make()
+    # f keeps one lambda's law (_LAWS_KEPT), so a law at lambda = 1 leaves
+    # 1/2 and 1/3 cold even for the shared uniform superposition
+    assert alg._LAWS_KEPT == 1
+    alg.evaluator(f, Fraction(1))
+    derived = []
+    pair_integers = alg._pair_integers
+    monkeypatch.setattr(alg, "_pair_integers", lambda *a: derived.append(a) or pair_integers(*a))
+    columns = [alg._sign_column(_random_signs(4, picks), 4) for picks in range(0, 256, 7)]
+    for lam in (Fraction(1, 2), Fraction(1, 3)):
+        for state in ("cold", "warm"):
+            fresh = dataclasses.replace(f)
+            assert fresh == f and fresh is not f
+            groups, law = alg.agreement_law(f, lam)
+            for value in (alg.evaluator(f, lam), alg.evaluator(fresh, lam)):
+                for column in columns:
+                    v = value(column)
+                    assert v is alg.evaluator(fresh, lam)(column), state
+                    assert law(_agreement_state(groups, column)) is v, state
+                    assert alg.agreement_law(fresh, lam)[1](
+                        _agreement_state(groups, column)) is v, state
+    # f's law at each lambda once, and each fresh copy's once per lambda
+    groups_of_f = len(set(alg.agreement_law(f, Fraction(1, 3))[0]))
+    assert len(derived) == groups_of_f * (2 + 2 * 2)
+
+
+def test_kept_law_is_outside_the_dataclass() -> None:
+    # building laws changes no dataclass view of the object, and the groups
+    # a caller gets back cannot reach the kept law
+    def views(f):
+        return f, hash(f), repr(f), [x.name for x in dataclasses.fields(f)], dataclasses.asdict(f)
+
+    half = Fraction(1, 2)
+    f = alg.FactoredSuperposition(3, (half, 1, half), (1, 1, 1))
+    before = views(f)
+    assert before[3] == ["num_bits", "c_h", "c_l"]
+    for lam in (half, Fraction(1, 3)):
+        groups, law = alg.agreement_law(f, lam)
+        alg.evaluator(f, lam)
+        assert groups == [0, 1, 0]
+        groups[:] = [0, 0, 0]
+        groups.append(5)
+        assert alg.agreement_law(f, lam)[0] == [0, 1, 0]
+        assert views(f) == before
+    fresh = alg.FactoredSuperposition(3, (half, 1, half), (1, 1, 1))
+    assert views(fresh) == before
+    column = (1, 1, -1, 1, -1, -1)
+    assert alg.evaluator(f, half)(column) == alg.evaluator(fresh, half)(column) == -half
+
+
+def test_pickle_and_deepcopy_of_a_built_law_round_trip() -> None:
+    # a superposition whose law is built copies and pickles equal, keeps
+    # no closure (a deep copy pickles too) and gives the same values
+    lam = Fraction(1, 3)
+    for f in (alg.uniform_superposition(3),
+              alg.FactoredSuperposition(3, (Fraction(2, 5), 1, 1), (0, Fraction(-1, 4), 1))):
+        value = alg.evaluator(f, lam)
+        groups, law = alg.agreement_law(f, lam)
+        for clone in (pickle.loads(pickle.dumps(f)), copy.deepcopy(f)):
+            assert clone == f and clone is not f
+            assert pickle.loads(pickle.dumps(clone)) == f
+            clone_groups, clone_law = alg.agreement_law(clone, lam)
+            assert clone_groups == groups
+            for picks in range(64):
+                column = alg._sign_column(_random_signs(3, picks), 3)
+                state = _agreement_state(groups, column)
+                assert alg.evaluator(clone, lam)(column) is value(column)
+                assert clone_law(state) is law(state) is value(column)
 
 
 def test_selection_evaluator_repeats_and_rejects() -> None:

@@ -118,9 +118,25 @@ def test_bad_arguments_exit_two(capsys) -> None:
         ["identify", "--bits", "4", "--epsilon", "1"],
         ["bench", "--bits", "4,banana"],
         ["frobnicate"],
+        # a seed outside 0..2^64 - 1 would alias one inside under another name
+        ["identify", "--bits", "16", "--trials", "300", "--seed", str(2**64)],
+        ["identify", "--bits", "16", "--trials", "300", "--seed", str(-(2**64))],
+        ["zero-prob", "--bits", "3", "--seed", str(2**64 + 5)],
+        ["range", "--bits", "8", "--seed", "-1"],
+        ["bench", "--bits", "4", "--seed", str(2**64)],
+        ["not-demo", "--bits", "2", "--seed", "-5"],
     ):
         assert main(argv) == 2, argv
         capsys.readouterr()
+
+
+def test_seed_accepts_both_ends_of_its_range(capsys) -> None:
+    # 0 and 2^64 - 1 run, and the report states the seed as given
+    for seed in (0, 2**64 - 1):
+        argv = ["zero-prob", "--bits", "3", "--trials", "200", "--seed", str(seed)]
+        rc, out, err = _run(capsys, argv)
+        assert (rc, err) == (0, "")
+        assert f"parameters,seed,{seed}\n" in out
 
 
 def test_parse_errors_return_two_with_usage(capsys) -> None:
@@ -130,6 +146,9 @@ def test_parse_errors_return_two_with_usage(capsys) -> None:
         (["bench", "--epsilon", "1"], "epsilon must satisfy 0 < epsilon < 1"),
         (["range", "--bits", "2", "--lambda", "1/0"], "not a rational number: '1/0'"),
         (["identify", "--bits", "x"], "invalid int value: 'x'"),
+        (["identify", "--bits", "4", "--seed", "x"], "invalid int value: 'x'"),
+        (["range", "--bits", "2", "--seed", str(2**64)],
+         f"argument --seed: seed must satisfy 0 <= seed < 2^64, got {2**64}"),
     ):
         rc, out, err = _run(capsys, argv)
         assert rc == 2, argv

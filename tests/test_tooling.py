@@ -13,9 +13,11 @@ draw of `rng` has a caller in the package or is traced, neither
 tag, no module but `algebra` calls the 2^N-term `expand`, each of the
 memory counts of `engines` and `experiments` is used by one call that
 both sizes and refuses, and `engines` imports nothing from `experiments`,
-so the report builders depend on the engines and not the other way.  The
-CI job that tests the oldest numpy the package accepts pins the floor
-that `pyproject.toml` states.
+so the report builders depend on the engines and not the other way.  Every
+`functools.lru_cache` or `functools.cache` in the package is bounded by a
+named module constant or wraps a function without parameters.  The CI job
+that tests the oldest numpy the package accepts pins the floor that
+`pyproject.toml` states.
 """
 
 from __future__ import annotations
@@ -526,6 +528,126 @@ def test_import_check_sees_relative_absolute_and_module_imports() -> None:
         "    from .experiments import fit_slope\n"
     )
     assert _imports_of(tree, "experiments") == [2, 3, 4, 5, 6, 10]
+
+
+def _takes_parameters(fn: ast.FunctionDef | ast.AsyncFunctionDef) -> bool:
+    a = fn.args
+    return bool(a.posonlyargs or a.args or a.vararg or a.kwonlyargs or a.kwarg)
+
+
+def _caches(tree: ast.Module) -> list[tuple[int, str | None, bool]]:
+    """(line, wrapped function, bounded) for each functools.lru_cache or cache.
+
+    A cache is bounded when it is `lru_cache(maxsize=K)` or `lru_cache(K)`,
+    K a name assigned an int literal at module level, or when the function
+    it wraps, as a decorator or as the argument of a call, takes no
+    parameters.  The wrapped function is None where it is no def of the
+    module.  `functools` and the two names are followed through imports
+    and aliases.
+    """
+    modules, names = set(), {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules |= {a.asname or a.name for a in node.names if a.name == "functools"}
+        elif isinstance(node, ast.ImportFrom) and node.module == "functools":
+            names |= {a.asname or a.name: a.name for a in node.names
+                      if a.name in ("lru_cache", "cache")}
+    constants = {
+        target.id
+        for node in tree.body
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Constant)
+        and type(node.value.value) is int
+        for target in node.targets
+        if isinstance(target, ast.Name)
+    }
+    defs = [n for n in ast.walk(tree) if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    by_name = {d.name: d for d in defs}
+    decorated = {id(dec): d for d in defs for dec in d.decorator_list}
+    parent = {id(child): node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+
+    def called_with_a_def(node: ast.AST) -> ast.FunctionDef | None:
+        call = parent.get(id(node))
+        if (isinstance(call, ast.Call) and call.func is node and len(call.args) == 1
+                and not call.keywords and isinstance(call.args[0], ast.Name)):
+            return by_name.get(call.args[0].id)
+        return None
+
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                and node.value.id in modules and node.attr in ("lru_cache", "cache"):
+            kind = node.attr
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id in names:
+            kind = names[node.id]
+        else:
+            continue
+        site, named_bound = node, False
+        call = parent.get(id(node))
+        if isinstance(call, ast.Call) and call.func is node and called_with_a_def(node) is None:
+            # a factory call, lru_cache(maxsize=...): its result wraps the function
+            sizes = call.args[:1] + [k.value for k in call.keywords if k.arg == "maxsize"]
+            named_bound = kind == "lru_cache" and len(sizes) == 1 and (
+                isinstance(sizes[0], ast.Name) and sizes[0].id in constants
+            )
+            site = call
+        wrapped = decorated.get(id(site)) or called_with_a_def(site)
+        bounded = named_bound or (wrapped is not None and not _takes_parameters(wrapped))
+        found.append((node.lineno, wrapped.name if wrapped else None, bounded))
+    return sorted(found, key=lambda site: site[0])
+
+
+def test_every_cache_is_bounded_by_a_named_constant() -> None:
+    # a cache holds its entries between runs, outside every memory count, so
+    # each states its bound by name or caches the one value of a function
+    # without parameters
+    found = {
+        f"{module}:{line} {name}": bounded
+        for module, tree in _package_trees().items()
+        for line, name, bounded in _caches(tree)
+    }
+    wrapped = {key.split()[1] for key in found}
+    assert {"_shared", "uniform_superposition", "slot_keys", "build_parser"} <= wrapped
+    unbounded = [key for key, bounded in found.items() if not bounded]
+    assert not unbounded, "\n".join(f"{key} is not bounded by a named constant" for key in unbounded)
+
+
+def test_cache_check_sees_decorators_calls_and_aliases() -> None:
+    tree = ast.parse(
+        "import functools\n"
+        "import functools as ft\n"
+        "from functools import cache, lru_cache as memo\n"
+        "_KEEP = 16\n"
+        "_NONE = None\n"
+        "@functools.lru_cache(maxsize=_KEEP)\n"
+        "def a(n): pass\n"
+        "@memo(_KEEP)\n"
+        "def b(n): pass\n"
+        "@ft.cache\n"
+        "def c(): pass\n"
+        "d = functools.cache(c)\n"
+        "@functools.lru_cache(maxsize=None)\n"
+        "def e(n): pass\n"
+        "@functools.lru_cache\n"
+        "def f(n): pass\n"
+        "@cache\n"
+        "def g(*n): pass\n"
+        "h = functools.lru_cache(maxsize=128)(g)\n"
+        "i = memo(g)\n"
+        "j = ft.lru_cache(_NONE)(a)\n"
+        "k = functools.cache\n"
+        "def outer():\n"
+        "    @functools.lru_cache(maxsize=_KEEP)\n"
+        "    def inner(x): pass\n"
+        "    @functools.cache\n"
+        "    def inner2(*, y): pass\n"
+        "cache_hits = other.cache\n"
+    )
+    assert _caches(tree) == [
+        (6, "a", True), (8, "b", True), (10, "c", True), (12, "c", True),
+        (13, "e", False), (15, "f", False), (17, "g", False), (19, "g", False),
+        (20, "g", False), (21, "a", False), (22, None, False),
+        (24, "inner", True), (26, "inner2", False),
+    ]
 
 
 # the comment above the CI matrix entry that installs the oldest numpy
