@@ -27,10 +27,11 @@ disagreeing carriers, so `zero-prob`, Monte Carlo `range` and the
 mismatch rate read one bit count of L ^ H under a mask per period, drawn
 in bounded chunks, with no per-period Fraction.  The baseline compares
 whole readout sequences by the same law: it transposes each bit's L ^ H
-into one bit per period of uint32 words and keeps its scan exhaustive,
-comparing all 2^N candidates on their first word as XORs of two
-half-tables of those columns and checking the first first-word match on
-the other words.
+into one bit per period of uint32 words by word shifts and keeps its scan
+exhaustive, comparing all 2^N candidates on their first word as XORs of
+two half-tables of those columns, built together in one buffer by one
+doubling pass, and checking the first first-word match on the other
+words.
 """
 
 from __future__ import annotations
@@ -302,50 +303,101 @@ class BaselineTrialStats:
     tests: np.ndarray | None = None
 
 
-def _xor_table(columns: np.ndarray) -> np.ndarray:
-    """(b, W, 2^k) XOR of the columns of each k-bit string's 1 bits, in catalog order.
-
-    columns is (b, k, W), one row per bit, first bit most significant;
-    the table has their dtype and holds each period word's 2^k values in
-    one contiguous row.
-    """
-    b, k, w = columns.shape
-    table = np.zeros((b, w, 1 << k), dtype=columns.dtype)
-    for i in range(k):  # the last bit first: strings with bit k - 1 - i set follow the rest
-        size = 1 << i
-        out = table[..., size : 2 * size]
-        np.bitwise_xor(table[..., :size], columns[:, k - 1 - i, :, None], out=out)
-    return table
+# right shifts that bring noise-bit q + 1 of a period's L ^ H word, bit 63 - q,
+# to bit 0 of a byte, for the top 32 bits of the word (q < 32)
+_COLUMN_SHIFTS = (63 - np.arange(32, dtype=np.uint64))[:, None]
+# bit 0 of each byte of a word, and the multiplier that moves bit 0 of byte
+# j to bit 56 + j, so the top byte holds the word's eight bits in byte order
+_BYTE_LOW_BITS = np.uint64(0x0101010101010101)
+_GATHER_BYTE_BITS = np.uint64(0x0102040810204080)
 
 
 def _differ_columns(tag_seeds: np.ndarray, num_bits: int, periods: int) -> np.ndarray:
-    """(b, N, ceil(P/32)) uint32 carriers-differ columns, one row per noise-bit.
+    """(b, ceil(P/32), N) uint32 carriers-differ columns, one per noise-bit.
 
     tag_seeds is the trials' (b, 2, 1) rng.trial_draws tag seeds.  Bit
-    k % 32 of word k // 32 of row q is the bit of noise-bit q + 1 in period
-    k's L ^ H role words; bits past period P stay clear.
+    k % 32 of [t, k // 32, q] is the bit of noise-bit q + 1 in period k's
+    L ^ H role words of trial t; bits past period P stay clear.  One right
+    shift per noise-bit and period, cast to a byte, brings the bit to bit
+    0 of byte k of the noise-bit's row, zero past period P, so a row holds
+    one byte per period of 32W; read as little-endian uint64 words of
+    eight periods, the rows are masked to those bits, and one multiply
+    gathers each word's eight into its top byte, period k at bit k % 8.
+    Four such bytes make a uint32 word, and one copy lays the words out
+    period word first.  N <= 32; the match mask keeps N <= 27.
     """
     b, n = len(tag_seeds), num_bits
+    n_words = -(-periods // 32)
     words = rng.role_words(tag_seeds, periods)[:, :, 0]
-    differ = (words[:, 0] ^ words[:, 1]).astype(">u8").view(np.uint8).reshape(b, periods, 8)
-    packed = np.packbits(np.unpackbits(differ, axis=2, count=n), axis=1, bitorder="little")
-    columns = np.zeros((b, n, 4 * -(-periods // 32)), dtype=np.uint8)
-    columns[:, :, : packed.shape[1]] = packed.transpose(0, 2, 1)
-    return columns.view("<u4")
+    differ = words[:, 0] ^ words[:, 1]
+    packed = np.zeros((b, n, 4 * n_words), dtype="<u8")
+    by_period = packed.view(np.uint8)[..., :periods]
+    np.right_shift(differ[:, None, :], _COLUMN_SHIFTS[:n], out=by_period, casting="unsafe")
+    packed &= _BYTE_LOW_BITS
+    packed *= _GATHER_BYTE_BITS
+    top = packed.view(np.uint8)[..., 7::8].reshape(b, n, n_words, 4)
+    return top.transpose(0, 2, 1, 3).copy().view("<u4")[..., 0]
 
 
 def _baseline_trial_bytes(num_bits: int, periods: int) -> int:
     """Bytes one baseline trial holds, W = ceil(P/32); sizes batches and refuses.
 
-    Its (2, P) role words and their fold, P differ values and their
-    big-endian copy, (P, N) unpacked bits, their packed bytes, the (N, W)
-    columns, both half-tables, the XOR'd first word of the high one, and
-    the 2^N-byte first-word match mask.
+    Its (2, P) role words and one mix temporary of their size, P L ^ H
+    words, the (N, 32W) period bytes of the column transpose and the (N, W)
+    uint32 columns it yields, the one buffer of both half-tables, the
+    XOR'd first word of the high one, and the 2^N-byte first-word match
+    mask.
     """
     n, p, w = num_bits, periods, -(-periods // 32)
     hi, lo = 1 << n // 2, 1 << n - n // 2
-    signs = 8 * 6 * p + n * p + 2 * 4 * n * w
+    signs = 8 * 5 * p + 32 * n * w + 4 * n * w
     return signs + 4 * w * (hi + lo) + 4 * hi + (1 << n)
+
+
+def _half_tables(columns: np.ndarray) -> np.ndarray:
+    """(b, W, H + L) buffer of both half-tables of (b, W, N) columns, Hi first.
+
+    H = 2^floor(N/2) and L = 2^ceil(N/2).  Hi[i] is the XOR of the columns
+    of the 1 bits of i as a string of the first floor(N/2) bits, first bit
+    most significant, and Lo[j] the same over the other bits, so candidate
+    c reads Hi[c >> ceil(N/2)] ^ Lo[c mod L].  One doubling pass builds
+    both: step i XORs Hi's column floor(N/2) - 1 - i and Lo's column
+    N - 1 - i, the last bit first, into both tables at once through a
+    (2, H) view of the buffer's first 2H entries, and at odd N one more
+    step doubles Lo with its first bit, so the tables cost ceil(N/2) XOR
+    calls.  Trials and period words share one axis, so a step is a
+    three-axis call.
+    """
+    b, n_words, n = columns.shape
+    n_hi, n_lo = n // 2, n - n // 2
+    size_hi = 1 << n_hi
+    table = np.empty((b, n_words, size_hi + (1 << n_lo)), dtype=columns.dtype)
+    rows = table.reshape(b * n_words, -1)
+    columns = columns.reshape(b * n_words, n)
+    both = rows[:, : 2 * size_hi].reshape(-1, 2, size_hi)
+    both[..., 0] = 0
+    for i in range(n_hi):
+        size = 1 << i
+        pair = columns[:, n_hi - 1 - i :: n_lo, None]
+        np.bitwise_xor(both[..., :size], pair, out=both[..., size : 2 * size])
+    if n_lo > n_hi:
+        np.bitwise_xor(rows[:, size_hi : 2 * size_hi], columns[:, n_hi, None],
+                       out=rows[:, 2 * size_hi :])
+    return table
+
+
+def _candidate_words(
+    table: np.ndarray, split: np.ndarray, trials: np.ndarray, cand: np.ndarray
+) -> np.ndarray:
+    """(len(trials), W) words Hi[c_hi] ^ Lo[c_lo] of candidate cand[i] in trial trials[i].
+
+    table is the (b, W, H + L) buffer of both half-tables, Hi first; the
+    rows of split are the shifts, masks and offsets that take a candidate
+    to its two positions there, c_hi and H + c_lo, read in one gather.
+    """
+    at = ((cand[:, None] >> split[0]) & split[1]) + split[2]
+    pair = table[trials[:, None], :, at]
+    return pair[:, 0] ^ pair[:, 1]
 
 
 def run_baseline_trials(
@@ -361,49 +413,52 @@ def run_baseline_trials(
     differ in a period exactly when an odd number of the bits where they
     differ have carriers of opposite sign: strings compare through the XOR
     of one column per 1 bit, that bit's carriers-differ sequence packed
-    into W = ceil(P/32) uint32 words.  One rng.role_words word per carrier
-    role holds every noise-bit, since the 2^N-byte match mask keeps
-    N <= 27 under ENGINE_TRIAL_BYTES_CAP.  Batches of trials are scanned
-    at once.  Candidate c splits into its first floor(N/2) bits (c_hi) and
-    the rest (c_lo) and reads Hi[c_hi] ^ Lo[c_lo], so two half-tables of
-    at most 2^ceil(N/2) rows stand in for the 2^N-row catalog.  All 2^N
-    candidates are compared on their first word (periods 0..31), and the
-    flattened match mask is in catalog order (all-L first).  Above 32
-    periods the first first-word match is checked on the other words; a
-    candidate that differs there (a chance of 2^-32 each) is passed over
-    for the next first-word match, one pass per earlier first-word-only
-    match, so in practice one.  A trial's cost is the index of the first
-    candidate that survives its whole period budget, exactly as the
-    sequential reference search counts it.
+    into W = ceil(P/32) uint32 words by _differ_columns.  One
+    rng.role_words word per carrier role holds every noise-bit, since the
+    2^N-byte match mask keeps N <= 27 under ENGINE_TRIAL_BYTES_CAP.
+    Batches of trials are scanned at once.  Candidate c splits into its
+    first floor(N/2) bits (c_hi) and the rest (c_lo) and reads
+    Hi[c_hi] ^ Lo[c_lo], so two half-tables of H = 2^floor(N/2) and
+    L = 2^ceil(N/2) rows stand in for the 2^N-row catalog; _half_tables
+    builds both in one (b, W, H + L) buffer in one doubling pass of
+    ceil(N/2) XOR calls, and _candidate_words reads a candidate's two rows
+    from it in one gather.  All 2^N candidates are compared on their first
+    word (periods 0..31), and the flattened match mask is in catalog order
+    (all-L first).  Above 32 periods the first first-word match is checked
+    on the other words; a candidate that differs there (a chance of 2^-32
+    each) is passed over for the next first-word match, one pass per
+    earlier first-word-only match, so in practice one.  A trial's cost is
+    the index of the first candidate that survives its whole period
+    budget, exactly as the sequential reference search counts it.
     """
     if num_bits < 1 or periods_per_test < 1 or trials < 1:
         raise ValueError("num_bits, periods_per_test and trials must be >= 1")
     n = num_bits
-    n_hi = n // 2
+    n_hi, n_lo = n // 2, n - n // 2
+    size_hi, size_lo = 1 << n_hi, 1 << n_lo
     n_words = -(-periods_per_test // 32)
     what = f"one baseline trial at {n} bits and {periods_per_test} periods"
     batch_size = _batch_trials(what, _baseline_trial_bytes(n, periods_per_test))
     tests = np.empty(trials, dtype=np.int64) if keep_per_trial else None
     tests_sum = false_matches = 0
+    # a candidate's positions in the table buffer: c >> n_lo, size_hi + c_lo
+    split = np.array([[n_lo, 0], [size_hi - 1, size_lo - 1], [0, size_hi]])
     # the match mask keeps N <= 27, so one word holds each role and the string
     for start, tag_seeds, hidden in rng.trial_draws(seed, n, trials, batch_size):
         b = len(tag_seeds)
         hidden = (hidden[:, 0] & np.uint64((1 << n) - 1)).astype(np.intp)  # hidden_bits_for
-        columns = _differ_columns(tag_seeds, n, periods_per_test)
-        hi = _xor_table(columns[:, :n_hi])
-        lo = _xor_table(columns[:, n_hi:])
-        c_hi, c_lo = np.divmod(hidden, lo.shape[2])
-        unknown = hi[np.arange(b), :, c_hi] ^ lo[np.arange(b), :, c_lo]
-        match = ((hi[:, 0] ^ unknown[:, :1])[:, :, None] == lo[:, 0, None, :]).reshape(b, -1)
+        table = _half_tables(_differ_columns(tag_seeds, n, periods_per_test))
+        unknown = _candidate_words(table, split, np.arange(b), hidden)
+        hi, lo = table[:, 0, :size_hi], table[:, 0, size_hi:]
+        match = ((hi ^ unknown[:, :1])[:, :, None] == lo[:, None, :]).reshape(b, -1)
         first = np.argmax(match, axis=1)
         # a first-word match that differs on a later word (2^-32 a candidate)
         # gives way to the trial's next first-word match; the hidden string
         # matches on every word, so there is one
         pending = np.arange(b if n_words > 1 else 0)
         while len(pending):
-            c_hi, c_lo = np.divmod(first[pending], lo.shape[2])
-            differs = (hi[pending, :, c_hi] ^ lo[pending, :, c_lo] ^ unknown[pending]).any(axis=1)
-            pending = pending[differs]
+            words = _candidate_words(table, split, pending, first[pending])
+            pending = pending[(words ^ unknown[pending]).any(axis=1)]
             for t in pending:
                 first[t] += 1 + np.argmax(match[t, first[t] + 1 :])
         tests_sum += int(first.sum()) + b

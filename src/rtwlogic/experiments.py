@@ -538,7 +538,7 @@ def identification_benchmark(
     ticks, 2N * required_periods(N, epsilon) (the quantity the linear
     claim is about); mean observed ticks with early exit are reported
     alongside.  Baseline cost is mean tests times the per-test period
-    budget and is only run up to baseline_cap bits, which may not exceed
+    budget and is only run up to baseline_cap bits, from 1 to
     BASELINE_BITS_CAP.  Timing columns are optional because they would
     break byte-identical reruns.
     """
@@ -548,6 +548,8 @@ def identification_benchmark(
         raise ValueError(
             f"baseline search is exponential; baseline_cap may not exceed {BASELINE_BITS_CAP}"
         )
+    if baseline_cap < 1:  # a report would claim a baseline that never runs
+        raise ValueError(f"baseline_cap must be at least 1, got {baseline_cap}")
     if len(set(bits_list)) != len(bits_list):
         raise ValueError("bit counts must be distinct")
     eps = Fraction(epsilon)

@@ -117,6 +117,9 @@ def test_bad_arguments_exit_two(capsys) -> None:
         ["range", "--bits", "8", "--trials", "0"],            # no period to sample
         ["identify", "--bits", "4", "--epsilon", "1"],
         ["bench", "--bits", "4,banana"],
+        # a baseline cap below 1 runs no baseline under a report that names one
+        ["bench", "--bits", "4", "--trials", "5", "--baseline-cap", "-1"],
+        ["bench", "--bits", "4", "--trials", "5", "--baseline-cap", "0"],
         ["frobnicate"],
         # a seed outside 0..2^64 - 1 would alias one inside under another name
         ["identify", "--bits", "16", "--trials", "300", "--seed", str(2**64)],

@@ -8,6 +8,7 @@ route breaks the agreement.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import itertools
 import json
 import math
@@ -474,26 +475,73 @@ def test_baseline_first_word_matches_are_checked_on_every_word(monkeypatch, n, p
 
 @pytest.mark.parametrize("periods", [1, 2, 31, 32, 33, 63, 64, 65, 130])
 def test_differ_columns_pack_scalar_signs(periods: int) -> None:
-    # row q holds noise-bit q + 1's carriers-differ sequence, period k at
+    # column q holds noise-bit q + 1's carriers-differ sequence, period k at
     # bit k % 32 of uint32 word k // 32; bits past the last period stay clear
     seeds = np.array([rng.derive_seed(77, i) for i in range(3)], dtype=np.uint64)
     tag_seeds = np.stack([rng.word_seeds(seed, 1) for seed in seeds.tolist()])
     for n in (1, 5, 28):
         columns = eng._differ_columns(tag_seeds, n, periods)
-        assert columns.dtype == np.uint32 and columns.shape == (3, n, -(-periods // 32))
+        assert columns.dtype == np.uint32 and columns.shape == (3, -(-periods // 32), n)
         for t, ts in enumerate(int(s) for s in seeds):
             for q in range(n):
-                value = sum(int(w) << (32 * i) for i, w in enumerate(columns[t, q]))
+                value = sum(int(w) << (32 * i) for i, w in enumerate(columns[t, :, q]))
                 differ = [rng.sign_at(ts, 2 * q, k) != rng.sign_at(ts, 2 * q + 1, k)
                           for k in range(periods)]
                 assert value == sum(1 << k for k in range(periods) if differ[k])
 
 
+@pytest.mark.parametrize("n_words", [1, 3])
+def test_half_tables_xor_each_candidates_columns(n_words: int) -> None:
+    # Hi[i] and Lo[j] are the XOR of the columns of the 1 bits of i (the
+    # first floor(N/2) bits) and j (the rest), first bit most significant,
+    # so Hi[c_hi] ^ Lo[c_lo] is candidate c's XOR over all its 1 bits
+    gen = np.random.default_rng(5)
+    for n in range(1, 10):
+        n_hi, n_lo = n // 2, n - n // 2
+        columns = gen.integers(0, 2**32, size=(2, n_words, n), dtype=np.uint32)
+        table = eng._half_tables(columns)
+        assert table.dtype == np.uint32
+        assert table.shape == (2, n_words, (1 << n_hi) + (1 << n_lo))
+        hi, lo = table[..., : 1 << n_hi], table[..., 1 << n_hi :]
+
+        def literal(c: int, bits: range) -> np.ndarray:
+            out = np.zeros((2, n_words), dtype=np.uint32)
+            for q in bits:
+                if c >> (bits[-1] - q) & 1:
+                    out ^= columns[:, :, q]
+            return out
+
+        for i in range(1 << n_hi):
+            assert (hi[..., i] == literal(i, range(n_hi))).all(), (n, i)
+        for j in range(1 << n_lo):
+            assert (lo[..., j] == literal(j, range(n_hi, n))).all(), (n, j)
+        for c in range(1 << n):
+            words = hi[..., c >> n_lo] ^ lo[..., c & ((1 << n_lo) - 1)]
+            assert (words == literal(c, range(n))).all(), (n, c)
+
+
+# sha256 of run_baseline_trials' per-trial tests and false matches over the
+# grid below, 24 trials at seed 11 a point; a change to the engine's tables,
+# columns or scan that moves any trial's count changes it
+_BASELINE_GRID_DIGEST = "bbdb9a8e52a9fb614f2f591e81c37f3c0790f222a40f8d19dca05a3ca5ffd546"
+
+
+def test_baseline_trials_match_their_pinned_digest() -> None:
+    digest = hashlib.sha256()
+    for n in (1, 2, 3, 10, 13, 14, 20):
+        for periods in (1, 20, 31, 32, 33, 65):
+            stats = eng.run_baseline_trials(n, periods, 24, 11, keep_per_trial=True)
+            digest.update(stats.tests.astype("<i8").tobytes())
+            digest.update(int(stats.false_matches).to_bytes(8, "little"))
+    assert digest.hexdigest() == _BASELINE_GRID_DIGEST
+
+
 def test_baseline_engine_batching_invariance(monkeypatch) -> None:
     n, ppt, trials, seed = 5, 70, 30, 8
     whole = eng.run_baseline_trials(n, ppt, trials, seed, keep_per_trial=True)
-    # _baseline_trial_bytes(5, 70) = 4022 bytes per trial: batches of 2 trials
-    monkeypatch.setattr(eng, "_ENGINE_BATCH_BYTES", eng._UFUNC_BUFFER_BYTES + 12000)
+    # room for two trials of _baseline_trial_bytes(5, 70) a batch
+    batch = 2 * eng._baseline_trial_bytes(n, ppt)
+    monkeypatch.setattr(eng, "_ENGINE_BATCH_BYTES", eng._UFUNC_BUFFER_BYTES + batch)
     batches = []
     role_words = rng.role_words
 
@@ -521,10 +569,10 @@ def test_baseline_memory_refused_before_drawing(monkeypatch) -> None:
 
 def test_baseline_memory_cap_boundary(monkeypatch) -> None:
     # one trial at N bits and P periods, W = ceil(P/32), H = 2^floor(N/2),
-    # L = 2^ceil(N/2), holds 8 * 6P (role words, fold, differ values and
-    # their copy) + NP (bits) + 8NW (packed bits, columns) + 4W(H + L)
-    # (half-tables) + 4H (XOR'd first word of the high table) + 2^N (the
-    # first-word match mask)
+    # L = 2^ceil(N/2), holds 8 * 5P (role words, a mix temporary, L ^ H
+    # words) + 32NW (period bytes) + 4NW (columns) + 4W(H + L) (the
+    # half-tables' buffer) + 4H (XOR'd first word of the high table) + 2^N
+    # (the first-word match mask)
     role_words = rng.role_words
     drawn = []
 
@@ -533,37 +581,37 @@ def test_baseline_memory_cap_boundary(monkeypatch) -> None:
         return role_words(*args)
 
     monkeypatch.setattr(rng, "role_words", counted)
-    # N = 4, P = 20: 960 + 80 + 32 + 32 + 16 + 16 = 1136; P = 21: 1188
-    monkeypatch.setattr(eng, "ENGINE_TRIAL_BYTES_CAP", 1136)
+    # N = 4, P = 20: 800 + 128 + 16 + 32 + 16 + 16 = 1008; P = 21: 1048
+    monkeypatch.setattr(eng, "ENGINE_TRIAL_BYTES_CAP", 1008)
     assert eng.run_baseline_trials(4, 20, 3, 1).trials == 3
-    with pytest.raises(ValueError, match="1188 bytes; capped at 1136"):
+    with pytest.raises(ValueError, match="1048 bytes; capped at 1008"):
         eng.run_baseline_trials(4, 21, 3, 1)
-    # the match mask leads at N = 10, P = 1: 48 + 10 + 80 + 256 + 128 +
-    # 1024 = 1546; N = 11: 48 + 11 + 88 + 384 + 128 + 2048 = 2707
-    monkeypatch.setattr(eng, "ENGINE_TRIAL_BYTES_CAP", 1546)
+    # the match mask leads at N = 10, P = 1: 40 + 320 + 40 + 256 + 128 +
+    # 1024 = 1808; N = 11: 40 + 352 + 44 + 384 + 128 + 2048 = 2996
+    monkeypatch.setattr(eng, "ENGINE_TRIAL_BYTES_CAP", 1808)
     assert eng.run_baseline_trials(10, 1, 3, 1).trials == 3
-    with pytest.raises(ValueError, match="2707 bytes; capped at 1546"):
+    with pytest.raises(ValueError, match="2996 bytes; capped at 1808"):
         eng.run_baseline_trials(11, 1, 3, 1)
     # a second period word widens the columns and tables, not the mask:
-    # N = 4, P = 33 holds 1584 + 132 + 64 + 64 + 16 + 16 = 1876
-    monkeypatch.setattr(eng, "ENGINE_TRIAL_BYTES_CAP", 1875)
-    with pytest.raises(ValueError, match="1876 bytes; capped at 1875"):
+    # N = 4, P = 33 holds 1320 + 256 + 32 + 64 + 16 + 16 = 1704
+    monkeypatch.setattr(eng, "ENGINE_TRIAL_BYTES_CAP", 1703)
+    with pytest.raises(ValueError, match="1704 bytes; capped at 1703"):
         eng.run_baseline_trials(4, 33, 3, 1)
     assert len(drawn) == 2
 
 
 def test_baseline_admits_one_hidden_word() -> None:
     # the 2^N-byte match mask alone fills the cap at N = 28, so one uint64
-    # always holds a baseline trial's hidden string: 268,633,808 bytes at
+    # always holds a baseline trial's hidden string: 268,633,872 bytes at
     # N = 28, P = 20.  Every P holds one mask, so N = 27 is admitted up to
-    # P = 42,528
-    for periods in (20, 64, 42_528):
+    # P = 42,688
+    for periods in (20, 64, 42_688):
         assert eng._batch_trials("a baseline trial", eng._baseline_trial_bytes(27, periods)) >= 1
         with pytest.raises(ValueError, match="capped at"):
             eng._batch_trials("a baseline trial", eng._baseline_trial_bytes(28, periods))
-    assert eng._baseline_trial_bytes(28, 20) == 268_633_808
+    assert eng._baseline_trial_bytes(28, 20) == 268_633_872
     with pytest.raises(ValueError, match="capped at"):
-        eng._batch_trials("a baseline trial", eng._baseline_trial_bytes(27, 42_529))
+        eng._batch_trials("a baseline trial", eng._baseline_trial_bytes(27, 42_689))
 
 
 def _traced_peak(run):
@@ -576,13 +624,14 @@ def _traced_peak(run):
 
 
 # the count sums arrays that are never all held at once; a full batch's
-# peak per trial, less _UFUNC_BUFFER_BYTES, measured 0.54 / 0.50 / 0.87 / 0.37
-# of it at the four sizes below
+# peak per trial, less _UFUNC_BUFFER_BYTES, measured 0.61 / 0.51 / 0.82 /
+# 0.87 / 0.64 of it at the five sizes below
 _BASELINE_PEAK_SLACK = 4
 
 
 def test_baseline_batch_stays_inside_its_memory_count() -> None:
-    for n, ppt in ((1, 20), (10, 20), (14, 20), (8, 130)):
+    # odd N = 13 runs the low table's extra doubling step
+    for n, ppt in ((1, 20), (10, 20), (13, 20), (14, 20), (8, 130)):
         count = eng._baseline_trial_bytes(n, ppt)
         trials = eng._batch_trials("a baseline trial", count)
         eng.run_baseline_trials(n, ppt, 2, 1)  # imports and caches first
@@ -877,6 +926,10 @@ def test_baseline_cap_refused_before_any_trial(monkeypatch) -> None:
         exp.identification_benchmark([4], epsilon="1/100", trials=10, baseline_cap=cap + 1)
     with pytest.raises(ValueError, match=str(cap)):
         exp.identification_experiment(cap + 1, 10, epsilon="1/100", include_baseline=True)
+    # a cap below 1 would run no baseline under a report that names one
+    for low in (0, -1):
+        with pytest.raises(ValueError, match=f"at least 1, got {low}"):
+            exp.identification_benchmark([4], epsilon="1/100", trials=10, baseline_cap=low)
 
 
 def test_identification_memory_refused_before_allocating(monkeypatch) -> None:

@@ -13,7 +13,9 @@ draw of `rng` has a caller in the package or is traced, neither
 tag, no module but `algebra` calls the 2^N-term `expand`, each of the
 memory counts of `engines` and `experiments` is used by one call that
 both sizes and refuses, and `engines` imports nothing from `experiments`,
-so the report builders depend on the engines and not the other way.  Every
+so the report builders depend on the engines and not the other way.
+`engines` packs its bits by word shifts: it names neither np.unpackbits
+nor np.packbits and converts to no big-endian dtype.  Every
 `functools.lru_cache` or `functools.cache` in the package is bounded by a
 named module constant or wraps a function without parameters.  The CI job
 that tests the oldest numpy the package accepts pins the floor that
@@ -528,6 +530,56 @@ def test_import_check_sees_relative_absolute_and_module_imports() -> None:
         "    from .experiments import fit_slope\n"
     )
     assert _imports_of(tree, "experiments") == [2, 3, 4, 5, 6, 10]
+
+
+# a byte round trip of bit packing: unpack, pack, or a big-endian byte order
+_ROUND_TRIP_NAMES = {"unpackbits", "packbits", "newbyteorder"}
+_BIG_ENDIAN_DTYPE = re.compile(r">[A-Za-z]")
+
+
+def _byte_round_trips(tree: ast.Module) -> list[tuple[str, int]]:
+    """(name, line) of each round-trip function named or imported, and each big-endian dtype."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and node.id in _ROUND_TRIP_NAMES:
+            found.append((node.id, node.lineno))
+        elif isinstance(node, ast.Attribute) and node.attr in _ROUND_TRIP_NAMES:
+            found.append((node.attr, node.lineno))
+        elif isinstance(node, ast.ImportFrom):
+            found += [(a.name, node.lineno) for a in node.names if a.name in _ROUND_TRIP_NAMES]
+        elif (
+            isinstance(node, ast.Constant)
+            and isinstance(node.value, str)
+            and _BIG_ENDIAN_DTYPE.match(node.value)
+        ):
+            found.append((node.value, node.lineno))
+    return found
+
+
+def test_engines_pack_bits_without_a_byte_round_trip() -> None:
+    # the baseline's columns are moved into place by word shifts and one
+    # multiply; a big-endian copy with np.unpackbits and np.packbits held
+    # a byte per bit and period and took up to a third of a baseline op
+    found = _byte_round_trips(_package_trees()["engines.py"])
+    assert not found, "\n".join(f"engines.py:{line} names {name}" for name, line in found)
+
+
+def test_round_trip_check_sees_calls_imports_and_big_endian_dtypes() -> None:
+    tree = ast.parse(
+        "import numpy as np\n"
+        "from numpy import packbits\n"
+        "a = np.unpackbits(x, axis=1)\n"
+        "b = x.astype('>u8')\n"
+        "c = x.view('<u4').astype(np.uint8)\n"
+        "d = x.astype(np.dtype('>i4'))\n"
+        "e = x.dtype.newbyteorder('S')\n"
+        "f = 'a > b' + '>'\n"
+        "g = packbits(y, bitorder='little')\n"
+    )
+    assert sorted(_byte_round_trips(tree), key=lambda f: (f[1], f[0])) == [
+        ("packbits", 2), ("unpackbits", 3), (">u8", 4), (">i4", 6), ("newbyteorder", 7),
+        ("packbits", 9),
+    ]
 
 
 def _takes_parameters(fn: ast.FunctionDef | ast.AsyncFunctionDef) -> bool:
