@@ -63,7 +63,9 @@ def _bits_list(text: str) -> list[int]:
         values = [int(part) for part in text.split(",") if part]
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a comma-separated list of ints: {text!r}")
-    if not values or any(v < 1 for v in values):
+    if not values:
+        raise argparse.ArgumentTypeError("need at least one bit count")
+    if any(v < 1 for v in values):
         raise argparse.ArgumentTypeError("bit counts must be positive")
     return values
 

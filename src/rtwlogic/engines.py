@@ -1,43 +1,29 @@
 """Monte Carlo engines on rng.role_words, their batch sizing and their memory counts.
 
-The heavy Monte Carlo paths run on numpy engines that evaluate the same
-counter-derived waveform signs the exact Fraction pipeline produces; the
-unit tests pin the engines trial-for-trial to the exact reference
-implementations (trace synthesis plus the tick-scanning identifier), so
-the fast path and the slow path cannot drift apart silently.  The
-identification engine works on switching instants, not ticks: one trial
-reads the 2N * M events of its window, O(N * M) time and memory, the
-paper's linear cost for fixed M.  Every engine reads the signs as
+Every engine reads the waveform signs of the exact Fraction pipeline as
 rng.role_words, one uint64 per period and carrier role holding 64
-noise-bits, and lays out the N-bit values it compares with them (hidden
-strings, masks) in the same bit order by rng.role_order.  The two
-per-trial engines, identification and the baseline, read each batch's
-role-word tag seeds and hidden words from rng.trial_draws, and their
-exact twins read the same trial from rng.trial_master_seed and
-rng.hidden_bits_for, so no trial's seed tag is stated here.
-Identification decides every bit with a few word operations per period.
-Every set bit the engines count, they count with np.bitwise_count (numpy
->= 2.0), one count per uint64 word, summed over words as integers; it
-also locates identification's last decision, as the count of the zeros
-below the lowest set bit of a word.
-A period's |readout| of the uniform superposition depends only on how
-many bits' two carriers agree, and two product strings' readouts differ
-at lambda = 1 when an odd number of the bits where they differ have
-disagreeing carriers, so `zero-prob`, Monte Carlo `range` and the
-mismatch rate read one bit count of L ^ H under a mask per period, drawn
-in bounded chunks, with no per-period Fraction.  The baseline compares
-whole readout sequences by the same law: it transposes each bit's L ^ H
-into one bit per period of uint32 words by word shifts and keeps its scan
-exhaustive, comparing all 2^N candidates on their first word as XORs of
-two half-tables of those columns, built together in one buffer by one
-doubling pass, and checking the first first-word match on the other
-words.
+noise-bits, lays out the N-bit values it compares with them (hidden
+strings, masks) in the same bit order by rng.role_order, and counts set
+bits with np.bitwise_count (numpy >= 2.0); the unit tests pin each engine
+trial for trial to its exact twin.  The per-trial engines, identification
+and the baseline, read each batch's tag seeds and hidden words from
+rng.trial_draws.  Identification works on switching instants, not ticks:
+a trial reads the 2N * M events of its window, O(N * M), the paper's
+linear cost for fixed M.  The per-period engines share one loop over
+bounded chunks of periods and read each period as a key made of bit
+counts of L ^ H, with no Fraction: zero-prob and Monte Carlo range the
+number of bits whose carriers agree, which fixes |readout|, the mismatch
+rate its parity under a mask, since two strings' readouts differ at
+lambda = 1 when an odd number of the bits where they differ have
+disagreeing carriers, and not-demo the A-parity and the target's and the
+other bits' agreement.  The baseline compares whole readout sequences by
+the same law, as XORs of two half-tables of per-bit L ^ H columns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable
 
 import numpy as np
 
@@ -53,6 +39,8 @@ ENGINE_TRIAL_BYTES_CAP = 1 << 28
 _ENGINE_BATCH_BYTES = 1 << 20
 _UFUNC_BUFFER_BYTES = 2 * 8 * np.getbufsize()
 
+_ONE = np.uint64(1)
+
 
 def _check_memory(what: str, need: int) -> None:
     """Refuse, before allocating, work that needs more than ENGINE_TRIAL_BYTES_CAP."""
@@ -60,57 +48,67 @@ def _check_memory(what: str, need: int) -> None:
         raise ValueError(f"{what} needs about {need} bytes; capped at {ENGINE_TRIAL_BYTES_CAP}")
 
 
-def _batch_trials(what: str, bytes_per_trial: int) -> int:
-    """Trials or periods (1 to 8192) per batch, bytes_per_trial each; refuses one above the cap."""
-    _check_memory(what, bytes_per_trial)
+def _batch_size(bytes_per_trial: int) -> int:
+    """Trials or periods (1 to 8192) of bytes_per_trial each in one batch."""
     return max(1, min(8192, (_ENGINE_BATCH_BYTES - _UFUNC_BUFFER_BYTES) // bytes_per_trial))
 
 
-def _period_bytes(num_bits: int) -> int:
-    """Bytes one period of _carriers_differing holds, W = ceil(N/64): 30W + 16.
+def _batch_trials(what: str, bytes_per_trial: int) -> int:
+    """_batch_size of bytes_per_trial; refuses a trial or period above the cap."""
+    _check_memory(what, bytes_per_trial)
+    return _batch_size(bytes_per_trial)
 
-    Its two role words and their masked XOR, which takes its own bit
-    counts in place, hold 24W, the draw's period index and the per-period
-    sum 8 bytes each.  The other 6W bound one chunk's numpy scratch as a
-    share of each of its periods: rng's mix scratch, at most the size of
-    the words it draws, while the XOR and the sum do not yet exist, and
-    the broadcast buffer of the mask after.
+
+def _period_bytes(num_bits: int) -> int:
+    """Bytes one period of _period_histogram holds, W = ceil(N/64): 30W + 16.
+
+    The zero-prob and mismatch keys hold the most: two role words and their
+    XOR, which takes its own bit counts in place, 24W, a sum and a key 8
+    bytes each.  The other 6W bound a chunk's numpy scratch per period:
+    rng's mix scratch, at most the words it draws, and the broadcast buffer
+    of the mismatch mask.  not-demo's key works in the words, holding less.
     """
     return 30 * rng.num_words(num_bits) + 16
 
 
-def _carriers_differing(seed: int, num_bits: int, periods: int, mask: int) -> Iterator[np.ndarray]:
-    """Per period, how many bits of a bits-integer mask have carriers of opposite sign.
+def _period_histogram(
+    seed: int, num_bits: int, periods: int, bins: int, key: Callable[[np.ndarray], np.ndarray]
+) -> np.ndarray:
+    """count[k]: periods whose key is k, an int64 histogram of `bins` bins.
 
-    A bit's carriers differ where its bits in the period's two
-    rng.role_words do, so this is the number of set bits of (L ^ H) & mask
-    in role order: np.bitwise_count of each masked word, written back over
-    it, summed over the period's W words as integers.  _period_bytes
-    counts what a period holds and sizes the chunks.
+    The one draw loop of the per-period engines: key maps a chunk's
+    (2, W, p) rng.role_words, bits past noise-bit N clear, to intp keys and
+    may work in them in place.  _period_bytes sizes the chunks.
     """
     n_words = rng.num_words(num_bits)
     chunk = _batch_trials(f"one period of {num_bits} bits", _period_bytes(num_bits))
-    role_mask = rng.role_order(np.frombuffer(mask.to_bytes(8 * n_words, "little"), "<u8"), num_bits)
+    last = rng.role_order(np.full(n_words, rng.MASK64, dtype=np.uint64), num_bits)[-1]
     seeds = rng.word_seeds(seed, n_words)
+    count = np.zeros(bins, dtype=np.int64)
     for start in range(0, periods, chunk):
         words = rng.role_words(seeds, min(chunk, periods - start), start)
-        differ = words[0] ^ words[1]
-        differ &= role_mask[:, None]
-        yield np.bitwise_count(differ, out=differ).sum(axis=0)
+        words[:, -1] &= last
+        np.add.at(count, key(words), 1)  # a cost per period, not per bin
+        del words  # nothing of this chunk is held while the next is drawn
+    return count
+
+
+def _carriers_differing(words: np.ndarray) -> np.ndarray:
+    """Per period of (2, W, p) role words, the bits whose carriers differ: set bits of L ^ H."""
+    differ = words[0] ^ words[1]
+    return np.bitwise_count(differ, out=differ).sum(axis=0)
 
 
 def zero_prob_engine(num_bits: int, trials: int, seed: int) -> np.ndarray:
     """count[a]: periods in which exactly a bits' two carriers agree (int64, N+1).
 
-    Each trial is one clock period of a single reference system, read by
-    _carriers_differing.  By `algebra.agreement_law`, a is all the uniform
-    superposition's |readout| depends on; at lambda = 1 it is non-zero iff
-    a = N, and a is N minus the noise-bits whose carriers differ.
+    Each trial is one clock period of a single reference system.  By
+    `algebra.agreement_law`, a is all the uniform superposition's
+    |readout| depends on; at lambda = 1 it is non-zero iff a = N, and a is
+    N minus the noise-bits whose carriers differ.
     """
-    count = np.zeros(num_bits + 1, dtype=np.int64)
-    for differ in _carriers_differing(seed, num_bits, trials, (1 << num_bits) - 1):
-        count += np.bincount(num_bits - differ.astype(np.intp), minlength=num_bits + 1)
-    return count
+    return _period_histogram(seed, num_bits, trials, num_bits + 1,
+                             lambda words: (num_bits - _carriers_differing(words)).astype(np.intp))
 
 
 def mismatch_rate_engine(num_bits: int, periods: int, seed: int) -> tuple[int, int, int]:
@@ -124,8 +122,40 @@ def mismatch_rate_engine(num_bits: int, periods: int, seed: int) -> tuple[int, i
     w2 = rng.draw_bits(seed, 2 * num_bits + 1, num_bits)  # the tag after w1's
     if w2 == w1:
         w2 ^= 1
-    differing = _carriers_differing(seed, num_bits, periods, w1 ^ w2)
-    return sum(int((differ & _ONE).sum()) for differ in differing), w1, w2
+    mask = (w1 ^ w2).to_bytes(8 * rng.num_words(num_bits), "little")
+    role_mask = rng.role_order(np.frombuffer(mask, "<u8"), num_bits)[:, None]
+
+    def odd(words: np.ndarray) -> np.ndarray:
+        words &= role_mask
+        return (_carriers_differing(words) & _ONE).astype(np.intp)
+
+    return int(_period_histogram(seed, num_bits, periods, 2, odd)[1]), w1, w2
+
+
+def not_gate_engine(num_bits: int, target_bit: int, periods: int, seed: int) -> np.ndarray:
+    """count[s, t, o]: periods of A-parity s, target agreement t and o other bits agreeing.
+
+    A (2, 2, N) int64 table of the keys that fix a period's readout of the
+    uniform superposition, the H_t * L_t inverter's value and the factored
+    NOT result (`algebra.agreement_law`, `algebra.selection_parity`).  The
+    L role words are XOR'd with the H words in place; the A-parity is that
+    of the H words' set bits, and the target's bit and the set bits of
+    L ^ H count the carriers of opposite sign.
+    """
+    n = num_bits
+    word, bit = divmod(target_bit - 1, 64)
+
+    def key(words: np.ndarray) -> np.ndarray:
+        # (2 * parity + target differs) * N + others differing, in place
+        differ, high = words
+        differ ^= high
+        k = np.bitwise_count(high, out=high).sum(axis=0) & _ONE
+        k *= np.uint64(2 * n)
+        k += (differ[word] >> np.uint64(63 - bit) & _ONE) * np.uint64(n - 1)
+        k += np.bitwise_count(differ, out=differ).sum(axis=0)
+        return k.astype(np.intp)
+
+    return _period_histogram(seed, n, periods, 4 * n, key).reshape(2, 2, n)[:, ::-1, ::-1]
 
 
 @dataclass(frozen=True)
@@ -149,9 +179,6 @@ class IdentificationTrialStats:
     @property
     def undecided_rate(self) -> float:
         return self.undecided_trials / self.trials
-
-
-_ONE = np.uint64(1)
 
 
 def _identification_trial_bytes(num_bits: int, max_periods: int) -> int:

@@ -32,15 +32,17 @@ from .algebra import (
     apply_not,
     ceil_log2,
     evaluator,
-    selection_evaluator,
+    selection_parity,
     uniform_superposition,
 )
 from .engines import (
     IdentificationTrialStats,
+    _batch_size,
     _batch_trials,
     _check_memory,
     _identification_trial_bytes,
     _period_bytes,
+    not_gate_engine,
     run_baseline_trials,
     run_identification_trials,
     zero_prob_engine,
@@ -52,7 +54,7 @@ from .identify import (
     tsinbl_identify,
     verification_periods,
 )
-from .rtw import _COLUMNS_CHUNK, build_reference_system, check_lambda
+from .rtw import build_reference_system, check_lambda
 from .signal import trace_product
 
 DEFAULT_SEED = 1
@@ -474,6 +476,8 @@ def identification_experiment(
     """
     if (epsilon is None) == (max_periods is None):
         raise ValueError("provide exactly one of epsilon or max_periods")
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     if include_baseline and num_bits > BASELINE_BITS_CAP:
         raise ValueError(f"baseline search is exponential; capped at {BASELINE_BITS_CAP} bits")
     if max_periods is None:
@@ -544,6 +548,8 @@ def identification_benchmark(
     """
     if not bits_list:
         raise ValueError("need at least one bit count")
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     if baseline_cap > BASELINE_BITS_CAP:
         raise ValueError(
             f"baseline search is exponential; baseline_cap may not exceed {BASELINE_BITS_CAP}"
@@ -646,31 +652,24 @@ def identification_benchmark(
     )
 
 
-def _not_demo_bytes(num_bits: int, periods: int, lam: Fraction) -> int:
-    """Bytes not_gate_demo holds at most, N = num_bits, P = periods, lambda = p/q.
+def _not_demo_bytes(num_bits: int, lam: Fraction) -> int:
+    """Bytes not_gate_demo holds at most at N = num_bits and lambda = p/q, for any periods.
 
-    rng.matrix_bytes of its (2N, P) signs, one period_columns chunk at 64
-    bytes a sign, and the larger of the (2N, P) bool temporary of
-    ReferenceSystem's +-1 check and the exact values the period loop keeps.
-    A readout or NOT result is fixed by its sign and how many bits agree,
-    at most 2(N+1) of each, held as a Fraction's two integers and its
-    _shared key's numerator, each of at most (N+1) times the bit length of
-    p + q bits.  Each of at most 4N groups of periods holds 512 bytes of
-    objects (about 460 on CPython 3.11).  Past 4N + 6 distinct values
-    _shared evicts, an evicted value comes back as a new object, and each
-    period can add two values and a group.  24 more integers cover the
-    evaluators, lambda^2, H_r * L_r's values and the period at hand.
+    A chunk of its draw (_batch_size periods of _period_bytes); 160N for
+    the 4N-bin key table, a row's keys and the NOT result's per-bit
+    tuples; and the values.  A key fixes a readout and a NOT result, so a
+    run makes at most 6N + 4 distinct values, of which `_shared` keeps at
+    most _SHARED_VALUES, each as three integers of at most (N+1) times the
+    bit length of p + q bits and 256 bytes of objects; 24 more integers
+    cover the laws and the key at hand.
     """
+    period = _period_bytes(num_bits)
     bits = (num_bits + 1) * (lam.numerator + lam.denominator).bit_length()
     digits = -(-bits // sys.int_info.bits_per_digit)
     large = sys.getsizeof(0) + digits * sys.int_info.sizeof_digit
-    if 4 * num_bits + 6 <= _SHARED_VALUES:
-        results, groups = min(2 * periods, 4 * num_bits + 4), min(periods, 4 * num_bits)
-    else:
-        results, groups = 2 * periods, periods
-    values = (3 * results + 24) * large + 512 * groups
-    signs = rng.matrix_bytes(2 * num_bits, periods) + 64 * max(_COLUMNS_CHUNK, 2 * num_bits)
-    return signs + max(2 * num_bits * periods, values)
+    kept = min(_SHARED_VALUES, 6 * num_bits + 4)
+    values = (3 * kept + 24) * large + 256 * kept
+    return period * _batch_size(period) + 160 * num_bits + values
 
 
 def not_gate_demo(
@@ -689,25 +688,26 @@ def not_gate_demo(
     are unchanged.  Multiplying out is multilinear in the pairs, so when
     both hold every one of the 2^N terms maps by the permutation rule (H
     terms to L unchanged, L terms to H scaled by lambda^2).  The waveform
-    route (the uniform superposition's trace multiplied pointwise by the
-    H_r * L_r trace) must agree with the factored result exactly at every
-    readout, in O(N^2) a period, times the square of lambda's bit lengths.
-    Every refusal, NOT_DEMO_VALUE_BITS_CAP's and the memory check on
-    _not_demo_bytes included, comes before any draw.
+    route, the readout times the H_r * L_r inverter, must equal the NOT
+    result at every readout.  Each period's not_gate_engine key fixes all
+    three values while the other bits keep one pair (factored_route_matches;
+    else no readout agrees), so each distinct key is checked once, by
+    `agreement_law` and `selection_parity`, and adds its periods when the
+    routes agree.  Every refusal comes before any draw.
     """
     lam = check_lambda(lam)
     if num_bits < 1:
         raise ValueError("num_bits must be >= 1")
     if not 1 <= target_bit <= num_bits:
         raise ValueError(f"target_bit must be in 1..{num_bits}")
+    if periods < 1:
+        raise ValueError("periods must be >= 1")
     p, q = lam.numerator, lam.denominator
     size = num_bits * ((p + q).bit_length() + q.bit_length())
     if size > NOT_DEMO_VALUE_BITS_CAP:
         raise ValueError(f"not-demo at {num_bits} bits evaluates values of about {size} bits; "
                          f"capped at {NOT_DEMO_VALUE_BITS_CAP}")
-    need = _not_demo_bytes(num_bits, periods, lam)
-    _check_memory(f"not-demo at {num_bits} bits over {periods} periods", need)
-    refs = build_reference_system(seed, num_bits, periods, lam)
+    _check_memory(f"not-demo at {num_bits} bits", _not_demo_bytes(num_bits, lam))
     uni = uniform_superposition(num_bits)
     notted = apply_not(uni, target_bit, lam)
 
@@ -719,25 +719,22 @@ def not_gate_demo(
         and notted.c_l[:i] + notted.c_l[i + 1 :] == uni.c_l[:i] + uni.c_l[i + 1 :]
     )
 
-    readout = evaluator(uni, lam)
-    hl = selection_evaluator([(target_bit, "H"), (target_bit, "L")], lam)
-    symbolic = evaluator(notted, lam)
-    # one pass over the periods, counted per identity triple of the three
-    # shared values, then one exact r * h == s per distinct triple.  The
-    # dict keeps each triple's objects alive, so no id is reused; it has at
-    # most 4N entries while _shared holds every value (see _not_demo_bytes)
-    groups: dict[tuple[int, int, int], list] = {}
-    for column in refs.period_columns():
-        r, h, s = readout(column), hl(column), symbolic(column)
-        key = id(r), id(h), id(s)
-        if key in groups:
-            groups[key][3] += 1
-        else:
-            groups[key] = [r, h, s, 1]
-    agree = sum(n for r, h, s, n in groups.values() if r * h == s)
-    waveform_ok = agree == periods
+    table = not_gate_engine(num_bits, target_bit, periods, seed)
+    _, readout = agreement_law(uni, lam)
+    groups, symbolic = agreement_law(notted, lam)
+    _, inverter = selection_parity([(target_bit, "H"), (target_bit, "L")], lam)
+    agree = 0
+    if factored_matches:  # the target's group counts t, another bit's group o
+        g_t, g_o, size = 1 + groups[i], 1 + groups[i - 1], 2 + max(groups)
+        for parity, t in iter_product((0, 1), repeat=2):
+            for o in np.flatnonzero(table[parity, t]).tolist():
+                state = [parity] + [0] * (size - 1)
+                state[g_t] += t
+                state[g_o] += o
+                if readout((parity, t + o)) * inverter[1 - t] == symbolic(state):
+                    agree += int(table[parity, t, o])
 
-    passed = permutation_ok and factored_matches and waveform_ok
+    passed = permutation_ok and factored_matches and agree == periods
     return ExperimentReport(
         name="not-gate",
         parameters={

@@ -18,11 +18,11 @@ not depend on N, and the word tags 0..2W-1 (W = ceil(N/64)) stay below
 them to draw the words themselves, and every numpy draw reads them and
 agrees with `sign_at` bit for bit.  The role words are the one packed
 layout of every Monte Carlo engine (identification, zero-prob, Monte
-Carlo range, the mismatch rate and the baseline scan).  `sign_matrix`
-unpacks them into one int8 row per stream for a reference system, the
-exact path's one int8 layout (`sign_block` and `sign_tensor`, kept
-because perfbench's tracer wraps them, are views of it).  The mixes run
-in place on chunks that stay in cache.
+Carlo range, the mismatch rate, not-demo and the baseline scan).
+`sign_matrix` unpacks them into one int8 row per stream for a reference
+system, the exact path's one int8 layout (`sign_block` and
+`sign_tensor`, kept because perfbench's tracer wraps them, are views of
+it).  The mixes run in place on chunks that stay in cache.
 
 Trial t of master seed s reads its own master seed derive_seed(s, t)
 (`trial_master_seed`) only through tag seeds: its role-word tags 2g + role
@@ -124,11 +124,6 @@ _CHUNK = 2**15
 # Python ints: 2W derive_seed calls cost less than derive_seed_np's two
 # mixes on a tiny array
 _SCALAR_WORDS = 8
-
-# what a draw holds beside its arrays' data, whatever its size: np.unpackbits'
-# own scratch (5360 bytes a call) and the arrays' headers, 6336 bytes in
-# all at (2, 20000) and (8, 20000) (tracemalloc, numpy 2.4), rounded up
-_DRAW_FIXED_BYTES = 8192
 
 
 def _mix(x: np.ndarray) -> np.ndarray:
@@ -274,7 +269,7 @@ def sign_matrix(
 
     Drawn at most _CHUNK // 16 role words at a time, at least one period,
     so however many periods are drawn a long matrix needs little more than
-    its int8 result; `matrix_bytes` counts what it holds.
+    its int8 result.
     """
     pairs, odd = divmod(num_streams, 2)
     n_words = num_words(pairs + odd)
@@ -293,17 +288,6 @@ def sign_matrix(
     out *= np.int8(-2)  # bit set -> 1 -> -1
     out += np.int8(1)
     return out
-
-
-def matrix_bytes(num_streams: int, num_periods: int) -> int:
-    """Bytes sign_matrix holds at most: its int8 result, a chunk's role words, a fixed term.
-
-    Each word, its big-endian copy, its 64 unpacked bits and, above one
-    plane word, their copy; then _DRAW_FIXED_BYTES.
-    """
-    n_words = num_words(-(-num_streams // 2))
-    chunk = (80 + 64 * (n_words > 1)) * max(_CHUNK // 16, 2 * n_words)
-    return num_streams * num_periods + chunk + _DRAW_FIXED_BYTES
 
 
 def sign_tensor(master_seeds: np.ndarray, num_streams: int, num_periods: int) -> np.ndarray:

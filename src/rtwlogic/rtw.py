@@ -17,7 +17,8 @@ slot of any period every stream has adopted that period's sign, which is
 what makes the end-of-period readout well defined in both modes.
 
 A reference system stores all its signs as one read-only (2N, periods)
-int8 matrix in slot order, drawn by a single `rng.sign_matrix` call.
+int8 matrix in slot order, drawn by a single `rng.sign_matrix` call (the
+Monte Carlo engines and not-demo read the same signs as `rng.role_words`).
 `ReferenceSystem.switch_ticks` is the one statement of the shifted
 schedule, the ticks where the switching slot takes a new sign, for
 `parity_trace` and `agreement_runs` (the states products and factored
@@ -46,9 +47,6 @@ _ROLES = (ROLE_A, ROLE_B)
 
 VALUE_H = "H"
 VALUE_L = "L"
-
-# signs per batch of period_columns' list conversion
-_COLUMNS_CHUNK = 2**10
 
 
 def check_lambda(lam: Fraction | int | str) -> Fraction:
@@ -248,16 +246,6 @@ class ReferenceSystem:
             state[0] ^= flip
             state[at] += 1 if agree else -1
             yield tick, tuple(state)
-
-    def period_columns(self) -> Iterator[tuple[int, ...]]:
-        """Slot-ordered sign column of each clock period (the readout window's).
-
-        Columns are converted to Python ints _COLUMNS_CHUNK signs at a time,
-        so a long system never holds all its periods as lists at once.
-        """
-        step = max(1, _COLUMNS_CHUNK // self.grid.subclocks_per_period)
-        for k0 in range(0, self.grid.num_periods, step):
-            yield from map(tuple, self.signs[:, k0 : k0 + step].T.tolist())
 
     def period_signs(self, period: int) -> dict[tuple[int, str], int]:
         """{(bit, role): sign} for one clock period, keys in `slot_keys` order."""

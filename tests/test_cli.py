@@ -107,7 +107,7 @@ def test_failed_check_exits_one(capsys) -> None:
     assert "result,passed,false" in out.splitlines()
 
 
-def test_bad_arguments_exit_two(capsys) -> None:
+def test_bad_arguments_exit_two(monkeypatch, capsys) -> None:
     for argv in (
         ["zero-prob"],                                        # missing --bits
         ["zero-prob", "--bits", "0"],
@@ -131,6 +131,21 @@ def test_bad_arguments_exit_two(capsys) -> None:
     ):
         assert main(argv) == 2, argv
         capsys.readouterr()
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("drew signs before refusing")
+
+    # each of these refusals names the flag at fault, before any draw
+    monkeypatch.setattr(rng, "role_words", no_work)
+    for argv, message in (
+        (["identify", "--bits", "4", "--trials", "0"], "error: trials must be >= 1\n"),
+        (["bench", "--bits", "4", "--trials", "0"], "error: trials must be >= 1\n"),
+        (["not-demo", "--bits", "3", "--periods", "0"], "error: periods must be >= 1\n"),
+        (["bench", "--bits", ""], "argument --bits: need at least one bit count\n"),
+    ):
+        rc, out, err = _run(capsys, argv)
+        assert (rc, out) == (2, ""), argv
+        assert err.endswith(message), (argv, err)
 
 
 def test_seed_accepts_both_ends_of_its_range(capsys) -> None:
@@ -321,7 +336,7 @@ def test_reference_memory_cap_exits_two(monkeypatch, capsys) -> None:
     monkeypatch.setattr(rng, "sign_matrix", no_signs)
     monkeypatch.setattr(rng, "role_words", no_signs)
     for argv in (["range", "--bits", "572662273", "--trials", "1"],
-                 ["not-demo", "--bits", "1", "--periods", "100000000"]):
+                 ["not-demo", "--bits", "300000", "--lambda", "1"]):
         rc, out, err = _run(capsys, argv)
         assert rc == 2, argv
         assert out == ""

