@@ -16,8 +16,11 @@ number of bits whose carriers agree, which fixes |readout|, the mismatch
 rate its parity under a mask, since two strings' readouts differ at
 lambda = 1 when an odd number of the bits where they differ have
 disagreeing carriers, and not-demo the A-parity and the target's and the
-other bits' agreement.  The baseline compares whole readout sequences by
-the same law, as XORs of two half-tables of per-bit L ^ H columns.
+other bits' agreement.  The baseline compares readout sequences by the
+same law: every candidate on its first 32 periods, as XORs of two
+half-tables of per-bit L ^ H columns, and a first-word match on the later
+periods, as the XOR of the columns of the bits where it differs from the
+hidden string.
 """
 
 from __future__ import annotations
@@ -29,8 +32,9 @@ import numpy as np
 
 from . import rng
 
-# bytes one identification trial, or one reference system's sign draw, may
-# need: the smallest unit of work must fit in memory
+# bytes one identification or baseline trial, one period of the per-period
+# engines or one not-demo run may need: the smallest unit of work must fit
+# in memory
 ENGINE_TRIAL_BYTES_CAP = 1 << 28
 
 # bytes per batch, small enough to stay in cache: an engine's `_*_bytes`
@@ -371,18 +375,21 @@ def _baseline_trial_bytes(num_bits: int, periods: int) -> int:
 
     Its (2, P) role words and one mix temporary of their size, P L ^ H
     words, the (N, 32W) period bytes of the column transpose and the (N, W)
-    uint32 columns it yields, the one buffer of both half-tables, the
-    XOR'd first word of the high one, and the 2^N-byte first-word match
-    mask.
+    uint32 columns it yields, the one buffer of both first-word
+    half-tables, the XOR'd high one, and the 2^N-byte first-word match
+    mask.  Above one period word the later-word check adds its copy of the
+    trial's (W - 1, N) later-word columns, their W - 1 XORs and 9N bytes
+    of bit mask.
     """
     n, p, w = num_bits, periods, -(-periods // 32)
     hi, lo = 1 << n // 2, 1 << n - n // 2
     signs = 8 * 5 * p + 32 * n * w + 4 * n * w
-    return signs + 4 * w * (hi + lo) + 4 * hi + (1 << n)
+    check = 4 * (n + 1) * (w - 1) + 9 * n if w > 1 else 0
+    return signs + 4 * (hi + lo) + 4 * hi + (1 << n) + check
 
 
 def _half_tables(columns: np.ndarray) -> np.ndarray:
-    """(b, W, H + L) buffer of both half-tables of (b, W, N) columns, Hi first.
+    """(b, H + L) buffer of both half-tables of (b, N) columns, Hi first.
 
     H = 2^floor(N/2) and L = 2^ceil(N/2).  Hi[i] is the XOR of the columns
     of the 1 bits of i as a string of the first floor(N/2) bits, first bit
@@ -392,39 +399,22 @@ def _half_tables(columns: np.ndarray) -> np.ndarray:
     N - 1 - i, the last bit first, into both tables at once through a
     (2, H) view of the buffer's first 2H entries, and at odd N one more
     step doubles Lo with its first bit, so the tables cost ceil(N/2) XOR
-    calls.  Trials and period words share one axis, so a step is a
-    three-axis call.
+    calls.
     """
-    b, n_words, n = columns.shape
+    b, n = columns.shape
     n_hi, n_lo = n // 2, n - n // 2
     size_hi = 1 << n_hi
-    table = np.empty((b, n_words, size_hi + (1 << n_lo)), dtype=columns.dtype)
-    rows = table.reshape(b * n_words, -1)
-    columns = columns.reshape(b * n_words, n)
-    both = rows[:, : 2 * size_hi].reshape(-1, 2, size_hi)
+    table = np.empty((b, size_hi + (1 << n_lo)), dtype=columns.dtype)
+    both = table[:, : 2 * size_hi].reshape(b, 2, size_hi)
     both[..., 0] = 0
     for i in range(n_hi):
         size = 1 << i
         pair = columns[:, n_hi - 1 - i :: n_lo, None]
         np.bitwise_xor(both[..., :size], pair, out=both[..., size : 2 * size])
     if n_lo > n_hi:
-        np.bitwise_xor(rows[:, size_hi : 2 * size_hi], columns[:, n_hi, None],
-                       out=rows[:, 2 * size_hi :])
+        np.bitwise_xor(table[:, size_hi : 2 * size_hi], columns[:, n_hi, None],
+                       out=table[:, 2 * size_hi :])
     return table
-
-
-def _candidate_words(
-    table: np.ndarray, split: np.ndarray, trials: np.ndarray, cand: np.ndarray
-) -> np.ndarray:
-    """(len(trials), W) words Hi[c_hi] ^ Lo[c_lo] of candidate cand[i] in trial trials[i].
-
-    table is the (b, W, H + L) buffer of both half-tables, Hi first; the
-    rows of split are the shifts, masks and offsets that take a candidate
-    to its two positions there, c_hi and H + c_lo, read in one gather.
-    """
-    at = ((cand[:, None] >> split[0]) & split[1]) + split[2]
-    pair = table[trials[:, None], :, at]
-    return pair[:, 0] ^ pair[:, 1]
 
 
 def run_baseline_trials(
@@ -445,47 +435,52 @@ def run_baseline_trials(
     2^N-byte match mask keeps N <= 27 under ENGINE_TRIAL_BYTES_CAP.
     Batches of trials are scanned at once.  Candidate c splits into its
     first floor(N/2) bits (c_hi) and the rest (c_lo) and reads
-    Hi[c_hi] ^ Lo[c_lo], so two half-tables of H = 2^floor(N/2) and
-    L = 2^ceil(N/2) rows stand in for the 2^N-row catalog; _half_tables
-    builds both in one (b, W, H + L) buffer in one doubling pass of
-    ceil(N/2) XOR calls, and _candidate_words reads a candidate's two rows
-    from it in one gather.  All 2^N candidates are compared on their first
-    word (periods 0..31), and the flattened match mask is in catalog order
-    (all-L first).  Above 32 periods the first first-word match is checked
-    on the other words; a candidate that differs there (a chance of 2^-32
-    each) is passed over for the next first-word match, one pass per
-    earlier first-word-only match, so in practice one.  A trial's cost is
-    the index of the first candidate that survives its whole period
-    budget, exactly as the sequential reference search counts it.
+    Hi[c_hi] ^ Lo[c_lo] on the first word (periods 0..31), so two
+    half-tables of H = 2^floor(N/2) and L = 2^ceil(N/2) rows stand in for
+    the 2^N-row catalog; _half_tables builds both from the first word's
+    columns in one (b, H + L) buffer in one doubling pass of ceil(N/2) XOR
+    calls.  All 2^N candidates are compared on that word, and the
+    flattened match mask is in catalog order (all-L first).  Above 32
+    periods the first first-word match c is checked on the other words by
+    linearity: its row and the hidden string h's agree there exactly when
+    the later-word columns of the 1 bits of c ^ h XOR to zero.  A candidate
+    that differs there (a chance of 2^-32 each) is passed over for the next
+    first-word match, one pass per earlier first-word-only match, so in
+    practice one.  A trial's cost is the index of the first candidate that
+    survives its whole period budget, exactly as the sequential reference
+    search counts it.
     """
     if num_bits < 1 or periods_per_test < 1 or trials < 1:
         raise ValueError("num_bits, periods_per_test and trials must be >= 1")
     n = num_bits
-    n_hi, n_lo = n // 2, n - n // 2
-    size_hi, size_lo = 1 << n_hi, 1 << n_lo
+    n_lo = n - n // 2
+    size_hi, size_lo = 1 << n // 2, 1 << n_lo
     n_words = -(-periods_per_test // 32)
     what = f"one baseline trial at {n} bits and {periods_per_test} periods"
     batch_size = _batch_trials(what, _baseline_trial_bytes(n, periods_per_test))
     tests = np.empty(trials, dtype=np.int64) if keep_per_trial else None
     tests_sum = false_matches = 0
-    # a candidate's positions in the table buffer: c >> n_lo, size_hi + c_lo
-    split = np.array([[n_lo, 0], [size_hi - 1, size_lo - 1], [0, size_hi]])
+    # bit N - 1 - q of a candidate selects column q, noise-bit q + 1's
+    bit_values = 1 << np.arange(n - 1, -1, -1)
     # the match mask keeps N <= 27, so one word holds each role and the string
     for start, tag_seeds, hidden in rng.trial_draws(seed, n, trials, batch_size):
         b = len(tag_seeds)
         hidden = (hidden[:, 0] & np.uint64((1 << n) - 1)).astype(np.intp)  # hidden_bits_for
-        table = _half_tables(_differ_columns(tag_seeds, n, periods_per_test))
-        unknown = _candidate_words(table, split, np.arange(b), hidden)
-        hi, lo = table[:, 0, :size_hi], table[:, 0, size_hi:]
-        match = ((hi ^ unknown[:, :1])[:, :, None] == lo[:, None, :]).reshape(b, -1)
+        columns = _differ_columns(tag_seeds, n, periods_per_test)
+        table = _half_tables(columns[:, 0])
+        hi, lo = table[:, :size_hi], table[:, size_hi:]
+        rows = np.arange(b)
+        unknown = hi[rows, hidden >> n_lo] ^ lo[rows, hidden & (size_lo - 1)]
+        match = ((hi ^ unknown[:, None])[:, :, None] == lo[:, None, :]).reshape(b, -1)
         first = np.argmax(match, axis=1)
         # a first-word match that differs on a later word (2^-32 a candidate)
         # gives way to the trial's next first-word match; the hidden string
         # matches on every word, so there is one
         pending = np.arange(b if n_words > 1 else 0)
         while len(pending):
-            words = _candidate_words(table, split, pending, first[pending])
-            pending = pending[(words ^ unknown[pending]).any(axis=1)]
+            ones = ((first[pending] ^ hidden[pending])[:, None] & bit_values) != 0
+            later = np.bitwise_xor.reduce(columns[pending, 1:], axis=2, where=ones[:, None])
+            pending = pending[later.any(axis=1)]
             for t in pending:
                 first[t] += 1 + np.argmax(match[t, first[t] + 1 :])
         tests_sum += int(first.sum()) + b

@@ -473,6 +473,47 @@ def test_baseline_first_word_matches_are_checked_on_every_word(monkeypatch, n, p
     assert max(expect) > 1
 
 
+def _gf2_baseline_tests(trial_seed: int, n: int, periods: int) -> int:
+    """_brute_force_baseline_tests' scan position, from a GF(2) basis of the period rows.
+
+    Candidate c survives every period exactly when c ^ h has even overlap
+    with each period row d, so the survivors are h plus the space orthogonal
+    to the rows' span.  With the span's basis fully reduced and keyed by
+    each row's lowest set bit, the smallest survivor sets only pivot bits,
+    pivot p to the parity of row_p & h.
+    """
+    words = rng.role_words(rng.word_seeds(trial_seed, 1), periods)[:, 0]
+    hidden = rng.hidden_bits_for(trial_seed, n)
+    basis: dict[int, int] = {}
+    for lw, hw in zip(*words):
+        d = int(lw ^ hw) >> (64 - n)
+        for p, row in basis.items():
+            if d >> p & 1:
+                d ^= row
+        if d:
+            p = (d & -d).bit_length() - 1
+            for q, row in basis.items():
+                if row >> p & 1:
+                    basis[q] = row ^ d
+            basis[p] = d
+    return 1 + sum(((row & hidden).bit_count() & 1) << p for p, row in basis.items())
+
+
+@pytest.mark.parametrize("periods", [20, 40, 70])
+@pytest.mark.parametrize("n", [21, 24])
+def test_baseline_engine_matches_a_gf2_oracle_above_20_bits(n: int, periods: int) -> None:
+    # the digest grid stops at N = 20 and a scan of 2^N candidates in Python
+    # is too slow here; P = 40 and 70 run the later-word check
+    trials, seed = 3, 9
+    stats = eng.run_baseline_trials(n, periods, trials, seed, keep_per_trial=True)
+    expect = [_gf2_baseline_tests(rng.trial_master_seed(seed, t), n, periods)
+              for t in range(trials)]
+    assert stats.tests.tolist() == expect
+    if periods == 20:
+        # 2^N candidates against a 2^-20 chance each: the oracle is no h + 1
+        assert stats.false_matches > 0
+
+
 @pytest.mark.parametrize("periods", [1, 2, 31, 32, 33, 63, 64, 65, 130])
 def test_differ_columns_pack_scalar_signs(periods: int) -> None:
     # column q holds noise-bit q + 1's carriers-differ sequence, period k at
@@ -490,25 +531,25 @@ def test_differ_columns_pack_scalar_signs(periods: int) -> None:
                 assert value == sum(1 << k for k in range(periods) if differ[k])
 
 
-@pytest.mark.parametrize("n_words", [1, 3])
-def test_half_tables_xor_each_candidates_columns(n_words: int) -> None:
+@pytest.mark.parametrize("trials", [1, 3])
+def test_half_tables_xor_each_candidates_columns(trials: int) -> None:
     # Hi[i] and Lo[j] are the XOR of the columns of the 1 bits of i (the
     # first floor(N/2) bits) and j (the rest), first bit most significant,
     # so Hi[c_hi] ^ Lo[c_lo] is candidate c's XOR over all its 1 bits
     gen = np.random.default_rng(5)
     for n in range(1, 10):
         n_hi, n_lo = n // 2, n - n // 2
-        columns = gen.integers(0, 2**32, size=(2, n_words, n), dtype=np.uint32)
+        columns = gen.integers(0, 2**32, size=(trials, n), dtype=np.uint32)
         table = eng._half_tables(columns)
         assert table.dtype == np.uint32
-        assert table.shape == (2, n_words, (1 << n_hi) + (1 << n_lo))
+        assert table.shape == (trials, (1 << n_hi) + (1 << n_lo))
         hi, lo = table[..., : 1 << n_hi], table[..., 1 << n_hi :]
 
         def literal(c: int, bits: range) -> np.ndarray:
-            out = np.zeros((2, n_words), dtype=np.uint32)
+            out = np.zeros(trials, dtype=np.uint32)
             for q in bits:
                 if c >> (bits[-1] - q) & 1:
-                    out ^= columns[:, :, q]
+                    out ^= columns[:, q]
             return out
 
         for i in range(1 << n_hi):
@@ -570,9 +611,10 @@ def test_baseline_memory_refused_before_drawing(monkeypatch) -> None:
 def test_baseline_memory_cap_boundary(monkeypatch) -> None:
     # one trial at N bits and P periods, W = ceil(P/32), H = 2^floor(N/2),
     # L = 2^ceil(N/2), holds 8 * 5P (role words, a mix temporary, L ^ H
-    # words) + 32NW (period bytes) + 4NW (columns) + 4W(H + L) (the
-    # half-tables' buffer) + 4H (XOR'd first word of the high table) + 2^N
-    # (the first-word match mask)
+    # words) + 32NW (period bytes) + 4NW (columns) + 4(H + L) (the
+    # first-word half-tables' buffer) + 4H (the XOR'd high table) + 2^N
+    # (the first-word match mask), and above W = 1 the later-word check's
+    # 4N(W - 1) (copied columns) + 4(W - 1) (their XORs) + 9N (bit mask)
     role_words = rng.role_words
     drawn = []
 
@@ -592,10 +634,11 @@ def test_baseline_memory_cap_boundary(monkeypatch) -> None:
     assert eng.run_baseline_trials(10, 1, 3, 1).trials == 3
     with pytest.raises(ValueError, match="2996 bytes; capped at 1808"):
         eng.run_baseline_trials(11, 1, 3, 1)
-    # a second period word widens the columns and tables, not the mask:
-    # N = 4, P = 33 holds 1320 + 256 + 32 + 64 + 16 + 16 = 1704
-    monkeypatch.setattr(eng, "ENGINE_TRIAL_BYTES_CAP", 1703)
-    with pytest.raises(ValueError, match="1704 bytes; capped at 1703"):
+    # a second period word widens the columns and adds the check, not the
+    # tables or the mask: N = 4, P = 33 holds 1320 + 256 + 32 + 32 + 16 +
+    # 16 + 16 + 4 + 36 = 1728
+    monkeypatch.setattr(eng, "ENGINE_TRIAL_BYTES_CAP", 1727)
+    with pytest.raises(ValueError, match="1728 bytes; capped at 1727"):
         eng.run_baseline_trials(4, 33, 3, 1)
     assert len(drawn) == 2
 
@@ -604,14 +647,14 @@ def test_baseline_admits_one_hidden_word() -> None:
     # the 2^N-byte match mask alone fills the cap at N = 28, so one uint64
     # always holds a baseline trial's hidden string: 268,633,872 bytes at
     # N = 28, P = 20.  Every P holds one mask, so N = 27 is admitted up to
-    # P = 42,688
-    for periods in (20, 64, 42_688):
+    # P = 1,815,040
+    for periods in (20, 64, 1_815_040):
         assert eng._batch_trials("a baseline trial", eng._baseline_trial_bytes(27, periods)) >= 1
         with pytest.raises(ValueError, match="capped at"):
             eng._batch_trials("a baseline trial", eng._baseline_trial_bytes(28, periods))
     assert eng._baseline_trial_bytes(28, 20) == 268_633_872
     with pytest.raises(ValueError, match="capped at"):
-        eng._batch_trials("a baseline trial", eng._baseline_trial_bytes(27, 42_689))
+        eng._batch_trials("a baseline trial", eng._baseline_trial_bytes(27, 1_815_041))
 
 
 def _traced_peak(run):
@@ -624,14 +667,15 @@ def _traced_peak(run):
 
 
 # the count sums arrays that are never all held at once; a full batch's
-# peak per trial, less _UFUNC_BUFFER_BYTES, measured 0.61 / 0.51 / 0.82 /
-# 0.87 / 0.64 of it at the five sizes below
+# peak per trial, less _UFUNC_BUFFER_BYTES, measured 0.61 / 0.52 / 0.82 /
+# 0.87 / 0.66 / 0.63 / 0.62 of it at the seven sizes below
 _BASELINE_PEAK_SLACK = 4
 
 
 def test_baseline_batch_stays_inside_its_memory_count() -> None:
-    # odd N = 13 runs the low table's extra doubling step
-    for n, ppt in ((1, 20), (10, 20), (13, 20), (14, 20), (8, 130)):
+    # odd N = 13 runs the low table's extra doubling step; P = 74 and 130
+    # run the later-word check on three and five period words
+    for n, ppt in ((1, 20), (10, 20), (13, 20), (14, 20), (8, 130), (14, 130), (13, 74)):
         count = eng._baseline_trial_bytes(n, ppt)
         trials = eng._batch_trials("a baseline trial", count)
         eng.run_baseline_trials(n, ppt, 2, 1)  # imports and caches first

@@ -19,19 +19,25 @@ nor np.packbits and converts to no big-endian dtype.  Every
 `functools.lru_cache` or `functools.cache` in the package is bounded by a
 named module constant or wraps a function without parameters.  The CI job
 that tests the oldest numpy the package accepts pins the floor that
-`pyproject.toml` states.
+`pyproject.toml` states.  Every name that the README or a package
+docstring or comment gives as a module's attribute, in backticks with an
+underscore, as a private name or as an UPPER_CASE constant, resolves to
+an attribute of the package.
 """
 
 from __future__ import annotations
 
 import ast
 import importlib
+import io
 import re
+import tokenize
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACER = ROOT / "perfbench" / "tracer.py"
 PACKAGE = ROOT / "src" / "rtwlogic"
+README = ROOT / "README.md"
 PYPROJECT = ROOT / "pyproject.toml"
 WORKFLOW = ROOT / ".github" / "workflows" / "tests.yml"
 
@@ -748,4 +754,71 @@ def test_numpy_floor_check_sees_a_stale_pin_and_a_missing_entry() -> None:
     assert _numpy_floor_breaches(pyproject, unmarked) == ["no CI entry pins the oldest numpy"]
     assert _numpy_floor_breaches('"numpy"\n', entry.format("2.0")) == [
         "pyproject.toml states 0 numpy floors"
+    ]
+
+
+def _documented_texts() -> list[tuple[str, str]]:
+    """(where, text) for the README and each docstring and comment of the package."""
+    texts = [("README.md", README.read_text(encoding="utf-8"))]
+    for path in sorted(PACKAGE.glob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                doc = ast.get_docstring(node, clean=False)
+                if doc:
+                    texts.append((f"{path.name}:{getattr(node, 'lineno', 1)}", doc))
+        for token in tokenize.generate_tokens(io.StringIO(source).readline):
+            if token.type == tokenize.COMMENT:
+                texts.append((f"{path.name}:{token.start[0]}", token.string))
+    return texts
+
+
+def _package_attributes() -> tuple[dict[str, object], set[str]]:
+    """The package's modules by name, and the attributes of the package, its modules and classes."""
+    modules = {path.stem: importlib.import_module(f"rtwlogic.{path.stem}")
+               for path in sorted(PACKAGE.glob("*.py")) if path.stem != "__init__"}
+    names = set(dir(importlib.import_module("rtwlogic")))
+    for module in modules.values():
+        names |= set(dir(module))
+        for cls in vars(module).values():
+            if isinstance(cls, type) and cls.__module__ == module.__name__:
+                names |= set(dir(cls)) | set(getattr(cls, "__annotations__", {}))
+    return modules, names
+
+
+def _stale_names(texts: list[tuple[str, str]], modules: dict[str, object],
+                 names: set[str]) -> list[str]:
+    """Each name in texts that resolves to nothing, with where it is.
+
+    A name is a package module's `module.attr` (a file name such as
+    `rng.py` is none), a backticked identifier with an underscore, or a
+    bare private `_name` (not a pattern such as `_*_bytes`) or UPPER_CASE
+    constant; the last two resolve to any attribute of the package, its
+    modules or its classes.
+    """
+    dotted = re.compile(rf"\b({'|'.join(modules)})\.([A-Za-z_]\w*)")
+    bare = re.compile(r"(?<![\w.*])(_[A-Za-z]\w*|[A-Z][A-Z0-9]+_[A-Z0-9_]+)\b")
+    stale = []
+    for where, text in texts:
+        stale += [f"{where}: {module}.{attr}" for module, attr in dotted.findall(text)
+                  if attr != "py" and not hasattr(modules[module], attr)]
+        spans = [span for span in re.findall(r"`([^`\n]+)`", text)
+                 if re.fullmatch(r"[A-Za-z_]\w*", span) and "_" in span]
+        stale += [f"{where}: {name}" for name in dict.fromkeys(spans + bare.findall(text))
+                  if name not in names]
+    return stale
+
+
+def test_documented_names_exist() -> None:
+    stale = _stale_names(_documented_texts(), *_package_attributes())
+    assert not stale, "\n".join(stale)
+
+
+def test_stale_name_check_sees_dotted_backticked_and_bare_names() -> None:
+    text = ("engines._candidate_words gathers `no_such_helper`, _gone and GONE_CAP; "
+            "rng.py, `rng.role_words`, `_half_tables`, ENGINE_TRIAL_BYTES_CAP, "
+            "`complete_trials` and A_1 resolve or are no names")
+    assert _stale_names([("planted", text)], *_package_attributes()) == [
+        "planted: engines._candidate_words", "planted: no_such_helper",
+        "planted: _gone", "planted: GONE_CAP",
     ]
