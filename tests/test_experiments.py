@@ -397,6 +397,31 @@ def test_identification_engine_batching_invariance_across_plane_words(monkeypatc
     _assert_identification_batching_invariance(monkeypatch, 4, n=65)
 
 
+# sha256 of every field of run_identification_trials' kept result over the
+# grid below, 24 trials at seed 11 a point: the hidden and recovered strings
+# as 8W-byte little-endian ints, the other arrays with their dtypes and the
+# aggregates by repr; a change that moves any trial's output changes it
+_IDENTIFICATION_GRID_DIGEST = "996de54d46c1b3b12f490a213705f185d4374436ceec1e20dada07b8d56cfcb4"
+
+
+def test_identification_trials_match_their_pinned_digest() -> None:
+    digest = hashlib.sha256()
+    for n in (1, 3, 16, 63, 64, 65, 130):
+        width = 8 * rng.num_words(n)
+        for m in (1, 3, 8, 64, 65):
+            stats = eng.run_identification_trials(n, m, 24, 11, keep_per_trial=True)
+            for field in dataclasses.fields(stats):
+                value = getattr(stats, field.name)
+                if field.name in ("hidden_bits", "recovered_bits"):
+                    digest.update(value.dtype.str.encode())
+                    digest.update(b"".join(int(x).to_bytes(width, "little") for x in value))
+                elif isinstance(value, np.ndarray):
+                    digest.update(value.dtype.str.encode() + value.tobytes())
+                else:
+                    digest.update(repr(value).encode())
+    assert digest.hexdigest() == _IDENTIFICATION_GRID_DIGEST
+
+
 def test_baseline_engine_matches_exact_trials() -> None:
     n, ppt, trials, seed = 3, 12, 30, 4
     stats = eng.run_baseline_trials(n, ppt, trials, seed, keep_per_trial=True)
