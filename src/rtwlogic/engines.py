@@ -9,8 +9,9 @@ trial for trial to its exact twin.  The per-trial engines, identification
 and the baseline, read each batch's tag seeds and hidden words from
 rng.trial_draws.  Identification works on switching instants, not ticks:
 a trial reads the 2N * M events of its window, O(N * M), the paper's
-linear cost for fixed M.  The per-period engines share one loop over
-bounded chunks of periods and read each period as a key made of bit
+linear cost for fixed M, and its last decision is the max of the closed-
+form ticks of its first events.  The per-period engines share one loop
+over bounded chunks of periods and read each period as a key made of bit
 counts of L ^ H, with no Fraction: zero-prob and Monte Carlo range the
 number of bits whose carriers agree, which fixes |readout|, the mismatch
 rate its parity under a mask, since two strings' readouts differ at
@@ -188,10 +189,11 @@ class IdentificationTrialStats:
 def _identification_trial_bytes(num_bits: int, max_periods: int) -> int:
     """Bytes one identification trial holds, W = ceil(N/64) words per role and period.
 
-    Its (M+1, 2, W) role words, their (M, 2, W) switches, eight (M, W)
+    Its (2, M+1, W) role words, their (2, M, W) switches, eight (M, W)
     decision words (five held, three temporaries of the contradiction
-    check), its (2, W) tag seeds and its W hidden words.  The same count
-    sizes batches and refuses a trial above ENGINE_TRIAL_BYTES_CAP.
+    check), its (2, W) tag seeds and its W hidden words; the tick step
+    after the check holds less.  The same count sizes batches and refuses
+    a trial above ENGINE_TRIAL_BYTES_CAP.
     """
     m = max_periods
     return 8 * rng.num_words(num_bits) * (2 * (m + 1) + 2 * m + 8 * m + 2 + 1)
@@ -214,57 +216,51 @@ def run_identification_trials(
     its period-(k-1) sign.  Signs come from rng.role_words: one uint64 per
     period and role holds 64 noise-bits, noise-bit q + 1 at bit
     63 - q % 64 of word q // 64, and the hidden words are laid out in the
-    same role order once per trial, so the hidden words, the decided
-    value and the recovered string are words of one shape.  A period's
-    switch words are its role words XOR the previous period's, with the
-    bits past noise-bit N masked; a prefix-OR over the periods marks each
-    bit's first event, where it is decided, L before H within a period.
-    The last decision is the highest noise-bit, the lowest set bit of the
-    last non-zero word x, of the last period with a new decision:
-    x & (~x + 1) isolates that bit, and np.bitwise_count of it minus one,
-    the zeros below it, gives its position.  The observed flips are
-    derived from the hidden string, so the decided value is
-    hidden & decided for any sign words, and the three soundness counts
-    (wrong complete trials, and np.bitwise_count sums of wrong decided
-    bits and contradicting events) are zero unless the lines that compute
-    them break; they cannot catch a flaw in the decision rule.  The evidence
-    for the rule is that aggregates match the tick-scanning reference
-    identifier, tsinbl_identify, trial for trial (see the unit tests).
-    _identification_trial_bytes sizes the batches; results do not depend on it.
+    same role order, so the hidden words, the decided value and the
+    recovered string are words of one shape.  A period's switch words are
+    its role words XOR the previous period's, bits past noise-bit N
+    masked; a prefix-OR over the periods marks each bit's first event,
+    where it is decided, L before H within a period.  In first-event word
+    w of window period k the last decision is at the lowest set bit, z
+    zeros below it, tick k * 2N + 2(64w + 63) + 1 - 2z, one later at an H
+    event; ticks observed are the max of these for a complete trial and
+    M * 2N otherwise, and periods used (ticks observed - 1) // 2N + 1.
+    The observed flips are derived from the hidden string, so the decided
+    value is hidden & decided for any sign words, and the three soundness
+    counts (wrong complete trials, and np.bitwise_count sums of wrong
+    decided bits and contradicting events) are zero unless the lines that
+    compute them break; they cannot catch a flaw in the decision rule.  The
+    evidence for the rule is that aggregates match the tick-scanning
+    reference identifier, tsinbl_identify, trial for trial (see the unit
+    tests).  _identification_trial_bytes sizes the batches; results do
+    not depend on it.
     """
     if num_bits < 1 or max_periods < 1 or trials < 1:
         raise ValueError("num_bits, max_periods and trials must be >= 1")
-    n = num_bits
-    m = max_periods
-    spp = 2 * n
+    n, m, spp = num_bits, max_periods, 2 * num_bits
     what = f"one identification trial at {n} bits and {m} periods"
     batch_size = _batch_trials(what, _identification_trial_bytes(n, m))
     n_words = rng.num_words(n)
     full = rng.role_order(np.full(n_words, rng.MASK64, dtype=np.uint64), n)
-
-    undecided_trials = 0
-    complete_trials = 0
-    wrong_complete = 0
-    wrong_decided_bits = 0
-    contradictions = 0
-    ticks_sum = 0
-    periods_sum = 0
+    # k * 2N + 2(64w + 63) + 1 at [k, 0, w], the tick of bit 0 of word w
+    tick_offsets = spp * np.arange(m)[:, None, None] + 128 * np.arange(n_words) + 127
+    complete_trials = wrong_complete = wrong_decided_bits = contradictions = 0
+    ticks_sum = periods_sum = 0
     kept: dict[str, list[np.ndarray]] = {k: [] for k in
         ("hidden_bits", "complete", "recovered_bits", "ticks_observed", "periods_used")}
 
     for _, tag_seeds, hidden in rng.trial_draws(seed, n, trials, batch_size):
-        b = len(tag_seeds)
         # (b, W) hidden_bits_for, set where the H carrier is the factor
         hidden = rng.role_order(hidden, n)
-        # (M+1, b, 2, W): periods lead, so the XOR below writes each
-        # period's switches as one block of its C-order result
-        words = rng.role_words(tag_seeds, m + 1).transpose(3, 0, 1, 2)
-        # switch[k]: the carriers that change sign at their period-(k+1)
-        # switching instant, one of the M in the window; (M, b, 2, W)
-        switch = np.bitwise_xor(words[1:], words[:-1], order="C")
+        # (2, M+1, b, W): roles, then periods, lead, so the XOR below
+        # writes each role's switches as one block of its C-order result
+        words = rng.role_words(tag_seeds, m + 1).transpose(1, 3, 0, 2)
+        # switch[:, k]: the carriers that change sign at their period-(k+1)
+        # switching instant, one of the M in the window; (2, M, b, W)
+        switch = np.bitwise_xor(words[:, 1:], words[:, :-1], order="C")
         del words
         switch &= full
-        s_l, s_h = switch[:, :, 0], switch[:, :, 1]
+        s_l, s_h = switch
         u_l, u_h = s_l & ~hidden, s_h & hidden  # the observed waveform flips
         # an L switch the waveform does not follow means H, an H switch it
         # follows means H; within a period the L event comes first
@@ -274,32 +270,31 @@ def run_identification_trials(
         new = events
         new[1:] &= ~seen[:-1]  # each bit's first event
         chosen = np.bitwise_or.reduce(new & says_h, axis=0)
-        decided = seen[-1]
         # every event of the window is checked against the decided value
         against = (chosen & ((s_l & u_l) | (s_h ^ u_h))) | (~chosen & ((s_l ^ u_l) | u_h))
         contradictions += int(np.bitwise_count(np.bitwise_or.reduce(against, axis=0)).sum())
+        decided = seen[-1].copy()
+        del seen, u_l, u_h, says_h, against
 
         complete = (decided == full).all(axis=1)
         wrong = chosen ^ hidden
         wrong_decided_bits += int(np.bitwise_count(wrong & decided).sum())
         wrong_complete += int((complete & (wrong != 0).any(axis=1)).sum())
         complete_trials += int(complete.sum())
-        undecided_trials += int(b - complete.sum())
-        # the last period with a new decision, and in it the highest
-        # noise-bit decided: the lowest set bit of the last non-zero word
-        last = (seen != decided).any(axis=2).sum(axis=0)
-        rows = np.arange(b)
-        last_new = new[last, rows]
-        w = n_words - 1 - np.argmax(last_new[:, ::-1] != 0, axis=1)
-        low = last_new[rows, w]
-        low &= ~low + _ONE
-        # noise-bit q + 1 sits at bit 63 - q % 64 of word q // 64, and the
-        # lowest set bit's position is the count of the zeros below it
-        q = 64 * w + 63 - np.bitwise_count(low - _ONE)
-        is_h = (s_l[last, rows, w] & low) == 0
-        # the decision tick is (last+1)*2N + slot 2q + is_h
-        t_obs = np.where(complete, last * spp + 2 * q + is_h + 1, m * spp)
-        p_used = np.where(complete, last + 1, m)
+        # each first-event word's last tick by the closed form above, 0 in
+        # a word with no first event, in one (M, b, W) buffer
+        ticks = ~new
+        ticks += _ONE
+        ticks &= new  # the lowest set bit
+        is_h = (s_l & ticks) == 0
+        ticks -= _ONE
+        ticks = np.bitwise_count(ticks, out=ticks).view(np.int64)  # z
+        ticks *= -2
+        ticks += tick_offsets
+        ticks += is_h
+        ticks *= new != 0
+        t_obs = np.where(complete, ticks.max(axis=(0, 2)), m * spp)
+        p_used = (t_obs - 1) // spp + 1
         ticks_sum += int(t_obs.sum())
         periods_sum += int(p_used.sum())
         if keep_per_trial:
@@ -312,7 +307,7 @@ def run_identification_trials(
     extras = {k: np.concatenate(v) for k, v in kept.items()} if keep_per_trial else {}
     return IdentificationTrialStats(
         trials=trials,
-        undecided_trials=undecided_trials,
+        undecided_trials=trials - complete_trials,
         complete_trials=complete_trials,
         wrong_complete_trials=wrong_complete,
         wrong_decided_bits=wrong_decided_bits,

@@ -271,20 +271,17 @@ def sign_matrix(
     so however many periods are drawn a long matrix needs little more than
     its int8 result.
     """
-    pairs, odd = divmod(num_streams, 2)
-    n_words = num_words(pairs + odd)
+    bits_per_role = -(-num_streams // 2)
+    n_words = num_words(bits_per_role)
     out = np.empty((num_streams, num_periods), dtype=np.int8)
-    by_bit = out[: 2 * pairs].reshape(pairs, 2, num_periods)  # [q, role, k]
     seeds = word_seeds(master_seed, n_words)
     step = max(1, _CHUNK // 16 // (2 * max(1, n_words)))
     for k0 in range(0, num_periods, step):
         k1 = min(k0 + step, num_periods)
-        words = role_words(seeds, k1 - k0, start_period + k0)
-        bits = _bits(words, pairs + odd)  # [role, k, q]
-        by_bit[:, :, k0:k1] = bits[:, :, :pairs].transpose(2, 0, 1)
-        if odd:
-            out[-1, k0:k1] = bits[0, :, pairs]
-        del words, bits  # nothing of this chunk is held while the next is drawn
+        # [role, k, q] bits as rows 2q + role, in stream order
+        bits = _bits(role_words(seeds, k1 - k0, start_period + k0), bits_per_role)
+        out[:, k0:k1] = bits.transpose(2, 0, 1).reshape(-1, k1 - k0)[:num_streams]
+        del bits  # nothing of this chunk is held while the next is drawn
     out *= np.int8(-2)  # bit set -> 1 -> -1
     out += np.int8(1)
     return out

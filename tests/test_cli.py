@@ -2,14 +2,19 @@
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
 import sys
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rtwlogic import experiments, rng
+from rtwlogic import engines, experiments, rng
 from rtwlogic.cli import main
 
 
@@ -389,3 +394,80 @@ def test_unexpected_error_exits_three(monkeypatch, capsys) -> None:
     assert rc == 3
     assert out == ""
     assert err == "error: RuntimeError: engine fault second line\n"
+
+
+# boundary values of each flag: bit counts at the plane-word edges and at
+# each bit cap +- 1, counts -1..2, rationals near 0, at 1 and past both,
+# seeds at and past both ends of 0..2^64 - 1
+_BIT_CAPS = (experiments.EXHAUSTIVE_BITS_CAP, experiments.BASELINE_BITS_CAP,
+             experiments.ZERO_PROB_BITS_CAP)
+_BITS = sorted({0, 1, 2, 63, 64, 65} | {cap + d for cap in _BIT_CAPS for d in (-1, 0, 1)})
+_COUNTS = ["-1", "0", "1", "2"]
+_RATIONALS = ["0", "1/1000000000000", "1/2", "999999999999/1000000000000", "1", "2", "-1/2"]
+_SEEDS = ["0", str(2**64 - 1), str(2**64), "-1"]
+# at lambda = 1/2, resolution's power cap admits N <= 666,666 and not-demo's
+# value cap N <= 250,000
+_LARGE_BITS = {"resolution": [666_665, 666_666, 666_667], "not-demo": [249_999, 250_000, 250_001]}
+# each subcommand's flags: its count flag is always given, so no example
+# runs a default of thousands of trials
+_COUNT_FLAG = {"zero-prob": "--trials", "range": "--trials", "identify": "--trials",
+               "bench": "--trials", "not-demo": "--periods"}
+_FLAGS = {
+    "zero-prob": {"--seed": _SEEDS},
+    "range": {"--lambda": _RATIONALS, "--exhaustive": None, "--seed": _SEEDS},
+    "resolution": {"--lambda": _RATIONALS},
+    "identify": {"--epsilon": _RATIONALS, "--seed": _SEEDS, "--baseline": None},
+    "bench": {"--epsilon": _RATIONALS, "--seed": _SEEDS, "--no-baseline": None,
+              "--baseline-cap": [str(v) for v in (-1, 0, 1, 13, 14, 15)], "--timing": None},
+    "not-demo": {"--lambda": _RATIONALS, "--seed": _SEEDS},
+}
+
+
+@st.composite
+def _argument_lists(draw, command: str) -> list[str]:
+    """One boundary-heavy argument list of `command`, its flags in drawn order."""
+    if command == "bench":
+        # a 0 in the list is refused before the rest is read; single 0s come
+        # from the other subcommands
+        values = draw(st.lists(st.sampled_from(_BITS[1:]), min_size=1, max_size=3))
+        args = [["--bits", ",".join(map(str, values))]]
+    else:
+        bits = draw(st.sampled_from(_BITS + _LARGE_BITS.get(command, [])))
+        args = [["--bits", str(bits)]]
+    if command in _COUNT_FLAG:
+        args.append([_COUNT_FLAG[command], draw(st.sampled_from(_COUNTS))])
+    if command == "not-demo":
+        args.append(["--target", str(draw(st.integers(0, bits + 1)))])
+    for flag, values in _FLAGS[command].items():
+        if draw(st.booleans()):
+            args.append([flag] if values is None else [flag, draw(st.sampled_from(values))])
+    args.append(["--format", draw(st.sampled_from(["csv", "json"]))])
+    return [command] + [part for arg in draw(st.permutations(args)) for part in arg]
+
+
+@pytest.mark.parametrize("command", sorted(_FLAGS))
+@settings(max_examples=100)
+@given(data=st.data())
+def test_boundary_arguments_report_or_exit_two(command: str, data) -> None:
+    # every argument list either writes a report whose verdict is its exit
+    # code, 0 or 1, or is refused with exit 2, an empty stdout and one
+    # `error:` line; exit 3 or an exception fails.  A low memory cap keeps
+    # each admitted example small, and lets not-demo run at small N only
+    argv = data.draw(_argument_lists(command))
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.object(engines, "ENGINE_TRIAL_BYTES_CAP", 1 << 20), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert rc in (0, 1, 2), (argv, rc, err)
+    if rc == 2:
+        lines = err.splitlines()
+        assert out == "", argv
+        assert [line for line in lines if "error:" in line] == lines[-1:], (argv, err)
+        assert len(lines) == 1 or lines[0].startswith(f"usage: rtwlogic {command}"), (argv, err)
+        return
+    assert err == "", (argv, err)
+    if "json" in argv:
+        assert json.loads(out)["passed"] is (rc == 0), argv
+    else:
+        assert f"result,passed,{'true' if rc == 0 else 'false'}" in out.splitlines(), argv

@@ -1039,7 +1039,7 @@ def test_identification_memory_cap_counts_plane_bytes_at_one_bit(monkeypatch) ->
         eng.run_identification_trials(1, 4, 5, 1)
 
 
-# a full batch's tracemalloc peak per trial read 0.91, 0.92 and 0.89 of the
+# a full batch's tracemalloc peak per trial read 0.94, 0.94 and 0.92 of the
 # identification count at (N, M) = (16, 7), (64, 8) and (1024, 10), and a
 # mismatch run's peak per chunk period 0.87, 0.82 and 0.84 of _period_bytes
 # at N = 20, 1000 and 20000 (numpy 2.4.6, Python 3.11.7); the checks let a count

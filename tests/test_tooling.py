@@ -22,7 +22,9 @@ that tests the oldest numpy the package accepts pins the floor that
 `pyproject.toml` states.  Every name that the README or a package
 docstring or comment gives as a module's attribute, in backticks with an
 underscore, as a private name or as an UPPER_CASE constant, resolves to
-an attribute of the package.
+an attribute of the package.  Every hypothesis test runs under the one
+derandomized profile that `tests/conftest.py` loads, with no example
+database.
 """
 
 from __future__ import annotations
@@ -822,3 +824,14 @@ def test_stale_name_check_sees_dotted_backticked_and_bare_names() -> None:
         "planted: engines._candidate_words", "planted: no_such_helper",
         "planted: _gone", "planted: GONE_CAP",
     ]
+
+
+def test_property_tests_run_under_the_tier1_profile() -> None:
+    # a per-test @settings built after conftest loaded the profile keeps its
+    # derandomize, deadline and database, so reruns draw the same examples
+    from hypothesis import settings
+
+    for current in (settings.default, settings(max_examples=3)):
+        assert current.derandomize is True
+        assert current.deadline is None
+        assert current.database is None
