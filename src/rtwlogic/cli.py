@@ -42,6 +42,26 @@ _lambda = _checked(check_lambda)
 _epsilon = _checked(check_epsilon)
 
 
+def _join_negative_rationals(argv: list[str]) -> list[str]:
+    """argv with a negative rational after --lambda or --epsilon joined to it by `=`.
+
+    argparse takes a separate word like -1/2 for a flag and refuses the
+    flag as missing its value; --lambda=-1/2 reaches the flag's check.
+    """
+    joined: list[str] = []
+    for arg in argv:
+        if joined and joined[-1] in ("--lambda", "--epsilon") and arg.startswith("-"):
+            try:
+                _fraction(arg)
+            except argparse.ArgumentTypeError:
+                pass  # another flag: the rational flag's value is missing
+            else:
+                joined[-1] += "=" + arg
+                continue
+        joined.append(arg)
+    return joined
+
+
 def _seed(text: str) -> int:
     """An argparse type: a master seed in 0..2^64 - 1.
 
@@ -174,7 +194,8 @@ _parser = functools.cache(build_parser)
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = _parser().parse_args(argv)
+        args = _parser().parse_args(_join_negative_rationals(
+            sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:  # argparse has printed usage or help to its stream
         return exc.code
     try:

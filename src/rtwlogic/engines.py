@@ -9,9 +9,10 @@ trial for trial to its exact twin.  The per-trial engines, identification
 and the baseline, read each batch's tag seeds and hidden words from
 rng.trial_draws.  Identification works on switching instants, not ticks:
 a trial reads the 2N * M events of its window, O(N * M), the paper's
-linear cost for fixed M, and its last decision is the max of the closed-
-form ticks of its first events.  The per-period engines share one loop
-over bounded chunks of periods and read each period as a key made of bit
+linear cost for fixed M; two OR-reductions of its events decide its
+bits, and its last decision is the max of the closed-form ticks of its
+first events.  The per-period engines share one loop over bounded
+chunks of periods and read each period as a key made of bit
 counts of L ^ H, with no Fraction: zero-prob and Monte Carlo range the
 number of bits whose carriers agree, which fixes |readout|, the mismatch
 rate its parity under a mask, since two strings' readouts differ at
@@ -189,14 +190,14 @@ class IdentificationTrialStats:
 def _identification_trial_bytes(num_bits: int, max_periods: int) -> int:
     """Bytes one identification trial holds, W = ceil(N/64) words per role and period.
 
-    Its (2, M+1, W) role words, their (2, M, W) switches, eight (M, W)
-    decision words (five held, three temporaries of the contradiction
-    check), its (2, W) tag seeds and its W hidden words; the tick step
-    after the check holds less.  The same count sizes batches and refuses
-    a trial above ENGINE_TRIAL_BYTES_CAP.
+    7MW window words while says_l is reduced, the peak: (2, M, W) switches
+    and flips and the reduction's three temporaries.  10W more: (2, W) tag
+    seeds, drawn and role-ordered hidden words, says_h, says_l, decided,
+    wrong, and two for per-trial ticks and periods used, held with 4MW at a
+    batch's end, the peak at M = 1.  It sizes batches and refuses above the cap.
     """
     m = max_periods
-    return 8 * rng.num_words(num_bits) * (2 * (m + 1) + 2 * m + 8 * m + 2 + 1)
+    return 8 * rng.num_words(num_bits) * (2 * m + 2 * m + 3 * m + 2 + 1 + 1 + 4 + 2)
 
 
 def run_identification_trials(
@@ -219,21 +220,23 @@ def run_identification_trials(
     same role order, so the hidden words, the decided value and the
     recovered string are words of one shape.  A period's switch words are
     its role words XOR the previous period's, bits past noise-bit N
-    masked; a prefix-OR over the periods marks each bit's first event,
-    where it is decided, L before H within a period.  In first-event word
-    w of window period k the last decision is at the lowest set bit, z
-    zeros below it, tick k * 2N + 2(64w + 63) + 1 - 2z, one later at an H
-    event; ticks observed are the max of these for a complete trial and
-    M * 2N otherwise, and periods used (ticks observed - 1) // 2N + 1.
-    The observed flips are derived from the hidden string, so the decided
-    value is hidden & decided for any sign words, and the three soundness
-    counts (wrong complete trials, and np.bitwise_count sums of wrong
-    decided bits and contradicting events) are zero unless the lines that
-    compute them break; they cannot catch a flaw in the decision rule.  The
-    evidence for the rule is that aggregates match the tick-scanning
-    reference identifier, tsinbl_identify, trial for trial (see the unit
-    tests).  _identification_trial_bytes sizes the batches; results do
-    not depend on it.
+    masked.  An L switch the waveform does not follow or an H switch it
+    follows says H, the other two say L; says_h and says_l, OR-reductions
+    over the window, are the bits some event says H and L of, and decided
+    is their union.  A prefix-OR marks each bit's first event, L before H
+    within a period, for the ticks alone: in first-event word w of window
+    period k the last decision is at the lowest set bit, z zeros below it,
+    tick k * 2N + 2(64w + 63) + 1 - 2z, one later at an H event; ticks
+    observed are the max of these for a complete trial and M * 2N
+    otherwise, and periods used (ticks observed - 1) // 2N + 1.  The
+    observed flips are derived from the hidden string, so the recovered
+    string says_h is hidden & decided for any sign words and the three
+    soundness counts (wrong complete trials, wrong decided bits, bits said
+    both H and L) are zero unless the lines that compute them break; they
+    cannot catch a flaw in the decision rule, which the unit tests check
+    against the tick-scanning identifier tsinbl_identify trial for trial.
+    _identification_trial_bytes sizes the batches; results do not depend
+    on it.
     """
     if num_bits < 1 or max_periods < 1 or trials < 1:
         raise ValueError("num_bits, max_periods and trials must be >= 1")
@@ -242,8 +245,8 @@ def run_identification_trials(
     batch_size = _batch_trials(what, _identification_trial_bytes(n, m))
     n_words = rng.num_words(n)
     full = rng.role_order(np.full(n_words, rng.MASK64, dtype=np.uint64), n)
-    # k * 2N + 2(64w + 63) + 1 at [k, 0, w], the tick of bit 0 of word w
-    tick_offsets = spp * np.arange(m)[:, None, None] + 128 * np.arange(n_words) + 127
+    # k * 2N + 2(64w + 63) + 1, the tick of bit 0 of word w in period k
+    period_ticks, word_ticks = spp * np.arange(m)[:, None, None], 128 * np.arange(n_words) + 127
     complete_trials = wrong_complete = wrong_decided_bits = contradictions = 0
     ticks_sum = periods_sum = 0
     kept: dict[str, list[np.ndarray]] = {k: [] for k in
@@ -262,22 +265,16 @@ def run_identification_trials(
         switch &= full
         s_l, s_h = switch
         u_l, u_h = s_l & ~hidden, s_h & hidden  # the observed waveform flips
-        # an L switch the waveform does not follow means H, an H switch it
-        # follows means H; within a period the L event comes first
-        says_h = (s_l ^ u_l) | (u_h & ~s_l)
-        events = s_l | s_h
-        seen = np.bitwise_or.accumulate(events, axis=0)
-        new = events
-        new[1:] &= ~seen[:-1]  # each bit's first event
-        chosen = np.bitwise_or.reduce(new & says_h, axis=0)
-        # every event of the window is checked against the decided value
-        against = (chosen & ((s_l & u_l) | (s_h ^ u_h))) | (~chosen & ((s_l ^ u_l) | u_h))
-        contradictions += int(np.bitwise_count(np.bitwise_or.reduce(against, axis=0)).sum())
-        decided = seen[-1].copy()
-        del seen, u_l, u_h, says_h, against
+        says_h = np.bitwise_or.reduce((s_l ^ u_l) | u_h, axis=0)
+        says_l = np.bitwise_or.reduce((s_l & u_l) | (s_h ^ u_h), axis=0)
+        del u_l, u_h
+        contradictions += int(np.bitwise_count(says_h & says_l).sum())
+        decided = says_h | says_l
+        new = s_l | s_h
+        new[1:] &= ~np.bitwise_or.accumulate(new[:-1], axis=0)  # each bit's first event
 
         complete = (decided == full).all(axis=1)
-        wrong = chosen ^ hidden
+        wrong = says_h ^ hidden
         wrong_decided_bits += int(np.bitwise_count(wrong & decided).sum())
         wrong_complete += int((complete & (wrong != 0).any(axis=1)).sum())
         complete_trials += int(complete.sum())
@@ -290,7 +287,8 @@ def run_identification_trials(
         ticks -= _ONE
         ticks = np.bitwise_count(ticks, out=ticks).view(np.int64)  # z
         ticks *= -2
-        ticks += tick_offsets
+        ticks += period_ticks
+        ticks += word_ticks
         ticks += is_h
         ticks *= new != 0
         t_obs = np.where(complete, ticks.max(axis=(0, 2)), m * spp)
@@ -300,7 +298,7 @@ def run_identification_trials(
         if keep_per_trial:
             kept["hidden_bits"].append(rng.role_order_ints(hidden, n))
             kept["complete"].append(complete)
-            kept["recovered_bits"].append(rng.role_order_ints(chosen & decided, n))
+            kept["recovered_bits"].append(rng.role_order_ints(says_h, n))
             kept["ticks_observed"].append(t_obs)
             kept["periods_used"].append(p_used)
 

@@ -172,12 +172,26 @@ def test_parse_errors_return_two_with_usage(capsys) -> None:
         (["identify", "--bits", "4", "--seed", "x"], "invalid int value: 'x'"),
         (["range", "--bits", "2", "--seed", str(2**64)],
          f"argument --seed: seed must satisfy 0 <= seed < 2^64, got {2**64}"),
+        # a negative rational as a separate word is read as the flag's value,
+        # and a missing value is still missing
+        (["range", "--bits", "3", "--lambda", "-1/2"],
+         "argument --lambda: lambda must satisfy 0 < lambda <= 1"),
+        (["identify", "--bits", "4", "--epsilon", "-1/1000"],
+         "argument --epsilon: epsilon must satisfy 0 < epsilon < 1"),
+        (["range", "--bits", "3", "--lambda"], "argument --lambda: expected one argument"),
+        (["bench", "--epsilon", "--bits", "4"], "argument --epsilon: expected one argument"),
     ):
         rc, out, err = _run(capsys, argv)
         assert rc == 2, argv
         assert out == ""
         assert err.startswith(f"usage: rtwlogic {argv[0]}")
         assert message in err
+    # the separate word is refused exactly as the `=` form is
+    for command, flag, value in (("range", "--lambda", "-1/2"), ("range", "--lambda", "-1"),
+                                 ("identify", "--epsilon", "-1/1000")):
+        apart = _run(capsys, [command, "--bits", "3", flag, value])
+        assert apart[0] == 2
+        assert apart == _run(capsys, [command, "--bits", "3", f"{flag}={value}"])
 
 
 @pytest.mark.parametrize("argv", [

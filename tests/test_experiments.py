@@ -422,6 +422,41 @@ def test_identification_trials_match_their_pinned_digest() -> None:
     assert digest.hexdigest() == _IDENTIFICATION_GRID_DIGEST
 
 
+@pytest.mark.parametrize("n, m, sparse", [(70, 3, False), (16, 4, True), (130, 8, True)])
+def test_identification_soundness_counts_are_zero_for_any_sign_words(
+    monkeypatch, n: int, m: int, sparse: bool
+) -> None:
+    # random uint64 words in place of the stream's: the engine derives the
+    # observed flips from the hidden string, so whatever the signs no bit is
+    # said both H and L, and the recovered string is the hidden string's bits
+    # that have an event in the window.  Sparse words flip a carrier with a
+    # chance of 3/8 a period, so more bits stay undecided
+    trials, draw, drawn = 300, np.random.default_rng(m), []
+
+    def random_words(seeds, num_periods, start_period=0):
+        shape = (2 if sparse else 1,) + seeds.shape + (num_periods,)
+        words = np.bitwise_and.reduce(draw.integers(0, 2**64, shape, np.uint64), axis=0)
+        drawn.append(words ^ draw.integers(0, 2**64, seeds.shape + (1,), np.uint64))
+        return drawn[-1]
+
+    monkeypatch.setattr(rng, "role_words", random_words)
+    stats = eng.run_identification_trials(n, m, trials, 3, keep_per_trial=True)
+    assert stats.contradictions == stats.wrong_decided_bits == stats.wrong_complete_trials == 0
+    assert 0 < stats.complete_trials < trials
+    # the bits with an event: a switch of either carrier in the window
+    words = np.concatenate(drawn)
+    switch = np.bitwise_or.reduce(words[..., 1:] ^ words[..., :-1], axis=(1, 3))
+    events = rng.role_order_ints(switch, n)
+    for t in range(trials):
+        hidden, recovered, seen = (int(x[t]) for x in (stats.hidden_bits, stats.recovered_bits,
+                                                       events))
+        assert recovered & ~hidden == 0
+        assert recovered == hidden & seen
+        assert bool(stats.complete[t]) == (seen == (1 << n) - 1)
+        if stats.complete[t]:
+            assert recovered == hidden
+
+
 def test_baseline_engine_matches_exact_trials() -> None:
     n, ppt, trials, seed = 3, 12, 30, 4
     stats = eng.run_baseline_trials(n, ppt, trials, seed, keep_per_trial=True)
@@ -1019,36 +1054,36 @@ def test_identification_memory_refused_before_allocating(monkeypatch) -> None:
 
 def test_identification_memory_cap_boundary(monkeypatch) -> None:
     # one trial at N <= 64 holds one word per role and period:
-    # 8 * (2(M+1) + 2M + 8M + 2 + 1) = 328 bytes at M = 3 and 424 at M = 4;
-    # N = 65 holds two words, 656 bytes at M = 3
-    monkeypatch.setattr(eng, "ENGINE_TRIAL_BYTES_CAP", 328)
+    # 8 * (7M + 10) = 248 bytes at M = 3 and 304 at M = 4; N = 65 holds
+    # two words, 496 bytes at M = 3
+    monkeypatch.setattr(eng, "ENGINE_TRIAL_BYTES_CAP", 248)
     for n in (4, 64):
         assert eng.run_identification_trials(n, 3, 5, 1).trials == 5
-        with pytest.raises(ValueError, match="424 bytes; capped at 328"):
+        with pytest.raises(ValueError, match="304 bytes; capped at 248"):
             eng.run_identification_trials(n, 4, 5, 1)
-    with pytest.raises(ValueError, match="656 bytes; capped at 328"):
+    with pytest.raises(ValueError, match="496 bytes; capped at 248"):
         eng.run_identification_trials(65, 3, 5, 1)
 
 
 def test_identification_memory_cap_counts_plane_bytes_at_one_bit(monkeypatch) -> None:
     # at N = 1 a trial still holds a whole role word per role and period,
-    # the same 328 bytes at M = 3 and 424 at M = 4 as at N = 64
-    monkeypatch.setattr(eng, "ENGINE_TRIAL_BYTES_CAP", 328)
+    # the same 248 bytes at M = 3 and 304 at M = 4 as at N = 64
+    monkeypatch.setattr(eng, "ENGINE_TRIAL_BYTES_CAP", 248)
     assert eng.run_identification_trials(1, 3, 5, 1).trials == 5
-    with pytest.raises(ValueError, match="424 bytes; capped at 328"):
+    with pytest.raises(ValueError, match="304 bytes; capped at 248"):
         eng.run_identification_trials(1, 4, 5, 1)
 
 
-# a full batch's tracemalloc peak per trial read 0.94, 0.94 and 0.92 of the
-# identification count at (N, M) = (16, 7), (64, 8) and (1024, 10), and a
-# mismatch run's peak per chunk period 0.87, 0.82 and 0.84 of _period_bytes
-# at N = 20, 1000 and 20000 (numpy 2.4.6, Python 3.11.7); the checks let a count
-# overstate the peak by up to this factor, and no more, so that it stays a
-# count of what the engine holds
+# a full batch's tracemalloc peak per trial read 0.96, 0.96, 0.85, 0.94, 0.94
+# and 0.94 of the identification count at (N, M) = (1, 1), (16, 1), (16, 2),
+# (16, 7), (64, 8) and (1024, 10), and a mismatch run's peak per chunk period
+# 0.87, 0.82 and 0.84 of _period_bytes at N = 20, 1000 and 20000 (numpy
+# 2.4.6, Python 3.11.7); the checks let a count overstate the peak by up to
+# this factor, and no more, so that it stays a count of what the engine holds
 _PEAK_SLACK = 1.25
 
 
-@pytest.mark.parametrize("n, m", [(16, 7), (64, 8), (1024, 10)])
+@pytest.mark.parametrize("n, m", [(1, 1), (16, 1), (16, 2), (16, 7), (64, 8), (1024, 10)])
 def test_identification_batch_stays_inside_its_memory_count(n: int, m: int) -> None:
     count = eng._identification_trial_bytes(n, m)
     trials = eng._batch_trials("an identification trial", count)

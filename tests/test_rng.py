@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 import tracemalloc
 
@@ -18,6 +19,27 @@ def test_mix64_is_stable() -> None:
     assert rng.mix64(0) == 0
     assert rng.mix64(1) == 6238072747940578789
     assert rng.mix64(42) == 12058926934050108962
+
+
+# sha256 of the stream's first words at seed 2024: rng.role_words at W = 1,
+# 8 and 9 words per role (both sides of _SCALAR_WORDS), rng.sign_matrix at 7
+# and 8 streams from periods 0 and 17, and rng.trial_draws' tag seeds and
+# hidden words at N = 16, 64 and 130 (nested hidden words), 5 trials in
+# batches of 3; a change of any drawn bit fails here by name
+_STREAM_DIGEST = "63a65b0741bb6d1361d165b7288e93af3d1de42da508079eb40d7afa7cdddc1d"
+
+
+def test_sign_stream_matches_its_pinned_digest() -> None:
+    digest = hashlib.sha256()
+    for w in (1, 8, 9):
+        digest.update(rng.role_words(rng.word_seeds(2024, w), 5).astype("<u8").tobytes())
+    for streams in (7, 8):
+        for start in (0, 17):
+            digest.update(rng.sign_matrix(2024, streams, 5, start).tobytes())
+    for n in (16, 64, 130):
+        for _, tag_seeds, hidden in rng.trial_draws(2024, n, 5, 3):
+            digest.update(tag_seeds.astype("<u8").tobytes() + hidden.astype("<u8").tobytes())
+    assert digest.hexdigest() == _STREAM_DIGEST
 
 
 def test_derive_seed_changes_with_every_tag() -> None:
