@@ -179,12 +179,12 @@ class FactoredSuperposition:
     Storage and evaluation are O(N); expanding multiplies out to as many
     as 2^N terms.  c_h[r-1] and c_l[r-1] hold the pair for noise-bit r.
 
-    Its integers at lambda (`_pair_law`) are derived once per (object,
-    lambda) and kept beside the instance, outside its dataclass fields, so
-    `==`, `hash`, `repr`, `fields` and `asdict` do not see them; the
-    instance keeps those of _LAWS_KEPT = 1 lambda at a time, about 8N
-    bytes of group map at N bits plus about 300 bytes per coefficient
-    group of small integers.
+    Bits whose (c_H, c_L) pairs are equal by value form one group of its
+    law at lambda (`_pair_law`), derived once per (object, lambda) and
+    kept in one slot beside the instance, outside its dataclass fields,
+    so `==`, `hash`, `repr`, `fields` and `asdict` do not see it.  The
+    slot holds the last lambda's law: about 8N bytes of group map at N
+    bits plus about 300 bytes per coefficient group of small integers.
     """
 
     num_bits: int
@@ -196,21 +196,17 @@ class FactoredSuperposition:
             raise ValueError("num_bits must be >= 1")
         if len(self.c_h) != self.num_bits or len(self.c_l) != self.num_bits:
             raise ValueError("need one (c_H, c_L) pair per bit")
-        # equal coefficients become one object, as uniform_superposition's
-        # 2N are: agreement_law and evaluator group bits by identity.  A run
-        # of one object is looked up once (hashing a Fraction is slow)
-        shared: dict[Fraction, Fraction] = {}
+        # a run of one given object is converted once, to one Fraction
         for name in ("c_h", "c_l"):
-            coeffs, given, kept = [], None, None
+            coeffs, given, kept = [], object(), None
             for c in getattr(self, name):
                 if c is not given:
                     given = c
-                    c = c if isinstance(c, Fraction) else Fraction(c)
-                    kept = shared.setdefault(c, c)
+                    kept = c if isinstance(c, Fraction) else Fraction(c)
                 coeffs.append(kept)
             object.__setattr__(self, name, tuple(coeffs))
-        # the laws `_pair_law` keeps, by lambda, outside the dataclass fields
-        object.__setattr__(self, "_laws", {})
+        # (lambda key, law): the one law `_pair_law` keeps, outside the fields
+        object.__setattr__(self, "_law", (None, None))
 
 
 # uniform_superposition keeps the instances of this many bit counts
@@ -325,9 +321,6 @@ def _pair_integers(ch: Fraction, cl: Fraction, lam: Fraction) -> tuple[int, int,
     return ch.numerator * (d // hd), cl.numerator * lam.numerator * (d // ld), d
 
 
-# a FactoredSuperposition keeps the laws of this many lambdas
-_LAWS_KEPT = 1
-
 # bit r's group, each group's (h, l, d, n) and the common denominator
 _PairLaw = tuple[tuple[int, ...], tuple[tuple[int, int, int, int], ...], int]
 
@@ -335,25 +328,25 @@ _PairLaw = tuple[tuple[int, ...], tuple[tuple[int, int, int, int], ...], int]
 def _pair_law(f: FactoredSuperposition, lam: Fraction) -> _PairLaw:
     """f's integers at lambda: (groups, factors, den), derived once per (f, lambda).
 
-    Bits holding one (c_H, c_L) pair, by identity, form a group, numbered
+    Bits whose (c_H, c_L) pairs are equal by value form a group, numbered
     in order of their first bit; groups[r - 1] is bit r's.  factors[g] is
     group g's (h, l, d, n): its pair as h / d and l / d by `_pair_integers`
-    and its n bits.  den = prod_g d^n is f's common denominator.  The law
-    is kept in f's memo, keyed by lambda's (numerator, denominator); it
-    holds _LAWS_KEPT = 1 law, so another lambda replaces it.  The memo is
-    replaced, never changed in place, so threads sharing an instance at
-    worst derive a law twice.
+    and its n bits.  den = prod_g d^n is f's common denominator.  f keeps
+    one (lambda key, law) slot, so another lambda replaces it; the slot is
+    read once and replaced whole, so threads sharing an instance at worst
+    derive a law twice.
     """
-    laws = f._laws
     key = lam.numerator, lam.denominator
-    law = laws.get(key)
-    if law is None:
-        index: dict[tuple[int, int], int] = {}
-        groups, pairs, counts, pair = [], [], [], None
+    kept_key, law = f._law
+    if kept_key != key:
+        index: dict[tuple[Fraction, Fraction], int] = {}
+        groups, pairs, counts, pair = [], [], [], (None, None)
         for ch, cl in zip(f.c_h, f.c_l):
-            if pair is None or ch is not pair[0] or cl is not pair[1]:  # a run's first bit
+            # a run of one pair of objects is keyed by value at its first
+            # bit only (hashing a Fraction is slow)
+            if ch is not pair[0] or cl is not pair[1]:
                 pair = ch, cl
-                g = index.setdefault((id(ch), id(cl)), len(pairs))
+                g = index.setdefault(pair, len(pairs))
                 if g == len(pairs):
                     pairs.append(_pair_integers(ch, cl, lam))
                     counts.append(0)
@@ -361,8 +354,7 @@ def _pair_law(f: FactoredSuperposition, lam: Fraction) -> _PairLaw:
             groups.append(g)
         factors = tuple((h, l, d, n) for (h, l, d), n in zip(pairs, counts))
         law = tuple(groups), factors, math.prod(d**n for _, _, d, n in factors)
-        kept = list(laws.items())[max(0, len(laws) + 1 - _LAWS_KEPT) :]
-        object.__setattr__(f, "_laws", dict(kept + [(key, law)]))
+        object.__setattr__(f, "_law", (key, law))
     return law
 
 
@@ -461,12 +453,13 @@ def agreement_law(
 
     Bit r's factor h * A_r + l * B_r (h = c_H, l = lambda * c_L) is
     A_r * (h + l) if its two carriers agree, else A_r * (h - l).  Bits
-    holding one (c_H, c_L) pair, by identity, form a group; at state =
+    whose (c_H, c_L) pairs are equal by value form a group; at state =
     (parity of the A = -1 signs, a_0, ..., a_(G-1)), a_g of group g's n_g
     bits agreeing, f is (-1)^parity * prod_g (h_g + l_g)^(a_g) (h_g - l_g)^(n_g - a_g),
     the shared `Fraction` `evaluator` returns.  The groups and their
-    integers are `_pair_law`'s, built once per (f, lambda) and shared with
-    `evaluator`; the returned group list is a fresh copy.
+    integers are `_pair_law`'s, built once per (f, lambda), kept in f's one
+    law slot and shared with `evaluator`; the returned group list is a
+    fresh copy.
     """
     lam = check_lambda(lam)
     groups, factors, den = _pair_law(f, lam)

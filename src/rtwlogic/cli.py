@@ -47,10 +47,15 @@ def _join_negative_rationals(argv: list[str]) -> list[str]:
 
     argparse takes a separate word like -1/2 for a flag and refuses the
     flag as missing its value; --lambda=-1/2 reaches the flag's check.
+    Abbreviations count: any word longer than -- that begins either name.
+    One that names another flag there (range's --e is --exhaustive) has
+    argparse refuse the joined value.
     """
     joined: list[str] = []
     for arg in argv:
-        if joined and joined[-1] in ("--lambda", "--epsilon") and arg.startswith("-"):
+        flag = joined[-1] if joined else ""
+        if (len(flag) > 2 and ("--lambda".startswith(flag) or "--epsilon".startswith(flag))
+                and arg.startswith("-")):
             try:
                 _fraction(arg)
             except argparse.ArgumentTypeError:

@@ -186,9 +186,10 @@ def _check_renderable(num_bits: int, lam: Fraction) -> None:
         return
     top = 1 + lam
     for base in (top.numerator, top.denominator):
-        # the float test settles all but bases within a digit of the limit,
-        # which are small enough to raise exactly
-        if num_bits * math.log10(base) >= limit + 1 or base**num_bits >= 10**limit:
+        # the float estimate settles all but powers within a digit of the
+        # limit, which are small enough to raise exactly
+        digits = num_bits * math.log10(base)
+        if digits >= limit + 1 or (digits > limit - 1 and base**num_bits >= 10**limit):
             raise ValueError(
                 f"range at {num_bits} bits would print (1+lambda)^{num_bits} with more "
                 f"than {limit} digits, Python's limit for int to str conversion"

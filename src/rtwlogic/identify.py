@@ -218,8 +218,6 @@ def tsinbl_identify(
     num_bits = refs.num_bits
     every_bit = (1 << num_bits) - 1
     known = high = 0
-    last_decision_tick = start - 1
-    ticks_seen = end - start
     for tick in refs.switch_ticks(max_periods + 1).tolist():
         # the flipping reference carries H (odd slot, role A) or L (even
         # slot, role B); the unknown follows it iff it is one of its factors,
@@ -234,18 +232,15 @@ def tsinbl_identify(
             known |= mask
             if is_high:
                 high |= mask
-            last_decision_tick = tick
             if known == every_bit:
-                ticks_seen = tick - start + 1
-                break
+                return IdentificationResult(num_bits, known, high, tick // spp, tick - start + 1)
         elif bool(high & mask) != is_high:
             # cannot happen on a noiseless product trace
             seen, value = (VALUE_L, VALUE_H) if is_high else (VALUE_H, VALUE_L)
             raise AssertionError(
                 f"contradictory decision for bit {(slot >> 1) + 1}: {seen} then {value}"
             )
-    periods_used = last_decision_tick // spp if known == every_bit else max_periods
-    return IdentificationResult(num_bits, known, high, periods_used, ticks_seen)
+    return IdentificationResult(num_bits, known, high, max_periods, end - start)
 
 
 # ---------------------------------------------------------------------------

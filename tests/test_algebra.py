@@ -125,6 +125,9 @@ def test_factored_superposition_keeps_fraction_coefficients() -> None:
     # an equal count of another type does not hand its type to int callers
     assert alg.uniform_superposition(True).num_bits is True
     assert type(alg.uniform_superposition(1).num_bits) is int
+    # a leading None is converted as any other coefficient is, and refused
+    with pytest.raises(TypeError):
+        alg.FactoredSuperposition(2, c_h=(None, None), c_l=(1, 1))
 
 
 @settings(max_examples=200, deadline=None)
@@ -369,12 +372,17 @@ def test_factored_evaluator_matches_literal_oracle() -> None:
 
 
 def test_factored_evaluator_with_shared_and_distinct_coefficient_objects() -> None:
-    # runs of bits holding the same (c_H, c_L) objects share one table; equal
-    # but distinct objects, and a pair sharing only one object, do not
+    # bits whose (c_H, c_L) pairs are equal by value share one group, whether
+    # they hold the same objects or equal but distinct ones, so the groups
+    # are those of the same pairs built from shared objects
     half, ones = Fraction(1, 2), Fraction(1)
     c_h = (half, half, Fraction(1, 2), half, ones, ones, half)
     c_l = (ones, ones, ones, Fraction(1), ones, half, ones)
     f = alg.FactoredSuperposition(7, c_h, c_l)
+    shared = {half: half, ones: ones}
+    same = alg.FactoredSuperposition(7, tuple(map(shared.get, c_h)), tuple(map(shared.get, c_l)))
+    assert alg.agreement_law(f, half)[0] == alg.agreement_law(same, half)[0] == [
+        0, 0, 0, 0, 1, 2, 0]
     for lam in (Fraction(1, 3), Fraction(1)):
         value, expanded = alg.evaluator(f, lam), alg.evaluator(alg.expand(f), lam)
         for picks in range(0, 2**14, 37):
@@ -415,9 +423,8 @@ def test_laws_share_values_with_a_fresh_equal_superposition(make, monkeypatch) -
     # very objects of one whose law is kept, before and after its law is
     # built; each (object, lambda) derives its pair integers once
     f = make()
-    # f keeps one lambda's law (_LAWS_KEPT), so a law at lambda = 1 leaves
-    # 1/2 and 1/3 cold even for the shared uniform superposition
-    assert alg._LAWS_KEPT == 1
+    # f keeps one law slot, so a law at lambda = 1 leaves 1/2 and 1/3 cold
+    # even for the shared uniform superposition
     alg.evaluator(f, Fraction(1))
     derived = []
     pair_integers = alg._pair_integers

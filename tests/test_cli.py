@@ -180,12 +180,23 @@ def test_parse_errors_return_two_with_usage(capsys) -> None:
          "argument --epsilon: epsilon must satisfy 0 < epsilon < 1"),
         (["range", "--bits", "3", "--lambda"], "argument --lambda: expected one argument"),
         (["bench", "--epsilon", "--bits", "4"], "argument --epsilon: expected one argument"),
+        # so is it after an abbreviated flag, where range's --e is --exhaustive
+        *((["range", "--bits", "3", flag, "-1/2"],
+           "argument --lambda: lambda must satisfy 0 < lambda <= 1")
+          for flag in ("--lam", "--la", "--l")),
+        *((["identify", "--bits", "4", flag, "-1/1000"],
+           "argument --epsilon: epsilon must satisfy 0 < epsilon < 1")
+          for flag in ("--eps", "--ep", "--e")),
+        (["bench", "--ep", "-1/2"], "argument --epsilon: epsilon must satisfy 0 < epsilon < 1"),
+        (["range", "--bits", "3", "--e", "-1/2"],
+         "argument --exhaustive: ignored explicit argument '-1/2'"),
     ):
         rc, out, err = _run(capsys, argv)
         assert rc == 2, argv
         assert out == ""
         assert err.startswith(f"usage: rtwlogic {argv[0]}")
         assert message in err
+        assert len([line for line in err.splitlines() if "error:" in line]) == 1, argv
     # the separate word is refused exactly as the `=` form is
     for command, flag, value in (("range", "--lambda", "-1/2"), ("range", "--lambda", "-1"),
                                  ("identify", "--epsilon", "-1/1000")):
@@ -378,7 +389,8 @@ def test_range_unprintable_bound_exits_two(monkeypatch, capsys, int_str_digits) 
     def no_signs(*args, **kwargs):
         raise AssertionError("signs were drawn before the digit check")
 
-    monkeypatch.setattr(rng, "sign_matrix", no_signs)
+    # Monte Carlo range draws its signs through rng.role_words
+    monkeypatch.setattr(rng, "role_words", no_signs)
     # at lambda = 1/2 the bound (3/2)^N has a 4301-digit numerator at N = 9013
     for bits in ("9013", "10000"):
         rc, out, err = _run(capsys, ["range", "--bits", bits, "--trials", "2"])

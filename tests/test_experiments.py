@@ -726,9 +726,8 @@ def _traced_peak(run):
         tracemalloc.stop()
 
 
-# the count sums arrays that are never all held at once; a full batch's
-# peak per trial, less _UFUNC_BUFFER_BYTES, measured 0.61 / 0.52 / 0.82 /
-# 0.87 / 0.66 / 0.63 / 0.62 of it at the seven sizes below
+# the count sums arrays that are never all held at once, so a full batch's
+# peak per trial, less _UFUNC_BUFFER_BYTES, may fall below it by this factor
 _BASELINE_PEAK_SLACK = 4
 
 
@@ -1074,12 +1073,9 @@ def test_identification_memory_cap_counts_plane_bytes_at_one_bit(monkeypatch) ->
         eng.run_identification_trials(1, 4, 5, 1)
 
 
-# a full batch's tracemalloc peak per trial read 0.96, 0.96, 0.85, 0.94, 0.94
-# and 0.94 of the identification count at (N, M) = (1, 1), (16, 1), (16, 2),
-# (16, 7), (64, 8) and (1024, 10), and a mismatch run's peak per chunk period
-# 0.87, 0.82 and 0.84 of _period_bytes at N = 20, 1000 and 20000 (numpy
-# 2.4.6, Python 3.11.7); the checks let a count overstate the peak by up to
-# this factor, and no more, so that it stays a count of what the engine holds
+# a full identification batch's tracemalloc peak per trial, and a mismatch
+# run's peak per chunk period, may fall below its count by this factor and
+# no more, so that the count stays a count of what the engine holds
 _PEAK_SLACK = 1.25
 
 
@@ -1339,12 +1335,10 @@ def test_not_gate_demo_fails_a_wrong_factored_result(monkeypatch) -> None:
         assert not r.passed
 
 
-# not_gate_demo's tracemalloc peak read 0.86, 0.85, 0.49 and 0.076 of
-# _not_demo_bytes at the sizes below (numpy 2.4.6, Python 3.11.7).  The
-# count does not depend on P: it takes a full chunk of the draw and every
-# value _shared can keep, which the runs at N <= 4 nearly reach and the
-# shorter ones do not, so each size states the least share its peak must
-# reach, its measured share over _PEAK_SLACK
+# _not_demo_bytes does not depend on P: it takes a full chunk of the draw
+# and every value _shared can keep, which the runs at N <= 4 nearly reach
+# and the shorter ones do not, so each size states the least share of the
+# count its tracemalloc peak must reach, over _PEAK_SLACK
 
 
 def test_not_gate_demo_stays_inside_its_memory_check() -> None:

@@ -301,8 +301,8 @@ def test_superposition_traces_and_readouts_equal_evaluator_over_columns(
 
 
 def test_equal_coefficients_form_one_group() -> None:
-    # coefficients equal by value become one object, so 256 separately
-    # converted ones form one agreement group, as the uniform superposition's
+    # pairs equal by value form one group, so 256 separately converted
+    # coefficients form one agreement group, as the uniform superposition's
     n = 256
     f = alg.FactoredSuperposition(n, (1,) * n, tuple(Fraction(2, 2) for _ in range(n)))
     uni = alg.uniform_superposition(n)
