@@ -11,7 +11,11 @@ rng.trial_draws.  Identification works on switching instants, not ticks:
 a trial reads the 2N * M events of its window, O(N * M), the paper's
 linear cost for fixed M; two OR-reductions of its events decide its
 bits, and its last decision is the max of the closed-form ticks of its
-first events.  The per-period engines share one loop over bounded
+first events, offset by the two read-only arrays `_tick_offsets` keeps per
+(N, M) shape: 8(M + W) bytes for each of at most _TICK_OFFSETS = 16
+shapes, held between runs and counted by no run's memory check.  Every
+call still checks its own memory count and sizes its own batches.
+The per-period engines share one loop over bounded
 chunks of periods and read each period as a key made of bit
 counts of L ^ H, with no Fraction: zero-prob and Monte Carlo range the
 number of bits whose carriers agree, which fixes |readout|, the mismatch
@@ -27,6 +31,7 @@ hidden string.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -86,10 +91,9 @@ def _period_histogram(
     (2, W, p) rng.role_words, bits past noise-bit N clear, to intp keys and
     may work in them in place.  _period_bytes sizes the chunks.
     """
-    n_words = rng.num_words(num_bits)
     chunk = _batch_trials(f"one period of {num_bits} bits", _period_bytes(num_bits))
-    last = rng.role_order(np.full(n_words, rng.MASK64, dtype=np.uint64), num_bits)[-1]
-    seeds = rng.word_seeds(seed, n_words)
+    last = rng.role_mask(num_bits)[-1]
+    seeds = rng.word_seeds(seed, rng.num_words(num_bits))
     count = np.zeros(bins, dtype=np.int64)
     for start in range(0, periods, chunk):
         words = rng.role_words(seeds, min(chunk, periods - start), start)
@@ -200,6 +204,26 @@ def _identification_trial_bytes(num_bits: int, max_periods: int) -> int:
     return 8 * rng.num_words(num_bits) * (2 * m + 2 * m + 3 * m + 2 + 1 + 1 + 4 + 2)
 
 
+# _tick_offsets keeps the offsets of this many (bit count, period) shapes
+_TICK_OFFSETS = 16
+
+
+@functools.lru_cache(maxsize=_TICK_OFFSETS)
+def _tick_offsets(num_bits: int, max_periods: int) -> tuple[np.ndarray, np.ndarray]:
+    """(M, 1, 1) k * 2N and (W,) 2(64w + 63) + 1, int64 and read-only.
+
+    Their sum is the tick of bit 0 of word w in window period k.  Two
+    arrays, not one (M, 1, W) sum, so an entry holds M + W words: at most
+    _TICK_OFFSETS = 16 shapes are kept, each 8(M + W) bytes, held between
+    runs and counted by no run's memory check.
+    """
+    offsets = (2 * num_bits * np.arange(max_periods)[:, None, None],
+               128 * np.arange(rng.num_words(num_bits)) + 127)
+    for offset in offsets:
+        offset.flags.writeable = False
+    return offsets
+
+
 def run_identification_trials(
     num_bits: int,
     max_periods: int,
@@ -243,10 +267,8 @@ def run_identification_trials(
     n, m, spp = num_bits, max_periods, 2 * num_bits
     what = f"one identification trial at {n} bits and {m} periods"
     batch_size = _batch_trials(what, _identification_trial_bytes(n, m))
-    n_words = rng.num_words(n)
-    full = rng.role_order(np.full(n_words, rng.MASK64, dtype=np.uint64), n)
-    # k * 2N + 2(64w + 63) + 1, the tick of bit 0 of word w in period k
-    period_ticks, word_ticks = spp * np.arange(m)[:, None, None], 128 * np.arange(n_words) + 127
+    full = rng.role_mask(n)
+    period_ticks, word_ticks = _tick_offsets(n, m)
     complete_trials = wrong_complete = wrong_decided_bits = contradictions = 0
     ticks_sum = periods_sum = 0
     kept: dict[str, list[np.ndarray]] = {k: [] for k in
@@ -453,8 +475,6 @@ def run_baseline_trials(
     batch_size = _batch_trials(what, _baseline_trial_bytes(n, periods_per_test))
     tests = np.empty(trials, dtype=np.int64) if keep_per_trial else None
     tests_sum = false_matches = 0
-    # bit N - 1 - q of a candidate selects column q, noise-bit q + 1's
-    bit_values = 1 << np.arange(n - 1, -1, -1)
     # the match mask keeps N <= 27, so one word holds each role and the string
     for start, tag_seeds, hidden in rng.trial_draws(seed, n, trials, batch_size):
         b = len(tag_seeds)
@@ -466,16 +486,19 @@ def run_baseline_trials(
         unknown = hi[rows, hidden >> n_lo] ^ lo[rows, hidden & (size_lo - 1)]
         match = ((hi ^ unknown[:, None])[:, :, None] == lo[:, None, :]).reshape(b, -1)
         first = np.argmax(match, axis=1)
-        # a first-word match that differs on a later word (2^-32 a candidate)
-        # gives way to the trial's next first-word match; the hidden string
-        # matches on every word, so there is one
-        pending = np.arange(b if n_words > 1 else 0)
-        while len(pending):
-            ones = ((first[pending] ^ hidden[pending])[:, None] & bit_values) != 0
-            later = np.bitwise_xor.reduce(columns[pending, 1:], axis=2, where=ones[:, None])
-            pending = pending[later.any(axis=1)]
-            for t in pending:
-                first[t] += 1 + np.argmax(match[t, first[t] + 1 :])
+        if n_words > 1:
+            # a first-word match that differs on a later word (2^-32 a
+            # candidate) gives way to the trial's next first-word match; the
+            # hidden string matches on every word, so there is one.  Bit
+            # N - 1 - q of a candidate selects column q, noise-bit q + 1's
+            bit_values = 1 << np.arange(n - 1, -1, -1)
+            pending = np.arange(b)
+            while len(pending):
+                ones = ((first[pending] ^ hidden[pending])[:, None] & bit_values) != 0
+                later = np.bitwise_xor.reduce(columns[pending, 1:], axis=2, where=ones[:, None])
+                pending = pending[later.any(axis=1)]
+                for t in pending:
+                    first[t] += 1 + np.argmax(match[t, first[t] + 1 :])
         tests_sum += int(first.sum()) + b
         false_matches += int((first != hidden).sum())
         if keep_per_trial:

@@ -23,10 +23,16 @@ Two routes with very different costs:
 Decisions compare signs just before and just after a switching instant,
 so the identifier is insensitive to lambda (magnitudes never change at a
 single switching instant; only the sign can).
+
+`ErrorBudget.from_epsilon` keeps one immutable budget per typed
+(N, epsilon) key, at most _EPSILON_BUDGETS = 16 of them, each about
+700 bytes with its key (more for an epsilon of many digits), held
+between runs and counted by no run's memory check.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -91,6 +97,10 @@ def verification_periods(epsilon: Fraction | float | str) -> int:
     return ceil_log2(1 / check_epsilon(epsilon))
 
 
+# ErrorBudget.from_epsilon keeps the budgets of this many (N, epsilon) keys
+_EPSILON_BUDGETS = 16
+
+
 @dataclass(frozen=True)
 class ErrorBudget:
     """Observation budget pairing a period count with its error bound."""
@@ -104,7 +114,17 @@ class ErrorBudget:
         return cls(num_bits, max_periods, error_bound(num_bits, max_periods))
 
     @classmethod
+    @functools.lru_cache(maxsize=_EPSILON_BUDGETS, typed=True)
     def from_epsilon(cls, num_bits: int, epsilon: Fraction | float | str) -> "ErrorBudget":
+        """The budget of the smallest M whose bound is at most epsilon.
+
+        One immutable budget per (N, epsilon) is shared by every caller; a
+        key of another type, such as True for 1 or 0.5 for 1/2, gets its
+        own.  At most _EPSILON_BUDGETS = 16 are kept, each about 700 bytes
+        with its key (more for an epsilon of many digits), held between
+        runs and counted by no run's memory check.  A refused epsilon is
+        not kept.
+        """
         m = required_periods(num_bits, epsilon)
         return cls(num_bits, m, error_bound(num_bits, m))
 

@@ -33,11 +33,19 @@ fourth for the nested words, so with `role_words` a batch costs four or
 five mixes.  `role_order` lays an N-bit value out in the role words' bit
 order, and `role_order_ints` reads it back.
 
+What depends only on a call's shape is built once per shape and kept in
+two bounded caches of read-only arrays, held between runs and counted by
+no run's memory check: `role_mask(N)`, the N-bit all-ones value in role
+order, 8W bytes for each of at most _ROLE_MASKS = 16 bit counts, and
+`_draw_steps(N, b)`, trial_draws' trial, tag and nested-word steps,
+8(b + 3W) bytes for each of at most _DRAW_STEPS = 16 (N, batch) shapes.
+
 The mixer is the SplitMix64 finalizer (public-domain constants).
 """
 
 from __future__ import annotations
 
+import functools
 from typing import Iterator
 
 import numpy as np
@@ -120,6 +128,11 @@ _NP_MIX_S27, _NP_MIX_S30, _NP_MIX_S31 = np.uint64(27), np.uint64(30), np.uint64(
 # cache; sign_matrix unpacks _CHUNK // 16 role words at a time
 _CHUNK = 2**15
 
+# role_mask keeps the masks of this many bit counts, and _draw_steps the
+# steps of this many (bit count, batch) shapes
+_ROLE_MASKS = 16
+_DRAW_STEPS = 16
+
 # words per role up to which word_seeds derives one seed's tag seeds on
 # Python ints: 2W derive_seed calls cost less than derive_seed_np's two
 # mixes on a tiny array
@@ -177,6 +190,29 @@ def word_seeds(master_seed: int, n_words: int) -> np.ndarray:
     return derive_seed_np(np.uint64(seed), tags)
 
 
+@functools.lru_cache(maxsize=_DRAW_STEPS)
+def _draw_steps(num_bits: int, batch: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """trial_draws' shape-only steps, read-only: trial, tag and nested-word gammas.
+
+    (batch,) t * gamma for a batch's trial offsets; (2W + 1,) each tag + 1
+    times gamma, as derive_seed folds it: word_seeds' tags in its (role, g)
+    order, then the hidden string's; (W - 1,) (v + 1) * gamma for the
+    nested tag of hidden word v >= 1.  At most _DRAW_STEPS = 16 shapes are
+    kept, each 8 * (batch + 3W) bytes, held between runs and counted by no
+    run's memory check.
+    """
+    w = num_words(num_bits)
+    plus_one = [2 * g + role + 1 for role in (0, 1) for g in range(w)] + [2 * num_bits + 1]
+    steps = (
+        np.arange(batch, dtype=np.uint64) * _NP_GAMMA,
+        np.array(plus_one, dtype=np.uint64) * _NP_GAMMA,
+        np.arange(2, w + 1, dtype=np.uint64) * _NP_GAMMA,
+    )
+    for step in steps:
+        step.flags.writeable = False
+    return steps
+
+
 def trial_draws(
     seed: int, num_bits: int, trials: int, batch_size: int
 ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
@@ -185,21 +221,17 @@ def trial_draws(
     For trial t, ts = trial_master_seed(seed, t): the (b, 2, W) tag seeds
     hold word_seeds(ts, W) and the (b, W) hidden words, word 0 lowest,
     the words of draw_bits(ts, 2N, N) before its mask, so their low N bits
-    are hidden_bits_for(ts, N).  W = ceil(N/64).
+    are hidden_bits_for(ts, N).  W = ceil(N/64).  The steps that depend
+    only on N and the batch come from _draw_steps.
     """
     w = num_words(num_bits)
     first = derive_seed(seed) + _GAMMA  # derive_seed(seed, t) mixes first + t * gamma
-    trial_step = np.arange(min(batch_size, trials), dtype=np.uint64) * _NP_GAMMA
-    # each tag + 1, as derive_seed folds it: word_seeds' tags in its (role, g)
-    # order, then the hidden string's
-    plus_one = [2 * g + role + 1 for role in (0, 1) for g in range(w)] + [2 * num_bits + 1]
-    tag_step = np.array(plus_one, dtype=np.uint64) * _NP_GAMMA
+    trial_step, tag_step, word_step = _draw_steps(num_bits, min(batch_size, trials))
     for start in range(0, trials, batch_size):
         x = _mix(trial_step[: trials - start] + np.uint64((first + start * _GAMMA) & _MASK64))
         x = _mix(_mix(x + _NP_GAMMA)[:, None] + tag_step)
         hidden = x[:, 2 * w :]
         if w > 1:  # words v >= 1 nest one more tag v, folded as (v + 1) * gamma
-            word_step = np.arange(2, w + 1, dtype=np.uint64) * _NP_GAMMA
             hidden = np.concatenate((hidden, _mix(hidden + word_step)), axis=1)
         yield start, x[:, : 2 * w].reshape(len(x), 2, w), hidden
 
@@ -217,6 +249,20 @@ def role_order(words: np.ndarray, num_bits: int) -> np.ndarray:
     if shift and words.shape[-1] > 1:  # each word but the last takes the next one's top bits
         out[..., :-1] |= rev[..., 1:] >> (np.uint64(64) - shift)
     return out
+
+
+@functools.lru_cache(maxsize=_ROLE_MASKS)
+def role_mask(num_bits: int) -> np.ndarray:
+    """(W,) uint64, read-only: all N bits set, laid out as role_words.
+
+    role_order of the N-bit all-ones value: noise-bits 1..N set, the bits
+    past noise-bit N clear.  At most _ROLE_MASKS = 16 bit counts are kept,
+    each 8W bytes, held between runs and counted by no run's memory check.
+    """
+    n_words = num_words(num_bits)
+    mask = role_order(np.full(n_words, MASK64, dtype=np.uint64), num_bits)
+    mask.flags.writeable = False
+    return mask
 
 
 def role_order_ints(words: np.ndarray, num_bits: int) -> np.ndarray:
@@ -240,8 +286,10 @@ def role_words(seeds: np.ndarray, num_periods: int, start_period: int = 0) -> np
     Periods are the last axis, so the mix runs along them however few
     words a period has.
     """
-    periods = np.arange(start_period, start_period + num_periods, dtype=np.uint64)
-    return _fold(seeds[..., None], periods)
+    # each period + 1 times gamma, folded in place, as _fold states it
+    steps = np.arange(start_period + 1, start_period + num_periods + 1, dtype=np.uint64)
+    steps *= _NP_GAMMA
+    return _mix(seeds[..., None] + steps)
 
 
 def _bits(words: np.ndarray, count: int) -> np.ndarray:

@@ -839,6 +839,44 @@ def test_identification_engine_follows_exact_laws(n: int, m: int) -> None:
     assert abs(stats.mean_periods_used - float(mean)) < distance
 
 
+@pytest.mark.parametrize("n, m", [(1, 1), (1, 3), (2, 1), (2, 2), (3, 1)])
+def test_identification_engine_laws_are_exact_over_every_history(
+    monkeypatch, n: int, m: int
+) -> None:
+    # trial t reads hidden string t mod 2^N and sign history t >> N, whose
+    # bit (2k + role) * N + q is noise-bit q + 1's role-word bit in that
+    # role and drawn period k, so the trials run over every string and
+    # every history of the M + 1 drawn periods once, and the laws of
+    # test_identification_engine_follows_exact_laws hold exactly
+    trials = 1 << n + 2 * n * (m + 1)
+    low = np.uint64((1 << n) - 1)
+
+    def every_trial(seed, num_bits, count, batch_size):
+        for start in range(0, count, batch_size):
+            t = np.arange(start, min(start + batch_size, count), dtype=np.uint64)
+            yield start, np.repeat(t[:, None, None], 2, axis=1), (t & low)[:, None]
+
+    def history(tag_seeds, num_periods, start_period=0):
+        assert (num_periods, start_period) == (m + 1, 0)
+        signs = tag_seeds[:, 0, 0] >> np.uint64(n)
+        words = np.zeros(tag_seeds.shape + (num_periods,), dtype=np.uint64)
+        for k, role, q in itertools.product(range(num_periods), range(2), range(n)):
+            bit = signs >> np.uint64((2 * k + role) * n + q) & np.uint64(1)
+            words[:, role, 0, k] |= bit << np.uint64(63 - q)
+        return words
+
+    monkeypatch.setattr(rng, "trial_draws", every_trial)
+    monkeypatch.setattr(rng, "role_words", history)
+    stats = eng.run_identification_trials(n, m, trials, 0, keep_per_trial=True)
+    assert (stats.hidden_bits == np.arange(trials) % (1 << n)).all()
+    assert stats.contradictions == stats.wrong_decided_bits == stats.wrong_complete_trials == 0
+    assert (stats.recovered_bits[stats.complete] == stats.hidden_bits[stats.complete]).all()
+    assert Fraction(stats.undecided_trials, trials) == 1 - (1 - Fraction(1, 4**m)) ** n
+    assert Fraction(int(stats.periods_used.sum()), trials) == sum(
+        1 - (1 - Fraction(1, 4**k)) ** n for k in range(m)
+    )
+
+
 @pytest.mark.parametrize("n", [3, 8])
 def test_zero_prob_engine_follows_binomial_bins(n: int) -> None:
     # a bit's two carriers agree with probability 1/2, independently, so
@@ -1071,6 +1109,42 @@ def test_identification_memory_cap_counts_plane_bytes_at_one_bit(monkeypatch) ->
     assert eng.run_identification_trials(1, 3, 5, 1).trials == 5
     with pytest.raises(ValueError, match="304 bytes; capped at 248"):
         eng.run_identification_trials(1, 4, 5, 1)
+
+
+def test_engine_caches_hold_shapes_not_limits(monkeypatch) -> None:
+    # the arrays kept between calls depend on a call's shape alone: once a
+    # call of one shape has filled them, a cap or a batch size patched
+    # afterwards still governs a call of that same shape, and no kept array
+    # can be written
+    n, m, trials, seed = 65, 3, 20, 5
+    need = eng._identification_trial_bytes(n, m)
+    first = eng.run_identification_trials(n, m, trials, seed, keep_per_trial=True)
+    assert eng.zero_prob_engine(n, 10, seed).sum() == 10
+
+    def no_signs(*args, **kwargs):
+        raise AssertionError("signs were drawn before the memory check")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(rng, "role_words", no_signs)
+        patched.setattr(eng, "ENGINE_TRIAL_BYTES_CAP", need - 1)
+        with pytest.raises(ValueError, match=f"{need} bytes; capped at {need - 1}"):
+            eng.run_identification_trials(n, m, trials, seed)
+        patched.setattr(eng, "ENGINE_TRIAL_BYTES_CAP", eng._period_bytes(n) - 1)
+        with pytest.raises(ValueError, match=f"{eng._period_bytes(n)} bytes; capped at"):
+            eng.zero_prob_engine(n, 10, seed)
+    # batches of 7 trials: the same trials in three draws, not one
+    monkeypatch.setattr(eng, "_ENGINE_BATCH_BYTES", eng._UFUNC_BUFFER_BYTES + 7 * need)
+    drawn = _spy_role_words(monkeypatch)
+    again = eng.run_identification_trials(n, m, trials, seed, keep_per_trial=True)
+    assert [len(words) for words in drawn] == [7, 7, 6]
+    for field in ("hidden_bits", "complete", "recovered_bits", "ticks_observed", "periods_used"):
+        assert (getattr(first, field) == getattr(again, field)).all()
+    kept = (rng.role_mask(n), *rng._draw_steps(n, trials), *rng._draw_steps(n, 7),
+            *eng._tick_offsets(n, m))
+    assert all(array.size for array in kept)
+    for array in kept:
+        with pytest.raises(ValueError, match="read-only"):
+            array[...] = 0
 
 
 # a full identification batch's tracemalloc peak per trial, and a mismatch

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -116,6 +117,22 @@ def test_error_budget() -> None:
     eb = idf.ErrorBudget.from_periods(8, 1)
     assert eb.epsilon == Fraction(2)
     assert eb.clamped_epsilon == 1
+
+
+def test_epsilon_budgets_are_shared_per_typed_key() -> None:
+    # one immutable budget per (N, epsilon) key; a key of another type
+    # gets its own budget, and a refused epsilon is refused every time
+    eb = idf.ErrorBudget.from_epsilon(8, "1/1000")
+    assert idf.ErrorBudget.from_epsilon(8, "1/1000") is eb
+    assert idf.ErrorBudget.from_epsilon(8, Fraction(1, 1000)) == eb
+    assert idf.ErrorBudget.from_epsilon(8, Fraction(1, 1000)) is not eb
+    assert idf.ErrorBudget.from_epsilon(True, Fraction(1, 2)).num_bits is True
+    assert idf.ErrorBudget.from_epsilon(1, Fraction(1, 2)).num_bits is not True
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        eb.max_periods = 1
+    for _ in range(2):
+        with pytest.raises(ValueError, match="0 < epsilon < 1"):
+            idf.ErrorBudget.from_epsilon(8, 1)
 
 
 # --------------------------------------------------------- identification

@@ -666,7 +666,8 @@ def test_every_cache_is_bounded_by_a_named_constant() -> None:
         for line, name, bounded in _caches(tree)
     }
     wrapped = {key.split()[1] for key in found}
-    assert {"_shared", "uniform_superposition", "slot_keys", "build_parser"} <= wrapped
+    assert {"_shared", "uniform_superposition", "slot_keys", "build_parser", "role_mask",
+            "_draw_steps", "_tick_offsets", "from_epsilon"} <= wrapped
     unbounded = [key for key, bounded in found.items() if not bounded]
     assert not unbounded, "\n".join(f"{key} is not bounded by a named constant" for key in unbounded)
 
