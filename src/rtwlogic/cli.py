@@ -3,7 +3,9 @@
 Exit codes: 0 when the experiment's own acceptance check passed, 1 when
 it ran but failed its check, 2 for invalid arguments, 3 when the run
 stopped on an unexpected error (reported as one `error:` line on stderr,
-without a traceback).  Reports embed the
+without a traceback).  A refusal names the experiments' parameters by
+their flags: num_bits as --bits, target_bit as --target and
+baseline_cap as --baseline-cap.  Reports embed the
 master seed; rerunning any subcommand with the same flags writes
 byte-identical output.
 """
@@ -12,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import re
 import sys
 from fractions import Fraction
 
@@ -19,6 +22,12 @@ from . import experiments
 from .identify import check_epsilon
 from .rng import MASK64
 from .rtw import check_lambda
+
+
+# the experiments' parameters whose flags have other names: a refusal that
+# names one is reported with the flag instead
+_FLAG_NAMES = {"num_bits": "--bits", "target_bit": "--target", "baseline_cap": "--baseline-cap"}
+_PARAMETER_NAMES = re.compile(rf"\b({'|'.join(_FLAG_NAMES)})\b")
 
 
 def _fraction(text: str) -> Fraction:
@@ -212,7 +221,8 @@ def main(argv: list[str] | None = None) -> int:
             with open(args.out, "w", encoding="utf-8", newline="") as fh:
                 fh.write(text)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        message = _PARAMETER_NAMES.sub(lambda name: _FLAG_NAMES[name.group()], str(exc))
+        print(f"error: {message}", file=sys.stderr)
         return 2
     except Exception as exc:  # the CLI boundary: one line, never a traceback
         message = " ".join(str(exc).split())

@@ -26,7 +26,11 @@ other bits' agreement.  The baseline compares readout sequences by the
 same law: every candidate on its first 32 periods, as XORs of two
 half-tables of per-bit L ^ H columns, and a first-word match on the later
 periods, as the XOR of the columns of the bits where it differs from the
-hidden string.
+hidden string.  One sort of a trial's half-table rows as uint64 keys
+finds its first first-word match, with no array of 2^N entries; the
+keys' tags are one read-only row per N that `_key_tags` keeps,
+8(2^floor(N/2) + 2^ceil(N/2)) bytes for each of at most _KEY_TAGS = 16
+bit counts, held between runs and counted by no run's memory check.
 """
 
 from __future__ import annotations
@@ -71,15 +75,20 @@ def _batch_trials(what: str, bytes_per_trial: int) -> int:
 
 
 def _period_bytes(num_bits: int) -> int:
-    """Bytes one period of _period_histogram holds, W = ceil(N/64): 30W + 16.
+    """Bytes one period of _period_histogram holds, W = ceil(N/64): 26W + 14.
 
-    The zero-prob and mismatch keys hold the most: two role words and their
-    XOR, which takes its own bit counts in place, 24W, a sum and a key 8
-    bytes each.  The other 6W bound a chunk's numpy scratch per period:
-    rng's mix scratch, at most the words it draws, and the broadcast buffer
-    of the mismatch mask.  not-demo's key works in the words, holding less.
+    A period's two role words, 16W, are held from their draw to the key.
+    While they are mixed, the mix's scratch adds at most their size again,
+    less once a chunk outgrows one in-place step; while they are keyed, the
+    XOR of the two adds 8W and a sum and a key 8 bytes each.  26W + 14 is
+    fitted to the mismatch rate's traced peaks, 32.2 / 64.2 / 80.3 / 398.9
+    / 7883 bytes a period at W = 1 / 2 / 3 / 16 / 313, within a quarter of
+    each at W = 1, 16 and 313, and to not-demo's key, which works in the
+    words and holds 40 bytes a period at W = 1 (40.2 with the run's 1.9 kB
+    of fixed arrays over 8192 periods).  A run's histogram bins, 8 bytes
+    each, are not per period and not counted here.
     """
-    return 30 * rng.num_words(num_bits) + 16
+    return 26 * rng.num_words(num_bits) + 14
 
 
 def _period_histogram(
@@ -370,7 +379,7 @@ def _differ_columns(tag_seeds: np.ndarray, num_bits: int, periods: int) -> np.nd
     eight periods, the rows are masked to those bits, and one multiply
     gathers each word's eight into its top byte, period k at bit k % 8.
     Four such bytes make a uint32 word, and one copy lays the words out
-    period word first.  N <= 32; the match mask keeps N <= 27.
+    period word first.  N <= 32; the sort keys' catalog index keeps N <= 31.
     """
     b, n = len(tag_seeds), num_bits
     n_words = -(-periods // 32)
@@ -390,17 +399,21 @@ def _baseline_trial_bytes(num_bits: int, periods: int) -> int:
 
     Its (2, P) role words and one mix temporary of their size, P L ^ H
     words, the (N, 32W) period bytes of the column transpose and the (N, W)
-    uint32 columns it yields, the one buffer of both first-word
-    half-tables, the XOR'd high one, and the 2^N-byte first-word match
-    mask.  Above one period word the later-word check adds its copy of the
-    trial's (W - 1, N) later-word columns, their W - 1 XORs and 9N bytes
-    of bit mask.
+    uint32 columns it yields; 20 bytes per half-table row, H + L of them:
+    its uint32 entry of the first-word buffer, its uint64 sort key, sorted
+    in place, and the XOR of neighbouring keys; and 48 bytes of the trial's
+    tag seeds and hidden word, its hidden string, row index and first
+    match.  Above one period word the later-word check adds its copy of the
+    trial's (W - 1, N) later-word columns, their W - 1 XORs and 9N bytes of
+    bit mask; a step past a first-word match works on one trial's rows,
+    in less room than the keys and their XOR freed before it.  No term
+    grows with 2^N.
     """
     n, p, w = num_bits, periods, -(-periods // 32)
-    hi, lo = 1 << n // 2, 1 << n - n // 2
+    rows = (1 << n // 2) + (1 << n - n // 2)
     signs = 8 * 5 * p + 32 * n * w + 4 * n * w
     check = 4 * (n + 1) * (w - 1) + 9 * n if w > 1 else 0
-    return signs + 4 * (hi + lo) + 4 * hi + (1 << n) + check
+    return signs + 20 * rows + 48 + check
 
 
 def _half_tables(columns: np.ndarray) -> np.ndarray:
@@ -432,6 +445,52 @@ def _half_tables(columns: np.ndarray) -> np.ndarray:
     return table
 
 
+# _key_tags keeps the tags of this many bit counts
+_KEY_TAGS = 16
+
+# a sort key's low 32 bits hold a half-table row's Hi flag, bit 31, and a
+# catalog index below it, so the baseline engine runs at most this many bits
+_KEY_INDEX_BITS = 31
+
+
+@functools.lru_cache(maxsize=_KEY_TAGS)
+def _key_tags(num_bits: int) -> np.ndarray:
+    """(H + L,) uint64, read-only: the low 32 bits of each half-table row's sort key.
+
+    Hi row i gets 2^31 | (i * L + L - 1) and Lo row j gets L - 1 - j,
+    which is L - 1 XOR j, so the Hi key directly after the Lo key of an
+    equal value XORs with it to 2^31 + i * L + j, 2^31 above the catalog
+    index of candidate (i, j).  At most _KEY_TAGS = 16 bit counts are kept,
+    each 8(H + L) bytes, held between runs and counted by no run's memory
+    check.
+    """
+    size_hi, size_lo = 1 << num_bits // 2, 1 << num_bits - num_bits // 2
+    hi = np.arange(size_hi, dtype=np.uint64) * np.uint64(size_lo)
+    hi += np.uint64(2**31 + size_lo - 1)
+    tags = np.concatenate((hi, np.arange(size_lo, dtype=np.uint64)[::-1]))
+    tags.flags.writeable = False
+    return tags
+
+
+def _next_first_word_match(hi: np.ndarray, lo: np.ndarray, c: int) -> int:
+    """The first candidate after c that matches on the first word: Hi[i] == Lo[j].
+
+    hi is one trial's Hi row with the hidden string's first word XOR'd in.
+    The next j of c's own row, else the first j of the next row whose value
+    Lo holds, found by binary search in a sorted copy of Lo.  The hidden
+    string comes after c and matches, so there is one.
+    """
+    i, j = divmod(c, len(lo))
+    same = np.flatnonzero(lo[j + 1 :] == hi[i])
+    if len(same):
+        return c + 1 + int(same[0])
+    values, later = np.sort(lo), hi[i + 1 :]
+    # a value above Lo's largest is searched to len(lo), read as row 0, which is smaller
+    held = values[np.searchsorted(values, later) % len(lo)] == later
+    i += 1 + int(np.argmax(held))
+    return i * len(lo) + int(np.argmax(lo == hi[i]))
+
+
 def run_baseline_trials(
     num_bits: int,
     periods_per_test: int,
@@ -445,37 +504,46 @@ def run_baseline_trials(
     differ in a period exactly when an odd number of the bits where they
     differ have carriers of opposite sign: strings compare through the XOR
     of one column per 1 bit, that bit's carriers-differ sequence packed
-    into W = ceil(P/32) uint32 words by _differ_columns.  One
-    rng.role_words word per carrier role holds every noise-bit, since the
-    2^N-byte match mask keeps N <= 27 under ENGINE_TRIAL_BYTES_CAP.
-    Batches of trials are scanned at once.  Candidate c splits into its
-    first floor(N/2) bits (c_hi) and the rest (c_lo) and reads
-    Hi[c_hi] ^ Lo[c_lo] on the first word (periods 0..31), so two
-    half-tables of H = 2^floor(N/2) and L = 2^ceil(N/2) rows stand in for
-    the 2^N-row catalog; _half_tables builds both from the first word's
-    columns in one (b, H + L) buffer in one doubling pass of ceil(N/2) XOR
-    calls.  All 2^N candidates are compared on that word, and the
-    flattened match mask is in catalog order (all-L first).  Above 32
-    periods the first first-word match c is checked on the other words by
-    linearity: its row and the hidden string h's agree there exactly when
-    the later-word columns of the 1 bits of c ^ h XOR to zero.  A candidate
-    that differs there (a chance of 2^-32 each) is passed over for the next
-    first-word match, one pass per earlier first-word-only match, so in
-    practice one.  A trial's cost is the index of the first candidate that
-    survives its whole period budget, exactly as the sequential reference
-    search counts it.
+    into W = ceil(P/32) uint32 words by _differ_columns.  Candidate c
+    splits into its first floor(N/2) bits (i) and the rest (j) and reads
+    Hi[i] ^ Lo[j] on the first word (periods 0..31), so two half-tables of
+    H = 2^floor(N/2) and L = 2^ceil(N/2) rows stand in for the 2^N-row
+    catalog; _half_tables builds both from the first word's columns in one
+    (b, H + L) buffer.  Candidate (i, j) matches the hidden string h on
+    that word exactly when Hi[i] ^ u = Lo[j], u being h's own first word,
+    so u is XOR'd into Hi in place and each row becomes a uint64 sort key,
+    value << 32 | _key_tags(N), one sort per trial: an equal value's Lo
+    keys come first, smallest j last, then its Hi keys, smallest i first.
+    A Hi key directly after a Lo key of its value, (cur ^ prev) >> 31 == 1,
+    is that value's first match in catalog order, and cur ^ prev - 2^31 is
+    its index.  Any other neighbours' cur ^ prev - 2^31 is 2^31 or more
+    across two values and wraps past 2^64 - 2^31 within one side of a
+    value, so its least over the row is the trial's first first-word match.
+    The key holds a 31-bit index, so N <= 31 (_KEY_INDEX_BITS), and one
+    role word per carrier role and one uint64 hidden word hold every bit.
+    Above 32 periods that match c is checked on the other words by
+    linearity: its row and h's agree there exactly when the later-word
+    columns of the 1 bits of c ^ h XOR to zero.  A candidate that differs
+    there (a chance of 2^-32 each) is passed over for the trial's next
+    first-word match: the next j in its row with Lo[j] equal to Hi[i],
+    else the first j of the next row whose value Lo holds.  A trial's cost
+    is the index of the first candidate that survives its whole period
+    budget, exactly as the sequential reference search counts it.
     """
     if num_bits < 1 or periods_per_test < 1 or trials < 1:
         raise ValueError("num_bits, periods_per_test and trials must be >= 1")
     n = num_bits
+    if n > _KEY_INDEX_BITS:
+        raise ValueError(f"num_bits must be <= {_KEY_INDEX_BITS} for the baseline engine, "
+                         f"whose sort keys hold a {_KEY_INDEX_BITS}-bit catalog index")
     n_lo = n - n // 2
     size_hi, size_lo = 1 << n // 2, 1 << n_lo
     n_words = -(-periods_per_test // 32)
     what = f"one baseline trial at {n} bits and {periods_per_test} periods"
     batch_size = _batch_trials(what, _baseline_trial_bytes(n, periods_per_test))
+    tags = _key_tags(n)
     tests = np.empty(trials, dtype=np.int64) if keep_per_trial else None
     tests_sum = false_matches = 0
-    # the match mask keeps N <= 27, so one word holds each role and the string
     for start, tag_seeds, hidden in rng.trial_draws(seed, n, trials, batch_size):
         b = len(tag_seeds)
         hidden = (hidden[:, 0] & np.uint64((1 << n) - 1)).astype(np.intp)  # hidden_bits_for
@@ -483,9 +551,16 @@ def run_baseline_trials(
         table = _half_tables(columns[:, 0])
         hi, lo = table[:, :size_hi], table[:, size_hi:]
         rows = np.arange(b)
-        unknown = hi[rows, hidden >> n_lo] ^ lo[rows, hidden & (size_lo - 1)]
-        match = ((hi ^ unknown[:, None])[:, :, None] == lo[:, None, :]).reshape(b, -1)
-        first = np.argmax(match, axis=1)
+        hi ^= (hi[rows, hidden >> n_lo] ^ lo[rows, hidden & (size_lo - 1)])[:, None]
+        keys = np.left_shift(table, np.uint64(32), dtype=np.uint64)
+        keys |= tags
+        keys.sort(axis=1)
+        # neighbours' XOR less 2^31: a match's index, or 2^31 and more
+        step = np.bitwise_xor(keys[:, 1:], keys[:, :-1])
+        del keys
+        step -= np.uint64(2**31)
+        first = step.min(axis=1).view(np.int64)
+        del step
         if n_words > 1:
             # a first-word match that differs on a later word (2^-32 a
             # candidate) gives way to the trial's next first-word match; the
@@ -498,7 +573,7 @@ def run_baseline_trials(
                 later = np.bitwise_xor.reduce(columns[pending, 1:], axis=2, where=ones[:, None])
                 pending = pending[later.any(axis=1)]
                 for t in pending:
-                    first[t] += 1 + np.argmax(match[t, first[t] + 1 :])
+                    first[t] = _next_first_word_match(hi[t], lo[t], int(first[t]))
         tests_sum += int(first.sum()) + b
         false_matches += int((first != hidden).sum())
         if keep_per_trial:

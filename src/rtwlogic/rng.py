@@ -286,10 +286,13 @@ def role_words(seeds: np.ndarray, num_periods: int, start_period: int = 0) -> np
     Periods are the last axis, so the mix runs along them however few
     words a period has.
     """
-    # each period + 1 times gamma, folded in place, as _fold states it
+    # each period + 1 times gamma, folded in place, as _fold states it; the
+    # steps are dropped before the mix, so its scratch is the words' alone
     steps = np.arange(start_period + 1, start_period + num_periods + 1, dtype=np.uint64)
     steps *= _NP_GAMMA
-    return _mix(seeds[..., None] + steps)
+    words = seeds[..., None] + steps
+    del steps
+    return _mix(words)
 
 
 def _bits(words: np.ndarray, count: int) -> np.ndarray:

@@ -6,6 +6,7 @@ import contextlib
 import hashlib
 import io
 import json
+import re
 import sys
 from fractions import Fraction
 from unittest import mock
@@ -365,7 +366,7 @@ def test_reference_memory_cap_exits_two(monkeypatch, capsys) -> None:
 
     monkeypatch.setattr(rng, "sign_matrix", no_signs)
     monkeypatch.setattr(rng, "role_words", no_signs)
-    for argv in (["range", "--bits", "572662273", "--trials", "1"],
+    for argv in (["range", "--bits", "660764161", "--trials", "1"],
                  ["not-demo", "--bits", "300000", "--lambda", "1"]):
         rc, out, err = _run(capsys, argv)
         assert rc == 2, argv
@@ -491,6 +492,14 @@ def test_boundary_arguments_report_or_exit_two(command: str, data) -> None:
         assert out == "", argv
         assert [line for line in lines if "error:" in line] == lines[-1:], (argv, err)
         assert len(lines) == 1 or lines[0].startswith(f"usage: rtwlogic {command}"), (argv, err)
+        # a refusal names the flag that gave the refused value, never the
+        # experiments' parameter behind it, and one that opens with a name
+        # opens with a flag of the argument list (--trials as `trials`)
+        for parameter in ("num_bits", "target_bit", "baseline_cap"):
+            assert parameter not in err, (argv, err)
+        refused = re.match(r"error: (\S+) (?:must|may) ", lines[-1])
+        if refused:
+            assert "--" + refused.group(1).lstrip("-") in argv, (argv, err)
         return
     assert err == "", (argv, err)
     if "json" in argv:

@@ -60,9 +60,9 @@ def test_sign_chunk_engines_batching_invariance(monkeypatch) -> None:
     n, periods, seed = 3, 100, 4
     whole_count = eng.zero_prob_engine(n, periods, seed)
     whole_mismatch = eng.mismatch_rate_engine(n, periods, seed)
-    # both engines hold _period_bytes(3) = 46 bytes per period: chunks of 21
+    # both engines hold _period_bytes(3) = 40 bytes per period: chunks of 21
     # periods, the last one of 16, and no sign_matrix
-    monkeypatch.setattr(eng, "_ENGINE_BATCH_BYTES", eng._UFUNC_BUFFER_BYTES + 46 * 21 + 5)
+    monkeypatch.setattr(eng, "_ENGINE_BATCH_BYTES", eng._UFUNC_BUFFER_BYTES + 40 * 21 + 5)
     drawn: dict[str, list[int]] = {"role_words": [], "sign_matrix": []}
 
     role_words, sign_matrix = rng.role_words, rng.sign_matrix
@@ -560,10 +560,14 @@ def _gf2_baseline_tests(trial_seed: int, n: int, periods: int) -> int:
 
 
 @pytest.mark.parametrize("periods", [20, 40, 70])
-@pytest.mark.parametrize("n", [21, 24])
+@pytest.mark.parametrize("n", [21, 24, 31])
 def test_baseline_engine_matches_a_gf2_oracle_above_20_bits(n: int, periods: int) -> None:
     # the digest grid stops at N = 20 and a scan of 2^N candidates in Python
-    # is too slow here; P = 40 and 70 run the later-word check
+    # is too slow here; P = 40 and 70 run the later-word check.  N = 31 is
+    # the widest catalog index a sort key holds, its top bit next to the Hi
+    # flag, and a trial scans about 2^30 candidates of a 2^-32 first-word
+    # chance each before its hidden string, so about one in four steps past
+    # a first-word match (one of the three here, at P = 40 and 70)
     trials, seed = 3, 9
     stats = eng.run_baseline_trials(n, periods, trials, seed, keep_per_trial=True)
     expect = [_gf2_baseline_tests(rng.trial_master_seed(seed, t), n, periods)
@@ -662,19 +666,36 @@ def test_baseline_memory_refused_before_drawing(monkeypatch) -> None:
     def no_signs(*args, **kwargs):
         raise AssertionError("signs were drawn before the memory check")
 
-    # N = 30: a 2^30-byte match mask for one trial, refused unpatched
+    # N = 30 holds 20 bytes per row of two 2^15-row half-tables, 1,312,648
+    # bytes a trial at P = 20: refused under a 1 MiB cap
     monkeypatch.setattr(rng, "role_words", no_signs)
-    with pytest.raises(ValueError, match="capped at"):
+    monkeypatch.setattr(eng, "ENGINE_TRIAL_BYTES_CAP", 1 << 20)
+    with pytest.raises(ValueError, match="1312648 bytes; capped at 1048576"):
         eng.run_baseline_trials(30, 20, 1, 1)
+
+
+def test_baseline_key_width_refused_before_drawing(monkeypatch) -> None:
+    # a sort key holds a 31-bit catalog index, so N = 32 is refused whatever
+    # the memory cap, before any draw
+    def no_signs(*args, **kwargs):
+        raise AssertionError("signs were drawn before the key-width check")
+
+    monkeypatch.setattr(rng, "role_words", no_signs)
+    monkeypatch.setattr(rng, "trial_draws", no_signs)
+    assert eng._batch_trials("a baseline trial", eng._baseline_trial_bytes(32, 20)) >= 1
+    for n in (32, 64):
+        with pytest.raises(ValueError, match="num_bits must be <= 31"):
+            eng.run_baseline_trials(n, 20, 1, 1)
 
 
 def test_baseline_memory_cap_boundary(monkeypatch) -> None:
     # one trial at N bits and P periods, W = ceil(P/32), H = 2^floor(N/2),
     # L = 2^ceil(N/2), holds 8 * 5P (role words, a mix temporary, L ^ H
-    # words) + 32NW (period bytes) + 4NW (columns) + 4(H + L) (the
-    # first-word half-tables' buffer) + 4H (the XOR'd high table) + 2^N
-    # (the first-word match mask), and above W = 1 the later-word check's
-    # 4N(W - 1) (copied columns) + 4(W - 1) (their XORs) + 9N (bit mask)
+    # words) + 32NW (period bytes) + 4NW (columns) + 20(H + L) (per
+    # half-table row its uint32 entry, uint64 sort key and the keys' XOR)
+    # + 48 (the trial's draws, hidden string, row and first match), and
+    # above W = 1 the later-word check's 4N(W - 1) (copied columns) +
+    # 4(W - 1) (their XORs) + 9N (bit mask)
     role_words = rng.role_words
     drawn = []
 
@@ -683,38 +704,36 @@ def test_baseline_memory_cap_boundary(monkeypatch) -> None:
         return role_words(*args)
 
     monkeypatch.setattr(rng, "role_words", counted)
-    # N = 4, P = 20: 800 + 128 + 16 + 32 + 16 + 16 = 1008; P = 21: 1048
-    monkeypatch.setattr(eng, "ENGINE_TRIAL_BYTES_CAP", 1008)
+    # N = 4, P = 20: 800 + 128 + 16 + 160 + 48 = 1152; P = 21: 1192
+    monkeypatch.setattr(eng, "ENGINE_TRIAL_BYTES_CAP", 1152)
     assert eng.run_baseline_trials(4, 20, 3, 1).trials == 3
-    with pytest.raises(ValueError, match="1048 bytes; capped at 1008"):
+    with pytest.raises(ValueError, match="1192 bytes; capped at 1152"):
         eng.run_baseline_trials(4, 21, 3, 1)
-    # the match mask leads at N = 10, P = 1: 40 + 320 + 40 + 256 + 128 +
-    # 1024 = 1808; N = 11: 40 + 352 + 44 + 384 + 128 + 2048 = 2996
-    monkeypatch.setattr(eng, "ENGINE_TRIAL_BYTES_CAP", 1808)
+    # the half-tables lead at N = 10, P = 1: 40 + 320 + 40 + 1280 + 48 =
+    # 1728; N = 11: 40 + 352 + 44 + 1920 + 48 = 2404
+    monkeypatch.setattr(eng, "ENGINE_TRIAL_BYTES_CAP", 1728)
     assert eng.run_baseline_trials(10, 1, 3, 1).trials == 3
-    with pytest.raises(ValueError, match="2996 bytes; capped at 1808"):
+    with pytest.raises(ValueError, match="2404 bytes; capped at 1728"):
         eng.run_baseline_trials(11, 1, 3, 1)
     # a second period word widens the columns and adds the check, not the
-    # tables or the mask: N = 4, P = 33 holds 1320 + 256 + 32 + 32 + 16 +
-    # 16 + 16 + 4 + 36 = 1728
-    monkeypatch.setattr(eng, "ENGINE_TRIAL_BYTES_CAP", 1727)
-    with pytest.raises(ValueError, match="1728 bytes; capped at 1727"):
+    # tables: N = 4, P = 33 holds 1320 + 256 + 32 + 160 + 48 + 16 + 4 + 36
+    # = 1872
+    monkeypatch.setattr(eng, "ENGINE_TRIAL_BYTES_CAP", 1871)
+    with pytest.raises(ValueError, match="1872 bytes; capped at 1871"):
         eng.run_baseline_trials(4, 33, 3, 1)
     assert len(drawn) == 2
 
 
 def test_baseline_admits_one_hidden_word() -> None:
-    # the 2^N-byte match mask alone fills the cap at N = 28, so one uint64
-    # always holds a baseline trial's hidden string: 268,633,872 bytes at
-    # N = 28, P = 20.  Every P holds one mask, so N = 27 is admitted up to
-    # P = 1,815,040
-    for periods in (20, 64, 1_815_040):
-        assert eng._batch_trials("a baseline trial", eng._baseline_trial_bytes(27, periods)) >= 1
-        with pytest.raises(ValueError, match="capped at"):
-            eng._batch_trials("a baseline trial", eng._baseline_trial_bytes(28, periods))
-    assert eng._baseline_trial_bytes(28, 20) == 268_633_872
+    # the sort keys' 31-bit catalog index keeps N <= 31, so one uint64
+    # always holds a baseline trial's hidden string.  No count term grows
+    # with 2^N: N = 31 holds 1,968,044 bytes at P = 20, and the half-tables'
+    # 20 * 3 * 2^15 bytes leave room for P = 3,378,368 periods
+    for periods in (20, 64, 3_378_368):
+        assert eng._batch_trials("a baseline trial", eng._baseline_trial_bytes(31, periods)) >= 1
+    assert eng._baseline_trial_bytes(31, 20) == 1_968_044
     with pytest.raises(ValueError, match="capped at"):
-        eng._batch_trials("a baseline trial", eng._baseline_trial_bytes(27, 1_815_041))
+        eng._batch_trials("a baseline trial", eng._baseline_trial_bytes(31, 3_378_369))
 
 
 def _traced_peak(run):
@@ -733,8 +752,10 @@ _BASELINE_PEAK_SLACK = 4
 
 def test_baseline_batch_stays_inside_its_memory_count() -> None:
     # odd N = 13 runs the low table's extra doubling step; P = 74 and 130
-    # run the later-word check on three and five period words
-    for n, ppt in ((1, 20), (10, 20), (13, 20), (14, 20), (8, 130), (14, 130), (13, 74)):
+    # run the later-word check on three and five period words; at N = 20
+    # and 24 the sort keys lead the count
+    for n, ppt in ((1, 20), (10, 20), (13, 20), (14, 20), (8, 130), (14, 130), (13, 74),
+                   (20, 20), (24, 20)):
         count = eng._baseline_trial_bytes(n, ppt)
         trials = eng._batch_trials("a baseline trial", count)
         eng.run_baseline_trials(n, ppt, 2, 1)  # imports and caches first
@@ -839,16 +860,13 @@ def test_identification_engine_follows_exact_laws(n: int, m: int) -> None:
     assert abs(stats.mean_periods_used - float(mean)) < distance
 
 
-@pytest.mark.parametrize("n, m", [(1, 1), (1, 3), (2, 1), (2, 2), (3, 1)])
-def test_identification_engine_laws_are_exact_over_every_history(
-    monkeypatch, n: int, m: int
-) -> None:
-    # trial t reads hidden string t mod 2^N and sign history t >> N, whose
-    # bit (2k + role) * N + q is noise-bit q + 1's role-word bit in that
-    # role and drawn period k, so the trials run over every string and
-    # every history of the M + 1 drawn periods once, and the laws of
-    # test_identification_engine_follows_exact_laws hold exactly
-    trials = 1 << n + 2 * n * (m + 1)
+def _draw_every_history(monkeypatch, n: int, periods: int) -> int:
+    """Patch the draws so the trials run over every string and sign history once; their count.
+
+    Trial t reads hidden string t mod 2^N and sign history t >> N, whose
+    bit (2k + role) * N + q is noise-bit q + 1's role-word bit in that role
+    and drawn period k, for `periods` drawn periods.
+    """
     low = np.uint64((1 << n) - 1)
 
     def every_trial(seed, num_bits, count, batch_size):
@@ -857,7 +875,7 @@ def test_identification_engine_laws_are_exact_over_every_history(
             yield start, np.repeat(t[:, None, None], 2, axis=1), (t & low)[:, None]
 
     def history(tag_seeds, num_periods, start_period=0):
-        assert (num_periods, start_period) == (m + 1, 0)
+        assert (num_periods, start_period) == (periods, 0)
         signs = tag_seeds[:, 0, 0] >> np.uint64(n)
         words = np.zeros(tag_seeds.shape + (num_periods,), dtype=np.uint64)
         for k, role, q in itertools.product(range(num_periods), range(2), range(n)):
@@ -867,6 +885,16 @@ def test_identification_engine_laws_are_exact_over_every_history(
 
     monkeypatch.setattr(rng, "trial_draws", every_trial)
     monkeypatch.setattr(rng, "role_words", history)
+    return 1 << n + 2 * n * periods
+
+
+@pytest.mark.parametrize("n, m", [(1, 1), (1, 3), (2, 1), (2, 2), (3, 1)])
+def test_identification_engine_laws_are_exact_over_every_history(
+    monkeypatch, n: int, m: int
+) -> None:
+    # every string and every history of the M + 1 drawn periods once, so
+    # the laws of test_identification_engine_follows_exact_laws hold exactly
+    trials = _draw_every_history(monkeypatch, n, m + 1)
     stats = eng.run_identification_trials(n, m, trials, 0, keep_per_trial=True)
     assert (stats.hidden_bits == np.arange(trials) % (1 << n)).all()
     assert stats.contradictions == stats.wrong_decided_bits == stats.wrong_complete_trials == 0
@@ -875,6 +903,31 @@ def test_identification_engine_laws_are_exact_over_every_history(
     assert Fraction(int(stats.periods_used.sum()), trials) == sum(
         1 - (1 - Fraction(1, 4**k)) ** n for k in range(m)
     )
+
+
+@pytest.mark.parametrize("n, periods", [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1), (3, 2)])
+def test_baseline_engine_matches_the_exact_search_over_every_history(
+    monkeypatch, n: int, periods: int
+) -> None:
+    # every string and every history of the P periods once: each trial's
+    # tests are baseline_search's on a reference system of the same signs
+    # at lambda = 1, row 2q + role of noise-bit q + 1's carrier in that role
+    trials = _draw_every_history(monkeypatch, n, periods)
+    stats = eng.run_baseline_trials(n, periods, trials, 0, keep_per_trial=True)
+    eps = idf.verification_error_bound(periods)
+    tests = stats.tests.reshape(-1, 1 << n)
+    for history in range(len(tests)):
+        bits = [history >> (2 * k + role) * n + q & 1
+                for q, role in itertools.product(range(n), range(2)) for k in range(periods)]
+        signs = 1 - 2 * np.array(bits, dtype=np.int8).reshape(2 * n, periods)
+        refs = rtw.ReferenceSystem(rtw.ClockGrid(n, periods), Fraction(1), 0, signs)
+        for hidden in range(1 << n):
+            trace = sig.trace_product(refs, alg.ProductString(n, hidden), shifted=False)
+            assert tests[history, hidden] == idf.baseline_search(trace, refs, eps).tests_performed
+    # a trial false-matches exactly when a candidate before its hidden string
+    # survives every period
+    false = sum(int(t) != h + 1 for row in tests for h, t in enumerate(row))
+    assert stats.false_matches == false > 0
 
 
 @pytest.mark.parametrize("n", [3, 8])
@@ -1120,6 +1173,8 @@ def test_engine_caches_hold_shapes_not_limits(monkeypatch) -> None:
     need = eng._identification_trial_bytes(n, m)
     first = eng.run_identification_trials(n, m, trials, seed, keep_per_trial=True)
     assert eng.zero_prob_engine(n, 10, seed).sum() == 10
+    base_bits, base_need = 5, eng._baseline_trial_bytes(5, 20)
+    assert eng.run_baseline_trials(base_bits, 20, trials, seed).trials == trials
 
     def no_signs(*args, **kwargs):
         raise AssertionError("signs were drawn before the memory check")
@@ -1132,6 +1187,9 @@ def test_engine_caches_hold_shapes_not_limits(monkeypatch) -> None:
         patched.setattr(eng, "ENGINE_TRIAL_BYTES_CAP", eng._period_bytes(n) - 1)
         with pytest.raises(ValueError, match=f"{eng._period_bytes(n)} bytes; capped at"):
             eng.zero_prob_engine(n, 10, seed)
+        patched.setattr(eng, "ENGINE_TRIAL_BYTES_CAP", base_need - 1)
+        with pytest.raises(ValueError, match=f"{base_need} bytes; capped at"):
+            eng.run_baseline_trials(base_bits, 20, trials, seed)
     # batches of 7 trials: the same trials in three draws, not one
     monkeypatch.setattr(eng, "_ENGINE_BATCH_BYTES", eng._UFUNC_BUFFER_BYTES + 7 * need)
     drawn = _spy_role_words(monkeypatch)
@@ -1140,7 +1198,7 @@ def test_engine_caches_hold_shapes_not_limits(monkeypatch) -> None:
     for field in ("hidden_bits", "complete", "recovered_bits", "ticks_observed", "periods_used"):
         assert (getattr(first, field) == getattr(again, field)).all()
     kept = (rng.role_mask(n), *rng._draw_steps(n, trials), *rng._draw_steps(n, 7),
-            *eng._tick_offsets(n, m))
+            *eng._tick_offsets(n, m), eng._key_tags(base_bits))
     assert all(array.size for array in kept)
     for array in kept:
         with pytest.raises(ValueError, match="read-only"):
@@ -1187,10 +1245,10 @@ def test_reference_memory_refused_before_allocating(monkeypatch) -> None:
 
     monkeypatch.setattr(rng, "sign_matrix", no_signs)
     monkeypatch.setattr(rng, "role_words", no_signs)
-    # range holds 30 * ceil(N/64) + 16 bytes a period, just over 2^28 here;
+    # range holds 26 * ceil(N/64) + 14 bytes a period, just over 2^28 here;
     # the refusal comes before (1+lambda)^N is built
     with pytest.raises(ValueError, match="capped at"):
-        exp.amplitude_range_experiment(572_662_273, "1/2", trials=1)
+        exp.amplitude_range_experiment(660_764_161, "1/2", trials=1)
     # not-demo's count takes 1024 cached values of (N+1) * 2 bits at lambda
     # = 1, 2.9 * 10^8 bytes here; its periods cost no memory
     with pytest.raises(ValueError, match="capped at"):
@@ -1198,13 +1256,13 @@ def test_reference_memory_refused_before_allocating(monkeypatch) -> None:
 
 
 def test_reference_memory_cap_boundary(monkeypatch) -> None:
-    # range holds _period_bytes(N) = 30 * ceil(N/64) + 16 bytes per period,
+    # range holds _period_bytes(N) = 26 * ceil(N/64) + 14 bytes per period,
     # whatever the trial count; not-demo's one count grows with N, not with
     # its periods
-    monkeypatch.setattr(eng, "ENGINE_TRIAL_BYTES_CAP", 46)
+    monkeypatch.setattr(eng, "ENGINE_TRIAL_BYTES_CAP", 40)
     assert exp.amplitude_range_experiment(64, "1/2", trials=5).observed["samples"] == 5
     assert exp.amplitude_range_experiment(7, "1/2", trials=500).observed["samples"] == 500
-    with pytest.raises(ValueError, match="76 bytes; capped at 46"):
+    with pytest.raises(ValueError, match="66 bytes; capped at 40"):
         exp.amplitude_range_experiment(65, "1/2", trials=1)
     half = Fraction(1, 2)
     monkeypatch.setattr(eng, "ENGINE_TRIAL_BYTES_CAP", exp._not_demo_bytes(1, half))

@@ -94,7 +94,7 @@ def test_caps_rows_state_the_admitted_limits() -> None:
         "per-period engine": [_largest_admitted(eng._period_bytes, 1, 2**40)],
         "`not-demo`": [_largest_admitted(lambda n: exp._not_demo_bytes(n, half), 1, 2**40)],
         "baseline trial": [_largest_admitted(lambda p: eng._baseline_trial_bytes(n, p), 1, 2**40)
-                           for n in (27, 14)],
+                           for n in (31, 14)],
     }
     rows = _caps_rows()
     for name, values in limits.items():
